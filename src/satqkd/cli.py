@@ -159,15 +159,30 @@ def key_matrix_from_linkbudget(config: ScenarioConfig, csv_path) -> KeyMatrix:
         header = fh.readline()
         if not header.startswith("time_utc,station,"):
             raise ValueError(f"not a linkbudget CSV: {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
-            t = datetime.fromisoformat(parts[0])
+            where = f"{csv_path}:{lineno}"
+            if len(parts) != 10:
+                raise ValueError(f"{where}: expected 10 fields, got {len(parts)}")
+            n = column.get(parts[1])
+            if n is None:
+                raise ValueError(f"{where}: station: {parts[1]!r} is not a "
+                                 f"scenario station")
+            try:
+                t = datetime.fromisoformat(parts[0])
+                m = math.floor((t - start).total_seconds()
+                               / config.grid_interval_seconds)
+            except (TypeError, ValueError) as exc:  # TypeError: no UTC offset
+                raise ValueError(f"{where}: time_utc: {exc}") from None
+            if not 0 <= m < len(values):
+                raise ValueError(f"{where}: time_utc: {parts[0]} is outside the "
+                                 f"{len(values)}-interval grid from "
+                                 f"{start.isoformat()}")
             eta = float(parts[9])
             if eta <= 0.0:
                 continue
-            m = math.floor((t - start).total_seconds() / config.grid_interval_seconds)
             rate = gllp_rate(eta, config.qkd).rate_per_second
-            values[m, column[parts[1]]] += rate * config.step_seconds
+            values[m, n] += rate * config.step_seconds
     return KeyMatrix(start=start, interval_seconds=config.grid_interval_seconds,
                      node_names=tuple(st.name for st in config.stations),
                      values=values)

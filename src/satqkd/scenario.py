@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -179,57 +180,84 @@ def _parse_station(path: str, raw: Any) -> GroundStation:
         raise ConfigError(path, str(exc)) from None
 
 
-def _parse_optics(raw: dict) -> OpticalParams:
+def _section(path: str, raw: Any) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(path, "expected an object")
+    return raw
+
+
+def _field(path: str, raw: dict, key: str, default, convert=float):
+    """raw[key] (default when absent) through `convert`, failing as ConfigError."""
     try:
-        return OpticalParams(
-            wavelength_m=float(raw.get("wavelength_nm", 1550.0)) * 1e-9,
-            divergence_rad=float(raw.get("divergence_urad", 10.0)) * 1e-6,
-            receiver_diameter_m=float(raw.get("receiver_diameter_m", 1.2)),
-            transmitter_diameter_m=float(raw.get("transmitter_diameter_m", 0.3)),
-            zenith_atm_loss_db=float(raw.get("zenith_atm_loss_db", 2.0)),
-            pointing_loss_db=float(raw.get("pointing_loss_db", 2.0)),
-            coupling_loss_db=float(raw.get("coupling_loss_db", 3.0)),
-            detection_loss_db=float(raw.get("detection_loss_db", 3.0)),
-            beam_convention=raw.get("beam_convention", "full"))
+        return convert(raw.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.{key}", str(exc)) from None
+
+
+def _build(path: str, cls, **kwargs):
+    """cls(**kwargs), its validation failure reported against `path`."""
+    try:
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError("optics", str(exc)) from None
+        raise ConfigError(path, str(exc)) from None
+
+
+def _parse_optics(raw: dict) -> OpticalParams:
+    num = partial(_field, "optics", raw)
+    return _build(
+        "optics", OpticalParams,
+        wavelength_m=num("wavelength_nm", 1550.0) * 1e-9,
+        divergence_rad=num("divergence_urad", 10.0) * 1e-6,
+        receiver_diameter_m=num("receiver_diameter_m", 1.2),
+        transmitter_diameter_m=num("transmitter_diameter_m", 0.3),
+        zenith_atm_loss_db=num("zenith_atm_loss_db", 2.0),
+        pointing_loss_db=num("pointing_loss_db", 2.0),
+        coupling_loss_db=num("coupling_loss_db", 3.0),
+        detection_loss_db=num("detection_loss_db", 3.0),
+        beam_convention=raw.get("beam_convention", "full"))
 
 
 def _parse_qkd(raw: dict) -> QkdParams:
-    try:
-        return QkdParams(
-            mu=float(raw.get("mu", 0.5)),
-            nu=float(raw.get("nu", 0.08)),
-            omega=float(raw.get("omega", 0.0)),
-            rep_rate_hz=float(raw.get("rep_rate_mhz", 200.0)) * 1e6,
-            q_factor=float(raw.get("q_factor", 0.5)),
-            f_e=float(raw.get("f_e", 1.16)),
-            e_detector=float(raw.get("e_detector", 0.015)),
-            y0=float(raw.get("y0", 3e-6)),
-            e0=float(raw.get("e0", 0.5)))
-    except ValueError as exc:
-        raise ConfigError("qkd", str(exc)) from None
+    num = partial(_field, "qkd", raw)
+    return _build(
+        "qkd", QkdParams,
+        mu=num("mu", 0.5),
+        nu=num("nu", 0.08),
+        omega=num("omega", 0.0),
+        rep_rate_hz=num("rep_rate_mhz", 200.0) * 1e6,
+        q_factor=num("q_factor", 0.5),
+        f_e=num("f_e", 1.16),
+        e_detector=num("e_detector", 0.015),
+        y0=num("y0", 3e-6),
+        e0=num("e0", 0.5))
+
+
+def _floats(raw) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw)
 
 
 def _parse_strategy(raw: dict) -> StrategyConfig:
-    ga_raw = raw.get("ga", {})
-    try:
-        ga = GaConfig(
-            population=int(ga_raw.get("population", 200)),
-            generations=int(ga_raw.get("generations", 500)),
-            crossover_rate=float(ga_raw.get("crossover_rate", 0.8)),
-            mutation_rate=float(ga_raw.get("mutation_rate", 0.02)),
-            elitism=int(ga_raw.get("elitism", 2)),
-            seed=int(ga_raw.get("seed", 0)),
-            restart_after=int(ga_raw.get("restart_after", 60)))
-        weights = raw.get("weights")
-        return StrategyConfig(
-            kind=raw.get("kind", "S-GD"),
-            weights=tuple(float(w) for w in weights) if weights is not None else None,
-            ga=ga,
-            kl_tolerance=float(raw.get("kl_tolerance", 0.05)))
-    except ValueError as exc:
-        raise ConfigError("strategy", str(exc)) from None
+    ga_raw = _section("strategy.ga", raw.get("ga", {}))
+
+    def ga_field(key, default, convert=int):
+        return _field("strategy.ga", ga_raw, key, default, convert)
+
+    ga = _build(
+        "strategy", GaConfig,
+        population=ga_field("population", 200),
+        generations=ga_field("generations", 500),
+        crossover_rate=ga_field("crossover_rate", 0.8, float),
+        mutation_rate=ga_field("mutation_rate", 0.02, float),
+        elitism=ga_field("elitism", 2),
+        seed=ga_field("seed", 0),
+        restart_after=ga_field("restart_after", 60))
+    return _build(
+        "strategy", StrategyConfig,
+        kind=raw.get("kind", "S-GD"),
+        weights=(None if raw.get("weights") is None
+                 else _field("strategy", raw, "weights", None, _floats)),
+        ga=ga,
+        kl_tolerance=_field("strategy", raw, "kl_tolerance", 0.05))
 
 
 def scenario_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
@@ -284,7 +312,7 @@ def scenario_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfi
     cloud = None
     raw_cloud = data.get("cloud")
     if raw_cloud is not None:
-        path = raw_cloud["file"] if isinstance(raw_cloud, dict) else raw_cloud
+        path = raw_cloud.get("file") if isinstance(raw_cloud, dict) else raw_cloud
         if not isinstance(path, str):
             raise ConfigError("cloud", "expected a path or {'file': path}")
         try:
@@ -292,9 +320,12 @@ def scenario_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfi
         except ValueError as exc:
             raise ConfigError("cloud", str(exc)) from None
 
-    sweep = data.get("sweep", {})
+    sweep = _section("sweep", data.get("sweep", {}))
+    raw_altitudes = sweep.get("altitudes_km", DEFAULT_SWEEP_ALTITUDES)
+    if not isinstance(raw_altitudes, (list, tuple)):
+        raise ConfigError("sweep.altitudes_km", "expected a list")
     altitudes = []
-    for i, entry in enumerate(sweep.get("altitudes_km", DEFAULT_SWEEP_ALTITUDES)):
+    for i, entry in enumerate(raw_altitudes):
         if isinstance(entry, dict):
             altitudes.append(dict(entry))
         elif isinstance(entry, (int, float)):
@@ -312,14 +343,13 @@ def scenario_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfi
         elevation_mask_deg=_get(data, "", "elevation_mask_deg", float, 10.0),
         night_threshold_deg=_get(data, "", "night_threshold_deg", float, -6.0),
         require_umbra=_get(data, "", "require_umbra", bool, False),
-        optics=_parse_optics(data.get("optics", {})),
-        qkd=_parse_qkd(data.get("qkd", {})),
+        optics=_parse_optics(_section("optics", data.get("optics", {}))),
+        qkd=_parse_qkd(_section("qkd", data.get("qkd", {}))),
         cloud=cloud,
-        strategy=_parse_strategy(data.get("strategy", {})),
+        strategy=_parse_strategy(_section("strategy", data.get("strategy", {}))),
         sweep_altitudes=tuple(altitudes),
-        sweep_divergences_urad=tuple(
-            float(v) for v in sweep.get("divergences_urad",
-                                        DEFAULT_SWEEP_DIVERGENCES_URAD)),
+        sweep_divergences_urad=_field("sweep", sweep, "divergences_urad",
+                                      DEFAULT_SWEEP_DIVERGENCES_URAD, _floats),
     )
 
 

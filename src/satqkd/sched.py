@@ -7,7 +7,8 @@ of the horizon is unconstrained).
 
 Solvers:
   * solve_exact  - dynamic program over (interval, last activity); provably
-    optimal for any linear objective sum_n w_n * E_n.
+    optimal for any linear objective sum_n w_n * E_n.  It steps through the
+    rows with a nonzero gain plus at most two rows of each all-zero run.
   * solve_greedy - myopic forward sweep, baseline only.
   * solve_ga     - generational genetic algorithm on the activity string with
     one-point crossover, per-gene mutation and switch-insertion repair.
@@ -181,6 +182,29 @@ def _finish(assignment: np.ndarray, matrix, objective: float) -> Schedule:
                     objective=float(objective))
 
 
+def _active_blocks(active: np.ndarray,
+                   run_head: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Rows worth visiting, plus block-start flags.
+
+    The rows are those flagged `active` plus the first `run_head` rows of
+    every run of inactive rows (the leading run included); a block starts at
+    the first row and after every left-out row.  Intervals where every
+    node's key yield is zero never need a node in an optimal assignment (a
+    SWITCH placed in the gap preserves feasibility), so the GA searches only
+    the active intervals; the switch constraint does not couple across a
+    gap.  The exact DP keeps two rows of each gap (see solve_exact).
+    """
+    keep = active.copy()
+    for lag in range(1, run_head + 1):
+        keep[lag:] |= active[:-lag]
+    keep[:run_head] = True
+    rows = np.flatnonzero(keep)
+    starts = np.empty(len(rows), dtype=bool)
+    starts[:1] = True
+    starts[1:] = np.diff(rows) > 1
+    return rows, starts
+
+
 # ---------------------------------------------------------------------------
 # Exact dynamic program
 # ---------------------------------------------------------------------------
@@ -189,9 +213,15 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
     """Optimal schedule for the linear objective sum_n w_n * E_n.
 
     Dynamic program over states (interval, last activity); last activity is
-    IDLE, SWITCH or a node.  O(M*N) time.  Ties prefer IDLE, then the lowest
-    node index, then SWITCH; a node state keeps its node parent on parent
-    ties (fewest switches).
+    IDLE, SWITCH or a node.  Ties prefer IDLE, then the lowest node index,
+    then SWITCH; a node state keeps its node parent on parent ties (fewest
+    switches).
+
+    After two rows of all-zero gains every state holds the best value, so
+    each further row of the run has the same transitions (node parent kept,
+    IDLE otherwise) and is left out: the DP steps O(N) per row with a
+    nonzero gain plus at most two rows per zero run.  A left-out row takes
+    the activity of the row before it, which is what the full walk assigns.
     """
     values = _values_of(matrix)
     n_intervals, n_nodes = values.shape
@@ -205,7 +235,9 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
         raise ValueError(f"expected {n_nodes} weights, got {w.shape}")
     if np.any(w < 0):
         raise ValueError("weights must be >= 0")
-    gains = values * w  # (M, N)
+    rows, _ = _active_blocks(((values != 0) & (w != 0)).any(axis=1), run_head=2)
+    gains = values[rows] * w  # (R, N)
+    n_rows = len(rows)
 
     # state ids in preference order for argmax ties: IDLE, node 0..N-1, SWITCH
     idle_id, switch_id = 0, n_nodes + 1
@@ -213,16 +245,16 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
     f_nodes = gains[0].copy()
     f_idle = 0.0
     f_switch = 0.0
-    same_parent = np.zeros((n_intervals, n_nodes), dtype=bool)
-    other_parent = np.zeros(n_intervals, dtype=np.int32)
+    same_parent = np.zeros((n_rows, n_nodes), dtype=bool)
+    other_parent = np.zeros(n_rows, dtype=np.int32)
 
-    for m in range(1, n_intervals):
+    for k in range(1, n_rows):
         ordered = np.concatenate(([f_idle], f_nodes, [f_switch]))
         best_id = int(np.argmax(ordered))
         best_val = float(ordered[best_id])
-        same_parent[m] = f_nodes >= f_switch
-        f_nodes = gains[m] + np.maximum(f_nodes, f_switch)
-        other_parent[m] = best_id
+        same_parent[k] = f_nodes >= f_switch
+        f_nodes = gains[k] + np.maximum(f_nodes, f_switch)
+        other_parent[k] = best_id
         f_idle = best_val
         f_switch = best_val
 
@@ -230,20 +262,21 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
     state = int(np.argmax(ordered))
     objective = float(ordered[state])
 
-    assignment = np.empty(n_intervals, dtype=np.int64)
-    for m in range(n_intervals - 1, -1, -1):
+    visited = np.empty(n_rows, dtype=np.int64)
+    for k in range(n_rows - 1, -1, -1):
         if state == idle_id:
-            assignment[m] = IDLE
-            nxt = other_parent[m]
+            visited[k] = IDLE
+            nxt = other_parent[k]
         elif state == switch_id:
-            assignment[m] = SWITCH
-            nxt = other_parent[m]
+            visited[k] = SWITCH
+            nxt = other_parent[k]
         else:
             node = state - 1
-            assignment[m] = node
-            nxt = state if same_parent[m, node] else switch_id
+            visited[k] = node
+            nxt = state if same_parent[k, node] else switch_id
         state = int(nxt)
-    return _finish(assignment, values, objective)
+    owner = np.searchsorted(rows, np.arange(n_intervals), side="right") - 1
+    return _finish(visited[owner], values, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +314,6 @@ def solve_greedy(matrix) -> Schedule:
 # Genetic algorithm
 # ---------------------------------------------------------------------------
 
-def _active_blocks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of intervals worth assigning, plus block-start flags.
-
-    Intervals where every node's key yield is zero never appear in an optimal
-    assignment (a SWITCH placed in the gap preserves feasibility), so the GA
-    searches only the active intervals; consecutive runs form blocks and the
-    switch constraint does not couple across a gap.
-    """
-    active = np.flatnonzero(values.max(axis=1) > 0)
-    if len(active) == 0:
-        return active, np.zeros(0, dtype=bool)
-    starts = np.empty(len(active), dtype=bool)
-    starts[0] = True
-    starts[1:] = np.diff(active) > 1
-    return active, starts
-
-
 def _expand(genes: np.ndarray, active: np.ndarray, starts: np.ndarray,
             n_intervals: int, n_nodes: int) -> np.ndarray:
     """Decode a compressed chromosome into a feasible full assignment."""
@@ -310,6 +326,26 @@ def _expand(genes: np.ndarray, active: np.ndarray, starts: np.ndarray,
         if decoded[k] >= 0 and pos > 0:
             full[pos - 1] = SWITCH
     return full
+
+
+def _node_cells(k: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per node (column of k), the rows of its nonzero cells and their values."""
+    node, row = np.nonzero(k.T)  # sorted by node, then by row
+    bounds = np.searchsorted(node, np.arange(k.shape[1] + 1))
+    return [(row[a:b], k[row[a:b], n])
+            for n, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
+
+
+def _node_totals(group: np.ndarray, cells) -> np.ndarray:
+    """(P, N) per-node totals of P gene strings, from the nodes' nonzero cells.
+
+    Costs P x nnz_n per node rather than P x A; equal to the masked product
+    sum((group == n) * k[:, n]) up to summation order.
+    """
+    totals = np.zeros((len(group), len(cells)))
+    for n, (rows, vals) in enumerate(cells):
+        totals[:, n] = ((group[:, rows] == n) * vals).sum(axis=1)
+    return totals
 
 
 def solve_ga(matrix, cfg: StrategyConfig,
@@ -328,7 +364,7 @@ def solve_ga(matrix, cfg: StrategyConfig,
     values = _values_of(matrix)
     n_intervals, n_nodes = values.shape
     ga = cfg.ga
-    active, starts = _active_blocks(values)
+    active, starts = _active_blocks((values > 0).any(axis=1))
     n_active = len(active)
     if n_active == 0 or n_nodes == 0:
         assignment = np.full(n_intervals, IDLE, dtype=np.int64)
@@ -373,10 +409,10 @@ def solve_ga(matrix, cfg: StrategyConfig,
     def fitness_of(group: np.ndarray) -> np.ndarray:
         return k_fit[gene_cols, group].sum(axis=1)
 
+    cells = _node_cells(k_active)
+
     def kl_of(group: np.ndarray) -> np.ndarray:
-        totals = np.zeros((len(group), n_nodes))
-        for n in range(n_nodes):
-            totals[:, n] = ((group == n) * k_active[:, n][None, :]).sum(axis=1)
+        totals = _node_totals(group, cells)
         sums = totals.sum(axis=1)
         out = np.full(len(group), np.inf)
         ok = sums > 0

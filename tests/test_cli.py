@@ -181,6 +181,42 @@ def test_keymatrix_composition_bit_exact(tmp_path):
         (tmp_path / "composed" / "keymatrix.csv").read_bytes()
 
 
+SHORT_SPAN = ["2016-09-19T14:00:00+00:00", "2016-09-19T20:00:00+00:00"]
+
+
+@pytest.fixture(scope="module")
+def linkbudget_rows(tmp_path_factory):
+    """Config path plus header and rows of the first night's linkbudget.csv."""
+    root = tmp_path_factory.mktemp("lb")
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps({"span": SHORT_SPAN}), encoding="utf-8")
+    assert main(["linkbudget", "--config", str(cfg_path), "--out", str(root)]) == 0
+    header, *rows = (root / "linkbudget.csv").read_text().splitlines()
+    return cfg_path, header, rows
+
+
+@pytest.mark.parametrize("column,value,needle", [
+    (0, timedelta(days=-1), "time_utc"),
+    (0, timedelta(days=1), "time_utc"),
+    (1, "Atlantis", "station"),
+], ids=["before-span", "after-span", "unknown-station"])
+def test_keymatrix_from_linkbudget_rejects_bad_rows(tmp_path, capsys, linkbudget_rows,
+                                                    column, value, needle):
+    cfg_path, header, rows = linkbudget_rows
+    k = next(i for i, row in enumerate(rows) if float(row.split(",")[9]) > 0.0)
+    fields = rows[k].split(",")
+    fields[column] = ((datetime.fromisoformat(fields[0]) + value).isoformat()
+                      if column == 0 else value)
+    bad = tmp_path / "linkbudget.csv"
+    bad.write_text("\n".join([header, *rows[:k], ",".join(fields), *rows[k + 1:]])
+                   + "\n", encoding="utf-8")
+    rc = main(["keymatrix", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+               "--from-linkbudget", str(bad)])
+    assert rc == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert f"linkbudget.csv:{k + 2}: {needle}:" in error
+
+
 def test_keymatrix_zero_cloud_equals_disabled(tmp_path):
     from satqkd.cloud import CloudGrid
     cfg = short_config()
@@ -364,6 +400,26 @@ def test_main_runs_access_with_config(tmp_path):
     rc = main(["access", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 0
     assert (tmp_path / "out" / "access_intervals.csv").exists()
+
+
+@pytest.mark.parametrize("payload,needle", [
+    ({"optics": 5}, "optics"),
+    ({"cloud": {"path": "x"}}, "cloud"),
+    ({"strategy": {"weights": 3}}, "strategy.weights"),
+    ({"strategy": {"ga": {"population": None}}}, "strategy.ga.population"),
+    ({"strategy": {"ga": 4}}, "strategy.ga"),
+    ({"qkd": {"mu": None}}, "qkd.mu"),
+    ({"sweep": []}, "sweep"),
+    ({"sweep": {"altitudes_km": 5}}, "sweep.altitudes_km"),
+    ({"sweep": {"divergences_urad": ["x"]}}, "sweep.divergences_urad"),
+    ({"sweep": {"divergences_urad": None}}, "sweep.divergences_urad"),
+])
+def test_main_malformed_config_shapes_exit_2(tmp_path, capsys, payload, needle):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(payload), encoding="utf-8")
+    rc = main(["access", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith(f"{needle}:")
 
 
 def test_main_invalid_config_exits_nonzero(tmp_path, capsys):

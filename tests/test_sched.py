@@ -5,10 +5,13 @@ The independent oracle is a vectorised exhaustive enumeration over all
 greedy and GA solvers are checked against it on small instances.  KL values
 are frozen from 30-digit evaluations.  Property sweeps cover feasibility of
 every returned schedule, objective dominance, scale invariance and GA
-determinism.
+determinism.  The DP that skips all-zero runs is checked row for row against
+the full-walk DP it replaced, and the GA's sparse per-node totals against the
+masked-product formula.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -28,6 +31,8 @@ from satqkd.sched import (
     solve_exact,
     solve_ga,
     solve_greedy,
+    _node_cells,
+    _node_totals,
 )
 
 from conftest import enumeration_oracle as enumerate_best
@@ -178,6 +183,87 @@ def test_exact_empty_and_degenerate_shapes():
     assert solve_exact(np.zeros((3, 0))).assignment == (IDLE,) * 3
 
 
+def full_walk_exact(values: np.ndarray, weights=None) -> Schedule:
+    """solve_exact as it was before zero runs were skipped: every row walked."""
+    n_intervals, n_nodes = values.shape
+    w = np.ones(n_nodes) if weights is None else np.asarray(weights, dtype=float)
+    gains = values * w
+    idle_id, switch_id = 0, n_nodes + 1
+    f_nodes = gains[0].copy()
+    f_idle = 0.0
+    f_switch = 0.0
+    same_parent = np.zeros((n_intervals, n_nodes), dtype=bool)
+    other_parent = np.zeros(n_intervals, dtype=np.int32)
+    for m in range(1, n_intervals):
+        ordered = np.concatenate(([f_idle], f_nodes, [f_switch]))
+        best_id = int(np.argmax(ordered))
+        best_val = float(ordered[best_id])
+        same_parent[m] = f_nodes >= f_switch
+        f_nodes = gains[m] + np.maximum(f_nodes, f_switch)
+        other_parent[m] = best_id
+        f_idle = best_val
+        f_switch = best_val
+    ordered = np.concatenate(([f_idle], f_nodes, [f_switch]))
+    state = int(np.argmax(ordered))
+    objective = float(ordered[state])
+    assignment = np.empty(n_intervals, dtype=np.int64)
+    for m in range(n_intervals - 1, -1, -1):
+        if state == idle_id:
+            assignment[m] = IDLE
+            nxt = other_parent[m]
+        elif state == switch_id:
+            assignment[m] = SWITCH
+            nxt = other_parent[m]
+        else:
+            node = state - 1
+            assignment[m] = node
+            nxt = state if same_parent[m, node] else switch_id
+        state = int(nxt)
+    return Schedule(assignment=tuple(int(a) for a in assignment),
+                    node_totals=tuple(float(v) for v in evaluate(assignment, values)),
+                    objective=objective)
+
+
+def test_exact_matches_full_walk_on_sparse_matrices():
+    # alternating zero runs (1-5 rows) and pass blocks (1-3 rows) of
+    # half-integer yields, so that value ties are common
+    rng = np.random.default_rng(2_106)
+    seen = dict.fromkeys(("lead", "middle", "trail", "all_zero",
+                          "zero_weight", "tie"), 0)
+    for trial in range(600):
+        n = int(rng.integers(1, 5))
+        if trial % 50 == 0:
+            values = np.zeros((int(rng.integers(1, 13)), n))
+            seen["all_zero"] += 1
+        else:
+            n_segments = int(rng.integers(1, 8))
+            zero_first = bool(rng.random() < 0.5)
+            segments = []
+            for k in range(n_segments):
+                if (k % 2 == 0) == zero_first:
+                    segments.append(np.zeros((int(rng.integers(1, 6)), n)))
+                else:
+                    block = rng.integers(0, 5, size=(int(rng.integers(1, 4)), n)) * 0.5
+                    block[rng.integers(0, len(block)), rng.integers(0, n)] = 1.5
+                    segments.append(block)
+            values = np.vstack(segments)
+            zero_at = [k for k, seg in enumerate(segments) if not seg.any()]
+            seen["lead"] += 0 in zero_at
+            seen["trail"] += n_segments - 1 in zero_at
+            seen["middle"] += any(0 < k < n_segments - 1 for k in zero_at)
+            seen["tie"] += bool(any(len(set(row[row > 0])) < (row > 0).sum()
+                                    for row in values))
+        weights = None if rng.random() < 0.3 else rng.choice([0.0, 0.5, 1.0, 2.0], n)
+        if weights is not None and values[:, weights == 0].any():
+            seen["zero_weight"] += 1
+        got = solve_exact(values, weights)
+        want = full_walk_exact(values, weights)
+        assert got.assignment == want.assignment, trial
+        assert got.node_totals == want.node_totals, trial
+        assert got.objective == want.objective, trial
+    assert min(seen.values()) >= 12, seen
+
+
 # ---------------------------------------------------------------------------
 # greedy
 # ---------------------------------------------------------------------------
@@ -283,6 +369,38 @@ def test_ga_sparse_compression_agrees_with_enumeration():
     assert len(sched.assignment) == 4
     assert is_feasible(sched, 4, 2)
     assert sched.objective == pytest.approx(enumerate_best(values), rel=1e-12)
+
+
+def test_sparse_node_totals_match_masked_product():
+    rng = np.random.default_rng(61)
+    k = rng.uniform(0.0, 1e4, size=(700, 7))
+    k[rng.random(k.shape) < 0.8] = 0.0
+    k[:, 5] = 0.0  # a node without a single nonzero cell
+    cells = _node_cells(k)
+    for _ in range(20):
+        group = rng.integers(0, 9, size=(30, 700), dtype=np.int16)
+        masked = np.stack([((group == n) * k[:, n][None, :]).sum(axis=1)
+                           for n in range(7)], axis=1)
+        got = _node_totals(group, cells)
+        np.testing.assert_allclose(got, masked, rtol=1e-12, atol=0.0)
+        assert np.all(got[:, 5] == 0.0)
+
+
+def test_ga_std_fixed_seed_result_is_pinned():
+    # digest of the assignment this instance produced before the per-node
+    # totals went sparse; a change that redirects the GA's search fails here
+    rng = np.random.default_rng(2106)
+    values = rng.uniform(0.0, 50.0, size=(300, 6))
+    values[rng.random(300) < 0.75] = 0.0
+    values[rng.random(values.shape) < 0.3] = 0.0
+    cfg = StrategyConfig(kind="S-TD", weights=(0.3, 0.25, 0.2, 0.1, 0.1, 0.05),
+                         ga=GaConfig(population=40, generations=80, seed=5))
+    sched = solve_ga(values, cfg, seed_schedules=[solve_exact(values)])
+    digest = hashlib.sha256(
+        np.asarray(sched.assignment, dtype=np.int64).tobytes()).hexdigest()
+    assert digest == ("97dbe112dc1d1a09b46ab85df6bd079d"
+                      "a705097527f9a161c0671a2d9c2c27f0")
+    assert sched.objective == pytest.approx(2477.4538093436345, rel=1e-12)
 
 
 def test_ga_spd_equal_weights_matches_sgd_objective():
