@@ -305,8 +305,7 @@ def run_sweep(config: ScenarioConfig, variable: str, out: Path,
     out.mkdir(parents=True, exist_ok=True)
     from dataclasses import replace
 
-    def measure(sub, value):
-        accesses = compute_accesses(sub)
+    def measure(sub, value, accesses):
         lo, hi = _loss_extremes(sub, accesses)
         return {
             "value": value,
@@ -321,13 +320,15 @@ def run_sweep(config: ScenarioConfig, variable: str, out: Path,
             altitude = float(entry["altitude_km"])
             elements = elements_for_altitude(config.tle, altitude,
                                              raan_deg=entry.get("raan_deg"))
-            rows.append(measure(replace(config, tle=elements, ephemeris=None),
-                                altitude))
+            sub = replace(config, tle=elements, ephemeris=None)
+            rows.append(measure(sub, altitude, compute_accesses(sub)))
     else:
+        # access geometry does not depend on the optics
+        accesses = compute_accesses(config)
         for urad in config.sweep_divergences_urad:
             sub = replace(config, optics=replace(config.optics,
                                                  divergence_rad=urad * 1e-6))
-            rows.append(measure(sub, urad))
+            rows.append(measure(sub, urad, accesses))
 
     path = out / f"sweep_{variable}.csv"
     unit = "altitude_km" if variable == "altitude" else "divergence_urad"

@@ -12,10 +12,12 @@ to the containing 10-minute frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass, field, replace
+from datetime import datetime
 
 import numpy as np
+
+from .orbit import _as_utc
 
 TIME_STEP_SECONDS = 600
 MAX_INDEX = 150
@@ -29,10 +31,6 @@ def cloud_loss(alpha: int) -> float:
         return math.inf
     # + 0.0 turns the IEEE -0.0 at alpha=0 into a plain 0.0
     return -10.0 * math.log10((MAX_INDEX - alpha) / MAX_INDEX) + 0.0
-
-
-def _as_utc(t: datetime) -> datetime:
-    return t.replace(tzinfo=timezone.utc) if t.tzinfo is None else t.astimezone(timezone.utc)
 
 
 @dataclass(frozen=True)
@@ -96,12 +94,19 @@ def load_cloud_grid(path) -> CloudGrid:
         raise ValueError(f"expected {expected} cell values "
                          f"({n_frames}x{n_lat}x{n_lon}), found {len(tokens)}")
     try:
-        flat = np.array([int(tok) for tok in tokens], dtype=np.int16)
+        # parses each token as int() does
+        flat = np.array(tokens, dtype=np.int64)
     except ValueError as exc:
         raise ValueError(f"non-integer cell value: {exc}") from None
-    frames = flat.reshape(n_frames, n_lat, n_lon)
-    return CloudGrid(lat_min, lat_max, lon_min, lon_max,
-                     lat_step, lon_step, time_start, frames)
+    except OverflowError:
+        n = next(n for n, tok in enumerate(tokens) if abs(int(tok)) >= 2**63)
+        k, i, j = np.unravel_index(n, (n_frames, n_lat, n_lon))
+        raise ValueError(f"cloud value {tokens[n]} outside [0, {MAX_INDEX}] "
+                         f"at frame {k}, lat row {i}, lon col {j}") from None
+    # the range check runs on the parsed values, before the int16 narrowing
+    grid = CloudGrid(lat_min, lat_max, lon_min, lon_max, lat_step, lon_step,
+                     time_start, flat.reshape(n_frames, n_lat, n_lon))
+    return replace(grid, frames=grid.frames.astype(np.int16))
 
 
 def save_cloud_grid(grid: CloudGrid, path) -> None:

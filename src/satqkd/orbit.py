@@ -9,6 +9,14 @@ argument of perigee; the TLE mean motion is taken as the observed anomalistic
 rate, so the mean anomaly advances at exactly that rate.  A spherical Earth
 (equatorial radius) is used for topocentric geometry, and the Sun comes from a
 low-precision analytic ephemeris (good to well under 0.5 degrees).
+
+Access windows are computed once per span, not once per station.  The span is
+walked in fixed-size blocks; per block the propagation, GMST, the Earth-fixed
+satellite position and the Sun's RA/Dec are shared by every station.  Per
+station only the vertical component covers the whole block: range, elevation
+and solar elevation are evaluated where the satellite is above the horizon,
+and azimuth only on usable samples.  Each value is the same elementwise
+formula as on the full grid, so the results are bit-identical to it.
 """
 from __future__ import annotations
 
@@ -27,6 +35,10 @@ SIDEREAL_RATE_DEG_PER_DAY = 360.98564736629
 
 _UNIX_JD = 2440587.5  # Julian date of 1970-01-01T00:00:00Z
 _J2000_JD = 2451545.0
+
+# Samples per block in compute_access_windows: a week at 1 s is 37 blocks,
+# so the propagation temporaries stay near a megabyte each.
+_BLOCK_SAMPLES = 16384
 
 
 class TleError(ValueError):
@@ -244,11 +256,22 @@ def parse_tle(text: str) -> TleElements:
 # ---------------------------------------------------------------------------
 
 def _kepler_solve(mean_anomaly: np.ndarray, ecc: float) -> np.ndarray:
-    """Eccentric anomaly from mean anomaly, vectorised Newton iteration."""
+    """Eccentric anomaly from mean anomaly, vectorised Newton iteration.
+
+    At most 12 steps.  A step is a function of the element's own bits, so an
+    element that a step leaves bit-for-bit unchanged stays there; it leaves
+    the iteration, and the result equals that of all 12 steps.
+    """
     e_anom = mean_anomaly.copy()
+    live = np.arange(e_anom.size)
     for _ in range(12):
-        f = e_anom - ecc * np.sin(e_anom) - mean_anomaly
-        e_anom = e_anom - f / (1.0 - ecc * np.cos(e_anom))
+        e, m = e_anom[live], mean_anomaly[live]
+        f = e - ecc * np.sin(e) - m
+        stepped = e - f / (1.0 - ecc * np.cos(e))
+        e_anom[live] = stepped
+        live = live[stepped.view(np.int64) != e.view(np.int64)]
+        if not live.size:
+            break
     return e_anom
 
 
@@ -355,19 +378,11 @@ def _sun_radec(unix) -> tuple[np.ndarray, np.ndarray]:
     return ra, dec
 
 
-def _sun_unit_eci(unix) -> np.ndarray:
-    ra, dec = _sun_radec(unix)
-    return np.stack([np.cos(dec) * np.cos(ra),
-                     np.cos(dec) * np.sin(ra),
-                     np.sin(dec)], axis=-1)
-
-
-def _sun_elevation_arrays(station: GroundStation, unix) -> np.ndarray:
-    ra, dec = _sun_radec(unix)
-    lat = math.radians(station.latitude_deg)
-    h = np.radians(_gmst_deg(unix) + station.longitude_deg) - ra
-    sin_alt = (math.sin(lat) * np.sin(dec)
-               + math.cos(lat) * np.cos(dec) * np.cos(h))
+def _sun_elevation_arrays(station: GroundStation, gmst, ra, dec) -> np.ndarray:
+    """Solar elevation (deg) from GMST (deg) and the Sun's RA/Dec (rad)."""
+    sin_lat, cos_lat, _, _ = _lat_lon_trig(station)
+    h = np.radians(gmst + station.longitude_deg) - ra
+    sin_alt = sin_lat * np.sin(dec) + cos_lat * np.cos(dec) * np.cos(h)
     return np.degrees(np.arcsin(np.clip(sin_alt, -1.0, 1.0)))
 
 
@@ -376,42 +391,63 @@ def sun_elevation(station: GroundStation, t: datetime) -> float:
     t = _as_utc(t)
     if not 1950 <= t.year <= 2100:
         raise ValueError(f"time {t.isoformat()} outside supported years 1950-2100")
-    return float(_sun_elevation_arrays(station, _to_unix(t)))
+    u = _to_unix(t)
+    return float(_sun_elevation_arrays(station, _gmst_deg(u), *_sun_radec(u)))
+
+
+def _lat_lon_trig(station: GroundStation) -> tuple[float, float, float, float]:
+    """sin/cos of the station's latitude, then of its longitude."""
+    lat = math.radians(station.latitude_deg)
+    lon = math.radians(station.longitude_deg)
+    return math.sin(lat), math.cos(lat), math.sin(lon), math.cos(lon)
 
 
 def _station_ecef_km(station: GroundStation) -> np.ndarray:
-    lat = math.radians(station.latitude_deg)
-    lon = math.radians(station.longitude_deg)
+    sin_lat, cos_lat, sin_lon, cos_lon = _lat_lon_trig(station)
     r = EARTH_RADIUS_KM + station.altitude_m / 1000.0
-    return r * np.array([math.cos(lat) * math.cos(lon),
-                         math.cos(lat) * math.sin(lon),
-                         math.sin(lat)])
+    return r * np.array([cos_lat * cos_lon, cos_lat * sin_lon, sin_lat])
 
 
-def _look_arrays(pos_eci: np.ndarray, unix: np.ndarray,
-                 station: GroundStation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elevation/azimuth (deg) and slant range (km) for ECI positions."""
-    theta = np.radians(_gmst_deg(unix))
+def _earth_fixed(pos_eci: np.ndarray, gmst) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Earth-fixed x, y, z (km) of ECI positions, rotated by GMST (deg)."""
+    theta = np.radians(gmst)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    x = pos_eci[..., 0] * cos_t + pos_eci[..., 1] * sin_t
-    y = -pos_eci[..., 0] * sin_t + pos_eci[..., 1] * cos_t
-    z = pos_eci[..., 2]
+    return (pos_eci[..., 0] * cos_t + pos_eci[..., 1] * sin_t,
+            -pos_eci[..., 0] * sin_t + pos_eci[..., 1] * cos_t,
+            pos_eci[..., 2])
 
+
+def _offsets(ecef, station: GroundStation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Station-to-satellite vector (km) in Earth-fixed axes."""
     st = _station_ecef_km(station)
-    dx, dy, dz = x - st[0], y - st[1], z - st[2]
+    return ecef[0] - st[0], ecef[1] - st[1], ecef[2] - st[2]
 
-    lat = math.radians(station.latitude_deg)
-    lon = math.radians(station.longitude_deg)
-    sin_lat, cos_lat = math.sin(lat), math.cos(lat)
-    sin_lon, cos_lon = math.sin(lon), math.cos(lon)
-    east = -sin_lon * dx + cos_lon * dy
-    north = -sin_lat * cos_lon * dx - sin_lat * sin_lon * dy + cos_lat * dz
-    up = cos_lat * cos_lon * dx + cos_lat * sin_lon * dy + sin_lat * dz
 
-    rng = np.sqrt(dx * dx + dy * dy + dz * dz)
-    elev = np.degrees(np.arcsin(np.clip(up / rng, -1.0, 1.0)))
-    azim = np.mod(np.degrees(np.arctan2(east, north)), 360.0)
-    return elev, azim, rng
+def _up_km(d, station: GroundStation) -> np.ndarray:
+    """Component of the station-to-satellite vector along the local vertical."""
+    sin_lat, cos_lat, sin_lon, cos_lon = _lat_lon_trig(station)
+    return cos_lat * cos_lon * d[0] + cos_lat * sin_lon * d[1] + sin_lat * d[2]
+
+
+def _elevation_range(d, up) -> tuple[np.ndarray, np.ndarray]:
+    """Elevation (deg) and slant range (km) from the offsets and their up part."""
+    rng = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+    return np.degrees(np.arcsin(np.clip(up / rng, -1.0, 1.0))), rng
+
+
+def _azimuth(d, station: GroundStation) -> np.ndarray:
+    """Azimuth (deg, clockwise from north) of the station-to-satellite vector."""
+    sin_lat, cos_lat, sin_lon, cos_lon = _lat_lon_trig(station)
+    east = -sin_lon * d[0] + cos_lon * d[1]
+    north = -sin_lat * cos_lon * d[0] - sin_lat * sin_lon * d[1] + cos_lat * d[2]
+    return np.mod(np.degrees(np.arctan2(east, north)), 360.0)
+
+
+def _look_arrays(ecef, station: GroundStation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elevation/azimuth (deg) and slant range (km) for Earth-fixed positions."""
+    d = _offsets(ecef, station)
+    elev, rng = _elevation_range(d, _up_km(d, station))
+    return elev, _azimuth(d, station), rng
 
 
 def look_angles(state: SatelliteState, station: GroundStation,
@@ -422,14 +458,16 @@ def look_angles(state: SatelliteState, station: GroundStation,
     the state's own time); spherical Earth.
     """
     when = _to_unix(t if t is not None else state.time)
-    pos = np.array([state.position_km])
-    elev, azim, rng = _look_arrays(pos, np.array([when]), station)
+    ecef = _earth_fixed(np.array([state.position_km]), _gmst_deg(np.array([when])))
+    elev, azim, rng = _look_arrays(ecef, station)
     return LookAngles(float(elev[0]), float(azim[0]), float(rng[0]))
 
 
-def _umbra_mask(pos_eci: np.ndarray, unix: np.ndarray) -> np.ndarray:
+def _umbra_mask(pos_eci: np.ndarray, ra, dec) -> np.ndarray:
     """True where the satellite sits inside the cylindrical Earth shadow."""
-    sun_u = _sun_unit_eci(unix)
+    sun_u = np.stack([np.cos(dec) * np.cos(ra),
+                      np.cos(dec) * np.sin(ra),
+                      np.sin(dec)], axis=-1)
     along = np.einsum("ij,ij->i", pos_eci, sun_u)
     perp = pos_eci - along[:, None] * sun_u
     return (along < 0.0) & (np.linalg.norm(perp, axis=1) < EARTH_RADIUS_KM)
@@ -501,6 +539,10 @@ def compute_access_windows(source: TleElements | Ephemeris,
     touching the span boundary are truncated, not discarded.  The result is
     sorted by start time (ties by station order).
 
+    The geometry is walked in blocks of _BLOCK_SAMPLES and shared across
+    stations, as the module docstring describes.  With a negative mask,
+    every sample counts as above the horizon.
+
     Args:
         source: TLE mean elements or a precomputed Ephemeris.
         span: (start, end); samples are taken at interval starts, i.e. at
@@ -517,42 +559,53 @@ def compute_access_windows(source: TleElements | Ephemeris,
     count = max(1, math.ceil((u1 - u0) / step_seconds - 1e-9))
     unix = u0 + step_seconds * np.arange(count)
 
-    try:
-        if isinstance(source, Ephemeris):
-            pos = source.positions_at(unix)
-        else:
-            pos, _ = _propagate_arrays(source, unix)
-    except ValueError as exc:
-        raise ValueError(f"propagation failed over {start.isoformat()}"
-                         f"..{end.isoformat()}: {exc}") from exc
+    # per station: (sample index, elevation, azimuth, range) of usable samples
+    found: list[list[tuple[np.ndarray, ...]]] = [[] for _ in stations]
+    for lo in range(0, count, _BLOCK_SAMPLES):
+        block = unix[lo:lo + _BLOCK_SAMPLES]
+        try:
+            if isinstance(source, Ephemeris):
+                pos = source.positions_at(block)
+            else:
+                pos, _ = _propagate_arrays(source, block)
+        except ValueError as exc:
+            raise ValueError(f"propagation failed over {start.isoformat()}"
+                             f"..{end.isoformat()}: {exc}") from exc
+        gmst = _gmst_deg(block)
+        ra, dec = _sun_radec(block)
+        ecef = _earth_fixed(pos, gmst)
+        umbra = _umbra_mask(pos, ra, dec) if require_umbra else None
 
-    umbra = _umbra_mask(pos, unix) if require_umbra else None
+        for station, chunks in zip(stations, found):
+            d = _offsets(ecef, station)
+            up = _up_km(d, station)
+            # elevation > mask >= 0 needs up > 0
+            near = (np.flatnonzero(up > 0.0) if elevation_mask_deg >= 0.0
+                    else np.arange(len(block)))
+            d = tuple(c[near] for c in d)
+            elev, rng = _elevation_range(d, up[near])
+            usable = (elev > elevation_mask_deg) & (_sun_elevation_arrays(
+                station, gmst[near], ra[near], dec[near]) < night_threshold_deg)
+            if umbra is not None:
+                usable &= umbra[near]
+            if usable.any():
+                chunks.append((lo + near[usable], elev[usable],
+                               _azimuth(tuple(c[usable] for c in d), station),
+                               rng[usable]))
 
     intervals: list[AccessInterval] = []
-    for station in stations:
-        elev, azim, rng = _look_arrays(pos, unix, station)
-        night = _sun_elevation_arrays(station, unix) < night_threshold_deg
-        usable = (elev > elevation_mask_deg) & night
-        if umbra is not None:
-            usable &= umbra
-        for i0, i1 in _runs(usable):
-            samples = tuple(
-                (_from_unix(float(unix[i])),
-                 LookAngles(float(elev[i]), float(azim[i]), float(rng[i])))
-                for i in range(i0, i1))
+    for station, chunks in zip(stations, found):
+        if not chunks:
+            continue
+        index, elev, azim, rng = (np.concatenate(col) for col in zip(*chunks))
+        times = [_from_unix(u) for u in unix[index].tolist()]
+        looks = list(map(LookAngles, elev.tolist(), azim.tolist(), rng.tolist()))
+        cuts = [0, *(np.flatnonzero(np.diff(index) != 1) + 1).tolist(), len(index)]
+        for k0, k1 in zip(cuts, cuts[1:]):
             intervals.append(AccessInterval(
                 station=station,
-                start=_from_unix(float(unix[i0])),
-                end=_from_unix(float(unix[i1 - 1]) + step_seconds),
-                samples=samples))
+                start=times[k0],
+                end=_from_unix(float(unix[index[k1 - 1]]) + step_seconds),
+                samples=tuple(zip(times[k0:k1], looks[k0:k1]))))
     intervals.sort(key=lambda iv: iv.start)
     return intervals
-
-
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Half-open [i0, i1) index ranges of the True runs in a boolean mask."""
-    if not mask.any():
-        return []
-    padded = np.concatenate([[False], mask, [False]])
-    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(0, len(edges), 2)]

@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -179,6 +180,11 @@ class KeyMatrix:
 
     def interval_start(self, m: int) -> datetime:
         return self.start + timedelta(seconds=m * self.interval_seconds)
+
+    @cached_property
+    def interval_labels(self) -> list[str]:
+        """ISO-8601 start of every interval, built once per matrix."""
+        return [self.interval_start(m).isoformat() for m in range(self.n_intervals)]
 
 
 def build_key_matrix(accesses: Sequence[AccessInterval],

@@ -546,9 +546,9 @@ def write_schedule_csv(schedule: Schedule, matrix, path) -> None:
     """Full interval listing: interval_index,start_utc,activity."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("interval_index,start_utc,activity\n")
-        for m, act in enumerate(schedule.assignment):
-            fh.write(f"{m},{matrix.interval_start(m).isoformat()},"
-                     f"{activity_label(act, matrix.node_names)}\n")
+        for m, (label, act) in enumerate(zip(matrix.interval_labels,
+                                             schedule.assignment, strict=True)):
+            fh.write(f"{m},{label},{activity_label(act, matrix.node_names)}\n")
 
 
 def schedule_summary(schedule: Schedule, matrix, strategy: StrategyConfig,

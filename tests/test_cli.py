@@ -361,6 +361,17 @@ def test_divergence_sweep_monotone_min_loss(tmp_path):
                            "station_sum_duration_s,station,")
 
 
+def test_divergence_sweep_computes_access_once(tmp_path, monkeypatch):
+    import satqkd.cli as cli
+    calls = []
+    real = cli.compute_accesses
+    monkeypatch.setattr(cli, "compute_accesses",
+                        lambda config: calls.append(1) or real(config))
+    config = short_config(sweep_divergences_urad=(5.0, 10.0, 20.0))
+    rows = run_sweep(config, "divergence", tmp_path)
+    assert len(rows) == 3 and len(calls) == 1
+
+
 def test_single_point_sweep_single_row(tmp_path):
     cfg = short_config(sweep_divergences_urad=(10.0,),
                        stations=(GroundStation("Solo", 34.0, 109.0),))
@@ -420,6 +431,24 @@ def test_main_malformed_config_shapes_exit_2(tmp_path, capsys, payload, needle):
     rc = main(["access", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"].startswith(f"{needle}:")
+
+
+@pytest.mark.parametrize("token,needle", [
+    ("70000", "cloud: cloud value 70000 outside [0, 150] at frame 0, lat row 1, lon col 2"),
+    ("151", "cloud: cloud value 151 outside [0, 150] at frame 0, lat row 1, lon col 2"),
+    ("-7", "cloud: cloud value -7 outside [0, 150] at frame 0, lat row 1, lon col 2"),
+    ("99999999999999999999", "cloud: cloud value 99999999999999999999 outside"),
+    ("12.5", "cloud: non-integer cell value"),
+])
+def test_main_bad_cloud_value_exits_2(tmp_path, capsys, token, needle):
+    (tmp_path / "clouds.txt").write_text(
+        "30 31 100 102 1 1 2016-09-19T00:00:00+00:00 1 2 3\n"
+        f"0 10 20\n30 40 {token}\n", encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"cloud": {"file": "clouds.txt"}}), encoding="utf-8")
+    rc = main(["linkbudget", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith(needle)
 
 
 def test_main_invalid_config_exits_nonzero(tmp_path, capsys):

@@ -109,6 +109,36 @@ def test_header_extent_mismatch_detected():
                   frames=np.zeros((1, 2, 3), dtype=np.int16))
 
 
+@pytest.mark.parametrize("token,needle", [
+    ("151", r"cloud value 151 outside \[0, 150\] at frame 0, lat row 1, lon col 1"),
+    ("-1", r"cloud value -1 outside .* at frame 0, lat row 1, lon col 1"),
+    ("70000", r"cloud value 70000 outside .* at frame 0, lat row 1, lon col 1"),
+    ("-40000", r"cloud value -40000 outside .* at frame 0, lat row 1, lon col 1"),
+    ("99999999999999999999",
+     r"cloud value 99999999999999999999 outside .* at frame 0, lat row 1, lon col 1"),
+    ("4.5", "non-integer"),
+    ("1e2", "non-integer"),
+    ("x", "non-integer"),
+])
+def test_bad_cell_token_rejected_with_position(tmp_path, token, needle):
+    path = tmp_path / "bad.txt"
+    write_grid_text(path,
+                    "30 31 100 102 1 1 2016-09-23T00:00:00+00:00 1 2 3\n"
+                    f"0 10 20\n30 {token} 50\n")
+    with pytest.raises(ValueError, match=needle):
+        load_cloud_grid(path)
+
+
+def test_signed_cell_tokens_parse_as_int_does(tmp_path):
+    path = tmp_path / "signed.txt"
+    write_grid_text(path,
+                    "30 31 100 102 1 1 2016-09-23T00:00:00+00:00 1 2 3\n"
+                    "+3 -0 007\n150 +150 0\n")
+    grid = load_cloud_grid(path)
+    assert grid.frames.dtype == np.int16
+    assert grid.frames.tolist() == [[[3, 0, 7], [150, 150, 0]]]
+
+
 def test_non_integer_cell_rejected(tmp_path):
     path = tmp_path / "float.txt"
     write_grid_text(path,

@@ -10,6 +10,9 @@ Covers:
   - solar elevation against simple solstice/equinox geometry
   - access windows: mask/night predicates hold exhaustively, boundary
     truncation, min-range-at-max-elevation, ephemeris replay round trip
+  - the blocked, above-horizon-only access computation against the
+    per-station full-grid oracle, bit for bit, and the fixed-point Kepler
+    exit against the 12-step loop
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from satqkd import orbit
 from satqkd.orbit import (
     EARTH_MU_KM3_S2,
     EARTH_RADIUS_KM,
@@ -441,3 +445,176 @@ def test_ephemeris_query_outside_span(tmp_path):
     eph = load_ephemeris(path)
     with pytest.raises(ValueError, match="outside"):
         eph.positions_at(np.array([0.0]))
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the per-station full-grid computation
+# ---------------------------------------------------------------------------
+
+def kepler_12_steps(mean_anomaly, ecc):
+    e_anom = mean_anomaly.copy()
+    for _ in range(12):
+        f = e_anom - ecc * np.sin(e_anom) - mean_anomaly
+        e_anom = e_anom - f / (1.0 - ecc * np.cos(e_anom))
+    return e_anom
+
+
+@pytest.mark.parametrize("ecc", [0.0, 0.0012, 0.1, 0.7, 0.95])
+def test_kepler_fixed_point_exit_matches_12_steps(ecc):
+    rng = np.random.default_rng(7)
+    m = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 20001, endpoint=False),
+                        rng.uniform(0.0, 2.0 * math.pi, 20000),
+                        [0.0, math.pi, np.nextafter(2.0 * math.pi, 0.0), 1e-300]])
+    got = orbit._kepler_solve(m, ecc)
+    assert np.array_equal(got.view(np.int64), kepler_12_steps(m, ecc).view(np.int64))
+
+
+def reference_access_windows(source, stations, span, step_seconds,
+                             elevation_mask_deg, night_threshold_deg, require_umbra):
+    """Every station over the full sample grid at once, as the code did before
+    the geometry was blocked and limited to above-horizon samples."""
+    start, end = span
+    u0, u1 = start.timestamp(), end.timestamp()
+    count = max(1, math.ceil((u1 - u0) / step_seconds - 1e-9))
+    unix = u0 + step_seconds * np.arange(count)
+    if isinstance(source, Ephemeris):
+        pos = source.positions_at(unix)
+    else:
+        pos, _ = orbit._propagate_arrays(source, unix)
+    gmst = orbit._gmst_deg(unix)
+    ra, dec = orbit._sun_radec(unix)
+
+    umbra = None
+    if require_umbra:
+        sun_u = np.stack([np.cos(dec) * np.cos(ra), np.cos(dec) * np.sin(ra),
+                          np.sin(dec)], axis=-1)
+        along = np.einsum("ij,ij->i", pos, sun_u)
+        perp = pos - along[:, None] * sun_u
+        umbra = (along < 0.0) & (np.linalg.norm(perp, axis=1) < EARTH_RADIUS_KM)
+
+    out = []
+    for station in stations:
+        theta = np.radians(orbit._gmst_deg(unix))
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        x = pos[..., 0] * cos_t + pos[..., 1] * sin_t
+        y = -pos[..., 0] * sin_t + pos[..., 1] * cos_t
+        z = pos[..., 2]
+        st = orbit._station_ecef_km(station)
+        dx, dy, dz = x - st[0], y - st[1], z - st[2]
+        lat = math.radians(station.latitude_deg)
+        lon = math.radians(station.longitude_deg)
+        sin_lat, cos_lat = math.sin(lat), math.cos(lat)
+        sin_lon, cos_lon = math.sin(lon), math.cos(lon)
+        east = -sin_lon * dx + cos_lon * dy
+        north = -sin_lat * cos_lon * dx - sin_lat * sin_lon * dy + cos_lat * dz
+        up = cos_lat * cos_lon * dx + cos_lat * sin_lon * dy + sin_lat * dz
+        rng = np.sqrt(dx * dx + dy * dy + dz * dz)
+        elev = np.degrees(np.arcsin(np.clip(up / rng, -1.0, 1.0)))
+        azim = np.mod(np.degrees(np.arctan2(east, north)), 360.0)
+
+        h = np.radians(gmst + station.longitude_deg) - ra
+        sun = np.degrees(np.arcsin(np.clip(
+            math.sin(lat) * np.sin(dec) + math.cos(lat) * np.cos(dec) * np.cos(h),
+            -1.0, 1.0)))
+        usable = (elev > elevation_mask_deg) & (sun < night_threshold_deg)
+        if umbra is not None:
+            usable &= umbra
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], usable, [0]]).astype(np.int8)))
+        for i0, i1 in zip(edges[::2].tolist(), edges[1::2].tolist()):
+            out.append(orbit.AccessInterval(
+                station=station,
+                start=orbit._from_unix(float(unix[i0])),
+                end=orbit._from_unix(float(unix[i1 - 1]) + step_seconds),
+                samples=tuple((orbit._from_unix(float(unix[i])),
+                               orbit.LookAngles(float(elev[i]), float(azim[i]),
+                                                float(rng[i])))
+                              for i in range(i0, i1))))
+    out.sort(key=lambda iv: iv.start)
+    return out
+
+
+def exact_form(intervals):
+    """Intervals with every float spelled out bit for bit."""
+    return [(iv.station.name, iv.start.isoformat(), iv.end.isoformat(),
+             [(t.isoformat(), la.elevation_deg.hex(), la.azimuth_deg.hex(),
+               la.slant_range_km.hex()) for t, la in iv.samples])
+            for iv in intervals]
+
+
+def seeded_stations(seed: int) -> list[GroundStation]:
+    """Poles, the +-180 deg meridian, a 3000 m site and seeded others."""
+    rng = np.random.default_rng(seed)
+    fixed = [GroundStation("north-pole", 90.0, 0.0),
+             GroundStation("south-pole", -90.0, 37.0, 2835.0),
+             GroundStation("east-180", 64.8, 180.0),
+             GroundStation("west-180", -17.5, -180.0, 120.0),
+             GroundStation("high", 32.3, 80.0, 3000.0)]
+    seeded = [GroundStation(f"s{k}", math.degrees(math.asin(rng.uniform(-1.0, 1.0))),
+                            rng.uniform(-180.0, 180.0), rng.uniform(0.0, 3000.0))
+              for k in range(7)]
+    return fixed + seeded
+
+
+def tle_or_ephemeris(kind: str, span):
+    el = parse_tle(MICIUS_TLE)
+    if kind == "tle":
+        return el
+    unix = np.arange(span[0].timestamp() - 60.0, span[1].timestamp() + 90.0, 30.0)
+    pos, _ = orbit._propagate_arrays(el, unix)
+    return Ephemeris(unix, pos)
+
+
+def assert_matches_reference(monkeypatch, source, stations, span, step, mask,
+                             night, umbra, block=None):
+    with monkeypatch.context() as patch:
+        patch.setattr(orbit, "_kepler_solve", kepler_12_steps)
+        ref = reference_access_windows(source, stations, span, step, mask, night, umbra)
+    if block is not None:
+        monkeypatch.setattr(orbit, "_BLOCK_SAMPLES", block)
+    got = compute_access_windows(source, stations, span, step_seconds=step,
+                                 elevation_mask_deg=mask, night_threshold_deg=night,
+                                 require_umbra=umbra)
+    assert ref, "the case must produce passes to compare"
+    assert exact_form(got) == exact_form(ref)
+    return ref
+
+
+EPOCH = datetime(2016, 9, 19, tzinfo=UTC)
+
+
+@pytest.mark.parametrize("umbra", [False, True], ids=["night", "umbra"])
+@pytest.mark.parametrize("mask", [0.0, 10.0, -5.0])
+@pytest.mark.parametrize("kind", ["tle", "ephemeris"])
+def test_access_matches_full_grid_oracle_10s(monkeypatch, kind, mask, umbra):
+    # starts and ends at odd offsets, so the span cuts passes at both ends
+    span = (EPOCH + timedelta(hours=9, seconds=7.5),
+            EPOCH + timedelta(days=1, hours=20, seconds=3))
+    for seed, block in [(0, None), (1, 997)]:
+        assert_matches_reference(monkeypatch, tle_or_ephemeris(kind, span),
+                                 seeded_stations(seed), span, 10.0, mask, -6.0,
+                                 umbra, block)
+
+
+@pytest.mark.parametrize("umbra", [False, True], ids=["night", "umbra"])
+@pytest.mark.parametrize("mask", [0.0, 10.0, -5.0])
+@pytest.mark.parametrize("kind", ["tle", "ephemeris"])
+def test_access_matches_full_grid_oracle_1s(monkeypatch, kind, mask, umbra):
+    # 28,800 samples: two default blocks; the umbra keeps passes in daylight
+    span = (EPOCH + timedelta(hours=14), EPOCH + timedelta(hours=22))
+    assert_matches_reference(monkeypatch, tle_or_ephemeris(kind, span),
+                             seeded_stations(2), span, 1.0, mask,
+                             91.0 if umbra else -6.0, umbra)
+
+
+def test_access_matches_oracle_on_spans_cutting_passes(monkeypatch):
+    el = parse_tle(MICIUS_TLE)
+    stations = seeded_stations(3)
+    wide = (EPOCH, EPOCH + timedelta(days=2))
+    passes = reference_access_windows(el, stations, wide, 1.0, 10.0, 91.0, False)
+    first, last = passes[1], passes[-2]
+    span = (first.samples[len(first.samples) // 2][0],
+            last.samples[len(last.samples) // 3][0] + timedelta(seconds=0.5))
+    ref = assert_matches_reference(monkeypatch, el, stations, span, 1.0, 10.0, 91.0,
+                                   False, block=4099)
+    assert ref[0].start == span[0]
+    assert max(iv.end for iv in ref) > span[1]
