@@ -17,11 +17,12 @@ from collections import defaultdict
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .channel import total_loss
-from .cloud import query as cloud_query
-from .orbit import AccessInterval
-from .qkd import KeyMatrix, export_key_matrix, gllp_rate
+from .orbit import AccessInterval, _from_us, _to_us
+from .qkd import KeyMatrix, add_key_bits, export_key_matrix, pass_link_budget
 from .sched import (
     Distribution,
     Schedule,
@@ -79,45 +80,32 @@ def run_access(config: ScenarioConfig, out: Path, seed: int | None = None) -> di
     with open(out / "access_intervals.csv", "w", encoding="utf-8") as fh:
         fh.write("station,start_utc,end_utc,duration_s,max_elevation_deg,min_range_km\n")
         for iv in accesses:
-            elev = max(la.elevation_deg for _, la in iv.samples)
-            rng = min(la.slant_range_km for _, la in iv.samples)
             fh.write(f"{iv.station.name},{iv.start.isoformat()},{iv.end.isoformat()},"
-                     f"{iv.duration_seconds:.1f},{elev:.3f},{rng:.3f}\n")
+                     f"{iv.duration_seconds:.1f},{iv.elevation_deg.max():.3f},"
+                     f"{iv.slant_range_km.min():.3f}\n")
 
-    by_day_sum: dict[str, float] = defaultdict(float)
-    by_day_marks: dict[str, set] = defaultdict(set)
+    by_day: dict[str, list[AccessInterval]] = defaultdict(list)
     for iv in accesses:
-        by_day_sum[_day_of(iv.start)] += iv.duration_seconds
-        by_day_marks[_day_of(iv.start)].update(t for t, _ in iv.samples)
+        by_day[_day_of(iv.start)].append(iv)
+    daily_union = {day: union_duration_seconds(ivs, config.step_seconds)
+                   for day, ivs in sorted(by_day.items())}
     with open(out / "access_daily.csv", "w", encoding="utf-8") as fh:
         fh.write("date,station_sum_s,union_s\n")
-        for day in sorted(by_day_sum):
-            fh.write(f"{day},{by_day_sum[day]:.1f},"
-                     f"{len(by_day_marks[day]) * config.step_seconds:.1f}\n")
+        for day, union in daily_union.items():
+            fh.write(f"{day},{sum(iv.duration_seconds for iv in by_day[day]):.1f},"
+                     f"{union:.1f}\n")
     _write_manifest(out, "access", config, seed)
     return {
         "n_intervals": len(accesses),
         "total_station_seconds": sum(iv.duration_seconds for iv in accesses),
         "union_seconds": union_duration_seconds(accesses, config.step_seconds),
-        "daily_union_seconds": {day: len(marks) * config.step_seconds
-                                for day, marks in sorted(by_day_marks.items())},
+        "daily_union_seconds": daily_union,
     }
 
 
 # ---------------------------------------------------------------------------
 # linkbudget
 # ---------------------------------------------------------------------------
-
-def _iter_link_rows(config: ScenarioConfig, accesses: list[AccessInterval]):
-    for iv in accesses:
-        for t, look in iv.samples:
-            if config.cloud is not None:
-                alpha = cloud_query(config.cloud, iv.station.latitude_deg,
-                                    iv.station.longitude_deg, t)
-            else:
-                alpha = 0
-            yield iv.station.name, t, look, alpha, total_loss(look, alpha, config.optics)
-
 
 def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -> dict:
     """Per-sample loss decomposition CSV over every access interval.
@@ -132,14 +120,17 @@ def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -
     with open(out / "linkbudget.csv", "w", encoding="utf-8") as fh:
         fh.write("time_utc,station,elevation_deg,range_km,geo_db,atm_db,"
                  "cloud_db,fixed_db,total_db,eta\n")
-        for name, t, look, alpha, loss in _iter_link_rows(config, accesses):
-            fh.write(f"{t.isoformat()},{name},{look.elevation_deg:.4f},"
-                     f"{look.slant_range_km:.4f},{_fmt_db(loss.geometric_db)},"
-                     f"{_fmt_db(loss.atmospheric_db)},{_fmt_db(loss.cloud_db)},"
-                     f"{_fmt_db(loss.fixed_db)},{_fmt_db(loss.total_db)},"
-                     f"{loss.transmittance!r}\n")
-            n_rows += 1
-            blocked += loss.transmittance == 0.0
+        for iv in accesses:
+            losses = pass_link_budget(iv, config.optics, config.cloud)
+            for us, elev, rng, loss in zip(iv.time_us.tolist(), iv.elevation_deg.tolist(),
+                                           iv.slant_range_km.tolist(), losses):
+                fh.write(f"{_from_us(us).isoformat()},{iv.station.name},{elev:.4f},"
+                         f"{rng:.4f},{_fmt_db(loss.geometric_db)},"
+                         f"{_fmt_db(loss.atmospheric_db)},{_fmt_db(loss.cloud_db)},"
+                         f"{_fmt_db(loss.fixed_db)},{_fmt_db(loss.total_db)},"
+                         f"{loss.transmittance!r}\n")
+                blocked += loss.transmittance == 0.0
+            n_rows += len(losses)
     _write_manifest(out, "linkbudget", config, seed)
     return {"n_samples": n_rows, "n_blocked": blocked}
 
@@ -150,11 +141,10 @@ def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -
 
 def key_matrix_from_linkbudget(config: ScenarioConfig, csv_path) -> KeyMatrix:
     """Rebuild the key matrix from a linkbudget.csv intermediate."""
-    import numpy as np
-
     start = config.span[0]
     values = np.zeros((config.n_grid_intervals, len(config.stations)))
     column = {st.name: i for i, st in enumerate(config.stations)}
+    nodes, times, etas = [], [], []
     with open(csv_path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("time_utc,station,"):
@@ -170,19 +160,23 @@ def key_matrix_from_linkbudget(config: ScenarioConfig, csv_path) -> KeyMatrix:
                                  f"scenario station")
             try:
                 t = datetime.fromisoformat(parts[0])
-                m = math.floor((t - start).total_seconds()
-                               / config.grid_interval_seconds)
-            except (TypeError, ValueError) as exc:  # TypeError: no UTC offset
+            except ValueError as exc:
                 raise ValueError(f"{where}: time_utc: {exc}") from None
-            if not 0 <= m < len(values):
-                raise ValueError(f"{where}: time_utc: {parts[0]} is outside the "
-                                 f"{len(values)}-interval grid from "
-                                 f"{start.isoformat()}")
-            eta = float(parts[9])
-            if eta <= 0.0:
-                continue
-            rate = gllp_rate(eta, config.qkd).rate_per_second
-            values[m, n] += rate * config.step_seconds
+            if t.tzinfo is None:
+                raise ValueError(f"{where}: time_utc: {parts[0]} has no UTC offset")
+            try:
+                eta = float(parts[9])
+            except ValueError as exc:
+                raise ValueError(f"{where}: eta: {exc}") from None
+            if not 0.0 <= eta <= 1.0:
+                raise ValueError(f"{where}: eta: {parts[9]} is not in [0, 1]")
+            nodes.append(n)
+            times.append(_to_us(t))
+            etas.append(eta)
+    time_us = np.array(times, dtype=np.int64)
+    add_key_bits(values, start, config.grid_interval_seconds, config.qkd, nodes,
+                 time_us, etas, config.step_seconds, lambda i: f"{csv_path}:{i + 2}: "
+                 f"time_utc: {_from_us(int(time_us[i])).isoformat()}")
     return KeyMatrix(start=start, interval_seconds=config.grid_interval_seconds,
                      node_names=tuple(st.name for st in config.stations),
                      values=values)
@@ -200,7 +194,6 @@ def run_keymatrix(config: ScenarioConfig, out: Path, seed: int | None = None,
                       out / "keymatrix_meta.json")
 
     daily: dict[tuple[str, str], float] = defaultdict(float)
-    import numpy as np
     rows, cols = np.nonzero(matrix.values)
     for m, n in zip(rows.tolist(), cols.tolist()):
         day = _day_of(matrix.interval_start(m))
@@ -283,7 +276,7 @@ def _loss_extremes(config: ScenarioConfig, accesses: list[AccessInterval]):
     lo: dict[str, float] = {}
     hi: dict[str, float] = {}
     for iv in accesses:
-        for _, look in iv.samples:
+        for look in iv.looks():
             loss = total_loss(look, 0, config.optics)
             name = iv.station.name
             lo[name] = min(lo.get(name, math.inf), loss.total_db)
@@ -316,6 +309,9 @@ def run_sweep(config: ScenarioConfig, variable: str, out: Path,
 
     rows: list[dict] = []
     if variable == "altitude":
+        if config.tle is None:
+            raise ConfigError("tle", "an altitude sweep needs a TLE; "
+                                     "the config gives only an ephemeris")
         for entry in config.sweep_altitudes:
             altitude = float(entry["altitude_km"])
             elements = elements_for_altitude(config.tle, altitude,

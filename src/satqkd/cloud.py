@@ -17,7 +17,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .orbit import _as_utc
+from .orbit import _as_utc, _from_us, _to_us
 
 TIME_STEP_SECONDS = 600
 MAX_INDEX = 150
@@ -132,16 +132,24 @@ def _nearest_index(value: float, origin: float, step: float, count: int,
     return min(max(idx, 0), count - 1)
 
 
-def query(grid: CloudGrid, lat: float, lon: float, t: datetime) -> int:
-    """Cloud index at (lat, lon, t): nearest cell, floor time bucket."""
+def query_column(grid: CloudGrid, lat: float, lon: float,
+                 time_us: np.ndarray) -> np.ndarray:
+    """Cloud index at (lat, lon) for each time in int64 microseconds."""
     i = _nearest_index(lat, grid.lat_min, grid.lat_step, grid.frames.shape[1], "latitude")
     j = _nearest_index(lon, grid.lon_min, grid.lon_step, grid.frames.shape[2], "longitude")
-    offset = (_as_utc(t) - grid.time_start).total_seconds()
-    k = math.floor(offset / TIME_STEP_SECONDS)
-    if k < 0 or k >= grid.n_frames:
+    # offset seconds as timedelta.total_seconds() gives them
+    k = np.floor((time_us - _to_us(grid.time_start)) / 1e6 / TIME_STEP_SECONDS)
+    outside = (k < 0) | (k >= grid.n_frames)
+    if outside.any():
+        t = _from_us(int(time_us[np.argmax(outside)]))
         raise ValueError(f"time {t.isoformat()} outside grid span of "
                          f"{grid.n_frames} frames from {grid.time_start.isoformat()}")
-    return int(grid.frames[k, i, j])
+    return grid.frames[k.astype(np.intp), i, j]
+
+
+def query(grid: CloudGrid, lat: float, lon: float, t: datetime) -> int:
+    """Cloud index at (lat, lon, t): nearest cell, floor time bucket."""
+    return int(query_column(grid, lat, lon, np.array([_to_us(t)], dtype=np.int64))[0])
 
 
 def synthetic_cloud_grid(lat_min: float, lat_max: float, lon_min: float, lon_max: float,

@@ -74,6 +74,23 @@ def _from_unix(u: float) -> datetime:
     return datetime.fromtimestamp(u, tz=timezone.utc)
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def _to_us(t: datetime) -> int:
+    return (_as_utc(t) - _EPOCH) // timedelta(microseconds=1)
+
+
+def _from_us(us: int) -> datetime:
+    return _EPOCH + timedelta(microseconds=us)
+
+
+def _unix_to_us(unix: np.ndarray) -> np.ndarray:
+    """Microseconds as datetime.fromtimestamp rounds them (half to even)."""
+    frac, whole = np.modf(unix)
+    return whole.astype(np.int64) * 1_000_000 + np.rint(frac * 1e6).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class TleElements:
     """Mean orbital elements decoded from a two-line element set."""
@@ -140,18 +157,21 @@ class LookAngles:
     slant_range_km: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccessInterval:
-    """A maximal run of usable samples for one station.
+    """A maximal run of usable samples for one station, held as columns.
 
     `end` is exclusive: it sits one sample step past the last usable sample,
-    so end - start equals the usable duration.  Samples are (time, LookAngles)
-    pairs at the configured step.
+    so end - start equals the usable duration.  Sample k, at the configured
+    step, is at `time_us[k]` (int64 microseconds from the Unix epoch).
     """
     station: GroundStation
     start: datetime
     end: datetime
-    samples: tuple[tuple[datetime, LookAngles], ...]
+    time_us: np.ndarray = field(repr=False)
+    elevation_deg: np.ndarray = field(repr=False)
+    azimuth_deg: np.ndarray = field(repr=False)
+    slant_range_km: np.ndarray = field(repr=False)
 
     @property
     def duration_seconds(self) -> float:
@@ -159,7 +179,12 @@ class AccessInterval:
 
     @property
     def step_seconds(self) -> float:
-        return self.duration_seconds / len(self.samples)
+        return self.duration_seconds / len(self.time_us)
+
+    def looks(self) -> list[LookAngles]:
+        """Per-sample look angles, for the scalar loss functions."""
+        return list(map(LookAngles, self.elevation_deg.tolist(),
+                        self.azimuth_deg.tolist(), self.slant_range_km.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -499,23 +524,45 @@ class Ephemeris:
 
 
 def load_ephemeris(path) -> Ephemeris:
-    """Read an ECI ephemeris CSV with header time_utc,x_km,y_km,z_km."""
+    """Read an ECI ephemeris CSV with header time_utc,x_km,y_km,z_km.
+
+    Errors name the place as `<file>:<line>: <column>: ...`.
+    """
+    columns = ("time_utc", "x_km", "y_km", "z_km")
     times: list[float] = []
-    rows: list[tuple[float, float, float]] = []
+    rows: list[list[float]] = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "time_utc,x_km,y_km,z_km":
-            raise ValueError(f"unexpected ephemeris header {header!r}")
+        if header != ",".join(columns):
+            raise ValueError(f"{path}:1: unexpected ephemeris header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
+            where = f"{path}:{lineno}"
             if len(parts) != 4:
-                raise ValueError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-            t = datetime.fromisoformat(parts[0].replace("Z", "+00:00"))
-            times.append(_to_unix(t))
-            rows.append((float(parts[1]), float(parts[2]), float(parts[3])))
+                raise ValueError(f"{where}: expected 4 fields, got {len(parts)}")
+            try:
+                u = _to_unix(datetime.fromisoformat(parts[0].replace("Z", "+00:00")))
+            except ValueError as exc:
+                raise ValueError(f"{where}: time_utc: {exc}") from None
+            if times and u <= times[-1]:
+                raise ValueError(f"{where}: time_utc: {parts[0]} does not follow the "
+                                 f"previous time; times must be strictly increasing")
+            row = []
+            for name, text in zip(columns[1:], parts[1:]):
+                try:
+                    row.append(float(text))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {name}: {exc}") from None
+                if not math.isfinite(row[-1]):
+                    raise ValueError(f"{where}: {name}: must be finite, got {text}")
+            times.append(u)
+            rows.append(row)
+    if len(times) < 2:
+        raise ValueError(f"{path}: ephemeris needs at least two samples, "
+                         f"got {len(times)}")
     return Ephemeris(np.array(times), np.array(rows))
 
 
@@ -598,14 +645,14 @@ def compute_access_windows(source: TleElements | Ephemeris,
         if not chunks:
             continue
         index, elev, azim, rng = (np.concatenate(col) for col in zip(*chunks))
-        times = [_from_unix(u) for u in unix[index].tolist()]
-        looks = list(map(LookAngles, elev.tolist(), azim.tolist(), rng.tolist()))
+        time_us = _unix_to_us(unix[index])
         cuts = [0, *(np.flatnonzero(np.diff(index) != 1) + 1).tolist(), len(index)]
         for k0, k1 in zip(cuts, cuts[1:]):
             intervals.append(AccessInterval(
                 station=station,
-                start=times[k0],
+                start=_from_us(int(time_us[k0])),
                 end=_from_unix(float(unix[index[k1 - 1]]) + step_seconds),
-                samples=tuple(zip(times[k0:k1], looks[k0:k1]))))
+                time_us=time_us[k0:k1], elevation_deg=elev[k0:k1],
+                azimuth_deg=azim[k0:k1], slant_range_km=rng[k0:k1]))
     intervals.sort(key=lambda iv: iv.start)
     return intervals

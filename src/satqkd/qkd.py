@@ -26,9 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import LinkSample, OpticalParams, total_loss
-from .cloud import CloudGrid, query
-from .orbit import AccessInterval, GroundStation
+from .channel import LinkSample, LossBreakdown, OpticalParams, total_loss
+from .cloud import CloudGrid, query_column
+from .orbit import AccessInterval, GroundStation, _from_us, _to_us
 
 
 @dataclass(frozen=True)
@@ -187,6 +187,34 @@ class KeyMatrix:
         return [self.interval_start(m).isoformat() for m in range(self.n_intervals)]
 
 
+def pass_link_budget(access: AccessInterval, optics: OpticalParams,
+                     cloud: CloudGrid | None = None) -> list[LossBreakdown]:
+    """Loss decomposition of each sample of one pass (scalar total_loss:
+    numpy's exp/log10 can differ from math's in the last bit)."""
+    station = access.station
+    alphas = ([0] * len(access.time_us) if cloud is None else
+              query_column(cloud, station.latitude_deg, station.longitude_deg,
+                           access.time_us).tolist())
+    return [total_loss(look, alpha, optics)
+            for look, alpha in zip(access.looks(), alphas)]
+
+
+def add_key_bits(values: np.ndarray, start: datetime, interval_seconds: float,
+                 params: QkdParams, nodes, time_us: np.ndarray,
+                 etas: Sequence[float], step_seconds: float, where) -> None:
+    """Add rate_per_second(eta) * step of each sample, in order, to its grid
+    interval; nodes is one column or one per sample, where(i) names sample i."""
+    rows = np.floor((time_us - _to_us(start)) / 1e6 / interval_seconds)
+    outside = (rows < 0) | (rows >= len(values))
+    if outside.any():
+        raise ValueError(f"{where(int(np.argmax(outside)))} is outside the "
+                         f"{len(values)}-interval grid from {start.isoformat()}")
+    for m, n, eta in zip(rows.astype(np.intp).tolist(),
+                         np.broadcast_to(nodes, rows.shape).tolist(), etas):
+        if eta > 0.0:
+            values[m, n] += gllp_rate(eta, params).rate_per_second * step_seconds
+
+
 def build_key_matrix(accesses: Sequence[AccessInterval],
                      stations: Sequence[GroundStation],
                      optics: OpticalParams,
@@ -210,23 +238,10 @@ def build_key_matrix(accesses: Sequence[AccessInterval],
         if n is None:
             raise ValueError(f"access interval for unknown station "
                              f"{access.station.name!r}")
-        step = access.step_seconds
-        for t, look in access.samples:
-            m = math.floor((t - start).total_seconds() / interval_seconds)
-            if not 0 <= m < n_intervals:
-                raise ValueError(
-                    f"grid misalignment: sample at {t.isoformat()} falls "
-                    f"outside the {n_intervals}-interval grid from {start.isoformat()}")
-            if cloud is not None:
-                alpha = query(cloud, access.station.latitude_deg,
-                              access.station.longitude_deg, t)
-            else:
-                alpha = 0
-            loss = total_loss(look, alpha, optics)
-            if loss.transmittance <= 0.0:
-                continue
-            rate = gllp_rate(loss.transmittance, params).rate_per_second
-            values[m, n] += rate * step
+        etas = [loss.transmittance for loss in pass_link_budget(access, optics, cloud)]
+        add_key_bits(values, start, interval_seconds, params, n, access.time_us, etas,
+                     access.step_seconds, lambda i, t=access.time_us:
+                     f"grid misalignment: sample at {_from_us(int(t[i])).isoformat()}")
     return KeyMatrix(start=start, interval_seconds=interval_seconds,
                      node_names=tuple(st.name for st in stations), values=values)
 

@@ -143,15 +143,21 @@ class ScenarioConfig:
 # JSON loading
 # ---------------------------------------------------------------------------
 
-def _get(data: dict, path: str, key: str, expect, default):
-    value = data.get(key, default)
-    if value is default and key not in data:
-        return default
-    if expect is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if not isinstance(value, expect):
-        raise ConfigError(f"{path}{key}", f"expected {getattr(expect, '__name__', expect)}")
+def _finite(value):
+    """value unchanged, unless it is a NaN or infinite float."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
     return value
+
+
+def _number(path: str, value: Any) -> float:
+    """A JSON number (not a bool) as a finite float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(path, "expected a number")
+    try:
+        return _finite(float(value))
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _parse_time(path: str, text: Any) -> datetime:
@@ -187,10 +193,11 @@ def _section(path: str, raw: Any) -> dict:
 
 
 def _field(path: str, raw: dict, key: str, default, convert=float):
-    """raw[key] (default when absent) through `convert`, failing as ConfigError."""
+    """raw[key] (default when absent) through `convert`; a failure or a
+    non-finite float raises ConfigError."""
     try:
-        return convert(raw.get(key, default))
-    except (TypeError, ValueError) as exc:
+        return _finite(convert(raw.get(key, default)))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}.{key}", str(exc)) from None
 
 
@@ -233,7 +240,7 @@ def _parse_qkd(raw: dict) -> QkdParams:
 
 
 def _floats(raw) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw)
+    return tuple(_finite(float(v)) for v in raw)
 
 
 def _parse_strategy(raw: dict) -> StrategyConfig:
@@ -260,97 +267,122 @@ def _parse_strategy(raw: dict) -> StrategyConfig:
         kl_tolerance=_field("strategy", raw, "kl_tolerance", 0.05))
 
 
+def _file(path: str, raw: Any, resolve) -> str | None:
+    """The resolved raw["file"] of a {"file": path} field; None for other shapes."""
+    if not (isinstance(raw, dict) and "file" in raw):
+        return None
+    if not isinstance(raw["file"], str):
+        raise ConfigError(f"{path}.file", "expected a path string")
+    return resolve(raw["file"])
+
+
+def _parse_altitude(path: str, entry: Any) -> dict:
+    """One sweep.altitudes_km entry as {"altitude_km": ..., "raan_deg": ...}."""
+    if isinstance(entry, dict):
+        parsed, where = dict(entry), f"{path}.altitude_km"
+    elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
+        parsed, where = {"altitude_km": float(entry)}, path
+    else:
+        raise ConfigError(path, "expected number or object")
+    if _number(where, parsed.get("altitude_km")) <= 0.0:
+        raise ConfigError(where, f"altitude must be > 0 km, got {parsed['altitude_km']}")
+    if parsed.get("raan_deg") is not None:
+        _number(f"{path}.raan_deg", parsed["raan_deg"])
+    return parsed
+
+
+_TOP_LEVEL_NUMBERS = ("step_seconds", "grid_interval_seconds",
+                      "elevation_mask_deg", "night_threshold_deg")
+
+
 def scenario_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
-    """Build a validated ScenarioConfig from parsed JSON."""
+    """Build a validated ScenarioConfig from parsed JSON.
+
+    Only the keys present are passed on, so ScenarioConfig holds the defaults.
+    """
     import os
 
     def resolve(p):
         return p if base_dir is None or os.path.isabs(p) else os.path.join(base_dir, p)
 
-    tle = ephemeris = None
+    given: dict[str, Any] = {key: _number(key, data[key])
+                             for key in _TOP_LEVEL_NUMBERS if key in data}
+    if "require_umbra" in data:
+        if not isinstance(data["require_umbra"], bool):
+            raise ConfigError("require_umbra", "expected bool")
+        given["require_umbra"] = data["require_umbra"]
+
     raw_tle = data.get("tle")
     if raw_tle is not None:
-        if isinstance(raw_tle, dict) and "file" in raw_tle:
-            with open(resolve(raw_tle["file"]), encoding="utf-8") as fh:
+        tle_file = _file("tle", raw_tle, resolve)
+        if tle_file is not None:
+            with open(tle_file, encoding="utf-8") as fh:
                 text = fh.read()
         elif isinstance(raw_tle, list):
             text = "\n".join(raw_tle)
         else:
             raise ConfigError("tle", "expected two lines or {'file': path}")
         try:
-            tle = parse_tle(text)
+            given["tle"] = parse_tle(text)
         except ValueError as exc:
             raise ConfigError("tle", str(exc)) from None
     raw_eph = data.get("ephemeris")
     if raw_eph is not None:
-        if not (isinstance(raw_eph, dict) and "file" in raw_eph):
+        eph_file = _file("ephemeris", raw_eph, resolve)
+        if eph_file is None:
             raise ConfigError("ephemeris", "expected {'file': path}")
-        ephemeris = load_ephemeris(resolve(raw_eph["file"]))
+        try:
+            given["ephemeris"] = load_ephemeris(eph_file)
+        except ValueError as exc:
+            raise ConfigError("ephemeris", str(exc)) from None
 
     raw_stations = data.get("stations")
-    if raw_stations is None:
-        stations = default_stations()
-    elif isinstance(raw_stations, dict) and "file" in raw_stations:
-        with open(resolve(raw_stations["file"]), encoding="utf-8") as fh:
-            listed = json.load(fh)
-        stations = tuple(_parse_station(f"stations[{i}]", raw)
-                         for i, raw in enumerate(listed))
-    elif isinstance(raw_stations, list):
-        stations = tuple(_parse_station(f"stations[{i}]", raw)
-                         for i, raw in enumerate(raw_stations))
-    else:
-        raise ConfigError("stations", "expected a list or {'file': path}")
+    if raw_stations is not None:
+        stations_file = _file("stations", raw_stations, resolve)
+        if stations_file is not None:
+            with open(stations_file, encoding="utf-8") as fh:
+                try:
+                    raw_stations = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError("stations.file", f"invalid JSON: {exc}") from None
+        if not isinstance(raw_stations, list):
+            raise ConfigError("stations", "expected a list or {'file': path}")
+        given["stations"] = tuple(_parse_station(f"stations[{i}]", raw)
+                                  for i, raw in enumerate(raw_stations))
 
     raw_span = data.get("span")
-    if raw_span is None:
-        span = (datetime(2016, 9, 19, tzinfo=UTC), datetime(2016, 9, 26, tzinfo=UTC))
-    else:
+    if raw_span is not None:
         if not (isinstance(raw_span, list) and len(raw_span) == 2):
             raise ConfigError("span", "expected [start, end]")
-        span = (_parse_time("span[0]", raw_span[0]), _parse_time("span[1]", raw_span[1]))
+        given["span"] = (_parse_time("span[0]", raw_span[0]),
+                         _parse_time("span[1]", raw_span[1]))
 
-    cloud = None
     raw_cloud = data.get("cloud")
     if raw_cloud is not None:
         path = raw_cloud.get("file") if isinstance(raw_cloud, dict) else raw_cloud
         if not isinstance(path, str):
             raise ConfigError("cloud", "expected a path or {'file': path}")
         try:
-            cloud = load_cloud_grid(resolve(path))
+            given["cloud"] = load_cloud_grid(resolve(path))
         except ValueError as exc:
             raise ConfigError("cloud", str(exc)) from None
 
     sweep = _section("sweep", data.get("sweep", {}))
-    raw_altitudes = sweep.get("altitudes_km", DEFAULT_SWEEP_ALTITUDES)
-    if not isinstance(raw_altitudes, (list, tuple)):
-        raise ConfigError("sweep.altitudes_km", "expected a list")
-    altitudes = []
-    for i, entry in enumerate(raw_altitudes):
-        if isinstance(entry, dict):
-            altitudes.append(dict(entry))
-        elif isinstance(entry, (int, float)):
-            altitudes.append({"altitude_km": float(entry)})
-        else:
-            raise ConfigError(f"sweep.altitudes_km[{i}]", "expected number or object")
+    if "altitudes_km" in sweep:
+        if not isinstance(sweep["altitudes_km"], list):
+            raise ConfigError("sweep.altitudes_km", "expected a list")
+        given["sweep_altitudes"] = tuple(
+            _parse_altitude(f"sweep.altitudes_km[{i}]", entry)
+            for i, entry in enumerate(sweep["altitudes_km"]))
+    if "divergences_urad" in sweep:
+        given["sweep_divergences_urad"] = _field("sweep", sweep, "divergences_urad",
+                                                 None, _floats)
 
     return ScenarioConfig(
-        tle=tle,
-        ephemeris=ephemeris,
-        stations=stations,
-        span=span,
-        step_seconds=_get(data, "", "step_seconds", float, 10.0),
-        grid_interval_seconds=_get(data, "", "grid_interval_seconds", float, 10.0),
-        elevation_mask_deg=_get(data, "", "elevation_mask_deg", float, 10.0),
-        night_threshold_deg=_get(data, "", "night_threshold_deg", float, -6.0),
-        require_umbra=_get(data, "", "require_umbra", bool, False),
         optics=_parse_optics(_section("optics", data.get("optics", {}))),
         qkd=_parse_qkd(_section("qkd", data.get("qkd", {}))),
-        cloud=cloud,
         strategy=_parse_strategy(_section("strategy", data.get("strategy", {}))),
-        sweep_altitudes=tuple(altitudes),
-        sweep_divergences_urad=_field("sweep", sweep, "divergences_urad",
-                                      DEFAULT_SWEEP_DIVERGENCES_URAD, _floats),
-    )
+        **given)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -389,11 +421,10 @@ def compute_accesses(config: ScenarioConfig) -> list[AccessInterval]:
 
 def union_duration_seconds(intervals: list[AccessInterval],
                            step_seconds: float) -> float:
-    """Time with at least one station usable (one downlink at a time)."""
-    seen: set[datetime] = set()
-    for interval in intervals:
-        seen.update(t for t, _ in interval.samples)
-    return len(seen) * step_seconds
+    """Time with at least one station usable (one downlink at a time):
+    the distinct sample times, each worth one step."""
+    times = [interval.time_us for interval in intervals]
+    return (np.unique(np.concatenate(times)).size if times else 0) * step_seconds
 
 
 def key_matrix_for(config: ScenarioConfig,

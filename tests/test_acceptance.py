@@ -41,7 +41,7 @@ from satqkd.channel import (
     total_loss,
 )
 from satqkd.cloud import CloudGrid, cloud_loss, query
-from satqkd.orbit import LookAngles
+from satqkd.orbit import LookAngles, _from_us
 from satqkd.qkd import KeyMatrix, QkdParams, decoy_estimate, gain_and_qber, gllp_rate
 from satqkd.sched import (
     Distribution,
@@ -371,8 +371,9 @@ def test_criterion_6_cloud_blockage_bit_exact():
 
     col = list(km_clear.node_names).index(target_station)
     pass_intervals = {
-        int((t - config.span[0]).total_seconds() // config.grid_interval_seconds)
-        for t, _ in blocked_pass.samples}
+        int((_from_us(us) - config.span[0]).total_seconds()
+            // config.grid_interval_seconds)
+        for us in blocked_pass.time_us.tolist()}
     # low-elevation edge samples already yield rate 0, so only the intervals
     # that carried keys in the clear run can change
     carrying = {m for m in pass_intervals if km_clear.values[m, col] > 0.0}

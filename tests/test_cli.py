@@ -29,6 +29,7 @@ from satqkd.scenario import (
     ConfigError,
     MICIUS_TLE_LINES,
     ScenarioConfig,
+    config_digest,
     load_scenario,
     micius_week_config,
     scenario_from_dict,
@@ -199,7 +200,9 @@ def linkbudget_rows(tmp_path_factory):
     (0, timedelta(days=-1), "time_utc"),
     (0, timedelta(days=1), "time_utc"),
     (1, "Atlantis", "station"),
-], ids=["before-span", "after-span", "unknown-station"])
+    (9, "abc", "eta"),
+    (9, "1.5", "eta"),
+], ids=["before-span", "after-span", "unknown-station", "eta-text", "eta-above-1"])
 def test_keymatrix_from_linkbudget_rejects_bad_rows(tmp_path, capsys, linkbudget_rows,
                                                     column, value, needle):
     cfg_path, header, rows = linkbudget_rows
@@ -424,6 +427,26 @@ def test_main_runs_access_with_config(tmp_path):
     ({"sweep": {"altitudes_km": 5}}, "sweep.altitudes_km"),
     ({"sweep": {"divergences_urad": ["x"]}}, "sweep.divergences_urad"),
     ({"sweep": {"divergences_urad": None}}, "sweep.divergences_urad"),
+    ({"tle": {"file": 5}}, "tle.file"),
+    ({"ephemeris": {"file": 5}}, "ephemeris.file"),
+    ({"stations": {"file": 5}}, "stations.file"),
+    ({"elevation_mask_deg": math.nan}, "elevation_mask_deg"),
+    ({"night_threshold_deg": math.nan}, "night_threshold_deg"),
+    ({"step_seconds": math.inf}, "step_seconds"),
+    ({"require_umbra": 1}, "require_umbra"),
+    ({"optics": {"zenith_atm_loss_db": math.inf}}, "optics.zenith_atm_loss_db"),
+    ({"optics": {"divergence_urad": math.nan}}, "optics.divergence_urad"),
+    ({"strategy": {"kl_tolerance": math.nan}}, "strategy.kl_tolerance"),
+    ({"strategy": {"weights": [1.0, math.inf]}}, "strategy.weights"),
+    ({"strategy": {"ga": {"population": math.inf}}}, "strategy.ga.population"),
+    ({"sweep": {"divergences_urad": [5.0, math.nan]}}, "sweep.divergences_urad"),
+    ({"sweep": {"altitudes_km": [{"altitude_km": "x"}]}},
+     "sweep.altitudes_km[0].altitude_km"),
+    ({"sweep": {"altitudes_km": [500, -7000]}}, "sweep.altitudes_km[1]"),
+    ({"sweep": {"altitudes_km": [math.nan]}}, "sweep.altitudes_km[0]"),
+    ({"sweep": {"altitudes_km": [{"raan_deg": 5}]}}, "sweep.altitudes_km[0].altitude_km"),
+    ({"sweep": {"altitudes_km": [{"altitude_km": 500, "raan_deg": "x"}]}},
+     "sweep.altitudes_km[0].raan_deg"),
 ])
 def test_main_malformed_config_shapes_exit_2(tmp_path, capsys, payload, needle):
     cfg_path = tmp_path / "bad.json"
@@ -449,6 +472,75 @@ def test_main_bad_cloud_value_exits_2(tmp_path, capsys, token, needle):
     rc = main(["linkbudget", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"].startswith(needle)
+
+
+EPHEMERIS_HEADER = "time_utc,x_km,y_km,z_km\n"
+EPHEMERIS_ROW_1 = "2016-09-19T00:00:00+00:00,7000,0,0\n"
+EPHEMERIS_ROW_2 = "2016-09-19T00:01:00+00:00,7000,100,0\n"
+
+
+@pytest.mark.parametrize("body,where", [
+    (EPHEMERIS_ROW_1 + "2016-09-19T00:01:00+00:00,7000,100\n",
+     ":3: expected 4 fields, got 3"),
+    ("yesterday,7000,0,0\n" + EPHEMERIS_ROW_2, ":2: time_utc: "),
+    (EPHEMERIS_ROW_1 + "2016-09-19T00:01:00+00:00,abc,100,0\n",
+     ":3: x_km: could not convert string to float: 'abc'"),
+    (EPHEMERIS_ROW_1 + "2016-09-19T00:01:00+00:00,7000,nan,0\n",
+     ":3: y_km: must be finite, got nan"),
+    (EPHEMERIS_ROW_1 + "2016-09-19T00:01:00+00:00,7000,100,-inf\n",
+     ":3: z_km: must be finite, got -inf"),
+    (EPHEMERIS_ROW_2 + EPHEMERIS_ROW_1, ":3: time_utc: "),
+    (EPHEMERIS_ROW_1 + EPHEMERIS_ROW_1, ":3: time_utc: "),
+    (EPHEMERIS_ROW_1, ": ephemeris needs at least two samples, got 1"),
+], ids=["field-count", "time", "text-coordinate", "nan-coordinate",
+        "inf-coordinate", "decreasing", "repeated", "one-row"])
+def test_main_bad_ephemeris_file_exits_2(tmp_path, capsys, body, where):
+    eph = tmp_path / "eph.csv"
+    eph.write_text(EPHEMERIS_HEADER + body, encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"ephemeris": {"file": "eph.csv"}}), encoding="utf-8")
+    rc = main(["access", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith(
+        f"ephemeris: {eph}{where}")
+
+
+def test_altitude_sweep_without_tle_exits_2(tmp_path, capsys):
+    (tmp_path / "eph.csv").write_text(EPHEMERIS_HEADER + EPHEMERIS_ROW_1 + EPHEMERIS_ROW_2,
+                                      encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"ephemeris": {"file": "eph.csv"}}), encoding="utf-8")
+    rc = main(["sweep", "--variable", "altitude", "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith("tle: ")
+
+
+# config_digest values recorded before scenario_from_dict stopped repeating
+# the ScenarioConfig defaults and began to validate sweep entries
+@pytest.mark.parametrize("payload,digest", [
+    ({}, "18398f807bb1a4597a847068c993d4ae789bd01ab1445e18174c165d1419a532"),
+    ({"step_seconds": 5, "grid_interval_seconds": 10, "elevation_mask_deg": 15,
+      "night_threshold_deg": -12.0, "require_umbra": True,
+      "span": ["2016-09-19T00:00:00+08:00", "2016-09-20T00:00:00Z"]},
+     "7483a4e5f45e8daaa5b2e3138c70e089e6c6f3a8897ea184f9bd8fe62f21104c"),
+    ({"tle": list(MICIUS_TLE_LINES),
+      "stations": [{"name": "A", "lat_deg": 30.0, "lon_deg": 100.0, "alt_m": 10.0,
+                    "weight": 2.0},
+                   {"name": "B", "lat_deg": 40.0, "lon_deg": 110.0}],
+      "optics": {"divergence_urad": 5, "beam_convention": "half"},
+      "qkd": {"q_factor": 1.0},
+      "strategy": {"kind": "S-PD", "weights": [3, 1], "kl_tolerance": 0.1,
+                   "ga": {"population": 20, "generations": 10, "seed": 7}}},
+     "5facfaf566511c1a266b314bbbac9b3dfd9ce266584d4f272c90dc5befc209ea"),
+    ({"sweep": {"altitudes_km": [500, 1200.5, {"altitude_km": 800},
+                                 {"altitude_km": 35863, "raan_deg": 50},
+                                 {"altitude_km": 900.0, "raan_deg": None}],
+                "divergences_urad": [1, 2.5]}},
+     "80389a4414680c7c9dab9b4c268c77897e4ce066683fe3989ead98e8e7057e87"),
+], ids=["empty", "top-level", "sections", "sweep"])
+def test_valid_configs_keep_their_digest(payload, digest):
+    assert config_digest(scenario_from_dict(payload)) == digest
 
 
 def test_main_invalid_config_exits_nonzero(tmp_path, capsys):

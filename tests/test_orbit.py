@@ -11,8 +11,9 @@ Covers:
   - access windows: mask/night predicates hold exhaustively, boundary
     truncation, min-range-at-max-elevation, ephemeris replay round trip
   - the blocked, above-horizon-only access computation against the
-    per-station full-grid oracle, bit for bit, and the fixed-point Kepler
-    exit against the 12-step loop
+    per-station full-grid oracle, bit for bit (sample times through
+    datetime.fromtimestamp, fractional ones included), and the fixed-point
+    Kepler exit against the 12-step loop
 """
 from __future__ import annotations
 
@@ -345,11 +346,11 @@ def test_access_predicates_hold_exhaustively():
     assert all(intervals[i].start <= intervals[i + 1].start
                for i in range(len(intervals) - 1))
     for iv in intervals:
-        times = [t for t, _ in iv.samples]
+        times = [orbit._from_us(us) for us in iv.time_us.tolist()]
         assert times == sorted(times)
         assert iv.start == times[0]
         assert iv.end == times[-1] + timedelta(seconds=10)
-        for t, la in iv.samples:
+        for t, la in zip(times, iv.looks()):
             assert la.elevation_deg > 10.0
             assert sun_elevation(iv.station, t) < -6.0
             # cross-check the vectorised geometry against the scalar path
@@ -361,11 +362,10 @@ def test_access_predicates_hold_exhaustively():
 def test_min_range_near_max_elevation():
     intervals, _, _ = _week_windows()
     for iv in intervals:
-        if len(iv.samples) < 3:
+        if len(iv.time_us) < 3:
             continue
-        elevs = [la.elevation_deg for _, la in iv.samples]
-        rngs = [la.slant_range_km for _, la in iv.samples]
-        assert abs(int(np.argmin(rngs)) - int(np.argmax(elevs))) <= 1
+        assert abs(int(np.argmin(iv.slant_range_km))
+                   - int(np.argmax(iv.elevation_deg))) <= 1
 
 
 def test_umbra_flag_only_tightens():
@@ -378,15 +378,15 @@ def test_umbra_flag_only_tightens():
 
 def test_span_boundary_truncates_pass():
     intervals, el, stations = _week_windows()
-    iv = max(intervals, key=lambda v: len(v.samples))
+    iv = max(intervals, key=lambda v: len(v.time_us))
     # cut the span in the middle of this pass: the pass must be truncated
-    mid = iv.samples[len(iv.samples) // 2][0]
+    mid = orbit._from_us(int(iv.time_us[len(iv.time_us) // 2]))
     cut = compute_access_windows(el, [iv.station], (el.epoch, mid), step_seconds=10.0)
     ends = [v.end for v in cut]
     assert ends and max(ends) <= mid
     partial = [v for v in cut if v.start == iv.start]
     assert len(partial) == 1
-    assert 0 < len(partial[0].samples) < len(iv.samples)
+    assert 0 < len(partial[0].time_us) < len(iv.time_us)
 
 
 def test_step_validation_and_empty_span():
@@ -422,8 +422,8 @@ def test_ephemeris_round_trip(tmp_path):
     assert len(from_tle) == len(from_eph)
     for a, b in zip(from_tle, from_eph):
         assert a.start == b.start and a.end == b.end
-        for (_, la), (_, lb) in zip(a.samples, b.samples):
-            assert la.elevation_deg == pytest.approx(lb.elevation_deg, abs=1e-6)
+        assert np.array_equal(a.time_us, b.time_us)
+        np.testing.assert_allclose(a.elevation_deg, b.elevation_deg, rtol=0, atol=1e-6)
 
 
 def test_ephemeris_rejects_non_monotone(tmp_path):
@@ -521,14 +521,15 @@ def reference_access_windows(source, stations, span, step_seconds,
             usable &= umbra
         edges = np.flatnonzero(np.diff(np.concatenate([[0], usable, [0]]).astype(np.int8)))
         for i0, i1 in zip(edges[::2].tolist(), edges[1::2].tolist()):
+            # sample times through datetime.fromtimestamp, one at a time
+            times = [orbit._from_unix(float(unix[i])) for i in range(i0, i1)]
             out.append(orbit.AccessInterval(
                 station=station,
-                start=orbit._from_unix(float(unix[i0])),
+                start=times[0],
                 end=orbit._from_unix(float(unix[i1 - 1]) + step_seconds),
-                samples=tuple((orbit._from_unix(float(unix[i])),
-                               orbit.LookAngles(float(elev[i]), float(azim[i]),
-                                                float(rng[i])))
-                              for i in range(i0, i1))))
+                time_us=np.array([orbit._to_us(t) for t in times], dtype=np.int64),
+                elevation_deg=elev[i0:i1], azimuth_deg=azim[i0:i1],
+                slant_range_km=rng[i0:i1]))
     out.sort(key=lambda iv: iv.start)
     return out
 
@@ -536,8 +537,11 @@ def reference_access_windows(source, stations, span, step_seconds,
 def exact_form(intervals):
     """Intervals with every float spelled out bit for bit."""
     return [(iv.station.name, iv.start.isoformat(), iv.end.isoformat(),
-             [(t.isoformat(), la.elevation_deg.hex(), la.azimuth_deg.hex(),
-               la.slant_range_km.hex()) for t, la in iv.samples])
+             [(orbit._from_us(us).isoformat(), elev.hex(), azim.hex(), rng.hex())
+              for us, elev, azim, rng in zip(iv.time_us.tolist(),
+                                             iv.elevation_deg.tolist(),
+                                             iv.azimuth_deg.tolist(),
+                                             iv.slant_range_km.tolist())])
             for iv in intervals]
 
 
@@ -612,9 +616,21 @@ def test_access_matches_oracle_on_spans_cutting_passes(monkeypatch):
     wide = (EPOCH, EPOCH + timedelta(days=2))
     passes = reference_access_windows(el, stations, wide, 1.0, 10.0, 91.0, False)
     first, last = passes[1], passes[-2]
-    span = (first.samples[len(first.samples) // 2][0],
-            last.samples[len(last.samples) // 3][0] + timedelta(seconds=0.5))
+    span = (orbit._from_us(int(first.time_us[len(first.time_us) // 2])),
+            orbit._from_us(int(last.time_us[len(last.time_us) // 3]))
+            + timedelta(seconds=0.5))
     ref = assert_matches_reference(monkeypatch, el, stations, span, 1.0, 10.0, 91.0,
                                    False, block=4099)
     assert ref[0].start == span[0]
     assert max(iv.end for iv in ref) > span[1]
+
+
+@pytest.mark.parametrize("step", [0.1, 0.3])
+def test_access_matches_oracle_with_fractional_times(monkeypatch, step):
+    # sample times with a fraction that fromtimestamp must round to the microsecond
+    span = (EPOCH + timedelta(hours=16, seconds=0.3),
+            EPOCH + timedelta(hours=16, minutes=40))
+    assert_matches_reference(monkeypatch, parse_tle(MICIUS_TLE),
+                             [GroundStation("Xian", 34.27, 108.93, 400.0),
+                              GroundStation("Beijing", 39.90, 116.40, 44.0)],
+                             span, step, 10.0, 91.0, False, block=4099)

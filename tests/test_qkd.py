@@ -240,12 +240,13 @@ OPTICS = OpticalParams()
 def zenith_access(station, first_interval, n_intervals, grid_start=T0,
                   step=10.0):
     start = grid_start + timedelta(seconds=first_interval * 10.0)
-    samples = tuple(
-        (start + timedelta(seconds=step * k), ZENITH)
-        for k in range(n_intervals))
+    first_us = (start - datetime(1970, 1, 1, tzinfo=UTC)) // timedelta(microseconds=1)
     return AccessInterval(station=station, start=start,
                           end=start + timedelta(seconds=step * n_intervals),
-                          samples=samples)
+                          time_us=first_us + round(step * 1e6) * np.arange(n_intervals),
+                          elevation_deg=np.full(n_intervals, ZENITH.elevation_deg),
+                          azimuth_deg=np.full(n_intervals, ZENITH.azimuth_deg),
+                          slant_range_km=np.full(n_intervals, ZENITH.slant_range_km))
 
 
 def test_key_matrix_no_accesses_all_zero():
