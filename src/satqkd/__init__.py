@@ -16,7 +16,7 @@ from .orbit import (  # noqa: F401
     propagate,
     sun_elevation,
 )
-from .channel import LossBreakdown, LinkSample, OpticalParams, total_loss  # noqa: F401
+from .channel import LossBreakdown, OpticalParams, total_loss  # noqa: F401
 from .cloud import CloudGrid, cloud_loss, load_cloud_grid, query  # noqa: F401
 from .qkd import KeyMatrix, QkdParams, RateResult, build_key_matrix, gllp_rate  # noqa: F401
 from .sched import (  # noqa: F401

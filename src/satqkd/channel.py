@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime
 
 from .cloud import cloud_loss
 from .orbit import LookAngles
@@ -20,8 +19,8 @@ from .orbit import LookAngles
 @dataclass(frozen=True)
 class OpticalParams:
     """Transceiver and fixed-loss parameters of the optical downlink."""
-    wavelength_m: float = 1550e-9
-    divergence_rad: float = 10e-6
+    wavelength_m: float = 1550.0 * 1e-9    # as the JSON config's wavelength_nm scales
+    divergence_rad: float = 10.0 * 1e-6    # as the JSON config's divergence_urad scales
     receiver_diameter_m: float = 1.2
     transmitter_diameter_m: float = 0.3
     zenith_atm_loss_db: float = 2.0
@@ -58,14 +57,6 @@ class LossBreakdown:
     fixed_db: float
     total_db: float
     transmittance: float
-
-
-@dataclass(frozen=True)
-class LinkSample:
-    time: datetime
-    look: LookAngles
-    cloud_index: int
-    loss: LossBreakdown
 
 
 def diffraction_divergence(wavelength_m: float, transmitter_diameter_m: float) -> float:

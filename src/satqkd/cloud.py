@@ -12,6 +12,8 @@ to the containing 10-minute frame.
 from __future__ import annotations
 
 import math
+import os
+from stat import S_ISREG
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 
@@ -21,6 +23,7 @@ from .orbit import _as_utc, _from_us, _to_us
 
 TIME_STEP_SECONDS = 600
 MAX_INDEX = 150
+_CHUNK_BYTES = 1 << 18  # text read and parsed at a time by load_cloud_grid
 
 
 def cloud_loss(alpha: int) -> float:
@@ -77,7 +80,11 @@ class CloudGrid:
 
 
 def load_cloud_grid(path) -> CloudGrid:
-    """Parse and fully validate a cloud grid file."""
+    """Parse and fully validate a cloud grid file.
+
+    Cells are parsed a chunk of lines at a time into one int64 array, so the
+    whole file is never held as one Python string per cell.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 10:
@@ -88,25 +95,45 @@ def load_cloud_grid(path) -> CloudGrid:
             n_frames, n_lat, n_lon = map(int, header[7:])
         except ValueError as exc:
             raise ValueError(f"malformed header: {exc}") from None
-        tokens = fh.read().split()
-    expected = n_frames * n_lat * n_lon
-    if len(tokens) != expected:
+        shape = (n_frames, n_lat, n_lon)
+        expected = math.prod(shape)
+        # a regular file holds fewer cells than bytes, so a header claiming
+        # more (or a negative count) fails the count check without allocating
+        st = os.fstat(fh.fileno())
+        fits = 0 <= expected and (expected <= st.st_size or not S_ISREG(st.st_mode))
+        flat = np.empty(expected if fits else 0, dtype=np.int64)
+        found, error = 0, None
+        while lines := fh.readlines(_CHUNK_BYTES):
+            tokens = "".join(lines).split()
+            if error is None and found + len(tokens) <= flat.size:
+                error = _parse_cells(tokens, flat, found, shape)
+            found += len(tokens)
+    # a wrong cell count is reported before a bad value, wherever each is
+    if found != expected:
         raise ValueError(f"expected {expected} cell values "
-                         f"({n_frames}x{n_lat}x{n_lon}), found {len(tokens)}")
-    try:
-        # parses each token as int() does
-        flat = np.array(tokens, dtype=np.int64)
-    except ValueError as exc:
-        raise ValueError(f"non-integer cell value: {exc}") from None
-    except OverflowError:
-        n = next(n for n, tok in enumerate(tokens) if abs(int(tok)) >= 2**63)
-        k, i, j = np.unravel_index(n, (n_frames, n_lat, n_lon))
-        raise ValueError(f"cloud value {tokens[n]} outside [0, {MAX_INDEX}] "
-                         f"at frame {k}, lat row {i}, lon col {j}") from None
+                         f"({n_frames}x{n_lat}x{n_lon}), found {found}")
+    if error is not None:
+        raise error
     # the range check runs on the parsed values, before the int16 narrowing
     grid = CloudGrid(lat_min, lat_max, lon_min, lon_max, lat_step, lon_step,
-                     time_start, flat.reshape(n_frames, n_lat, n_lon))
+                     time_start, flat.reshape(shape))
     return replace(grid, frames=grid.frames.astype(np.int16))
+
+
+def _parse_cells(tokens: list[str], flat: np.ndarray, start: int,
+                 shape: tuple[int, int, int]) -> ValueError | None:
+    """Parse tokens into flat[start:], each as int() does; the error of the
+    first bad token, if any."""
+    try:
+        flat[start:start + len(tokens)] = np.array(tokens, dtype=np.int64)
+    except ValueError as exc:
+        return ValueError(f"non-integer cell value: {exc}")
+    except OverflowError:
+        n = next(n for n, tok in enumerate(tokens) if abs(int(tok)) >= 2**63)
+        k, i, j = np.unravel_index(start + n, shape)
+        return ValueError(f"cloud value {tokens[n]} outside [0, {MAX_INDEX}] "
+                          f"at frame {k}, lat row {i}, lon col {j}")
+    return None
 
 
 def save_cloud_grid(grid: CloudGrid, path) -> None:

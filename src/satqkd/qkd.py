@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import LinkSample, LossBreakdown, OpticalParams, total_loss
+from .channel import LossBreakdown, OpticalParams, total_loss
 from .cloud import CloudGrid, query_column
 from .orbit import AccessInterval, GroundStation, _from_us, _to_us
 
@@ -126,32 +126,6 @@ def gllp_rate(eta: float, params: QkdParams) -> RateResult:
     return RateResult(q_mu=q_mu, e_mu=e_mu, y1_lower=y1, q1=q1, e1_upper=e1,
                       rate_per_pulse=per_pulse,
                       rate_per_second=per_pulse * params.rep_rate_hz)
-
-
-def keys_over_interval(loss_series: Sequence[LinkSample], params: QkdParams,
-                       dt_seconds: float | None = None) -> float:
-    """Secure-key bits over a sample series: sum of rate/s times spacing.
-
-    Spacing is inferred from consecutive sample times (the last sample reuses
-    the preceding spacing); a single-sample series needs dt_seconds.
-    """
-    if not loss_series:
-        return 0.0
-    times = [s.time for s in loss_series]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("samples must be strictly time-ordered")
-    if len(times) > 1:
-        gaps = [(b - a).total_seconds() for a, b in zip(times, times[1:])]
-        gaps.append(gaps[-1])
-    elif dt_seconds is not None:
-        gaps = [dt_seconds]
-    else:
-        raise ValueError("cannot infer sample spacing from a single sample; "
-                         "pass dt_seconds")
-    total = 0.0
-    for sample, dt in zip(loss_series, gaps):
-        total += gllp_rate(sample.loss.transmittance, params).rate_per_second * dt
-    return total
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 A scenario bundles the orbit source, ground stations, time span, sampling
 step, optics, QKD parameters, optional cloud grid and a scheduling strategy.
-Scenarios load from a single JSON file (human units: nm, urad, MHz) and every
-field has a Table-1-style default, so an empty object is a valid config.
+Scenarios load from a single JSON file (human units: nm, urad, MHz).  Every
+default lives in its dataclass alone, so an empty object is a valid config
+and equals the built-in profile.
 
 The built-in default profile is the Micius-class week: a 500 km
 sun-synchronous midnight orbit over 11 Chinese ground stations for the week
@@ -12,11 +13,15 @@ Station weights are proportional to city population (millions).
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+import os
+import typing
+from dataclasses import MISSING, dataclass, field, replace
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -81,7 +86,7 @@ def default_stations() -> tuple[GroundStation, ...]:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    tle: TleElements | None = field(default=None)
+    tle: TleElements | None = None
     ephemeris: Ephemeris | None = None
     stations: tuple[GroundStation, ...] = field(default_factory=default_stations)
     span: tuple[datetime, datetime] = (
@@ -106,7 +111,8 @@ class ScenarioConfig:
         if self.step_seconds <= 0:
             raise ConfigError("step_seconds", "must be positive")
         ratio = self.grid_interval_seconds / self.step_seconds
-        if abs(ratio - round(ratio)) > 1e-9 or ratio < 1 - 1e-9:
+        if not (math.isfinite(ratio) and ratio >= 1 - 1e-9
+                and abs(ratio - round(ratio)) <= 1e-9):
             raise ConfigError(
                 "step_seconds",
                 f"step must divide the {self.grid_interval_seconds} s scheduling interval")
@@ -129,35 +135,115 @@ class ScenarioConfig:
         return tuple(st.weight for st in self.stations)
 
     def strategy_for(self, kind: str, seed: int | None = None) -> StrategyConfig:
-        ga = self.strategy.ga
-        if seed is not None:
-            ga = GaConfig(population=ga.population, generations=ga.generations,
-                          crossover_rate=ga.crossover_rate,
-                          mutation_rate=ga.mutation_rate, elitism=ga.elitism,
-                          seed=seed, restart_after=ga.restart_after)
-        return StrategyConfig(kind=kind, weights=self.station_weights(),
-                              ga=ga, kl_tolerance=self.strategy.kl_tolerance)
+        ga = self.strategy.ga if seed is None else replace(self.strategy.ga, seed=seed)
+        return replace(self.strategy, kind=kind, weights=self.station_weights(), ga=ga)
 
 
 # ---------------------------------------------------------------------------
 # JSON loading
 # ---------------------------------------------------------------------------
 
-def _finite(value):
-    """value unchanged, unless it is a NaN or infinite float."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"must be finite, got {value}")
-    return value
+# JSON keys whose name or unit differs from their field's: field -> (key, scale)
+_JSON_KEYS = {
+    "wavelength_m": ("wavelength_nm", 1e-9),
+    "divergence_rad": ("divergence_urad", 1e-6),
+    "rep_rate_hz": ("rep_rate_mhz", 1e6),
+    "latitude_deg": ("lat_deg", 1.0),
+    "longitude_deg": ("lon_deg", 1.0),
+    "altitude_m": ("alt_m", 1.0),
+}
 
 
-def _number(path: str, value: Any) -> float:
-    """A JSON number (not a bool) as a finite float."""
+def _number(path: str, value: Any, scale: float = 1.0) -> float:
+    """A JSON number (not a bool) as a finite float, times scale."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(path, "expected a number")
     try:
-        return _finite(float(value))
-    except (OverflowError, ValueError) as exc:
+        number = float(value) * scale
+    except OverflowError as exc:
         raise ConfigError(path, str(exc)) from None
+    if not math.isfinite(number):
+        raise ConfigError(path, f"must be finite, got {number}")
+    return number
+
+
+def _value(path: str, kind: type, value: Any, scale: float) -> Any:
+    """value as a field of type kind: a float is a finite number (times
+    scale), an int an integral number, a bool a bool and a str a str."""
+    if kind is float:
+        return _number(path, value, scale)
+    if kind is int:
+        if not _number(path, value).is_integer():
+            raise ConfigError(path, f"expected an integer, got {value}")
+        return int(value)
+    if not isinstance(value, kind):
+        raise ConfigError(path, f"expected {kind.__name__}")
+    return value
+
+
+@cache
+def _scalar_fields(cls) -> dict[str, tuple[str, type, float, bool]]:
+    """JSON key -> (field, type, scale, required) of each float, int, bool
+    and str field of cls."""
+    if not dataclasses.is_dataclass(cls):
+        return {}
+    hints = typing.get_type_hints(cls)
+    table = {}
+    for f in dataclasses.fields(cls):
+        if hints[f.name] in (float, int, bool, str):
+            key, scale = _JSON_KEYS.get(f.name, (f.name, 1.0))
+            required = f.default is MISSING and f.default_factory is MISSING
+            table[key] = (f.name, hints[f.name], scale, required)
+    return table
+
+
+def _known(path: str, raw: dict, keys) -> None:
+    """Reject the first key of raw that is not in keys."""
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+
+
+def _read(path: str, cls, raw: Any, special: dict | None = None):
+    """cls(**fields) from the JSON object raw, failures reported against path.
+
+    Each float, int, bool and str field of cls is read from its JSON key when
+    present and checked by its type; an absent field keeps its dataclass
+    default.  special maps each other allowed key to a function of
+    (path, value) that returns fields.  cls may be dict, for an object with
+    no scalar fields.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(path, "expected an object")
+    scalars, special = _scalar_fields(cls), special or {}
+    _known(path, raw, scalars.keys() | special.keys())
+    fields: dict[str, Any] = {}
+    for key, value in raw.items():
+        where = f"{path}.{key}" if path else key
+        if key in scalars:
+            name, kind, scale, _ = scalars[key]
+            fields[name] = _value(where, kind, value, scale)
+        else:
+            fields.update(special[key](where, value))
+    for key, (name, _, _, required) in scalars.items():
+        if required and name not in fields:
+            raise ConfigError(f"{path}.{key}", "missing required field")
+    try:
+        return cls(**fields)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def _list(path: str, raw: Any) -> list:
+    if not isinstance(raw, list):
+        raise ConfigError(path, "expected a list")
+    return raw
+
+
+def _floats(path: str, raw: Any) -> tuple[float, ...]:
+    return tuple(_number(path, v) for v in _list(path, raw))
 
 
 def _parse_time(path: str, text: Any) -> datetime:
@@ -170,118 +256,21 @@ def _parse_time(path: str, text: Any) -> datetime:
     return t if t.tzinfo else t.replace(tzinfo=UTC)
 
 
-def _parse_station(path: str, raw: Any) -> GroundStation:
-    if not isinstance(raw, dict):
-        raise ConfigError(path, "expected an object")
-    try:
-        return GroundStation(
-            name=raw["name"],
-            latitude_deg=float(raw["lat_deg"]),
-            longitude_deg=float(raw["lon_deg"]),
-            altitude_m=float(raw.get("alt_m", 0.0)),
-            weight=float(raw.get("weight", 1.0)))
-    except KeyError as exc:
-        raise ConfigError(f"{path}.{exc.args[0]}", "missing required field") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from None
-
-
-def _section(path: str, raw: Any) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(path, "expected an object")
-    return raw
-
-
-def _field(path: str, raw: dict, key: str, default, convert=float):
-    """raw[key] (default when absent) through `convert`; a failure or a
-    non-finite float raises ConfigError."""
-    try:
-        return _finite(convert(raw.get(key, default)))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}.{key}", str(exc)) from None
-
-
-def _build(path: str, cls, **kwargs):
-    """cls(**kwargs), its validation failure reported against `path`."""
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
-
-
-def _parse_optics(raw: dict) -> OpticalParams:
-    num = partial(_field, "optics", raw)
-    return _build(
-        "optics", OpticalParams,
-        wavelength_m=num("wavelength_nm", 1550.0) * 1e-9,
-        divergence_rad=num("divergence_urad", 10.0) * 1e-6,
-        receiver_diameter_m=num("receiver_diameter_m", 1.2),
-        transmitter_diameter_m=num("transmitter_diameter_m", 0.3),
-        zenith_atm_loss_db=num("zenith_atm_loss_db", 2.0),
-        pointing_loss_db=num("pointing_loss_db", 2.0),
-        coupling_loss_db=num("coupling_loss_db", 3.0),
-        detection_loss_db=num("detection_loss_db", 3.0),
-        beam_convention=raw.get("beam_convention", "full"))
-
-
-def _parse_qkd(raw: dict) -> QkdParams:
-    num = partial(_field, "qkd", raw)
-    return _build(
-        "qkd", QkdParams,
-        mu=num("mu", 0.5),
-        nu=num("nu", 0.08),
-        omega=num("omega", 0.0),
-        rep_rate_hz=num("rep_rate_mhz", 200.0) * 1e6,
-        q_factor=num("q_factor", 0.5),
-        f_e=num("f_e", 1.16),
-        e_detector=num("e_detector", 0.015),
-        y0=num("y0", 3e-6),
-        e0=num("e0", 0.5))
-
-
-def _floats(raw) -> tuple[float, ...]:
-    return tuple(_finite(float(v)) for v in raw)
-
-
-def _parse_strategy(raw: dict) -> StrategyConfig:
-    ga_raw = _section("strategy.ga", raw.get("ga", {}))
-
-    def ga_field(key, default, convert=int):
-        return _field("strategy.ga", ga_raw, key, default, convert)
-
-    ga = _build(
-        "strategy", GaConfig,
-        population=ga_field("population", 200),
-        generations=ga_field("generations", 500),
-        crossover_rate=ga_field("crossover_rate", 0.8, float),
-        mutation_rate=ga_field("mutation_rate", 0.02, float),
-        elitism=ga_field("elitism", 2),
-        seed=ga_field("seed", 0),
-        restart_after=ga_field("restart_after", 60))
-    return _build(
-        "strategy", StrategyConfig,
-        kind=raw.get("kind", "S-GD"),
-        weights=(None if raw.get("weights") is None
-                 else _field("strategy", raw, "weights", None, _floats)),
-        ga=ga,
-        kl_tolerance=_field("strategy", raw, "kl_tolerance", 0.05))
-
-
-def _file(path: str, raw: Any, resolve) -> str | None:
-    """The resolved raw["file"] of a {"file": path} field; None for other shapes."""
-    if not (isinstance(raw, dict) and "file" in raw):
-        return None
-    if not isinstance(raw["file"], str):
-        raise ConfigError(f"{path}.file", "expected a path string")
-    return resolve(raw["file"])
+def _span(path: str, raw: Any) -> dict:
+    if raw is None:
+        return {}
+    if not (isinstance(raw, list) and len(raw) == 2):
+        raise ConfigError(path, "expected [start, end]")
+    return {"span": tuple(_parse_time(f"{path}[{i}]", t) for i, t in enumerate(raw))}
 
 
 def _parse_altitude(path: str, entry: Any) -> dict:
     """One sweep.altitudes_km entry as {"altitude_km": ..., "raan_deg": ...}."""
     if isinstance(entry, dict):
+        _known(path, entry, ("altitude_km", "raan_deg"))
         parsed, where = dict(entry), f"{path}.altitude_km"
     elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        parsed, where = {"altitude_km": float(entry)}, path
+        parsed, where = {"altitude_km": _number(path, entry)}, path
     else:
         raise ConfigError(path, "expected number or object")
     if _number(where, parsed.get("altitude_km")) <= 0.0:
@@ -291,107 +280,114 @@ def _parse_altitude(path: str, entry: Any) -> dict:
     return parsed
 
 
-_TOP_LEVEL_NUMBERS = ("step_seconds", "grid_interval_seconds",
-                      "elevation_mask_deg", "night_threshold_deg")
+_SWEEP = {
+    "altitudes_km": lambda path, raw: {"sweep_altitudes": tuple(
+        _parse_altitude(f"{path}[{i}]", entry) for i, entry in enumerate(_list(path, raw)))},
+    "divergences_urad": lambda path, raw: {"sweep_divergences_urad": _floats(path, raw)},
+}
+
+_STRATEGY = {
+    "weights": lambda path, raw: {"weights": None if raw is None else _floats(path, raw)},
+    "ga": lambda path, raw: {"ga": _read(path, GaConfig, raw)},
+}
+
+
+def _file(path: str, raw: Any, resolve, load) -> Any:
+    """load(resolved name) of a {"file": name} object; None for other shapes.
+
+    A file that cannot be opened is reported against path.file, one that
+    load rejects against path.
+    """
+    if not (isinstance(raw, dict) and "file" in raw):
+        return None
+    _known(path, raw, ("file",))
+    where, name = f"{path}.file", raw["file"]
+    if not isinstance(name, str):
+        raise ConfigError(where, "expected a path string")
+    try:
+        return load(resolve(name))
+    except OSError as exc:
+        raise ConfigError(where, str(exc)) from None
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def _load_json(name) -> Any:
+    with open(name, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON: {exc}") from None
+
+
+def _tle(path: str, raw: Any, resolve) -> dict:
+    text = _file(path, raw, resolve, lambda name: Path(name).read_text(encoding="utf-8"))
+    if text is None:
+        if not (isinstance(raw, list) and all(isinstance(line, str) for line in raw)):
+            raise ConfigError(path, "expected two lines or {'file': path}")
+        text = "\n".join(raw)
+    try:
+        return {"tle": parse_tle(text)}
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def _ephemeris(path: str, raw: Any, resolve) -> dict:
+    ephemeris = _file(path, raw, resolve, load_ephemeris)
+    if ephemeris is None:
+        raise ConfigError(path, "expected {'file': path}")
+    return {"ephemeris": ephemeris}
+
+
+def _stations(path: str, raw: Any, resolve) -> dict:
+    loaded = _file(path, raw, resolve, _load_json)
+    if loaded is not None:
+        raw = loaded
+    if not isinstance(raw, list):
+        raise ConfigError(path, "expected a list or {'file': path}")
+    return {"stations": tuple(_read(f"{path}[{i}]", GroundStation, entry)
+                              for i, entry in enumerate(raw))}
+
+
+def _cloud(path: str, raw: Any, resolve) -> dict:
+    grid = _file(path, {"file": raw} if isinstance(raw, str) else raw, resolve,
+                 load_cloud_grid)
+    if grid is None:
+        raise ConfigError(path, "expected a path or {'file': path}")
+    return {"cloud": grid}
 
 
 def scenario_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
     """Build a validated ScenarioConfig from parsed JSON.
 
-    Only the keys present are passed on, so ScenarioConfig holds the defaults.
+    Only the keys present are passed on, so the dataclasses hold every
+    default; an unknown key is an error.
     """
-    import os
-
     def resolve(p):
         return p if base_dir is None or os.path.isabs(p) else os.path.join(base_dir, p)
 
-    given: dict[str, Any] = {key: _number(key, data[key])
-                             for key in _TOP_LEVEL_NUMBERS if key in data}
-    if "require_umbra" in data:
-        if not isinstance(data["require_umbra"], bool):
-            raise ConfigError("require_umbra", "expected bool")
-        given["require_umbra"] = data["require_umbra"]
+    def from_file(read):
+        return lambda path, raw: {} if raw is None else read(path, raw, resolve)
 
-    raw_tle = data.get("tle")
-    if raw_tle is not None:
-        tle_file = _file("tle", raw_tle, resolve)
-        if tle_file is not None:
-            with open(tle_file, encoding="utf-8") as fh:
-                text = fh.read()
-        elif isinstance(raw_tle, list):
-            text = "\n".join(raw_tle)
-        else:
-            raise ConfigError("tle", "expected two lines or {'file': path}")
-        try:
-            given["tle"] = parse_tle(text)
-        except ValueError as exc:
-            raise ConfigError("tle", str(exc)) from None
-    raw_eph = data.get("ephemeris")
-    if raw_eph is not None:
-        eph_file = _file("ephemeris", raw_eph, resolve)
-        if eph_file is None:
-            raise ConfigError("ephemeris", "expected {'file': path}")
-        try:
-            given["ephemeris"] = load_ephemeris(eph_file)
-        except ValueError as exc:
-            raise ConfigError("ephemeris", str(exc)) from None
-
-    raw_stations = data.get("stations")
-    if raw_stations is not None:
-        stations_file = _file("stations", raw_stations, resolve)
-        if stations_file is not None:
-            with open(stations_file, encoding="utf-8") as fh:
-                try:
-                    raw_stations = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError("stations.file", f"invalid JSON: {exc}") from None
-        if not isinstance(raw_stations, list):
-            raise ConfigError("stations", "expected a list or {'file': path}")
-        given["stations"] = tuple(_parse_station(f"stations[{i}]", raw)
-                                  for i, raw in enumerate(raw_stations))
-
-    raw_span = data.get("span")
-    if raw_span is not None:
-        if not (isinstance(raw_span, list) and len(raw_span) == 2):
-            raise ConfigError("span", "expected [start, end]")
-        given["span"] = (_parse_time("span[0]", raw_span[0]),
-                         _parse_time("span[1]", raw_span[1]))
-
-    raw_cloud = data.get("cloud")
-    if raw_cloud is not None:
-        path = raw_cloud.get("file") if isinstance(raw_cloud, dict) else raw_cloud
-        if not isinstance(path, str):
-            raise ConfigError("cloud", "expected a path or {'file': path}")
-        try:
-            given["cloud"] = load_cloud_grid(resolve(path))
-        except ValueError as exc:
-            raise ConfigError("cloud", str(exc)) from None
-
-    sweep = _section("sweep", data.get("sweep", {}))
-    if "altitudes_km" in sweep:
-        if not isinstance(sweep["altitudes_km"], list):
-            raise ConfigError("sweep.altitudes_km", "expected a list")
-        given["sweep_altitudes"] = tuple(
-            _parse_altitude(f"sweep.altitudes_km[{i}]", entry)
-            for i, entry in enumerate(sweep["altitudes_km"]))
-    if "divergences_urad" in sweep:
-        given["sweep_divergences_urad"] = _field("sweep", sweep, "divergences_urad",
-                                                 None, _floats)
-
-    return ScenarioConfig(
-        optics=_parse_optics(_section("optics", data.get("optics", {}))),
-        qkd=_parse_qkd(_section("qkd", data.get("qkd", {}))),
-        strategy=_parse_strategy(_section("strategy", data.get("strategy", {}))),
-        **given)
+    return _read("", ScenarioConfig, data, {
+        "tle": from_file(_tle),
+        "ephemeris": from_file(_ephemeris),
+        "stations": from_file(_stations),
+        "cloud": from_file(_cloud),
+        "span": _span,
+        "sweep": lambda path, raw: _read(path, dict, raw, _SWEEP),
+        "optics": lambda path, raw: {"optics": _read(path, OpticalParams, raw)},
+        "qkd": lambda path, raw: {"qkd": _read(path, QkdParams, raw)},
+        "strategy": lambda path, raw: {
+            "strategy": _read(path, StrategyConfig, raw, _STRATEGY)},
+    })
 
 
 def load_scenario(path) -> ScenarioConfig:
-    import os
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<config>", f"invalid JSON: {exc}") from None
+    try:
+        data = _load_json(path)
+    except ValueError as exc:
+        raise ConfigError("<config>", str(exc)) from None
     if not isinstance(data, dict):
         raise ConfigError("<config>", "top level must be an object")
     return scenario_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
@@ -400,10 +396,7 @@ def load_scenario(path) -> ScenarioConfig:
 def micius_week_config(**overrides) -> ScenarioConfig:
     """The default Micius-class week scenario with Table-1 parameters."""
     base = ScenarioConfig()
-    if not overrides:
-        return base
-    from dataclasses import replace
-    return replace(base, **overrides)
+    return replace(base, **overrides) if overrides else base
 
 
 # ---------------------------------------------------------------------------

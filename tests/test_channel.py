@@ -8,14 +8,11 @@ additive decomposition.
 from __future__ import annotations
 
 import math
-from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
 from satqkd.channel import (
-    LinkSample,
-    LossBreakdown,
     OpticalParams,
     atmospheric_loss,
     beam_width,
@@ -185,14 +182,6 @@ def test_loss_round_trip_and_additivity():
         # removing one component and re-adding its dB reproduces the total
         partial = out.total_db - out.atmospheric_db
         assert partial + out.atmospheric_db == pytest.approx(out.total_db, rel=1e-12)
-
-
-def test_link_sample_carries_breakdown():
-    out = total_loss(look(), 12, TABLE1)
-    sample = LinkSample(time=datetime(2016, 9, 20, tzinfo=timezone.utc),
-                        look=look(), cloud_index=12, loss=out)
-    assert isinstance(sample.loss, LossBreakdown)
-    assert sample.loss.cloud_db > 0
 
 
 # ---------------------------------------------------------------------------

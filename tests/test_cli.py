@@ -62,6 +62,21 @@ def test_empty_config_is_default_profile():
     assert cfg.tle.inclination_deg == pytest.approx(97.37)
 
 
+def test_built_in_profile_equals_empty_config():
+    assert scenario_from_dict({}) == micius_week_config()
+    assert config_digest(scenario_from_dict({})) == config_digest(micius_week_config())
+
+
+def test_numbers_follow_their_field_type():
+    cfg = scenario_from_dict({
+        "step_seconds": 5, "stations": [{"name": "A", "lat_deg": 30, "lon_deg": 100}],
+        "optics": {"receiver_diameter_m": 1}, "strategy": {"ga": {"population": 50.0}}})
+    assert type(cfg.step_seconds) is float and cfg.step_seconds == 5.0
+    assert type(cfg.stations[0].latitude_deg) is float
+    assert type(cfg.optics.receiver_diameter_m) is float
+    assert type(cfg.strategy.ga.population) is int and cfg.strategy.ga.population == 50
+
+
 def test_config_json_round_trip(tmp_path):
     payload = {
         "tle": list(MICIUS_TLE_LINES),
@@ -447,6 +462,42 @@ def test_main_runs_access_with_config(tmp_path):
     ({"sweep": {"altitudes_km": [{"raan_deg": 5}]}}, "sweep.altitudes_km[0].altitude_km"),
     ({"sweep": {"altitudes_km": [{"altitude_km": 500, "raan_deg": "x"}]}},
      "sweep.altitudes_km[0].raan_deg"),
+    # a field of the wrong JSON type, never coerced
+    ({"stations": [{"name": ["A"], "lat_deg": 30, "lon_deg": 100}]}, "stations[0].name"),
+    ({"stations": [{"name": {"A": 1}, "lat_deg": 30, "lon_deg": 100}]}, "stations[0].name"),
+    ({"stations": [{"name": "A", "lat_deg": 30, "lon_deg": 100, "weight": True}]},
+     "stations[0].weight"),
+    ({"stations": [{"name": "A", "lat_deg": "30", "lon_deg": 100}]}, "stations[0].lat_deg"),
+    ({"tle": [1]}, "tle"),
+    ({"sweep": {"altitudes_km": [10 ** 400]}}, "sweep.altitudes_km[0]"),
+    ({"qkd": {"mu": "0.5"}}, "qkd.mu"),
+    ({"qkd": {"mu": 10 ** 400}}, "qkd.mu"),
+    ({"qkd": {"rep_rate_mhz": 1e305}}, "qkd.rep_rate_mhz"),
+    ({"strategy": {"ga": {"population": 50.9}}}, "strategy.ga.population"),
+    ({"strategy": {"ga": {"seed": True}}}, "strategy.ga.seed"),
+    ({"strategy": {"kind": None}}, "strategy.kind"),
+    ({"strategy": {"weights": ["1", 2]}}, "strategy.weights"),
+    ({"optics": {"beam_convention": 1}}, "optics.beam_convention"),
+    ({"step_seconds": "1"}, "step_seconds"),
+    ({"step_seconds": 1e-320}, "step_seconds"),
+    ({"require_umbra": "true"}, "require_umbra"),
+    # a file that cannot be opened
+    ({"tle": {"file": "missing.tle"}}, "tle.file"),
+    ({"ephemeris": {"file": "missing.csv"}}, "ephemeris.file"),
+    ({"stations": {"file": "missing.json"}}, "stations.file"),
+    ({"cloud": {"file": "missing.txt"}}, "cloud.file"),
+    ({"cloud": "missing.txt"}, "cloud.file"),
+    # unknown keys
+    ({"stepseconds": 5}, "stepseconds"),
+    ({"optics": {"wavelength_m": 1e-6}}, "optics.wavelength_m"),
+    ({"qkd": {"rep_rate_hz": 1e8}}, "qkd.rep_rate_hz"),
+    ({"strategy": {"ga": {"pop": 20}}}, "strategy.ga.pop"),
+    ({"stations": [{"name": "A", "lat_deg": 30, "lon_deg": 100, "latitude_deg": 30}]},
+     "stations[0].latitude_deg"),
+    ({"sweep": {"altitude_km": [500]}}, "sweep.altitude_km"),
+    ({"sweep": {"altitudes_km": [{"altitude_km": 500, "raan": 5}]}},
+     "sweep.altitudes_km[0].raan"),
+    ({"tle": {"file": "x.tle", "format": "tle"}}, "tle.format"),
 ])
 def test_main_malformed_config_shapes_exit_2(tmp_path, capsys, payload, needle):
     cfg_path = tmp_path / "bad.json"

@@ -12,6 +12,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from satqkd import cloud as cloud_module
 from satqkd.cloud import (
     CloudGrid,
     cloud_loss,
@@ -146,6 +147,79 @@ def test_non_integer_cell_rejected(tmp_path):
                     "0 10 20 30 40.5 50\n")
     with pytest.raises(ValueError, match="non-integer"):
         load_cloud_grid(path)
+
+
+# a grid of more than 1 MiB of text: several chunks at the loader's
+# default chunk size, and hundreds at 4 KiB
+BIG_SHAPE = (5, 181, 361)
+BIG_HEADER = "-90 90 -180 180 1 1 2016-09-23T00:00:00+00:00 5 181 361\n"
+
+
+def big_cells() -> list[str]:
+    rng = np.random.default_rng(5)
+    return [str(v) for v in rng.integers(0, 151, size=math.prod(BIG_SHAPE))]
+
+
+def write_big_grid(path, cells: list[str]) -> None:
+    rows = [" ".join(cells[r:r + BIG_SHAPE[2]]) for r in range(0, len(cells), BIG_SHAPE[2])]
+    write_grid_text(path, BIG_HEADER + "\n".join(rows) + "\n")
+
+
+@pytest.fixture(params=[None, 4096], ids=["default-chunk", "4KiB-chunk"])
+def chunk_bytes(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(cloud_module, "_CHUNK_BYTES", request.param)
+
+
+def test_big_grid_loads_across_chunks(tmp_path, chunk_bytes):
+    cells = big_cells()
+    write_big_grid(tmp_path / "big.txt", cells)
+    assert (tmp_path / "big.txt").stat().st_size > cloud_module._CHUNK_BYTES
+    grid = load_cloud_grid(tmp_path / "big.txt")
+    assert grid.frames.dtype == np.int16
+    assert np.array_equal(grid.frames.ravel(), np.array(cells, dtype=np.int64))
+
+
+# the last frame, lat row 170, lon col 300: far past the first chunk
+LATE_CELL = np.ravel_multi_index((4, 170, 300), BIG_SHAPE)
+
+
+@pytest.mark.parametrize("token,needle", [
+    ("151", "cloud value 151 outside [0, 150] at frame 4, lat row 170, lon col 300"),
+    ("99999999999999999999",
+     "cloud value 99999999999999999999 outside [0, 150] at frame 4, lat row 170, "
+     "lon col 300"),
+    ("12.5", "non-integer cell value: invalid literal for int() with base 10: '12.5'"),
+])
+def test_big_grid_bad_late_cell_named(tmp_path, chunk_bytes, token, needle):
+    cells = big_cells()
+    cells[LATE_CELL] = token
+    write_big_grid(tmp_path / "big.txt", cells)
+    with pytest.raises(ValueError) as info:
+        load_cloud_grid(tmp_path / "big.txt")
+    assert str(info.value) == needle
+
+
+@pytest.mark.parametrize("edit,found", [
+    (lambda cells: cells[:-1], 326704),
+    (lambda cells: cells + ["0"], 326706),
+    # a bad value in the first chunk still yields to the wrong count
+    (lambda cells: ["x"] + cells[:-2], 326704),
+])
+def test_big_grid_count_mismatch_reported(tmp_path, chunk_bytes, edit, found):
+    write_big_grid(tmp_path / "big.txt", edit(big_cells()))
+    with pytest.raises(ValueError) as info:
+        load_cloud_grid(tmp_path / "big.txt")
+    assert str(info.value) == f"expected 326705 cell values (5x181x361), found {found}"
+
+
+@pytest.mark.parametrize("counts,expected", [
+    ("1000000000 1000 1000", 10**15), ("-1 2 3", -6)])
+def test_implausible_cell_count_reported(tmp_path, counts, expected):
+    write_grid_text(tmp_path / "huge.txt",
+                    f"30 31 100 102 1 1 2016-09-23T00:00:00+00:00 {counts}\n0 1 2\n")
+    with pytest.raises(ValueError, match=f"expected {expected} cell values .*, found 3$"):
+        load_cloud_grid(tmp_path / "huge.txt")
 
 
 # ---------------------------------------------------------------------------

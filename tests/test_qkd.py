@@ -3,7 +3,7 @@
 Expected values were frozen from a 30-digit mpmath evaluation of the closed
 forms (standard channel model, vacuum+weak decoy bounds, GLLP with f_e
 constant).  Properties: rate monotone non-increasing in loss, bound ranges,
-binary-entropy symmetry, interval-integration additivity, key-matrix support
+binary-entropy symmetry, key accumulation over samples, key-matrix support
 and permutation invariance.
 """
 from __future__ import annotations
@@ -14,31 +14,26 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from satqkd.channel import LinkSample, OpticalParams, total_loss
+from satqkd.channel import OpticalParams, total_loss
 from satqkd.cloud import synthetic_cloud_grid
 from satqkd.orbit import AccessInterval, GroundStation, LookAngles
 from satqkd.qkd import (
     KeyMatrix,
     QkdParams,
+    add_key_bits,
     binary_entropy,
     build_key_matrix,
     decoy_estimate,
     export_key_matrix,
     gain_and_qber,
     gllp_rate,
-    keys_over_interval,
 )
 
 UTC = timezone.utc
 T0 = datetime(2016, 9, 20, 16, 0, tzinfo=UTC)
 TABLE1 = QkdParams()
+T0_US = (T0 - datetime(1970, 1, 1, tzinfo=UTC)) // timedelta(microseconds=1)
 ZENITH = LookAngles(elevation_deg=90.0, azimuth_deg=0.0, slant_range_km=500.0)
-
-
-def constant_samples(eta_loss, count, step_seconds=1.0, start=T0):
-    return [LinkSample(time=start + timedelta(seconds=step_seconds * k),
-                       look=ZENITH, cloud_index=0, loss=eta_loss)
-            for k in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -185,47 +180,30 @@ def loss_for_db(db: float):
                          fixed_db=0.0, total_db=db, transmittance=eta)
 
 
-def test_keys_over_empty_interval():
-    assert keys_over_interval([], TABLE1) == 0.0
+def test_add_key_bits_constant_rate_closed_form():
+    eta = loss_for_db(25.0).transmittance
+    rate = gllp_rate(eta, TABLE1).rate_per_second
+    times = T0_US + 1_000_000 * np.arange(10)
+    values = np.zeros((2, 1))
+    add_key_bits(values, T0, 10.0, TABLE1, 0, times, [eta] * 10, 1.0, str)
+    assert values[0, 0] == pytest.approx(10.0 * rate, rel=1e-12)
+    assert values[1, 0] == 0.0
+    # the same samples added in two runs give the same bits
+    split = np.zeros((2, 1))
+    add_key_bits(split, T0, 10.0, TABLE1, 0, times[:6], [eta] * 6, 1.0, str)
+    add_key_bits(split, T0, 10.0, TABLE1, 0, times[6:], [eta] * 4, 1.0, str)
+    assert split[0, 0] == values[0, 0]
 
 
-def test_keys_over_constant_interval_closed_form():
-    loss = loss_for_db(25.0)
-    rate = gllp_rate(loss.transmittance, TABLE1).rate_per_second
-    got = keys_over_interval(constant_samples(loss, 10, step_seconds=1.0), TABLE1)
-    assert got == pytest.approx(10.0 * rate, rel=1e-12)
-
-
-def test_keys_blocked_sample_contributes_zero():
-    good = loss_for_db(25.0)
-    blocked = loss_for_db(math.inf)
-    assert blocked.transmittance == 0.0
-    series = constant_samples(good, 3)
-    series.append(LinkSample(time=T0 + timedelta(seconds=3), look=ZENITH,
-                             cloud_index=150, loss=blocked))
-    series += [LinkSample(time=T0 + timedelta(seconds=4 + k), look=ZENITH,
-                          cloud_index=0, loss=good) for k in range(2)]
-    rate = gllp_rate(good.transmittance, TABLE1).rate_per_second
-    assert keys_over_interval(series, TABLE1) == pytest.approx(5.0 * rate, rel=1e-12)
-
-
-def test_keys_additive_under_concatenation():
-    loss = loss_for_db(28.0)
-    first = constant_samples(loss, 6)
-    second = constant_samples(loss, 4, start=T0 + timedelta(seconds=6))
-    whole = first + second
-    assert keys_over_interval(whole, TABLE1) == pytest.approx(
-        keys_over_interval(first, TABLE1) + keys_over_interval(second, TABLE1),
-        rel=1e-12)
-
-
-def test_keys_single_sample_needs_spacing():
-    loss = loss_for_db(25.0)
-    with pytest.raises(ValueError, match="spacing"):
-        keys_over_interval(constant_samples(loss, 1), TABLE1)
-    rate = gllp_rate(loss.transmittance, TABLE1).rate_per_second
-    assert keys_over_interval(constant_samples(loss, 1), TABLE1,
-                              dt_seconds=10.0) == pytest.approx(10.0 * rate)
+def test_add_key_bits_blocked_sample_adds_zero():
+    good = loss_for_db(25.0).transmittance
+    blocked = loss_for_db(math.inf).transmittance
+    assert blocked == 0.0
+    rate = gllp_rate(good, TABLE1).rate_per_second
+    values = np.zeros((1, 1))
+    add_key_bits(values, T0, 10.0, TABLE1, 0, T0_US + 1_000_000 * np.arange(6),
+                 [good, good, good, blocked, good, good], 1.0, str)
+    assert values[0, 0] == pytest.approx(5.0 * rate, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
