@@ -32,5 +32,4 @@ from .sched import (  # noqa: F401
     kl_divergence,
     solve_exact,
     solve_ga,
-    solve_greedy,
 )

@@ -5,14 +5,16 @@ w = sqrt((lambda/(pi*phi))^2 + (phi*L)^2); the collected fraction
 f = 1 - exp(-D^2 / (2 w^2)) is reported as -10*log10(f) dB so that it adds
 with the other dB terms.  A `half` beam-radius convention (w/2 in place of w)
 is available because published link budgets differ by roughly 5-6 dB at
-10 urad depending on the spot-size convention.
+10 urad depending on the spot-size convention.  Each term is one float loop
+over a column of samples (`loss_columns`); the scalar functions call it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import expm1, hypot, inf, isinf, log10, pi, radians, sin
+from typing import NamedTuple
 
-from .cloud import cloud_loss
+from .cloud import MAX_INDEX, cloud_loss
 from .orbit import LookAngles
 
 
@@ -59,51 +61,73 @@ class LossBreakdown:
     transmittance: float
 
 
-def diffraction_divergence(wavelength_m: float, transmitter_diameter_m: float) -> float:
-    """Diffraction-limited divergence 1.22*lambda/D_t, for sweep helpers."""
-    if wavelength_m <= 0 or transmitter_diameter_m <= 0:
-        raise ValueError("wavelength and transmitter diameter must be positive")
-    return 1.22 * wavelength_m / transmitter_diameter_m
+class LossColumns(NamedTuple):
+    """LossBreakdown's columns, one list each, except the fixed dB."""
+    geometric_db: list[float]
+    atmospheric_db: list[float]
+    cloud_db: list[float]
+    total_db: list[float]
+    transmittance: list[float]
+
+
+_CLOUD_DB = tuple(cloud_loss(alpha) for alpha in range(MAX_INDEX + 1))
+
+
+def _not_positive(name: str, value: float):
+    raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _beam_widths(slant_range_km, params: OpticalParams) -> list[float]:
+    near = params.wavelength_m / (pi * params.divergence_rad)
+    divergence = params.divergence_rad
+    return [_not_positive("slant range", rng) if rng <= 0 else
+            hypot(near, divergence * rng * 1e3) for rng in slant_range_km]
+
+
+def _geometric_db(widths, params: OpticalParams) -> list[float]:
+    neg_d2 = -params.receiver_diameter_m**2
+    # the half convention takes w/2 as the radius; 1.0 * w is exactly w
+    k = 0.5 if params.beam_convention == "half" else 1.0
+    fractions = [-expm1(neg_d2 / (2.0 * (k * w) * (k * w))) for w in widths]
+    return [inf if f <= 0.0 else -10.0 * log10(f) for f in fractions]
+
+
+def _atmospheric_db(elevation_deg, zenith_loss_db: float) -> list[float]:
+    return [_not_positive("elevation", elev) if elev <= 0 else
+            zenith_loss_db / sin(radians(elev)) for elev in elevation_deg]
 
 
 def beam_width(slant_range_km: float, params: OpticalParams) -> float:
     """Received beam radius in metres at the given slant range."""
-    if slant_range_km <= 0:
-        raise ValueError(f"slant range must be positive, got {slant_range_km}")
-    near = params.wavelength_m / (math.pi * params.divergence_rad)
-    far = params.divergence_rad * slant_range_km * 1e3
-    return math.hypot(near, far)
+    return _beam_widths([slant_range_km], params)[0]
 
 
 def geometric_loss(slant_range_km: float, params: OpticalParams) -> float:
     """Beam-spreading loss in dB for a circular receiver aperture."""
-    w = beam_width(slant_range_km, params)
-    if params.beam_convention == "half":
-        w = 0.5 * w
-    fraction = -math.expm1(-params.receiver_diameter_m**2 / (2.0 * w * w))
-    if fraction <= 0.0:
-        return math.inf
-    return -10.0 * math.log10(fraction)
+    return _geometric_db(_beam_widths([slant_range_km], params), params)[0]
 
 
 def atmospheric_loss(elevation_deg: float, zenith_loss_db: float) -> float:
     """Zenith extinction elongated by the 1/sin(elevation) slant path."""
-    if elevation_deg <= 0:
-        raise ValueError(f"elevation must be positive, got {elevation_deg}")
-    return zenith_loss_db / math.sin(math.radians(elevation_deg))
+    return _atmospheric_db([elevation_deg], zenith_loss_db)[0]
+
+
+def loss_columns(elevation_deg, slant_range_km, cloud_index,
+                 params: OpticalParams) -> LossColumns:
+    """Loss decomposition of each sample, from columns of plain numbers; a
+    cloud index of 150 (overcast) gives +inf dB and a transmittance of 0."""
+    geo = _geometric_db(_beam_widths(slant_range_km, params), params)
+    atm = _atmospheric_db(elevation_deg, params.zenith_atm_loss_db)
+    # cloud_loss of an index outside [0, MAX_INDEX] raises its range error
+    cld = [_CLOUD_DB[a] if 0 <= a <= MAX_INDEX else cloud_loss(a) for a in cloud_index]
+    fixed = params.fixed_loss_db
+    total = [g + a + c + fixed for g, a, c in zip(geo, atm, cld)]
+    return LossColumns(geo, atm, cld, total,
+                       [0.0 if isinf(t) else 10.0 ** (-t / 10.0) for t in total])
 
 
 def total_loss(look: LookAngles, cloud_index: int, params: OpticalParams) -> LossBreakdown:
-    """Full loss decomposition for one geometry sample.
-
-    cloud_index 150 (overcast) blocks the link: total dB is +inf and the
-    transmittance is exactly 0.
-    """
-    geo = geometric_loss(look.slant_range_km, params)
-    atm = atmospheric_loss(look.elevation_deg, params.zenith_atm_loss_db)
-    cld = cloud_loss(cloud_index)
-    fixed = params.fixed_loss_db
-    total = geo + atm + cld + fixed
-    eta = 0.0 if math.isinf(total) else 10.0 ** (-total / 10.0)
-    return LossBreakdown(geometric_db=geo, atmospheric_db=atm, cloud_db=cld,
-                         fixed_db=fixed, total_db=total, transmittance=eta)
+    """Full loss decomposition for one geometry sample (see loss_columns)."""
+    (geo,), (atm,), (cld,), (total,), (eta,) = loss_columns(
+        [look.elevation_deg], [look.slant_range_km], [cloud_index], params)
+    return LossBreakdown(geo, atm, cld, params.fixed_loss_db, total, eta)

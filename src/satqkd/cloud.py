@@ -74,10 +74,6 @@ class CloudGrid:
     def n_frames(self) -> int:
         return int(self.frames.shape[0])
 
-    @property
-    def time_step_seconds(self) -> int:
-        return TIME_STEP_SECONDS
-
 
 def load_cloud_grid(path) -> CloudGrid:
     """Parse and fully validate a cloud grid file.

@@ -11,12 +11,13 @@ rate, so the mean anomaly advances at exactly that rate.  A spherical Earth
 low-precision analytic ephemeris (good to well under 0.5 degrees).
 
 Access windows are computed once per span, not once per station.  The span is
-walked in fixed-size blocks; per block the propagation, GMST, the Earth-fixed
-satellite position and the Sun's RA/Dec are shared by every station.  Per
-station only the vertical component covers the whole block: range, elevation
-and solar elevation are evaluated where the satellite is above the horizon,
-and azimuth only on usable samples.  Each value is the same elementwise
-formula as on the full grid, so the results are bit-identical to it.
+walked in fixed-size blocks; per block the propagation, GMST and the
+Earth-fixed satellite position are shared by every station, and the Sun's
+RA/Dec is computed where any station has the satellite above the horizon.
+Per station only the vertical component covers the whole block: range,
+elevation and solar elevation are evaluated above the horizon, and azimuth
+only on usable samples.  Each value is the same elementwise formula as on
+the full grid, so the results are bit-identical to it.
 """
 from __future__ import annotations
 
@@ -180,11 +181,6 @@ class AccessInterval:
     @property
     def step_seconds(self) -> float:
         return self.duration_seconds / len(self.time_us)
-
-    def looks(self) -> list[LookAngles]:
-        """Per-sample look angles, for the scalar loss functions."""
-        return list(map(LookAngles, self.elevation_deg.tolist(),
-                        self.azimuth_deg.tolist(), self.slant_range_km.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -619,22 +615,29 @@ def compute_access_windows(source: TleElements | Ephemeris,
             raise ValueError(f"propagation failed over {start.isoformat()}"
                              f"..{end.isoformat()}: {exc}") from exc
         gmst = _gmst_deg(block)
-        ra, dec = _sun_radec(block)
         ecef = _earth_fixed(pos, gmst)
-        umbra = _umbra_mask(pos, ra, dec) if require_umbra else None
 
-        for station, chunks in zip(stations, found):
-            d = _offsets(ecef, station)
-            up = _up_km(d, station)
-            # elevation > mask >= 0 needs up > 0
-            near = (np.flatnonzero(up > 0.0) if elevation_mask_deg >= 0.0
-                    else np.arange(len(block)))
-            d = tuple(c[near] for c in d)
-            elev, rng = _elevation_range(d, up[near])
+        # per station, the samples above the horizon (elevation > mask >= 0
+        # needs up > 0, a negative mask takes them all); the Sun only where
+        # some station has one
+        above = ([np.flatnonzero(_up_km(_offsets(ecef, station), station) > 0.0)
+                  for station in stations] if elevation_mask_deg >= 0.0
+                 else [np.arange(len(block))] * len(stations))
+        seen = np.zeros(len(block), dtype=bool)
+        for near in above:
+            seen[near] = True
+        need = np.flatnonzero(seen)
+        ra, dec = _sun_radec(block[need])
+        umbra = _umbra_mask(pos[need], ra, dec) if require_umbra else None
+
+        for station, chunks, near in zip(stations, found, above):
+            d = _offsets(tuple(c[near] for c in ecef), station)
+            elev, rng = _elevation_range(d, _up_km(d, station))
+            at = np.searchsorted(need, near)
             usable = (elev > elevation_mask_deg) & (_sun_elevation_arrays(
-                station, gmst[near], ra[near], dec[near]) < night_threshold_deg)
+                station, gmst[near], ra[at], dec[at]) < night_threshold_deg)
             if umbra is not None:
-                usable &= umbra[near]
+                usable &= umbra[at]
             if usable.any():
                 chunks.append((lo + near[usable], elev[usable],
                                _azimuth(tuple(c[usable] for c in d), station),

@@ -12,23 +12,29 @@ from the GLLP formula
 
 clamped at zero.  Rates integrate over access intervals as rate-per-second
 times sample spacing, and assemble into the per-interval, per-node key matrix
-used by the scheduler.
+used by the scheduler.  Each formula is one float loop over a column of
+transmittances; the scalar functions call it.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
+from math import exp, expm1, log2
 from typing import Sequence
 
 import numpy as np
 
-from .channel import LossBreakdown, OpticalParams, total_loss
+# total_loss is not called here; the benchmark's tracer patches it under this name
+from .channel import LossColumns, OpticalParams, loss_columns, total_loss  # noqa: F401
 from .cloud import CloudGrid, query_column
 from .orbit import AccessInterval, GroundStation, _from_us, _to_us
+
+
+# Samples per rate-kernel call in add_key_bits (a week at 1 s is ~10 MB of floats)
+_RATE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,8 @@ class QkdParams:
             raise ValueError(
                 f"intensities must satisfy 0 <= omega < nu < mu, "
                 f"got ({self.omega}, {self.nu}, {self.mu})")
+        if self.mu * self.nu - self.nu * self.nu <= 0.0:  # rounds to 0 for nu ~ mu
+            raise ValueError(f"decoy bound needs nu < mu, got nu={self.nu}, mu={self.mu}")
         if not 0.0 < self.q_factor <= 1.0:
             raise ValueError(f"q_factor must be in (0, 1], got {self.q_factor}")
         if self.f_e < 1.0:
@@ -76,19 +84,46 @@ def binary_entropy(x: float) -> float:
     """h2(x) = -x log2 x - (1-x) log2 (1-x), with h2(0) = h2(1) = 0."""
     if x <= 0.0 or x >= 1.0:
         return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return -x * log2(x) - (1.0 - x) * log2(1.0 - x)
+
+
+def _gains(mu_i: float, etas, params: QkdParams) -> tuple[list[float], list[float]]:
+    """Gain and QBER columns of intensity mu_i."""
+    for eta in etas:
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta must be in [0, 1], got {eta}")
+    if mu_i < 0.0:
+        raise ValueError(f"intensity must be >= 0, got {mu_i}")
+    y0, e0_y0, e_det = params.y0, params.e0 * params.y0, params.e_detector
+    detected = [-expm1(-eta * mu_i) for eta in etas]
+    gains = [y0 + d for d in detected]
+    return gains, [(e0_y0 + e_det * d) / q for d, q in zip(detected, gains)]
 
 
 def gain_and_qber(mu_i: float, eta: float, params: QkdParams) -> tuple[float, float]:
     """Gain and QBER of intensity mu_i through transmittance eta."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    if mu_i < 0.0:
-        raise ValueError(f"intensity must be >= 0, got {mu_i}")
-    detected = -math.expm1(-eta * mu_i)
-    gain = params.y0 + detected
-    qber = (params.e0 * params.y0 + params.e_detector * detected) / gain
-    return gain, qber
+    return tuple(column[0] for column in _gains(mu_i, [eta], params))
+
+
+def _rate_terms(etas, params: QkdParams) -> tuple[list[float], ...]:
+    """Columns of Q_mu, E_mu, Y1 lower, Q1, e1 upper and the per-pulse rate."""
+    mu, nu = params.mu, params.nu
+    mu2, nu2 = mu * mu, nu * nu
+    q_mus, e_mus = _gains(mu, etas, params)
+    q_nus, e_nus = _gains(nu, etas, params)
+    scale, vacuum = mu / (mu * nu - nu2), ((mu2 - nu2) / mu2) * params.y0
+    e0_y0, f_e, q_factor = params.e0 * params.y0, params.f_e, params.q_factor
+    exp_mu, exp_nu, exp_neg_mu = exp(mu), exp(nu), exp(-mu)
+    y1s = [min(max(scale * (q_nu * exp_nu - q_mu * exp_mu * nu2 / mu2 - vacuum), 0.0), 1.0)
+           for q_mu, q_nu in zip(q_mus, q_nus)]
+    q1s = [y1 * mu * exp_neg_mu for y1 in y1s]
+    # e1 = 1 where no single-photon signal survives (the worst case)
+    e1s = [min(max((e_nu * q_nu * exp_nu - e0_y0) / (y1 * nu), 0.0), 1.0)
+           if y1 * nu > 0.0 else 1.0 for y1, q_nu, e_nu in zip(y1s, q_nus, e_nus)]
+    return q_mus, e_mus, y1s, q1s, e1s, [
+        max(0.0, q_factor * (-f_e * q_mu * binary_entropy(e_mu)
+                             + q1 * (1.0 - binary_entropy(e1))))
+        for q_mu, e_mu, q1, e1 in zip(q_mus, e_mus, q1s, e1s)]
 
 
 def decoy_estimate(params: QkdParams, eta: float) -> tuple[float, float, float]:
@@ -96,36 +131,14 @@ def decoy_estimate(params: QkdParams, eta: float) -> tuple[float, float, float]:
 
     Assumes omega = 0 so the vacuum gain is identified with y0.
     """
-    mu, nu = params.mu, params.nu
-    denom = mu * nu - nu * nu
-    if denom <= 0.0:
-        raise ValueError(f"decoy bound needs nu < mu, got nu={nu}, mu={mu}")
-    q_mu, _ = gain_and_qber(mu, eta, params)
-    q_nu, e_nu = gain_and_qber(nu, eta, params)
-
-    y1 = (mu / denom) * (q_nu * math.exp(nu)
-                         - q_mu * math.exp(mu) * (nu * nu) / (mu * mu)
-                         - ((mu * mu - nu * nu) / (mu * mu)) * params.y0)
-    y1 = min(max(y1, 0.0), 1.0)
-    q1 = y1 * mu * math.exp(-mu)
-    if y1 * nu > 0.0:
-        e1 = (e_nu * q_nu * math.exp(nu) - params.e0 * params.y0) / (y1 * nu)
-    else:
-        e1 = 1.0  # no single-photon signal survives; worst case
-    e1 = min(max(e1, 0.0), 1.0)
-    return y1, q1, e1
+    return tuple(column[0] for column in _rate_terms([eta], params)[2:5])
 
 
 def gllp_rate(eta: float, params: QkdParams) -> RateResult:
     """Secure-key rate for one transmittance; degenerate inputs give rate 0."""
-    q_mu, e_mu = gain_and_qber(params.mu, eta, params)
-    y1, q1, e1 = decoy_estimate(params, eta)
-    bracket = (-params.f_e * q_mu * binary_entropy(e_mu)
-               + q1 * (1.0 - binary_entropy(e1)))
-    per_pulse = max(0.0, params.q_factor * bracket)
-    return RateResult(q_mu=q_mu, e_mu=e_mu, y1_lower=y1, q1=q1, e1_upper=e1,
-                      rate_per_pulse=per_pulse,
-                      rate_per_second=per_pulse * params.rep_rate_hz)
+    *terms, (per_pulse,) = _rate_terms([eta], params)
+    return RateResult(*(column[0] for column in terms), per_pulse,
+                      per_pulse * params.rep_rate_hz)
 
 
 @dataclass(frozen=True)
@@ -162,15 +175,14 @@ class KeyMatrix:
 
 
 def pass_link_budget(access: AccessInterval, optics: OpticalParams,
-                     cloud: CloudGrid | None = None) -> list[LossBreakdown]:
-    """Loss decomposition of each sample of one pass (scalar total_loss:
-    numpy's exp/log10 can differ from math's in the last bit)."""
+                     cloud: CloudGrid | None = None) -> LossColumns:
+    """Loss columns of each sample of one pass."""
     station = access.station
     alphas = ([0] * len(access.time_us) if cloud is None else
               query_column(cloud, station.latitude_deg, station.longitude_deg,
                            access.time_us).tolist())
-    return [total_loss(look, alpha, optics)
-            for look, alpha in zip(access.looks(), alphas)]
+    return loss_columns(access.elevation_deg.tolist(), access.slant_range_km.tolist(),
+                        alphas, optics)
 
 
 def add_key_bits(values: np.ndarray, start: datetime, interval_seconds: float,
@@ -183,10 +195,13 @@ def add_key_bits(values: np.ndarray, start: datetime, interval_seconds: float,
     if outside.any():
         raise ValueError(f"{where(int(np.argmax(outside)))} is outside the "
                          f"{len(values)}-interval grid from {start.isoformat()}")
-    for m, n, eta in zip(rows.astype(np.intp).tolist(),
-                         np.broadcast_to(nodes, rows.shape).tolist(), etas):
-        if eta > 0.0:
-            values[m, n] += gllp_rate(eta, params).rate_per_second * step_seconds
+    rows, nodes = rows.astype(np.intp), np.broadcast_to(nodes, rows.shape)
+    keep = np.flatnonzero(np.asarray(etas, dtype=float) > 0.0)
+    for part in np.split(keep, range(_RATE_CHUNK, len(keep), _RATE_CHUNK)):
+        per_pulse = _rate_terms([etas[k] for k in part.tolist()], params)[-1]
+        # ufunc.at adds repeated cells one sample at a time, in sample order
+        np.add.at(values, (rows[part], nodes[part]),
+                  np.array(per_pulse) * params.rep_rate_hz * step_seconds)
 
 
 def build_key_matrix(accesses: Sequence[AccessInterval],
@@ -212,7 +227,7 @@ def build_key_matrix(accesses: Sequence[AccessInterval],
         if n is None:
             raise ValueError(f"access interval for unknown station "
                              f"{access.station.name!r}")
-        etas = [loss.transmittance for loss in pass_link_budget(access, optics, cloud)]
+        etas = pass_link_budget(access, optics, cloud).transmittance
         add_key_bits(values, start, interval_seconds, params, n, access.time_us, etas,
                      access.step_seconds, lambda i, t=access.time_us:
                      f"grid misalignment: sample at {_from_us(int(t[i])).isoformat()}")

@@ -436,15 +436,8 @@ def elements_for_altitude(base: TleElements, altitude_km: float,
     from .orbit import EARTH_MU_KM3_S2, EARTH_RADIUS_KM
     a = EARTH_RADIUS_KM + altitude_km
     period = 2.0 * math.pi * math.sqrt(a ** 3 / EARTH_MU_KM3_S2)
-    return TleElements(
-        epoch=base.epoch,
-        inclination_deg=base.inclination_deg,
-        raan_deg=base.raan_deg if raan_deg is None else raan_deg,
-        eccentricity=base.eccentricity,
-        arg_perigee_deg=base.arg_perigee_deg,
-        mean_anomaly_deg=base.mean_anomaly_deg,
-        mean_motion_rev_day=86400.0 / period,
-        bstar=base.bstar)
+    return replace(base, raan_deg=base.raan_deg if raan_deg is None else raan_deg,
+                   mean_motion_rev_day=86400.0 / period)
 
 
 def config_digest(config: ScenarioConfig) -> str:

@@ -9,7 +9,6 @@ Solvers:
   * solve_exact  - dynamic program over (interval, last activity); provably
     optimal for any linear objective sum_n w_n * E_n.  It steps through the
     rows with a nonzero gain plus at most two rows of each all-zero run.
-  * solve_greedy - myopic forward sweep, baseline only.
   * solve_ga     - generational genetic algorithm on the activity string with
     one-point crossover, per-gene mutation and switch-insertion repair.
     Strategies: S-GD maximises total keys, S-PD a weighted total, S-TD uses
@@ -18,8 +17,7 @@ Solvers:
 
 Determinism: every solver is deterministic given its inputs (and the GA
 seed).  Value ties in solve_exact prefer IDLE, then lower node index, then
-SWITCH; the greedy prefers SWITCH on gain ties since its successor options
-dominate every other zero-gain choice.
+SWITCH.
 """
 from __future__ import annotations
 
@@ -277,37 +275,6 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
         state = int(nxt)
     owner = np.searchsorted(rows, np.arange(n_intervals), side="right") - 1
     return _finish(visited[owner], values, objective)
-
-
-# ---------------------------------------------------------------------------
-# Greedy baseline
-# ---------------------------------------------------------------------------
-
-def solve_greedy(matrix) -> Schedule:
-    """Myopic forward sweep: best immediate gain among feasible activities.
-
-    On gain ties SWITCH wins (its successor set dominates), then the lowest
-    node index, then IDLE.  Feasible by construction; a regression baseline
-    for the GA, deliberately suboptimal on handoff traps.
-    """
-    values = _values_of(matrix)
-    n_intervals, n_nodes = values.shape
-    assignment = np.empty(n_intervals, dtype=np.int64)
-    prev = SWITCH
-    for m in range(n_intervals):
-        best_act, best_gain = SWITCH, 0.0
-        if n_nodes:
-            if prev == SWITCH:
-                node = int(np.argmax(values[m]))
-            elif prev >= 0:
-                node = prev
-            else:
-                node = -1
-            if node >= 0 and values[m, node] > best_gain:
-                best_act, best_gain = node, float(values[m, node])
-        assignment[m] = best_act
-        prev = best_act
-    return _finish(assignment, values, float(evaluate(assignment, values).sum()))
 
 
 # ---------------------------------------------------------------------------

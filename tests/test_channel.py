@@ -16,7 +16,6 @@ from satqkd.channel import (
     OpticalParams,
     atmospheric_loss,
     beam_width,
-    diffraction_divergence,
     geometric_loss,
     total_loss,
 )
@@ -95,13 +94,6 @@ def test_geometric_loss_monotone_in_divergence():
         losses = [geometric_loss(rng_km, with_divergence(u))
                   for u in np.linspace(1.0, 20.0, 40)]
         assert all(b >= a for a, b in zip(losses, losses[1:]))
-
-
-def test_diffraction_divergence_helper():
-    assert diffraction_divergence(1550e-9, 0.3) == pytest.approx(
-        1.22 * 1550e-9 / 0.3, rel=1e-15)
-    with pytest.raises(ValueError):
-        diffraction_divergence(1550e-9, 0.0)
 
 
 # ---------------------------------------------------------------------------

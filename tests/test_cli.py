@@ -7,15 +7,20 @@ divergence-sweep ordering and byte-identical reruns.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import re
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from satqkd.cli import (
+    key_matrix_from_linkbudget,
     main,
     run_access,
     run_keymatrix,
@@ -233,6 +238,68 @@ def test_keymatrix_from_linkbudget_rejects_bad_rows(tmp_path, capsys, linkbudget
     assert rc == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert f"linkbudget.csv:{k + 2}: {needle}:" in error
+
+
+LINKBUDGET_FIELDS = ("time_utc", "station", "elevation_deg", "range_km", "geo_db",
+                     "atm_db", "cloud_db", "fixed_db", "total_db", "eta")
+# field text without line breaks, so every row stays one line
+FIELD_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters="\r\n"), max_size=12)
+EDGE_FIELDS = st.sampled_from([
+    "", " ", "nan", "-nan", "inf", "-inf", "1e400", "-0.0", "0", "1", "0.5", " 0.5 ",
+    "5e-324", "1.0000000000000002", "-1e-300", "0x1p-3", "1_0", "Xian", "xian", "Atlantis",
+    "2016-09-19T14:00:00", "2016-09-19T14:00:00+00:00", "2016-09-19T13:59:59+00:00",
+    "2016-09-19T19:59:59.999999+00:00", "2016-09-20T00:00:00+00:00",
+    "2016-09-19T22:00:00+08:00", "2016-09-19T14:00:00Z", "0001-01-01T00:00:00+01:00",
+    "0001-01-01T00:00:00+00:00", "9999-12-31T23:59:59-01:00", "2016-02-30T00:00:00+00:00",
+])
+# (kind, n, text): field n replaced by text (drawn most often), n + 1 fields
+# dropped from the end, n % 3 + 1 copies of text appended, or the line replaced
+ROW_EDITS = st.tuples(st.sampled_from(["field"] * 4 + ["drop", "extend", "line"]),
+                      st.integers(0, 9), st.one_of(EDGE_FIELDS, FIELD_TEXT))
+
+
+def test_linkbudget_reader_parses_a_row_or_names_its_field(tmp_path_factory,
+                                                          linkbudget_rows):
+    """Any edited row either parses or raises a ValueError that names the
+    file, the edited line and a field."""
+    cfg_path, header, rows = linkbudget_rows
+    rows = rows[:40]
+    config = load_scenario(cfg_path)
+    root = tmp_path_factory.mktemp("lb-property")
+    field = "|".join([*LINKBUDGET_FIELDS, "expected 10 fields"])
+    serial = itertools.count()
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(k=st.integers(0, len(rows) - 1), edit=ROW_EDITS)
+    def check(k, edit):
+        kind, n, text = edit
+        fields = rows[k].split(",")
+        if kind == "field":
+            fields[n] = text
+        elif kind == "drop":
+            fields = fields[:-n - 1]
+        elif kind == "extend":
+            fields += [text] * (n % 3 + 1)
+        line = text if kind == "line" else ",".join(fields)
+        # a new file each time: truncating a just-written file can wait on the disk
+        path = root / f"linkbudget-{next(serial)}.csv"
+        path.write_text("\n".join([header, *rows[:k], line, *rows[k + 1:]]) + "\n",
+                        encoding="utf-8")
+        try:
+            matrix = key_matrix_from_linkbudget(config, path)
+        except ValueError as exc:
+            assert re.match(rf"{re.escape(str(path))}:{k + 2}: ({field})\b", str(exc)), exc
+            return
+        assert isinstance(matrix, KeyMatrix)
+
+    for k, edit in [(0, ("field", 0, "0001-01-01T00:00:00+01:00")),
+                    (3, ("field", 0, "9999-12-31T23:59:59-01:00")),
+                    (len(rows) - 1, ("line", 0, "")), (5, ("field", 9, "nan")),
+                    (7, ("drop", 9, "")), (8, ("extend", 0, "0.5"))]:
+        check = example(k=k, edit=edit)(check)
+    check()
 
 
 def test_keymatrix_zero_cloud_equals_disabled(tmp_path):

@@ -350,13 +350,14 @@ def test_access_predicates_hold_exhaustively():
         assert times == sorted(times)
         assert iv.start == times[0]
         assert iv.end == times[-1] + timedelta(seconds=10)
-        for t, la in zip(times, iv.looks()):
-            assert la.elevation_deg > 10.0
+        for t, elev, rng in zip(times, iv.elevation_deg.tolist(),
+                                iv.slant_range_km.tolist()):
+            assert elev > 10.0
             assert sun_elevation(iv.station, t) < -6.0
             # cross-check the vectorised geometry against the scalar path
             ref = look_angles(propagate(el, t), iv.station, t)
-            assert la.elevation_deg == pytest.approx(ref.elevation_deg, abs=1e-9)
-            assert la.slant_range_km == pytest.approx(ref.slant_range_km, abs=1e-6)
+            assert elev == pytest.approx(ref.elevation_deg, abs=1e-9)
+            assert rng == pytest.approx(ref.slant_range_km, abs=1e-6)
 
 
 def test_min_range_near_max_elevation():
@@ -467,6 +468,21 @@ def test_kepler_fixed_point_exit_matches_12_steps(ecc):
                         [0.0, math.pi, np.nextafter(2.0 * math.pi, 0.0), 1e-300]])
     got = orbit._kepler_solve(m, ecc)
     assert np.array_equal(got.view(np.int64), kepler_12_steps(m, ecc).view(np.int64))
+
+
+def test_sun_radec_on_a_subset_equals_the_full_result_sliced():
+    # access computes the Sun only on samples some station sees; each value
+    # must not depend on which other samples share the array
+    rng = np.random.default_rng(17)
+    unix = np.concatenate([EPOCH.timestamp() + rng.uniform(0.0, 7 * 86400.0, 40000),
+                           rng.uniform(-6e8, 4e9, 3000)])
+    ra, dec = orbit._sun_radec(unix)
+    for size in (1, 2, 3, 7, 17, 64, 1001, 20000):
+        for pick in (np.sort(rng.choice(len(unix), size, replace=False)),
+                     np.arange(size) + int(rng.integers(0, len(unix) - size))):
+            sub_ra, sub_dec = orbit._sun_radec(unix[pick])
+            assert np.array_equal(sub_ra.view(np.int64), ra[pick].view(np.int64))
+            assert np.array_equal(sub_dec.view(np.int64), dec[pick].view(np.int64))
 
 
 def reference_access_windows(source, stations, span, step_seconds,

@@ -7,8 +7,9 @@ Covers:
     query
   - the key matrix (direct and rebuilt from linkbudget.csv), the linkbudget
     CSV and the access CSVs against the per-sample (datetime, LookAngles)
-    code kept here as oracles, bit for bit and byte for byte, on seeded
-    scenarios with cloud grids, 0.1-10 s steps and fractional-second starts
+    code kept here and the scalar loss and rate oracles of conftest, bit for
+    bit and byte for byte, on seeded scenarios with cloud grids, 0.1-10 s
+    steps and fractional-second starts
 """
 from __future__ import annotations
 
@@ -19,12 +20,12 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from conftest import oracle_gllp_rate, oracle_total_loss
 from satqkd import cloud, orbit
-from satqkd.channel import total_loss
 from satqkd.cli import _fmt_db, key_matrix_from_linkbudget, run_access, run_linkbudget
 from satqkd.cloud import query, query_column, synthetic_cloud_grid
 from satqkd.orbit import GroundStation, LookAngles
-from satqkd.qkd import build_key_matrix, gllp_rate
+from satqkd.qkd import build_key_matrix
 from satqkd.scenario import compute_accesses, micius_week_config, union_duration_seconds
 
 UTC = timezone.utc
@@ -103,18 +104,18 @@ def reference_link_rows(config, accesses):
                                         iv.station.longitude_deg, t)
             else:
                 alpha = 0
-            yield iv.station.name, t, look, total_loss(look, alpha, config.optics)
+            yield iv.station.name, t, look, oracle_total_loss(
+                look.elevation_deg, look.slant_range_km, alpha, config.optics)
 
 
 def reference_linkbudget_csv(config, accesses) -> str:
     lines = ["time_utc,station,elevation_deg,range_km,geo_db,atm_db,"
              "cloud_db,fixed_db,total_db,eta\n"]
-    for name, t, look, loss in reference_link_rows(config, accesses):
+    for name, t, look, (geo, atm, cld, fixed, total, eta) in reference_link_rows(
+            config, accesses):
         lines.append(f"{t.isoformat()},{name},{look.elevation_deg:.4f},"
-                     f"{look.slant_range_km:.4f},{_fmt_db(loss.geometric_db)},"
-                     f"{_fmt_db(loss.atmospheric_db)},{_fmt_db(loss.cloud_db)},"
-                     f"{_fmt_db(loss.fixed_db)},{_fmt_db(loss.total_db)},"
-                     f"{loss.transmittance!r}\n")
+                     f"{look.slant_range_km:.4f},{_fmt_db(geo)},{_fmt_db(atm)},"
+                     f"{_fmt_db(cld)},{_fmt_db(fixed)},{_fmt_db(total)},{eta!r}\n")
     return "".join(lines)
 
 
@@ -133,10 +134,11 @@ def reference_key_matrix(config, accesses) -> np.ndarray:
                                         access.station.longitude_deg, t)
             else:
                 alpha = 0
-            loss = total_loss(look, alpha, config.optics)
-            if loss.transmittance <= 0.0:
+            eta = oracle_total_loss(look.elevation_deg, look.slant_range_km, alpha,
+                                    config.optics)[5]
+            if eta <= 0.0:
                 continue
-            values[m, n] += gllp_rate(loss.transmittance, config.qkd).rate_per_second * step
+            values[m, n] += oracle_gllp_rate(eta, config.qkd)[6] * step
     return values
 
 
@@ -153,7 +155,7 @@ def reference_from_linkbudget(config, csv_path) -> np.ndarray:
             eta = float(parts[9])
             if eta <= 0.0:
                 continue
-            rate = gllp_rate(eta, config.qkd).rate_per_second
+            rate = oracle_gllp_rate(eta, config.qkd)[6]
             values[m, column[parts[1]]] += rate * config.step_seconds
     return values
 

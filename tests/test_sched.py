@@ -1,8 +1,8 @@
 """Scheduler tests.
 
 The independent oracle is a vectorised exhaustive enumeration over all
-(N+2)^M activity strings, filtered by the switch-feasibility rule; the DP,
-greedy and GA solvers are checked against it on small instances.  KL values
+(N+2)^M activity strings, filtered by the switch-feasibility rule; the DP
+and GA solvers are checked against it on small instances.  KL values
 are frozen from 30-digit evaluations.  Property sweeps cover feasibility of
 every returned schedule, objective dominance, scale invariance and GA
 determinism.  The DP that skips all-zero runs is checked row for row against
@@ -30,7 +30,6 @@ from satqkd.sched import (
     kl_divergence,
     solve_exact,
     solve_ga,
-    solve_greedy,
     _node_cells,
     _node_totals,
 )
@@ -141,6 +140,16 @@ def test_exact_toy_instance_matches_enumeration():
     assert sched.objective == 11.0
     assert sched.objective == enumerate_best(TOY)
     assert sched.assignment == (0, SWITCH, 1)
+    assert is_feasible(sched, 3, 2)
+
+
+def test_exact_on_handoff_trap():
+    # the best first interval (node 0, 10 bits) would cost a SWITCH before
+    # node 1's run; staying on node 1 throughout gives 27
+    trap = np.array([[10.0, 9.0], [0.0, 9.0], [0.0, 9.0]])
+    sched = solve_exact(trap)
+    assert sched.objective == 27.0 == enumerate_best(trap)
+    assert sched.assignment == (1, 1, 1)
     assert is_feasible(sched, 3, 2)
 
 
@@ -262,44 +271,6 @@ def test_exact_matches_full_walk_on_sparse_matrices():
         assert got.node_totals == want.node_totals, trial
         assert got.objective == want.objective, trial
     assert min(seen.values()) >= 12, seen
-
-
-# ---------------------------------------------------------------------------
-# greedy
-# ---------------------------------------------------------------------------
-
-def test_greedy_single_node_equals_exact():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        values = rng.uniform(0.0, 5.0, size=(int(rng.integers(1, 10)), 1))
-        values[rng.random(size=values.shape) < 0.4] = 0.0
-        assert solve_greedy(values).objective == pytest.approx(
-            solve_exact(values).objective, rel=1e-12)
-
-
-def test_greedy_toy_instance():
-    sched = solve_greedy(TOY)
-    assert sched.objective == 11.0
-    assert sched.assignment == (0, SWITCH, 1)
-
-
-def test_greedy_suboptimal_on_handoff_trap():
-    trap = np.array([[10.0, 9.0], [0.0, 9.0], [0.0, 9.0]])
-    greedy = solve_greedy(trap)
-    exact = solve_exact(trap)
-    assert exact.objective == 27.0  # node 2 throughout
-    assert greedy.objective < exact.objective
-    assert greedy.assignment[0] == 0  # myopic first pick
-    assert is_feasible(greedy, 3, 2)
-
-
-def test_exact_dominates_greedy_randomised():
-    rng = np.random.default_rng(77)
-    for _ in range(40):
-        values = rng.uniform(0.0, 10.0, size=(int(rng.integers(1, 9)),
-                                              int(rng.integers(1, 4))))
-        assert solve_exact(values).objective >= solve_greedy(values).objective - 1e-12
-        assert solve_greedy(values).objective >= 0.0
 
 
 # ---------------------------------------------------------------------------
