@@ -4,7 +4,7 @@ Every subcommand reads one JSON scenario config (omitted: the built-in
 Micius-week default profile), writes machine-readable CSV/JSON artifacts into
 --out, plus a manifest.json with the resolved-config hash, seed and package
 version.  Outputs contain no wall-clock state: identical config and seed
-reproduce byte-identical files.  Infinite dB values serialize as the literal
+reproduce byte-identical files.  Infinite values serialize as the literal
 token `Inf`.
 """
 from __future__ import annotations
@@ -23,14 +23,11 @@ from . import __version__
 # total_loss is not called here; the benchmark's tracer patches it under this name
 from .channel import loss_columns, total_loss  # noqa: F401
 from .orbit import AccessInterval, _from_us, _to_us
+from .output import INF, open_new, write_json
 from .qkd import KeyMatrix, add_key_bits, export_key_matrix, pass_link_budget
 from .sched import (
-    Distribution,
     Schedule,
-    delivered_distribution,
-    dump_summary,
     is_feasible,
-    kl_divergence,
     schedule_summary,
     solve_exact,
     solve_ga,
@@ -49,25 +46,18 @@ from .scenario import (
 )
 
 
-def _fmt_db(value: float) -> str:
-    return "Inf" if math.isinf(value) else f"{value:.4f}"
+def _fmt(value: float, spec: str = ".4f") -> str:
+    return INF if math.isinf(value) else format(value, spec)
 
 
 def _write_manifest(out: Path, command: str, config: ScenarioConfig,
                     seed: int | None) -> None:
-    manifest = {
+    write_json(out / "manifest.json", {
         "command": command,
         "config_sha256": config_digest(config),
         "seed": seed,
         "version": __version__,
-    }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _day_of(t: datetime) -> str:
-    return t.date().isoformat()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +68,7 @@ def run_access(config: ScenarioConfig, out: Path, seed: int | None = None) -> di
     """Access-interval report: per-pass CSV plus a per-day duration summary."""
     out.mkdir(parents=True, exist_ok=True)
     accesses = compute_accesses(config)
-    with open(out / "access_intervals.csv", "w", encoding="utf-8") as fh:
+    with open_new(out / "access_intervals.csv") as fh:
         fh.write("station,start_utc,end_utc,duration_s,max_elevation_deg,min_range_km\n")
         for iv in accesses:
             fh.write(f"{iv.station.name},{iv.start.isoformat()},{iv.end.isoformat()},"
@@ -87,10 +77,10 @@ def run_access(config: ScenarioConfig, out: Path, seed: int | None = None) -> di
 
     by_day: dict[str, list[AccessInterval]] = defaultdict(list)
     for iv in accesses:
-        by_day[_day_of(iv.start)].append(iv)
+        by_day[iv.start.date().isoformat()].append(iv)
     daily_union = {day: union_duration_seconds(ivs, config.step_seconds)
                    for day, ivs in sorted(by_day.items())}
-    with open(out / "access_daily.csv", "w", encoding="utf-8") as fh:
+    with open_new(out / "access_daily.csv") as fh:
         fh.write("date,station_sum_s,union_s\n")
         for day, union in daily_union.items():
             fh.write(f"{day},{sum(iv.duration_seconds for iv in by_day[day]):.1f},"
@@ -118,18 +108,18 @@ def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -
     accesses = compute_accesses(config)
     n_rows = 0
     blocked = 0
-    with open(out / "linkbudget.csv", "w", encoding="utf-8") as fh:
+    with open_new(out / "linkbudget.csv") as fh:
         fh.write("time_utc,station,elevation_deg,range_km,geo_db,atm_db,"
                  "cloud_db,fixed_db,total_db,eta\n")
-        fixed = _fmt_db(config.optics.fixed_loss_db)
+        fixed = _fmt(config.optics.fixed_loss_db)
         for iv in accesses:
             geo, atm, cld, total, etas = pass_link_budget(iv, config.optics, config.cloud)
             for us, elev, rng, g, a, c, t, eta in zip(
                     iv.time_us.tolist(), iv.elevation_deg.tolist(),
                     iv.slant_range_km.tolist(), geo, atm, cld, total, etas):
                 fh.write(f"{_from_us(us).isoformat()},{iv.station.name},{elev:.4f},"
-                         f"{rng:.4f},{_fmt_db(g)},{_fmt_db(a)},{_fmt_db(c)},{fixed},"
-                         f"{_fmt_db(t)},{eta!r}\n")
+                         f"{rng:.4f},{_fmt(g)},{_fmt(a)},{_fmt(c)},{fixed},"
+                         f"{_fmt(t)},{eta!r}\n")
             blocked += etas.count(0.0)
             n_rows += len(etas)
     _write_manifest(out, "linkbudget", config, seed)
@@ -198,9 +188,9 @@ def run_keymatrix(config: ScenarioConfig, out: Path, seed: int | None = None,
     daily: dict[tuple[str, str], float] = defaultdict(float)
     rows, cols = np.nonzero(matrix.values)
     for m, n in zip(rows.tolist(), cols.tolist()):
-        day = _day_of(matrix.interval_start(m))
+        day = matrix.interval_start(m).date().isoformat()
         daily[day, matrix.node_names[n]] += float(matrix.values[m, n])
-    with open(out / "keys_daily.csv", "w", encoding="utf-8") as fh:
+    with open_new(out / "keys_daily.csv") as fh:
         fh.write("date,station,key_bits\n")
         for (day, name), bits in sorted(daily.items()):
             fh.write(f"{day},{name},{bits:.3f}\n")
@@ -226,10 +216,9 @@ def run_schedule(config: ScenarioConfig, out: Path, seed: int | None = None,
     if matrix is None:
         matrix = key_matrix_for(config)
     ga_seed = seed if seed is not None else config.strategy.ga.seed
-    weights = config.station_weights()
 
     sgd = solve_exact(matrix)
-    spd = solve_exact(matrix, weights=weights)
+    spd = solve_exact(matrix, weights=config.station_weights())
     std_cfg = config.strategy_for("S-TD", seed=ga_seed)
     std = solve_ga(matrix, std_cfg, seed_schedules=[sgd])
     schedules = {"S-GD": sgd, "S-PD": spd, "S-TD": std}
@@ -241,30 +230,21 @@ def run_schedule(config: ScenarioConfig, out: Path, seed: int | None = None,
             raise RuntimeError(f"S-GD total {sgd.total} below {kind} total "
                                f"{sched.total}; objective dominance violated")
 
-    target = Distribution(std_cfg.normalized_weights(matrix.n_nodes))
-
-    def kl_against_weights(sched: Schedule) -> float:
-        try:
-            return kl_divergence(delivered_distribution(sched, matrix), target)
-        except ValueError:
-            return math.inf
-
-    with open(out / "strategy_comparison.csv", "w", encoding="utf-8") as fh:
-        fh.write("strategy,total_bits,kl_vs_weights,node_name,node_bits\n")
-        for kind in ("S-GD", "S-PD", "S-TD"):
-            sched = schedules[kind]
-            kl = kl_against_weights(sched)
-            kl_txt = "Inf" if math.isinf(kl) else f"{kl:.6f}"
-            for n, name in enumerate(matrix.node_names):
-                fh.write(f"{kind},{sched.total:.3f},{kl_txt},{name},"
-                         f"{sched.node_totals[n]:.3f}\n")
-
+    summaries = {}
     for kind, sched in schedules.items():
         tag = kind.replace("-", "_").lower()
         write_schedule_csv(sched, matrix, out / f"schedule_{tag}.csv")
-        summary = schedule_summary(sched, matrix, config.strategy_for(kind, ga_seed),
-                                   ga_seed)
-        dump_summary(summary, out / f"summary_{tag}.json")
+        summaries[kind] = schedule_summary(sched, matrix,
+                                           config.strategy_for(kind, ga_seed), ga_seed)
+        write_json(out / f"summary_{tag}.json", summaries[kind])
+    with open_new(out / "strategy_comparison.csv") as fh:
+        fh.write("strategy,total_bits,kl_vs_weights,node_name,node_bits\n")
+        for kind, sched in schedules.items():
+            kl = summaries[kind]["kl_divergence_vs_weights"]
+            kl_txt = _fmt(math.inf if kl in (None, INF) else kl, ".6f")
+            for n, name in enumerate(matrix.node_names):
+                fh.write(f"{kind},{sched.total:.3f},{kl_txt},{name},"
+                         f"{sched.node_totals[n]:.3f}\n")
     _write_manifest(out, "schedule", config, ga_seed)
     return schedules
 
@@ -328,9 +308,8 @@ def run_sweep(config: ScenarioConfig, variable: str, out: Path,
                                                  divergence_rad=urad * 1e-6))
             rows.append(measure(sub, urad, accesses))
 
-    path = out / f"sweep_{variable}.csv"
     unit = "altitude_km" if variable == "altitude" else "divergence_urad"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_new(out / f"sweep_{variable}.csv") as fh:
         fh.write(f"{unit},total_visible_duration_s,station_sum_duration_s,"
                  f"station,min_total_db,max_total_db\n")
         for row in rows:
@@ -340,7 +319,7 @@ def run_sweep(config: ScenarioConfig, variable: str, out: Path,
                 hi = math.inf if math.isinf(lo) else hi
                 fh.write(f"{row['value']:g},{row['duration_s']:.1f},"
                          f"{row['station_sum_s']:.1f},{st.name},"
-                         f"{_fmt_db(lo)},{_fmt_db(hi)}\n")
+                         f"{_fmt(lo)},{_fmt(hi)}\n")
     _write_manifest(out, f"sweep_{variable}", config, seed)
     return rows
 

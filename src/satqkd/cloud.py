@@ -20,6 +20,7 @@ from datetime import datetime
 import numpy as np
 
 from .orbit import _as_utc, _from_us, _to_us
+from .output import open_new
 
 TIME_STEP_SECONDS = 600
 MAX_INDEX = 150
@@ -134,7 +135,7 @@ def _parse_cells(tokens: list[str], flat: np.ndarray, start: int,
 
 def save_cloud_grid(grid: CloudGrid, path) -> None:
     """Write a grid in the documented text format (bit-exact integers)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_new(path) as fh:
         fh.write(f"{grid.lat_min:g} {grid.lat_max:g} {grid.lon_min:g} {grid.lon_max:g} "
                  f"{grid.lat_step:g} {grid.lon_step:g} "
                  f"{grid.time_start.isoformat()} "

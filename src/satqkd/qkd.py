@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from functools import cached_property
 from math import exp, expm1, log2
 from typing import Sequence
@@ -30,7 +30,8 @@ import numpy as np
 # total_loss is not called here; the benchmark's tracer patches it under this name
 from .channel import LossColumns, OpticalParams, loss_columns, total_loss  # noqa: F401
 from .cloud import CloudGrid, query_column
-from .orbit import AccessInterval, GroundStation, _from_us, _to_us
+from .orbit import AccessInterval, GroundStation, _as_utc, _from_us, _to_us
+from .output import open_new, write_json
 
 
 # Samples per rate-kernel call in add_key_bits (a week at 1 s is ~10 MB of floats)
@@ -150,6 +151,7 @@ class KeyMatrix:
     values: np.ndarray = field(repr=False)  # (n_intervals, n_nodes) float
 
     def __post_init__(self):
+        object.__setattr__(self, "start", _as_utc(self.start))
         v = self.values
         if v.ndim != 2 or v.shape[1] != len(self.node_names):
             raise ValueError(f"values shape {v.shape} inconsistent with "
@@ -178,9 +180,12 @@ def pass_link_budget(access: AccessInterval, optics: OpticalParams,
                      cloud: CloudGrid | None = None) -> LossColumns:
     """Loss columns of each sample of one pass."""
     station = access.station
-    alphas = ([0] * len(access.time_us) if cloud is None else
-              query_column(cloud, station.latitude_deg, station.longitude_deg,
-                           access.time_us).tolist())
+    try:
+        alphas = ([0] * len(access.time_us) if cloud is None else
+                  query_column(cloud, station.latitude_deg, station.longitude_deg,
+                               access.time_us).tolist())
+    except ValueError as exc:
+        raise ValueError(f"cloud: {station.name}: {exc}") from None
     return loss_columns(access.elevation_deg.tolist(), access.slant_range_km.tolist(),
                         alphas, optics)
 
@@ -194,7 +199,7 @@ def add_key_bits(values: np.ndarray, start: datetime, interval_seconds: float,
     outside = (rows < 0) | (rows >= len(values))
     if outside.any():
         raise ValueError(f"{where(int(np.argmax(outside)))} is outside the "
-                         f"{len(values)}-interval grid from {start.isoformat()}")
+                         f"{len(values)}-interval grid from {_as_utc(start).isoformat()}")
     rows, nodes = rows.astype(np.intp), np.broadcast_to(nodes, rows.shape)
     keep = np.flatnonzero(np.asarray(etas, dtype=float) > 0.0)
     for part in np.split(keep, range(_RATE_CHUNK, len(keep), _RATE_CHUNK)):
@@ -218,8 +223,6 @@ def build_key_matrix(accesses: Sequence[AccessInterval],
     interval containing it; entries stay 0 where a node has no usable access.
     Samples falling outside the grid raise (grid misalignment).
     """
-    if start.tzinfo is None:
-        start = start.replace(tzinfo=timezone.utc)
     column = {st.name: i for i, st in enumerate(stations)}
     values = np.zeros((n_intervals, len(stations)))
     for access in accesses:
@@ -244,20 +247,17 @@ def params_digest(params: QkdParams) -> str:
 def export_key_matrix(matrix: KeyMatrix, params: QkdParams,
                       csv_path, meta_path) -> None:
     """Write nonzero entries as CSV plus a JSON metadata sidecar."""
-    with open(csv_path, "w", encoding="utf-8") as fh:
+    with open_new(csv_path) as fh:
         fh.write("interval_index,node_name,start_utc,key_bits\n")
         rows, cols = np.nonzero(matrix.values)
         for m, n in zip(rows.tolist(), cols.tolist()):
             fh.write(f"{m},{matrix.node_names[n]},"
                      f"{matrix.interval_start(m).isoformat()},"
                      f"{float(matrix.values[m, n])!r}\n")
-    meta = {
+    write_json(meta_path, {
         "grid_start_utc": matrix.start.isoformat(),
         "interval_seconds": matrix.interval_seconds,
         "n_intervals": matrix.n_intervals,
         "node_names": list(matrix.node_names),
         "params_digest": params_digest(params),
-    }
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })

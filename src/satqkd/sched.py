@@ -21,17 +21,16 @@ SWITCH.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .output import INF, open_new
+
 IDLE = -1
 SWITCH = -2
-
-_ACTIVITY_LABELS = {IDLE: "IDLE", SWITCH: "SWITCH"}
 
 
 @dataclass(frozen=True)
@@ -505,17 +504,14 @@ def solve_ga(matrix, cfg: StrategyConfig,
 # Export helpers
 # ---------------------------------------------------------------------------
 
-def activity_label(act: int, node_names: Sequence[str]) -> str:
-    return _ACTIVITY_LABELS.get(act, None) or node_names[act]
-
-
 def write_schedule_csv(schedule: Schedule, matrix, path) -> None:
     """Full interval listing: interval_index,start_utc,activity."""
-    with open(path, "w", encoding="utf-8") as fh:
+    names = {IDLE: "IDLE", SWITCH: "SWITCH", **dict(enumerate(matrix.node_names))}
+    with open_new(path) as fh:
         fh.write("interval_index,start_utc,activity\n")
         for m, (label, act) in enumerate(zip(matrix.interval_labels,
                                              schedule.assignment, strict=True)):
-            fh.write(f"{m},{label},{activity_label(act, matrix.node_names)}\n")
+            fh.write(f"{m},{label},{names[act]}\n")
 
 
 def schedule_summary(schedule: Schedule, matrix, strategy: StrategyConfig,
@@ -527,7 +523,7 @@ def schedule_summary(schedule: Schedule, matrix, strategy: StrategyConfig,
         delivered = delivered_distribution(schedule, matrix)
         target = Distribution(strategy.normalized_weights(matrix.n_nodes))
         kl = kl_divergence(delivered, target)
-        kl_out = "Inf" if math.isinf(kl) else kl
+        kl_out = INF if math.isinf(kl) else kl
     except ValueError:
         kl_out = None
     ga = strategy.ga
@@ -543,9 +539,3 @@ def schedule_summary(schedule: Schedule, matrix, strategy: StrategyConfig,
                "mutation_rate": ga.mutation_rate, "elitism": ga.elitism},
         "kl_tolerance": strategy.kl_tolerance,
     }
-
-
-def dump_summary(summary: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")

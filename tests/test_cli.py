@@ -3,7 +3,8 @@
 Covers config defaults and field-path validation errors, empty/degenerate
 scenarios, the Inf serialization token, linkbudget->keymatrix composition
 (bit-exact), strategy comparison properties on constructed fixtures,
-divergence-sweep ordering and byte-identical reruns.
+divergence-sweep ordering, byte-identical reruns, UTC outputs for a span
+given with an offset, and cloud-grid errors that name the station.
 """
 from __future__ import annotations
 
@@ -417,6 +418,29 @@ def test_schedule_skewed_weights_std_lowers_kl(tmp_path):
     assert scheds["S-GD"].total >= scheds["S-TD"].total
 
 
+@pytest.mark.parametrize("weights,summary_kl,comparison_kl", [
+    # S-GD and S-TD deliver only to A, of weight 0; S-PD delivers nothing
+    ((0.0, 1.0), {"S-GD": "Inf", "S-PD": None, "S-TD": "Inf"},
+     {"S-GD": "Inf", "S-PD": "Inf", "S-TD": "Inf"}),
+    ((1.0, 1.0), {"S-GD": math.log(2.0)}, {"S-GD": "0.693147"}),
+], ids=["infinite-and-undefined", "finite"])
+def test_schedule_comparison_kl_is_the_summary_kl(tmp_path, weights, summary_kl,
+                                                   comparison_kl):
+    stations = (GroundStation("A", 30.0, 100.0, 0.0, weights[0]),
+                GroundStation("B", 40.0, 110.0, 0.0, weights[1]))
+    cfg = short_config(stations=stations, strategy=tiny_strategy())
+    matrix = synthetic_matrix([[10.0, 0.0], [0.0, 0.0], [10.0, 0.0]], ("A", "B"))
+    run_schedule(cfg, tmp_path, seed=0, matrix=matrix)
+    rows = [line.split(",") for line in
+            (tmp_path / "strategy_comparison.csv").read_text().splitlines()[1:]]
+    written = {kind: {row[2] for row in rows if row[0] == kind} for kind in comparison_kl}
+    assert written == {kind: {kl} for kind, kl in comparison_kl.items()}
+    for kind, kl in summary_kl.items():
+        tag = kind.replace("-", "_").lower()
+        summary = json.loads((tmp_path / f"summary_{tag}.json").read_text())
+        assert summary["kl_divergence_vs_weights"] == kl
+
+
 def test_schedule_outputs_full_interval_listing(tmp_path):
     cfg = short_config(stations=(GroundStation("Solo", 34.0, 109.0),),
                        strategy=tiny_strategy())
@@ -483,6 +507,54 @@ def test_rerun_is_byte_identical(tmp_path):
         for child in sorted((tmp_path / f"{name}1").iterdir()):
             twin = tmp_path / f"{name}2" / child.name
             assert child.read_bytes() == twin.read_bytes(), child.name
+
+
+def test_offset_span_writes_the_same_utc_outputs(tmp_path):
+    """The same instants with Z and with +08:00: the key matrix and schedule
+    times are UTC and keys_daily.csv uses UTC dates, as access_daily.csv does."""
+    spans = {"z": ["2016-09-19T14:00:00Z", "2016-09-19T20:00:00Z"],
+             "cst": ["2016-09-19T22:00:00+08:00", "2016-09-20T04:00:00+08:00"]}
+    outputs = {}
+    for tag, span in spans.items():
+        cfg_path = tmp_path / f"{tag}.json"
+        cfg_path.write_text(json.dumps(
+            {"span": span, "strategy": {"ga": {"population": 20, "generations": 10}}}),
+            encoding="utf-8")
+        root = tmp_path / tag
+        linkbudget = root / "linkbudget" / "linkbudget.csv"
+        for name, args in [("access", ["access"]), ("linkbudget", ["linkbudget"]),
+                           ("keymatrix", ["keymatrix"]),
+                           ("from_lb", ["keymatrix", "--from-linkbudget", str(linkbudget)]),
+                           ("schedule", ["schedule"])]:
+            assert main([*args, "--config", str(cfg_path), "--out", str(root / name)]) == 0
+        outputs[tag] = {path.relative_to(root).as_posix(): path.read_bytes()
+                        for path in sorted(root.rglob("*"))
+                        if path.is_file() and path.name != "manifest.json"}
+    assert outputs["z"] == outputs["cst"]
+    assert not any(b"+08:00" in body for body in outputs["cst"].values())
+    meta = json.loads(outputs["cst"]["keymatrix/keymatrix_meta.json"])
+    assert meta["grid_start_utc"] == "2016-09-19T14:00:00+00:00"
+    days = {line.split(b",")[0] for line in
+            outputs["cst"]["keymatrix/keys_daily.csv"].splitlines()[1:]}
+    assert days == {b"2016-09-19"}
+
+
+def test_off_grid_row_names_the_grid_start_in_utc(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"span": ["2016-09-19T14:00:00Z",
+                                             "2016-09-19T20:00:00Z"]}), encoding="utf-8")
+    assert main(["linkbudget", "--config", str(cfg_path), "--out", str(tmp_path / "lb")]) == 0
+    errors = []
+    for span in (["2016-09-19T17:00:00Z", "2016-09-19T20:00:00Z"],
+                 ["2016-09-20T01:00:00+08:00", "2016-09-20T04:00:00+08:00"]):
+        cfg_path.write_text(json.dumps({"span": span}), encoding="utf-8")
+        rc = main(["keymatrix", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                   "--from-linkbudget", str(tmp_path / "lb" / "linkbudget.csv")])
+        assert rc == 2
+        errors.append(json.loads(capsys.readouterr().err)["error"])
+    assert errors[0] == errors[1]
+    assert errors[0].endswith("is outside the 1080-interval grid from "
+                              "2016-09-19T17:00:00+00:00")
 
 
 def test_main_runs_access_with_config(tmp_path):
@@ -590,6 +662,29 @@ def test_main_bad_cloud_value_exits_2(tmp_path, capsys, token, needle):
     rc = main(["linkbudget", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"].startswith(needle)
+
+
+@pytest.mark.parametrize("command", ["linkbudget", "keymatrix"])
+@pytest.mark.parametrize("header,needle", [
+    ("30 48 70 140 2 5 2016-09-19T14:00:00Z 36 10 15",
+     "cloud: Guangzhou: latitude 23.13 outside grid bounds [30.0, 48.0]"),
+    ("20 48 90 140 2 5 2016-09-19T14:00:00Z 36 15 11",
+     "cloud: Urumqi: longitude 87.62 outside grid bounds [90.0, 140.0]"),
+    ("20 48 70 140 2 5 2016-09-19T14:00:00Z 12 15 15",
+     "cloud: Shenyang: time 2016-09-19T16:18:20+00:00 outside grid span of 12 frames "
+     "from 2016-09-19T14:00:00+00:00"),
+], ids=["latitude", "longitude", "time"])
+def test_main_station_outside_cloud_grid_exits_2(tmp_path, capsys, command, header, needle):
+    fields = header.split()
+    cells = math.prod(int(v) for v in fields[7:])
+    (tmp_path / "clouds.txt").write_text(f"{header}\n{' '.join(['0'] * cells)}\n",
+                                         encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"span": ["2016-09-19T14:00:00Z", "2016-09-19T20:00:00Z"],
+                                    "cloud": {"file": "clouds.txt"}}), encoding="utf-8")
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == needle
 
 
 EPHEMERIS_HEADER = "time_utc,x_km,y_km,z_km\n"

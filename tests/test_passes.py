@@ -22,7 +22,7 @@ import pytest
 
 from conftest import oracle_gllp_rate, oracle_total_loss
 from satqkd import cloud, orbit
-from satqkd.cli import _fmt_db, key_matrix_from_linkbudget, run_access, run_linkbudget
+from satqkd.cli import _fmt, key_matrix_from_linkbudget, run_access, run_linkbudget
 from satqkd.cloud import query, query_column, synthetic_cloud_grid
 from satqkd.orbit import GroundStation, LookAngles
 from satqkd.qkd import build_key_matrix
@@ -114,8 +114,8 @@ def reference_linkbudget_csv(config, accesses) -> str:
     for name, t, look, (geo, atm, cld, fixed, total, eta) in reference_link_rows(
             config, accesses):
         lines.append(f"{t.isoformat()},{name},{look.elevation_deg:.4f},"
-                     f"{look.slant_range_km:.4f},{_fmt_db(geo)},{_fmt_db(atm)},"
-                     f"{_fmt_db(cld)},{_fmt_db(fixed)},{_fmt_db(total)},{eta!r}\n")
+                     f"{look.slant_range_km:.4f},{_fmt(geo)},{_fmt(atm)},"
+                     f"{_fmt(cld)},{_fmt(fixed)},{_fmt(total)},{eta!r}\n")
     return "".join(lines)
 
 
