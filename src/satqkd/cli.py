@@ -15,6 +15,7 @@ import math
 import sys
 from collections import defaultdict
 from datetime import datetime
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import __version__
 # total_loss is not called here; the benchmark's tracer patches it under this name
 from .channel import loss_columns, total_loss  # noqa: F401
 from .orbit import AccessInterval, _from_us, _to_us
-from .output import INF, open_new, write_json
+from .output import INF, iso_utc, open_new, write_json
 from .qkd import KeyMatrix, add_key_bits, export_key_matrix, pass_link_budget
 from .sched import (
     Schedule,
@@ -114,12 +115,11 @@ def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -
         fixed = _fmt(config.optics.fixed_loss_db)
         for iv in accesses:
             geo, atm, cld, total, etas = pass_link_budget(iv, config.optics, config.cloud)
-            for us, elev, rng, g, a, c, t, eta in zip(
-                    iv.time_us.tolist(), iv.elevation_deg.tolist(),
-                    iv.slant_range_km.tolist(), geo, atm, cld, total, etas):
-                fh.write(f"{_from_us(us).isoformat()},{iv.station.name},{elev:.4f},"
-                         f"{rng:.4f},{_fmt(g)},{_fmt(a)},{_fmt(c)},{fixed},"
-                         f"{_fmt(t)},{eta!r}\n")
+            elev, rng = iv.elevation_deg.tolist(), iv.slant_range_km.tolist()
+            columns = (iso_utc(iv.time_us), repeat(iv.station.name),
+                       *(list(map(_fmt, c)) for c in (elev, rng, geo, atm, cld)),
+                       repeat(fixed), list(map(_fmt, total)), map(repr, etas))
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
             blocked += etas.count(0.0)
             n_rows += len(etas)
     _write_manifest(out, "linkbudget", config, seed)
@@ -187,9 +187,9 @@ def run_keymatrix(config: ScenarioConfig, out: Path, seed: int | None = None,
 
     daily: dict[tuple[str, str], float] = defaultdict(float)
     rows, cols = np.nonzero(matrix.values)
-    for m, n in zip(rows.tolist(), cols.tolist()):
-        day = matrix.interval_start(m).date().isoformat()
-        daily[day, matrix.node_names[n]] += float(matrix.values[m, n])
+    for label, n, bits in zip(matrix.row_labels(rows), cols.tolist(),
+                              matrix.values[rows, cols].tolist()):
+        daily[label[:10], matrix.node_names[n]] += bits
     with open_new(out / "keys_daily.csv") as fh:
         fh.write("date,station,key_bits\n")
         for (day, name), bits in sorted(daily.items()):

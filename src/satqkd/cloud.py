@@ -25,6 +25,13 @@ from .output import open_new
 TIME_STEP_SECONDS = 600
 MAX_INDEX = 150
 _CHUNK_BYTES = 1 << 18  # text read and parsed at a time by load_cloud_grid
+# byte classes of text parsed as an array: other bytes go through int()
+_DIGIT, _SPACE = 1, 2
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = _SPACE  # what str.split() splits on
+_MAX_DIGITS = 18  # a token of up to 18 digits fits int64
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
 
 def cloud_loss(alpha: int) -> float:
@@ -80,7 +87,9 @@ def load_cloud_grid(path) -> CloudGrid:
     """Parse and fully validate a cloud grid file.
 
     Cells are parsed a chunk of lines at a time into one int64 array, so the
-    whole file is never held as one Python string per cell.
+    whole file is never held as one Python string per cell.  A chunk of
+    ASCII digits and whitespace is parsed from its bytes; any other chunk
+    goes token by token through int().
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -101,7 +110,10 @@ def load_cloud_grid(path) -> CloudGrid:
         flat = np.empty(expected if fits else 0, dtype=np.int64)
         found, error = 0, None
         while lines := fh.readlines(_CHUNK_BYTES):
-            tokens = "".join(lines).split()
+            text = "".join(lines)
+            tokens = _digit_cells(text)
+            if tokens is None:
+                tokens = text.split()
             if error is None and found + len(tokens) <= flat.size:
                 error = _parse_cells(tokens, flat, found, shape)
             found += len(tokens)
@@ -117,10 +129,34 @@ def load_cloud_grid(path) -> CloudGrid:
     return replace(grid, frames=grid.frames.astype(np.int16))
 
 
-def _parse_cells(tokens: list[str], flat: np.ndarray, start: int,
+def _digit_cells(text: str) -> np.ndarray | None:
+    """The whitespace-separated integers of text, parsed from its bytes;
+    None unless text holds only ASCII digits and whitespace, in tokens of at
+    most _MAX_DIGITS digits."""
+    if not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    kind = _BYTE_CLASS[raw]
+    if not kind.all():
+        return None
+    edges = np.diff((kind == _DIGIT).view(np.int8), prepend=0, append=0)
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    widths = stops - starts
+    longest = widths.max(initial=0)
+    if longest > _MAX_DIGITS:
+        return None
+    # add the digits place by place, from the units up
+    cells = np.zeros(len(widths), dtype=np.int64)
+    for place in range(longest):
+        has = np.flatnonzero(widths > place)
+        cells[has] += (raw[stops[has] - 1 - place] - ord("0")) * _POW10[place]
+    return cells
+
+
+def _parse_cells(tokens, flat: np.ndarray, start: int,
                  shape: tuple[int, int, int]) -> ValueError | None:
-    """Parse tokens into flat[start:], each as int() does; the error of the
-    first bad token, if any."""
+    """Parse tokens (strings, or integers parsed already) into flat[start:],
+    each as int() does; the error of the first bad token, if any."""
     try:
         flat[start:start + len(tokens)] = np.array(tokens, dtype=np.int64)
     except ValueError as exc:
@@ -134,10 +170,12 @@ def _parse_cells(tokens: list[str], flat: np.ndarray, start: int,
 
 
 def save_cloud_grid(grid: CloudGrid, path) -> None:
-    """Write a grid in the documented text format (bit-exact integers)."""
+    """Write a grid in the documented text format; every header float and
+    cell value reads back exactly."""
+    bounds = (grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max,
+              grid.lat_step, grid.lon_step)
     with open_new(path) as fh:
-        fh.write(f"{grid.lat_min:g} {grid.lat_max:g} {grid.lon_min:g} {grid.lon_max:g} "
-                 f"{grid.lat_step:g} {grid.lon_step:g} "
+        fh.write(" ".join(repr(float(v)) for v in bounds) + " "
                  f"{grid.time_start.isoformat()} "
                  f"{grid.n_frames} {grid.frames.shape[1]} {grid.frames.shape[2]}\n")
         for frame in grid.frames:

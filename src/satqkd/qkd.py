@@ -30,8 +30,8 @@ import numpy as np
 # total_loss is not called here; the benchmark's tracer patches it under this name
 from .channel import LossColumns, OpticalParams, loss_columns, total_loss  # noqa: F401
 from .cloud import CloudGrid, query_column
-from .orbit import AccessInterval, GroundStation, _as_utc, _from_us, _to_us
-from .output import open_new, write_json
+from .orbit import AccessInterval, GroundStation, _as_utc, _from_us, _to_us, _unix_to_us
+from .output import iso_utc, open_new, write_json
 
 
 # Samples per rate-kernel call in add_key_bits (a week at 1 s is ~10 MB of floats)
@@ -170,10 +170,16 @@ class KeyMatrix:
     def interval_start(self, m: int) -> datetime:
         return self.start + timedelta(seconds=m * self.interval_seconds)
 
+    def row_labels(self, rows: np.ndarray) -> list[str]:
+        """interval_start(m).isoformat() of each m in rows."""
+        # the offsets round to microseconds as timedelta(seconds=...) does
+        offsets = _unix_to_us(np.asarray(rows, dtype=np.int64) * self.interval_seconds)
+        return iso_utc(_to_us(self.start) + offsets)
+
     @cached_property
     def interval_labels(self) -> list[str]:
         """ISO-8601 start of every interval, built once per matrix."""
-        return [self.interval_start(m).isoformat() for m in range(self.n_intervals)]
+        return self.row_labels(np.arange(self.n_intervals))
 
 
 def pass_link_budget(access: AccessInterval, optics: OpticalParams,
@@ -247,13 +253,13 @@ def params_digest(params: QkdParams) -> str:
 def export_key_matrix(matrix: KeyMatrix, params: QkdParams,
                       csv_path, meta_path) -> None:
     """Write nonzero entries as CSV plus a JSON metadata sidecar."""
+    rows, cols = np.nonzero(matrix.values)
+    names = matrix.node_names
     with open_new(csv_path) as fh:
         fh.write("interval_index,node_name,start_utc,key_bits\n")
-        rows, cols = np.nonzero(matrix.values)
-        for m, n in zip(rows.tolist(), cols.tolist()):
-            fh.write(f"{m},{matrix.node_names[n]},"
-                     f"{matrix.interval_start(m).isoformat()},"
-                     f"{float(matrix.values[m, n])!r}\n")
+        fh.writelines(f"{m},{names[n]},{label},{bits!r}\n" for m, n, label, bits in zip(
+            rows.tolist(), cols.tolist(), matrix.row_labels(rows),
+            matrix.values[rows, cols].tolist()))
     write_json(meta_path, {
         "grid_start_utc": matrix.start.isoformat(),
         "interval_seconds": matrix.interval_seconds,

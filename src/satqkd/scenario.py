@@ -117,6 +117,14 @@ class ScenarioConfig:
                 "step_seconds",
                 f"step must divide the {self.grid_interval_seconds} s scheduling interval")
         names = [st.name for st in self.stations]
+        for i, name in enumerate(names):
+            # a name is a bare CSV field, and schedules name IDLE and SWITCH
+            if not name or any(c in name for c in ',"\r\n'):
+                raise ConfigError(f"stations[{i}].name",
+                                  f"{name!r} is empty or holds a comma, quote or newline")
+            if name in ("IDLE", "SWITCH"):
+                raise ConfigError(f"stations[{i}].name",
+                                  f"{name!r} is a schedule activity, not a station")
         if len(set(names)) != len(names):
             raise ConfigError("stations", "station names must be unique")
 

@@ -1,11 +1,17 @@
-"""Shared test helpers: the exhaustive scheduling oracle, and the scalar
-loss and key-rate code that the column kernels replaced."""
+"""Shared test helpers: the exhaustive scheduling oracle, the scalar
+loss and key-rate code that the column kernels replaced, and the cloud-grid
+loader that parsed every cell through int()."""
 from __future__ import annotations
 
 import math
+import os
+from dataclasses import replace
+from datetime import datetime
+from stat import S_ISREG
 
 import numpy as np
 
+from satqkd import cloud
 from satqkd.cloud import cloud_loss
 
 _STRING_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -130,3 +136,40 @@ def oracle_gllp_rate(eta, params):
                + q1 * (1.0 - oracle_binary_entropy(e1)))
     per_pulse = max(0.0, params.q_factor * bracket)
     return q_mu, e_mu, y1, q1, e1, per_pulse, per_pulse * params.rep_rate_hz
+
+
+# ---------------------------------------------------------------------------
+# cloud-grid oracle: every cell token through _parse_cells, as before the
+# byte parser
+# ---------------------------------------------------------------------------
+
+def oracle_load_cloud_grid(path) -> cloud.CloudGrid:
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 10:
+            raise ValueError(f"header must have 10 fields, got {len(header)}")
+        try:
+            lat_min, lat_max, lon_min, lon_max, lat_step, lon_step = map(float, header[:6])
+            time_start = datetime.fromisoformat(header[6].replace("Z", "+00:00"))
+            n_frames, n_lat, n_lon = map(int, header[7:])
+        except ValueError as exc:
+            raise ValueError(f"malformed header: {exc}") from None
+        shape = (n_frames, n_lat, n_lon)
+        expected = math.prod(shape)
+        st = os.fstat(fh.fileno())
+        fits = 0 <= expected and (expected <= st.st_size or not S_ISREG(st.st_mode))
+        flat = np.empty(expected if fits else 0, dtype=np.int64)
+        found, error = 0, None
+        while lines := fh.readlines(cloud._CHUNK_BYTES):
+            tokens = "".join(lines).split()
+            if error is None and found + len(tokens) <= flat.size:
+                error = cloud._parse_cells(tokens, flat, found, shape)
+            found += len(tokens)
+    if found != expected:
+        raise ValueError(f"expected {expected} cell values "
+                         f"({n_frames}x{n_lat}x{n_lon}), found {found}")
+    if error is not None:
+        raise error
+    grid = cloud.CloudGrid(lat_min, lat_max, lon_min, lon_max, lat_step, lon_step,
+                           time_start, flat.reshape(shape))
+    return replace(grid, frames=grid.frames.astype(np.int16))

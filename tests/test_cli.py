@@ -637,6 +637,10 @@ def test_main_runs_access_with_config(tmp_path):
     ({"sweep": {"altitudes_km": [{"altitude_km": 500, "raan": 5}]}},
      "sweep.altitudes_km[0].raan"),
     ({"tle": {"file": "x.tle", "format": "tle"}}, "tle.format"),
+    # a station name that would break a CSV row or read as a schedule activity
+    *(({"stations": [{"name": "A", "lat_deg": 30, "lon_deg": 100},
+                     {"name": name, "lat_deg": 31, "lon_deg": 101}]}, "stations[1].name")
+      for name in ("", "Xi,an", 'Xi"an', "Xi\nan", "Xi\ran", "IDLE", "SWITCH")),
 ])
 def test_main_malformed_config_shapes_exit_2(tmp_path, capsys, payload, needle):
     cfg_path = tmp_path / "bad.json"

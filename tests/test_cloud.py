@@ -11,6 +11,9 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from conftest import oracle_load_cloud_grid
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from satqkd import cloud as cloud_module
 from satqkd.cloud import (
@@ -222,6 +225,55 @@ def test_implausible_cell_count_reported(tmp_path, counts, expected):
         load_cloud_grid(tmp_path / "huge.txt")
 
 
+# cell tokens and separators: what the byte parser takes, and what it hands
+# to int() (signs, underscores, non-ASCII digits and spaces, invalid UTF-8,
+# tokens past 18 digits)
+CELL_TOKENS = st.one_of(
+    st.integers(0, 150).map(lambda v: str(v).encode()),
+    st.sampled_from([b"007", b"0150", b"+5", b"-0", b"1_0", "\u0663".encode(), b"151",
+                     b"-7", b"1.5", b"x", b"\xff", b"\xc3", "\u00e9".encode(),
+                     b"0" * 17 + b"9", b"0" * 18 + b"9", b"9" * 18, b"9" * 19,
+                     b"9" * 20, b"\x00"]))
+SEPARATORS = st.sampled_from([b" ", b"  ", b"\n", b"\t", b"\r\n", b"\r", b"\x0b", b"\x0c",
+                              b"\x1c", b"\x1d", b"\x1e", b"\x1f", "\u00a0".encode(),
+                              "\u2003".encode()])
+
+
+def load_outcome(load, path):
+    """The grid load gives, or the type and text of the error it raises."""
+    try:
+        grid = load(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (grid.frames.dtype, grid.frames.tolist(), grid.lat_min, grid.lat_max,
+            grid.lon_min, grid.lon_max, grid.lat_step, grid.lon_step, grid.time_start)
+
+
+def test_byte_parser_agrees_with_int_parser(tmp_path, chunk_bytes):
+    serial = iter(range(10 ** 9))
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(cells=st.lists(st.tuples(CELL_TOKENS, SEPARATORS), min_size=1, max_size=12),
+           repeats=st.integers(1, 400), miscount=st.sampled_from([0, 0, 0, 1, -1]))
+    @example(cells=[(b"12", b"\t")], repeats=1000, miscount=0)
+    @example(cells=[(b"150", b"\r\n"), (b"0", b"\x1c")], repeats=900, miscount=1)
+    @example(cells=[(b"5", b" "), (b"9" * 19, b" ")], repeats=600, miscount=0)
+    @example(cells=[(b"5", b" "), ("\u0663".encode(), b"\n")], repeats=600, miscount=0)
+    @example(cells=[(b"5", b" "), (b"\xff", b"\n")], repeats=600, miscount=0)
+    def check(cells, repeats, miscount):
+        body = b"".join(token + sep for token, sep in cells) * repeats
+        n = len(cells) * repeats + miscount
+        path = tmp_path / f"grid-{next(serial)}.txt"
+        path.write_bytes(f"30 30 100 {100 + n - 1} 1 1 2016-09-23T00:00:00+00:00 "
+                         f"1 1 {n}\n".encode() + body)
+        assert load_outcome(load_cloud_grid, path) == load_outcome(oracle_load_cloud_grid,
+                                                                   path)
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # query semantics
 # ---------------------------------------------------------------------------
@@ -274,6 +326,21 @@ def test_synthetic_grid_blob_and_drift():
     assert query(grid, 30.0, 105.0, T0 + timedelta(seconds=1200)) < 150
     # far corner stays clear
     assert query(grid, 40.0, 90.0, T0) == 0
+
+
+def test_save_keeps_header_floats_exact(tmp_path):
+    lat_min, lon_min = 30.123456789, -100.98765432101
+    grid = CloudGrid(lat_min=lat_min, lat_max=lat_min + 0.1, lon_min=lon_min,
+                     lon_max=lon_min + 2 * 0.3, lat_step=0.1, lon_step=0.3,
+                     time_start=T0 + timedelta(microseconds=7),
+                     frames=np.array([[[0, 1, 2], [3, 4, 5]]], dtype=np.int16))
+    path = tmp_path / "grid.txt"
+    save_cloud_grid(grid, path)
+    loaded = load_cloud_grid(path)
+    for name in ("lat_min", "lat_max", "lon_min", "lon_max", "lat_step", "lon_step",
+                 "time_start"):
+        assert getattr(loaded, name) == getattr(grid, name), name
+    assert np.array_equal(loaded.frames, grid.frames)
 
 
 def test_synthetic_grid_round_trips_through_file(tmp_path):

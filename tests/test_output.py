@@ -2,6 +2,8 @@
 opens files for writing.
 
 Covers:
+  - iso_utc equals datetime.isoformat() of every UTC time it is given, over
+    the whole datetime range and across its chunks
   - a rerun of every subcommand over an output path that is a symlink to, or
     a hard link of, a file outside --out replaces the link and leaves that
     file alone; the new outputs equal the first run's
@@ -13,13 +15,64 @@ from __future__ import annotations
 import ast
 import json
 import os
+from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import satqkd
+from satqkd import output
 from satqkd.cli import main
-from satqkd.output import open_new
+from satqkd.orbit import _from_us, _to_us
+from satqkd.output import iso_utc, open_new
+
+# ---------------------------------------------------------------------------
+# time labels
+# ---------------------------------------------------------------------------
+
+US_MIN = _to_us(datetime.min.replace(tzinfo=timezone.utc))
+US_MAX = _to_us(datetime.max.replace(tzinfo=timezone.utc))
+LEAP_DAYS_US = [_to_us(datetime(year, 2, 29, hour, tzinfo=timezone.utc))
+                for year, hour in [(4, 0), (1904, 23), (2000, 12), (2016, 0), (9996, 23)]]
+UTC_TIMES_US = st.one_of(
+    st.integers(US_MIN, US_MAX),                                     # odd microseconds
+    st.integers(US_MIN // 10**6, US_MAX // 10**6).map(lambda s: s * 10**6),  # whole
+    st.integers(-10**12, 10**12),                                   # near the epoch
+    st.sampled_from(LEAP_DAYS_US).flatmap(
+        lambda us: st.integers(us - 10**11, us + 10**11)))
+
+
+def isoformat_labels(time_us) -> list[str]:
+    return [_from_us(us).isoformat() for us in time_us]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(time_us=st.lists(UTC_TIMES_US, max_size=40))
+@example(time_us=[US_MIN, US_MIN + 1, US_MAX - 999_999, US_MAX])   # years 1 and 9999
+@example(time_us=[-1, -10**6, -10**6 - 1, 0, 1, 10**6, 999_999])
+@example(time_us=LEAP_DAYS_US + [us + 86_400 * 10**6 - 1 for us in LEAP_DAYS_US])
+@example(time_us=[])
+def test_iso_utc_matches_isoformat(time_us):
+    assert iso_utc(np.array(time_us, dtype=np.int64)) == isoformat_labels(time_us)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_iso_utc_mixes_whole_and_fractional_across_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(output, "_LABEL_CHUNK", chunk)
+    rng = np.random.default_rng(3)
+    time_us = rng.integers(US_MIN, US_MAX, size=9000, endpoint=True)
+    whole = rng.random(9000) < 0.5
+    time_us[whole] -= time_us[whole] % 10**6
+    assert iso_utc(time_us) == isoformat_labels(time_us.tolist())
+
+
+@pytest.mark.parametrize("time_us", [[US_MIN - 1], [0, US_MAX + 1]])
+def test_iso_utc_rejects_times_outside_datetime(time_us):
+    with pytest.raises(OverflowError):
+        iso_utc(time_us)
 
 CONFIG = {
     "span": ["2016-09-19T14:00:00Z", "2016-09-19T20:00:00Z"],

@@ -293,3 +293,23 @@ def test_key_matrix_export_round_trip(tmp_path):
     assert (m, name) == ("2", "B")
     assert float(bits) == km.values[2, 1]
     assert "params_digest" in meta_path.read_text()
+
+
+@pytest.mark.parametrize("interval_seconds", [10, 10.0, 0.1, 1 / 3, 7.3])
+@pytest.mark.parametrize("start", [T0, T0 + timedelta(microseconds=123_457)],
+                         ids=["whole-second-start", "microsecond-start"])
+def test_interval_labels_and_export_match_interval_start(tmp_path, start,
+                                                         interval_seconds):
+    # more intervals than one chunk of labels
+    values = np.zeros((5000, 2))
+    values[::7, 0] = 1.5
+    values[::3, 1] = 0.1
+    km = KeyMatrix(start=start, interval_seconds=interval_seconds,
+                   node_names=("A", "B"), values=values)
+    expected = [km.interval_start(m).isoformat() for m in range(km.n_intervals)]
+    assert km.interval_labels == expected
+    csv_path = tmp_path / "km.csv"
+    export_key_matrix(km, TABLE1, csv_path, tmp_path / "km.json")
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert rows == [[str(m), km.node_names[n], expected[m], repr(float(values[m, n]))]
+                    for m, n in zip(*np.nonzero(values))]
