@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from stat import S_ISREG
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
@@ -24,7 +24,10 @@ from .output import open_new
 
 TIME_STEP_SECONDS = 600
 MAX_INDEX = 150
-_CHUNK_BYTES = 1 << 18  # text read and parsed at a time by load_cloud_grid
+# text read and parsed at a time by load_cloud_grid: at 64 KiB the parse's
+# temporaries (about 32 bytes per byte of text) stay near 2 MB, which the
+# allocator reuses from chunk to chunk and from load to load
+_CHUNK_BYTES = 1 << 16
 # byte classes of text parsed as an array: other bytes go through int()
 _DIGIT, _SPACE = 1, 2
 _BYTE_CLASS = np.zeros(256, dtype=np.uint8)
@@ -71,12 +74,9 @@ class CloudGrid:
                 name = ("lat", "lon")[axis]
                 raise ValueError(
                     f"{name} header mismatch: {lo} + {count - 1}*{step} != {hi}")
-        bad = (f < 0) | (f > MAX_INDEX)
-        if bad.any():
-            k, i, j = (int(v) for v in np.argwhere(bad)[0])
-            raise ValueError(
-                f"cloud value {int(f[k, i, j])} outside [0, {MAX_INDEX}] "
-                f"at frame {k}, lat row {i}, lon col {j}")
+        error = _out_of_range(f.ravel(), 0, f.shape)
+        if error is not None:
+            raise error
 
     @property
     def n_frames(self) -> int:
@@ -86,10 +86,12 @@ class CloudGrid:
 def load_cloud_grid(path) -> CloudGrid:
     """Parse and fully validate a cloud grid file.
 
-    Cells are parsed a chunk of lines at a time into one int64 array, so the
-    whole file is never held as one Python string per cell.  A chunk of
-    ASCII digits and whitespace is parsed from its bytes; any other chunk
-    goes token by token through int().
+    Cells are parsed a chunk of lines at a time, range-checked and stored
+    straight into the int16 grid, so the whole file is never held as one
+    Python string or one int64 per cell.  A chunk of ASCII digits and
+    whitespace is parsed from its bytes; any other chunk goes token by token
+    through int().  A wrong cell count is reported first, then the first
+    token int() rejects, then the first value outside [0, MAX_INDEX].
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -107,26 +109,28 @@ def load_cloud_grid(path) -> CloudGrid:
         # more (or a negative count) fails the count check without allocating
         st = os.fstat(fh.fileno())
         fits = 0 <= expected and (expected <= st.st_size or not S_ISREG(st.st_mode))
-        flat = np.empty(expected if fits else 0, dtype=np.int64)
-        found, error = 0, None
+        flat = np.empty(expected if fits else 0, dtype=np.int16)
+        found, error, outside = 0, None, None
         while lines := fh.readlines(_CHUNK_BYTES):
             text = "".join(lines)
             tokens = _digit_cells(text)
             if tokens is None:
                 tokens = text.split()
             if error is None and found + len(tokens) <= flat.size:
-                error = _parse_cells(tokens, flat, found, shape)
+                cells = _parse_cells(tokens, found, shape)
+                if isinstance(cells, ValueError):
+                    error = cells
+                elif outside is None:
+                    outside = _out_of_range(cells, found, shape)
+                    flat[found:found + len(cells)] = cells
             found += len(tokens)
-    # a wrong cell count is reported before a bad value, wherever each is
     if found != expected:
         raise ValueError(f"expected {expected} cell values "
                          f"({n_frames}x{n_lat}x{n_lon}), found {found}")
-    if error is not None:
-        raise error
-    # the range check runs on the parsed values, before the int16 narrowing
-    grid = CloudGrid(lat_min, lat_max, lon_min, lon_max, lat_step, lon_step,
+    if error is not None or outside is not None:
+        raise error or outside
+    return CloudGrid(lat_min, lat_max, lon_min, lon_max, lat_step, lon_step,
                      time_start, flat.reshape(shape))
-    return replace(grid, frames=grid.frames.astype(np.int16))
 
 
 def _digit_cells(text: str) -> np.ndarray | None:
@@ -153,20 +157,33 @@ def _digit_cells(text: str) -> np.ndarray | None:
     return cells
 
 
-def _parse_cells(tokens, flat: np.ndarray, start: int,
-                 shape: tuple[int, int, int]) -> ValueError | None:
-    """Parse tokens (strings, or integers parsed already) into flat[start:],
-    each as int() does; the error of the first bad token, if any."""
+def _parse_cells(tokens, start: int,
+                 shape: tuple[int, int, int]) -> np.ndarray | ValueError:
+    """Tokens (strings, or integers parsed already) as int64, each as int()
+    parses it; or the error of the first bad token, cells from start on."""
     try:
-        flat[start:start + len(tokens)] = np.array(tokens, dtype=np.int64)
+        return np.asarray(tokens, dtype=np.int64)
     except ValueError as exc:
         return ValueError(f"non-integer cell value: {exc}")
     except OverflowError:
         n = next(n for n, tok in enumerate(tokens) if abs(int(tok)) >= 2**63)
-        k, i, j = np.unravel_index(start + n, shape)
-        return ValueError(f"cloud value {tokens[n]} outside [0, {MAX_INDEX}] "
-                          f"at frame {k}, lat row {i}, lon col {j}")
-    return None
+        return _outside_message(tokens[n], start + n, shape)
+
+
+def _out_of_range(cells: np.ndarray, start: int,
+                  shape: tuple[int, ...]) -> ValueError | None:
+    """The error naming the first cell outside [0, MAX_INDEX], if any;
+    cells sit at flat positions start, start + 1, ... of the grid."""
+    bad = np.flatnonzero((cells < 0) | (cells > MAX_INDEX))
+    if not bad.size:
+        return None
+    return _outside_message(int(cells[bad[0]]), start + int(bad[0]), shape)
+
+
+def _outside_message(value, position: int, shape: tuple[int, ...]) -> ValueError:
+    k, i, j = np.unravel_index(position, shape)
+    return ValueError(f"cloud value {value} outside [0, {MAX_INDEX}] "
+                      f"at frame {k}, lat row {i}, lon col {j}")
 
 
 def save_cloud_grid(grid: CloudGrid, path) -> None:
@@ -179,8 +196,8 @@ def save_cloud_grid(grid: CloudGrid, path) -> None:
                  f"{grid.time_start.isoformat()} "
                  f"{grid.n_frames} {grid.frames.shape[1]} {grid.frames.shape[2]}\n")
         for frame in grid.frames:
-            for row in frame:
-                fh.write(" ".join(str(int(v)) for v in row) + "\n")
+            for row in frame.tolist():
+                fh.write(" ".join(map(str, row)) + "\n")
 
 
 def _nearest_index(value: float, origin: float, step: float, count: int,

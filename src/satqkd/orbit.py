@@ -10,14 +10,19 @@ rate, so the mean anomaly advances at exactly that rate.  A spherical Earth
 (equatorial radius) is used for topocentric geometry, and the Sun comes from a
 low-precision analytic ephemeris (good to well under 0.5 degrees).
 
-Access windows are computed once per span, not once per station.  The span is
-walked in fixed-size blocks; per block the propagation, GMST and the
-Earth-fixed satellite position are shared by every station, and the Sun's
-RA/Dec is computed where any station has the satellite above the horizon.
-Per station only the vertical component covers the whole block: range,
-elevation and solar elevation are evaluated above the horizon, and azimuth
-only on usable samples.  Each value is the same elementwise formula as on
-the full grid, so the results are bit-identical to it.
+Access windows are computed once per span, not once per station.  A coarse
+screen first samples the span every _SCREEN_SECONDS and keeps, per station,
+the gaps between coarse samples where the satellite may rise above the mask:
+the vertical component changes no faster than a bound on the satellite's
+Earth-fixed speed, so a skipped sample provably has elevation <= mask.  The
+union of the kept samples is then walked in fixed-size blocks; per block the
+propagation, GMST and the Earth-fixed satellite position are shared by every
+station, and the Sun's RA/Dec is computed where any station has the
+satellite above the horizon.  Per station the vertical component covers only
+its own candidates: range, elevation and solar elevation are evaluated above
+the horizon, and azimuth only on usable samples.  Each value is the same
+elementwise formula at the same time as on the full grid, so the results are
+bit-identical to it.
 """
 from __future__ import annotations
 
@@ -40,6 +45,12 @@ _J2000_JD = 2451545.0
 # Samples per block in compute_access_windows: a week at 1 s is 37 blocks,
 # so the propagation temporaries stay near a megabyte each.
 _BLOCK_SAMPLES = 16384
+# Coarse grid step (s) of the pass screen in compute_access_windows.
+_SCREEN_SECONDS = 60.0
+# Slack (km) in the screen's bound on the vertical component, for rounding
+# in positions, sample times and rates.
+_SCREEN_MARGIN_KM = 1.0
+_EARTH_RATE_RAD_S = math.radians(SIDEREAL_RATE_DEG_PER_DAY) / 86400.0
 
 
 class TleError(ValueError):
@@ -296,6 +307,16 @@ def _kepler_solve(mean_anomaly: np.ndarray, ecc: float) -> np.ndarray:
     return e_anom
 
 
+def _j2_rates(el: TleElements) -> tuple[float, float]:
+    """Secular J2 rates (rad/s) of the node and of the argument of perigee."""
+    n = 2.0 * math.pi / el.period_seconds
+    ecc = el.eccentricity
+    inc = math.radians(el.inclination_deg)
+    p = el.semi_major_axis_km * (1.0 - ecc * ecc)
+    base = n * J2 * (EARTH_RADIUS_KM / p) ** 2
+    return -1.5 * base * math.cos(inc), 0.75 * base * (5.0 * math.cos(inc) ** 2 - 1.0)
+
+
 def _propagate_arrays(el: TleElements, unix: np.ndarray,
                       include_j2: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """ECI positions (km) and velocities (km/s) at the given unix times."""
@@ -305,13 +326,7 @@ def _propagate_arrays(el: TleElements, unix: np.ndarray,
     a = el.semi_major_axis_km
     ecc = el.eccentricity
     inc = math.radians(el.inclination_deg)
-    p = a * (1.0 - ecc * ecc)
-
-    raan_rate = argp_rate = 0.0
-    if include_j2:
-        base = n * J2 * (EARTH_RADIUS_KM / p) ** 2
-        raan_rate = -1.5 * base * math.cos(inc)
-        argp_rate = 0.75 * base * (5.0 * math.cos(inc) ** 2 - 1.0)
+    raan_rate, argp_rate = _j2_rates(el) if include_j2 else (0.0, 0.0)
 
     dt = unix - _to_unix(el.epoch)
     mean_anom = math.radians(el.mean_anomaly_deg) + n * dt
@@ -566,6 +581,88 @@ def load_ephemeris(path) -> Ephemeris:
 # Access windows
 # ---------------------------------------------------------------------------
 
+def _speed_bound(source: TleElements | Ephemeris) -> tuple[float, float]:
+    """A bound on the satellite's Earth-fixed speed (km/s), and on its radius (km).
+
+    For mean elements: the perigee speed plus the J2 turning of the orbit and
+    the Earth's rotation at apogee radius.  For an ephemeris: its fastest
+    linearly interpolated segment plus the Earth's rotation at its largest
+    radius (an interpolated position is never farther out than its ends).
+    """
+    if isinstance(source, Ephemeris):
+        pos = source.positions_km
+        r_max = float(np.linalg.norm(pos, axis=1).max())
+        segment = np.linalg.norm(np.diff(pos, axis=0), axis=1) / np.diff(source.unix)
+        return float(segment.max()) + _EARTH_RATE_RAD_S * r_max, r_max
+    a, ecc = source.semi_major_axis_km, source.eccentricity
+    n = 2.0 * math.pi / source.period_seconds
+    raan_rate, argp_rate = _j2_rates(source)
+    r_max = a * (1.0 + ecc)
+    perigee_speed = n * a * math.sqrt((1.0 + ecc) / (1.0 - ecc))
+    return (perigee_speed
+            + (abs(raan_rate) + abs(argp_rate) + _EARTH_RATE_RAD_S) * r_max), r_max
+
+
+def _gap_runs(coarse: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First sample and length of each run of kept gaps between coarse
+    samples; gap j spans samples coarse[j]..coarse[j + 1], ends included."""
+    edges = np.flatnonzero(np.diff(kept.view(np.int8), prepend=0, append=0))
+    starts = coarse[edges[::2]]
+    return starts, coarse[edges[1::2]] + 1 - starts
+
+
+def _expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[r], starts[r] + 1, ... for lengths[r] values, run after run."""
+    return (np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+            + np.arange(lengths.sum()))
+
+
+def _screen(source, stations, u0: float, step_seconds: float, count: int,
+            elevation_mask_deg: float, locate) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The samples where some station may see the satellite above the mask,
+    and for each station the positions of its own candidates among them.
+
+    The vertical component `up` changes at most as fast as the Earth-fixed
+    speed bound V, so between coarse samples j and j + 1, dt apart, it is at
+    most (up_j + up_j+1 + V dt) / 2.  A gap is kept when that bound (plus
+    _SCREEN_MARGIN_KM) exceeds the floor: 0 for a mask >= 0, since elevation
+    > mask needs up > 0, else sin(mask) times the largest slant range.  A
+    skipped sample therefore has elevation <= mask.  A span of few coarse
+    steps, a step coarser than half the screen, or an orbit whose perigee
+    comes within _SCREEN_MARGIN_KM of the surface (so that propagation fails
+    at the same first sample as on the full grid) makes every sample a
+    candidate.
+    """
+    stride = int(_SCREEN_SECONDS // step_seconds)
+    if (stride < 2 or count < 4 * stride or not stations
+            or (isinstance(source, TleElements) and source.semi_major_axis_km
+                * (1.0 - source.eccentricity) <= EARTH_RADIUS_KM + _SCREEN_MARGIN_KM)):
+        every = np.arange(count)
+        return every, [every] * len(stations)
+    speed, r_max = _speed_bound(source)
+    coarse = np.append(np.arange(0, count - 1, stride), count - 1)
+    t = u0 + step_seconds * coarse
+    ecef = _earth_fixed(locate(t), _gmst_deg(t))
+    reach = 0.5 * speed * step_seconds * np.diff(coarse) + _SCREEN_MARGIN_KM
+    sin_mask = math.sin(math.radians(max(elevation_mask_deg, -90.0)))
+    kept = []
+    for station in stations:
+        up = _up_km(_offsets(ecef, station), station)
+        floor = (0.0 if elevation_mask_deg >= 0.0 else
+                 sin_mask * (r_max + float(np.linalg.norm(_station_ecef_km(station)))))
+        kept.append(0.5 * (up[:-1] + up[1:]) + reach > floor)
+    candidates = _expand_runs(*_gap_runs(coarse, np.logical_or.reduce(kept)))
+    # a station's run lies inside one run of the union, where positions
+    # advance with the sample index; int32 halves them (2**31 candidates
+    # would take 16 GiB before these)
+    mine = []
+    for own in kept:
+        starts, lengths = _gap_runs(coarse, own)
+        mine.append(_expand_runs(np.searchsorted(candidates, starts),
+                                 lengths).astype(np.int32))
+    return candidates, mine
+
+
 def compute_access_windows(source: TleElements | Ephemeris,
                            stations: Sequence[GroundStation],
                            span: tuple[datetime, datetime],
@@ -582,9 +679,10 @@ def compute_access_windows(source: TleElements | Ephemeris,
     touching the span boundary are truncated, not discarded.  The result is
     sorted by start time (ties by station order).
 
-    The geometry is walked in blocks of _BLOCK_SAMPLES and shared across
+    The span is screened on a coarse grid, then the candidate samples are
+    walked in blocks of _BLOCK_SAMPLES with the geometry shared across
     stations, as the module docstring describes.  With a negative mask,
-    every sample counts as above the horizon.
+    every candidate counts as above the horizon.
 
     Args:
         source: TLE mean elements or a precomputed Ephemeris.
@@ -600,32 +698,40 @@ def compute_access_windows(source: TleElements | Ephemeris,
 
     u0, u1 = _to_unix(start), _to_unix(end)
     count = max(1, math.ceil((u1 - u0) / step_seconds - 1e-9))
-    unix = u0 + step_seconds * np.arange(count)
 
-    # per station: (sample index, elevation, azimuth, range) of usable samples
-    found: list[list[tuple[np.ndarray, ...]]] = [[] for _ in stations]
-    for lo in range(0, count, _BLOCK_SAMPLES):
-        block = unix[lo:lo + _BLOCK_SAMPLES]
+    def locate(unix: np.ndarray) -> np.ndarray:
         try:
             if isinstance(source, Ephemeris):
-                pos = source.positions_at(block)
-            else:
-                pos, _ = _propagate_arrays(source, block)
+                return source.positions_at(unix)
+            return _propagate_arrays(source, unix)[0]
         except ValueError as exc:
             raise ValueError(f"propagation failed over {start.isoformat()}"
                              f"..{end.isoformat()}: {exc}") from exc
+
+    # sample i is at u0 + step_seconds * i, the same value wherever it is taken
+    candidates, mine = _screen(source, stations, u0, step_seconds, count,
+                               elevation_mask_deg, locate)
+    # per station: (sample index, elevation, azimuth, range) of usable samples
+    found: list[list[tuple[np.ndarray, ...]]] = [[] for _ in stations]
+    for lo in range(0, len(candidates), _BLOCK_SAMPLES):
+        index = candidates[lo:lo + _BLOCK_SAMPLES]
+        block = u0 + step_seconds * index
+        pos = locate(block)
         gmst = _gmst_deg(block)
         ecef = _earth_fixed(pos, gmst)
 
-        # per station, the samples above the horizon (elevation > mask >= 0
+        # per station, its candidates above the horizon (elevation > mask >= 0
         # needs up > 0, a negative mask takes them all); the Sun only where
         # some station has one
-        above = ([np.flatnonzero(_up_km(_offsets(ecef, station), station) > 0.0)
-                  for station in stations] if elevation_mask_deg >= 0.0
-                 else [np.arange(len(block))] * len(stations))
+        above = []
         seen = np.zeros(len(block), dtype=bool)
-        for near in above:
+        for station, own in zip(stations, mine):
+            near = own[np.searchsorted(own, lo):np.searchsorted(own, lo + len(block))] - lo
+            if elevation_mask_deg >= 0.0:
+                near = near[_up_km(_offsets(tuple(c[near] for c in ecef), station),
+                                   station) > 0.0]
             seen[near] = True
+            above.append(near)
         need = np.flatnonzero(seen)
         ra, dec = _sun_radec(block[need])
         umbra = _umbra_mask(pos[need], ra, dec) if require_umbra else None
@@ -639,7 +745,7 @@ def compute_access_windows(source: TleElements | Ephemeris,
             if umbra is not None:
                 usable &= umbra[at]
             if usable.any():
-                chunks.append((lo + near[usable], elev[usable],
+                chunks.append((index[near[usable]], elev[usable],
                                _azimuth(tuple(c[usable] for c in d), station),
                                rng[usable]))
 
@@ -648,13 +754,14 @@ def compute_access_windows(source: TleElements | Ephemeris,
         if not chunks:
             continue
         index, elev, azim, rng = (np.concatenate(col) for col in zip(*chunks))
-        time_us = _unix_to_us(unix[index])
+        unix = u0 + step_seconds * index
+        time_us = _unix_to_us(unix)
         cuts = [0, *(np.flatnonzero(np.diff(index) != 1) + 1).tolist(), len(index)]
         for k0, k1 in zip(cuts, cuts[1:]):
             intervals.append(AccessInterval(
                 station=station,
                 start=_from_us(int(time_us[k0])),
-                end=_from_unix(float(unix[index[k1 - 1]]) + step_seconds),
+                end=_from_unix(float(unix[k1 - 1]) + step_seconds),
                 time_us=time_us[k0:k1], elevation_deg=elev[k0:k1],
                 azimuth_deg=azim[k0:k1], slant_range_km=rng[k0:k1]))
     intervals.sort(key=lambda iv: iv.start)

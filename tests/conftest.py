@@ -1,6 +1,6 @@
 """Shared test helpers: the exhaustive scheduling oracle, the scalar
 loss and key-rate code that the column kernels replaced, and the cloud-grid
-loader that parsed every cell through int()."""
+loader and writer that handled every cell through int()."""
 from __future__ import annotations
 
 import math
@@ -139,9 +139,23 @@ def oracle_gllp_rate(eta, params):
 
 
 # ---------------------------------------------------------------------------
-# cloud-grid oracle: every cell token through _parse_cells, as before the
-# byte parser
+# cloud-grid oracles: the loader with every cell token through int() into one
+# int64 array, range-checked as a whole grid before the int16 narrowing, as
+# before the byte parser; and the writer with one str(int(v)) per cell
 # ---------------------------------------------------------------------------
+
+def oracle_parse_cells(tokens, flat, start, shape):
+    try:
+        flat[start:start + len(tokens)] = np.array(tokens, dtype=np.int64)
+    except ValueError as exc:
+        return ValueError(f"non-integer cell value: {exc}")
+    except OverflowError:
+        n = next(n for n, tok in enumerate(tokens) if abs(int(tok)) >= 2**63)
+        k, i, j = np.unravel_index(start + n, shape)
+        return ValueError(f"cloud value {tokens[n]} outside [0, {cloud.MAX_INDEX}] "
+                          f"at frame {k}, lat row {i}, lon col {j}")
+    return None
+
 
 def oracle_load_cloud_grid(path) -> cloud.CloudGrid:
     with open(path, encoding="utf-8") as fh:
@@ -163,7 +177,7 @@ def oracle_load_cloud_grid(path) -> cloud.CloudGrid:
         while lines := fh.readlines(cloud._CHUNK_BYTES):
             tokens = "".join(lines).split()
             if error is None and found + len(tokens) <= flat.size:
-                error = cloud._parse_cells(tokens, flat, found, shape)
+                error = oracle_parse_cells(tokens, flat, found, shape)
             found += len(tokens)
     if found != expected:
         raise ValueError(f"expected {expected} cell values "
@@ -173,3 +187,15 @@ def oracle_load_cloud_grid(path) -> cloud.CloudGrid:
     grid = cloud.CloudGrid(lat_min, lat_max, lon_min, lon_max, lat_step, lon_step,
                            time_start, flat.reshape(shape))
     return replace(grid, frames=grid.frames.astype(np.int16))
+
+
+def oracle_save_cloud_grid(grid: cloud.CloudGrid, path) -> None:
+    bounds = (grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max,
+              grid.lat_step, grid.lon_step)
+    with open(path, "w") as fh:
+        fh.write(" ".join(repr(float(v)) for v in bounds) + " "
+                 f"{grid.time_start.isoformat()} "
+                 f"{grid.n_frames} {grid.frames.shape[1]} {grid.frames.shape[2]}\n")
+        for frame in grid.frames:
+            for row in frame:
+                fh.write(" ".join(str(int(v)) for v in row) + "\n")

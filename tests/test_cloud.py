@@ -1,5 +1,8 @@
 """Cloud grid tests: file round trip, lookup rules, loss curve.
 
+The loader and the writer are compared with the per-cell versions they
+replaced (conftest.py): the same grid or the same error text, the same bytes.
+
 The tie-break (midpoint goes to the smaller cell index) and the floor time
 bucket are pinned by constructed fixtures; the loss curve checks the frozen
 value -10*log10(0.5) at alpha=75 and strict monotonicity to alpha=149.
@@ -11,7 +14,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from conftest import oracle_load_cloud_grid
+from conftest import oracle_load_cloud_grid, oracle_save_cloud_grid
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -203,6 +206,39 @@ def test_big_grid_bad_late_cell_named(tmp_path, chunk_bytes, token, needle):
     assert str(info.value) == needle
 
 
+FIRST_CELL_151 = "cloud value 151 outside [0, 150] at frame 0, lat row 0, lon col 0"
+LATE_NON_INTEGER = "non-integer cell value: invalid literal for int() with base 10: '12.5'"
+
+
+@pytest.mark.parametrize("first,late,needle", [
+    # a token int64 cannot hold is reported as it is parsed, like a
+    # non-integer one; either wins over any value out of range before it
+    ("151", "12.5", LATE_NON_INTEGER),
+    ("40000", "12.5", LATE_NON_INTEGER),
+    ("-32769", "12.5", LATE_NON_INTEGER),
+    ("9223372036854775807", "12.5", LATE_NON_INTEGER),
+    ("99999999999999999999", "12.5",
+     "cloud value 99999999999999999999 outside [0, 150] at frame 0, lat row 0, lon col 0"),
+    ("151", "99999999999999999999",
+     "cloud value 99999999999999999999 outside [0, 150] at frame 4, lat row 170, "
+     "lon col 300"),
+    # else the first value out of range, in grid order
+    ("151", "-1", FIRST_CELL_151),
+    ("40000", "151", "cloud value 40000 outside [0, 150] at frame 0, lat row 0, lon col 0"),
+    ("0", "65536", "cloud value 65536 outside [0, 150] at frame 4, lat row 170, lon col 300"),
+])
+def test_big_grid_bad_values_reported_as_parsed_whole(tmp_path, chunk_bytes, first, late,
+                                                      needle):
+    cells = big_cells()
+    cells[0], cells[LATE_CELL] = first, late
+    write_big_grid(tmp_path / "big.txt", cells)
+    with pytest.raises(ValueError) as info:
+        load_cloud_grid(tmp_path / "big.txt")
+    assert str(info.value) == needle
+    assert load_outcome(load_cloud_grid, tmp_path / "big.txt") == load_outcome(
+        oracle_load_cloud_grid, tmp_path / "big.txt")
+
+
 @pytest.mark.parametrize("edit,found", [
     (lambda cells: cells[:-1], 326704),
     (lambda cells: cells + ["0"], 326706),
@@ -353,3 +389,21 @@ def test_synthetic_grid_round_trips_through_file(tmp_path):
     loaded = load_cloud_grid(path)
     assert np.array_equal(loaded.frames, grid.frames)
     assert loaded.time_start == grid.time_start
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64, np.uint8, np.int32])
+def test_save_writes_the_bytes_of_the_per_cell_writer(tmp_path, dtype):
+    rng = np.random.default_rng(11)
+    frames = rng.integers(0, 151, size=(3, 7, 9)).astype(dtype)
+    frames[0, 0, :3] = (0, 150, 7)
+    grid = CloudGrid(lat_min=-3.5, lat_max=-0.5, lon_min=170.0, lon_max=178.0,
+                     lat_step=0.5, lon_step=1.0, time_start=T0, frames=frames)
+    synth = synthetic_cloud_grid(
+        lat_min=20.0, lat_max=25.0, lon_min=100.0, lon_max=104.0,
+        lat_step=0.5, lon_step=0.5, time_start=T0, n_frames=2,
+        blobs=[(22.0, 102.0, 1.0, 150.0)])
+    for k, g in enumerate((grid, synth)):
+        save_cloud_grid(g, tmp_path / f"new-{k}.txt")
+        oracle_save_cloud_grid(g, tmp_path / f"old-{k}.txt")
+        assert ((tmp_path / f"new-{k}.txt").read_bytes()
+                == (tmp_path / f"old-{k}.txt").read_bytes())

@@ -14,6 +14,11 @@ Covers:
     per-station full-grid oracle, bit for bit (sample times through
     datetime.fromtimestamp, fractional ones included), and the fixed-point
     Kepler exit against the 12-step loop
+  - the coarse pass screen: the speed bound holds on a fine grid, a
+    derandomized property test against the full-grid oracle (eccentric,
+    retrograde and polar orbits, uneven ephemerides, every mask sign, coarse
+    steps of 2 samples and 600 s), and propagation errors that name the
+    same span and the same first bad sample as the full grid
 """
 from __future__ import annotations
 
@@ -22,6 +27,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from satqkd import orbit
 from satqkd.orbit import (
@@ -650,3 +657,156 @@ def test_access_matches_oracle_with_fractional_times(monkeypatch, step):
                              [GroundStation("Xian", 34.27, 108.93, 400.0),
                               GroundStation("Beijing", 39.90, 116.40, 44.0)],
                              span, step, 10.0, 91.0, False, block=4099)
+
+
+# ---------------------------------------------------------------------------
+# The coarse pass screen
+# ---------------------------------------------------------------------------
+
+def eccentric_elements(ecc: float, perigee_alt_km: float, inclination_deg: float,
+                       raan_deg: float = 0.0, arg_perigee_deg: float = 0.0,
+                       mean_anomaly_deg: float = 0.0) -> TleElements:
+    a = (EARTH_RADIUS_KM + perigee_alt_km) / (1.0 - ecc)
+    period = 2.0 * math.pi * math.sqrt(a**3 / EARTH_MU_KM3_S2)
+    return TleElements(epoch=EPOCH, inclination_deg=inclination_deg, raan_deg=raan_deg,
+                       eccentricity=ecc, arg_perigee_deg=arg_perigee_deg,
+                       mean_anomaly_deg=mean_anomaly_deg,
+                       mean_motion_rev_day=86400.0 / period)
+
+
+def uneven_ephemeris(el: TleElements, t0: float, t1: float, seed: int) -> Ephemeris:
+    """Positions of el at spacings drawn from 5 to 120 s, covering [t0, t1]."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(5.0, 120.0, int((t1 - t0) / 5.0) + 2)
+    unix = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    unix = unix[:np.searchsorted(unix, t1) + 1]
+    return Ephemeris(unix, orbit._propagate_arrays(el, unix)[0])
+
+
+def up_km_on(source, station, unix):
+    pos = (source.positions_at(unix) if isinstance(source, Ephemeris)
+           else orbit._propagate_arrays(source, unix)[0])
+    ecef = orbit._earth_fixed(pos, orbit._gmst_deg(unix))
+    d = orbit._offsets(ecef, station)
+    return orbit._up_km(d, station), np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
+
+
+@pytest.mark.parametrize("source", [
+    parse_tle(MICIUS_TLE),
+    eccentric_elements(0.7, 300.0, 116.6, 40.0, 270.0, 350.0),
+    eccentric_elements(0.3, 500.0, 63.4, 200.0, 90.0, 10.0),
+    eccentric_elements(0.0, 35786.0, 0.0),
+    uneven_ephemeris(parse_tle(MICIUS_TLE), EPOCH.timestamp(),
+                     EPOCH.timestamp() + 6 * 3600.0, 3),
+], ids=["micius", "e0.7-retrograde", "e0.3", "geostationary", "uneven-ephemeris"])
+def test_up_changes_no_faster_than_the_speed_bound(source):
+    speed, r_max = orbit._speed_bound(source)
+    unix = EPOCH.timestamp() + np.arange(0.0, 6 * 3600.0, 0.5)
+    for station in seeded_stations(4):
+        up, rng = up_km_on(source, station, unix)
+        assert np.all(np.abs(np.diff(up)) <= speed * np.diff(unix))
+        assert rng.max() <= r_max + np.linalg.norm(orbit._station_ecef_km(station))
+
+
+def test_screen_keeps_few_samples_of_a_1s_day():
+    # the built-in stations, all between 20 and 48 degrees north
+    from satqkd.scenario import default_stations
+    el = parse_tle(MICIUS_TLE)
+    stations = default_stations()
+    count = 86400
+    candidates, mine = orbit._screen(
+        el, stations, EPOCH.timestamp(), 1.0, count, 10.0,
+        lambda unix: orbit._propagate_arrays(el, unix)[0])
+    assert len(candidates) < 0.15 * count
+    assert np.all(np.diff(candidates) > 0)
+    for own in mine:
+        assert len(own) < 0.08 * count
+        assert np.all(np.diff(own) > 0) and 0 <= own[0] and own[-1] < len(candidates)
+
+
+def screened_outcome(source, stations, span, step, mask, night, umbra, screen_seconds):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbit, "_kepler_solve", kepler_12_steps)
+        ref = reference_access_windows(source, stations, span, step, mask, night, umbra)
+    with pytest.MonkeyPatch.context() as patch:
+        if screen_seconds is not None:
+            patch.setattr(orbit, "_SCREEN_SECONDS", screen_seconds)
+        got = compute_access_windows(source, stations, span, step_seconds=step,
+                                     elevation_mask_deg=mask, night_threshold_deg=night,
+                                     require_umbra=umbra)
+    return exact_form(got), exact_form(ref)
+
+
+@settings(max_examples=160, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ecc=st.one_of(st.sampled_from([0.0, 0.7]), st.floats(0.0, 0.7)),
+       perigee_alt_km=st.floats(200.0, 2000.0),
+       angles=st.tuples(st.floats(0.0, 180.0), st.floats(0.0, 360.0),
+                        st.floats(0.0, 360.0), st.floats(0.0, 360.0)),
+       kind=st.sampled_from(["tle", "ephemeris"]),
+       step=st.sampled_from([0.3, 1.0, 10.0, 45.0]),
+       samples=st.integers(100, 12000),
+       offset_s=st.floats(0.0, 3 * 86400.0),
+       mask=st.sampled_from([-5.0, 0.0, 10.0, 60.0]),
+       night=st.sampled_from([91.0, 91.0, -6.0]),
+       umbra=st.booleans(),
+       screen=st.sampled_from([None, "two-steps", 600.0]),
+       overhead_at=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**16))
+def test_screen_matches_full_grid_oracle(ecc, perigee_alt_km, angles, kind, step, samples,
+                                         offset_s, mask, night, umbra, screen,
+                                         overhead_at, seed):
+    el = eccentric_elements(ecc, perigee_alt_km, *angles)
+    start = EPOCH + timedelta(seconds=offset_s)
+    span = (start, start + timedelta(seconds=samples * step))
+    u0, u1 = span[0].timestamp(), span[1].timestamp()
+    source = (el if kind == "tle"
+              else uneven_ephemeris(el, u0 - 60.0, u1 + 90.0, seed))
+    # a station under the satellite at some sample, so high masks see a pass
+    t_over = np.array([u0 + overhead_at * (u1 - u0)])
+    x, y, z = (c[0] for c in orbit._earth_fixed(orbit._propagate_arrays(el, t_over)[0],
+                                                 orbit._gmst_deg(t_over)))
+    stations = [GroundStation("overhead", math.degrees(math.atan2(z, math.hypot(x, y))),
+                              math.degrees(math.atan2(y, x))),
+                *seeded_stations(seed)[:4]]
+    got, ref = screened_outcome(source, stations, span, step, mask, night, umbra,
+                                2.0 * step if screen == "two-steps" else screen)
+    assert got == ref
+
+
+def test_screen_with_an_ephemeris_ending_between_coarse_samples(monkeypatch):
+    el = parse_tle(MICIUS_TLE)
+    stations = seeded_stations(5)
+    span = (EPOCH + timedelta(hours=14), EPOCH + timedelta(hours=22))
+    u0, u1 = span[0].timestamp(), span[1].timestamp()
+    # the last ephemeris time falls 37.5 s after a coarse sample, 1.5 s past
+    # the last sample of the span
+    unix = np.concatenate([np.arange(u0 - 60.0, u1 - 30.0, 30.0), [u1 - 1.0 + 1.5]])
+    ephemeris = Ephemeris(unix, orbit._propagate_arrays(el, unix)[0])
+    assert_matches_reference(monkeypatch, ephemeris, stations, span, 1.0, 10.0, 91.0, False)
+    # ending before the span does is the same error, with the same text
+    late = (span[0], span[1] + timedelta(seconds=10))
+    with pytest.raises(ValueError) as info:
+        compute_access_windows(ephemeris, stations, late, step_seconds=1.0)
+    assert str(info.value) == (f"propagation failed over {late[0].isoformat()}.."
+                               f"{late[1].isoformat()}: query time outside ephemeris span")
+
+
+@pytest.mark.parametrize("perigee_alt_km", [-50.0, 0.0, 0.5])
+def test_screen_leaves_a_perigee_near_the_surface_to_the_full_grid(monkeypatch,
+                                                                    perigee_alt_km):
+    el = eccentric_elements(0.3, perigee_alt_km, 97.0, 10.0, 20.0, 300.0)
+    span = (EPOCH, EPOCH + timedelta(hours=8))
+    stations = seeded_stations(6)
+    unix = EPOCH.timestamp() + np.arange(8 * 3600.0)
+    try:
+        orbit._propagate_arrays(el, unix)
+    except ValueError as exc:
+        # the same first sub-surface sample as the whole grid gives
+        with pytest.raises(ValueError) as info:
+            compute_access_windows(el, stations, span, step_seconds=1.0)
+        assert str(info.value) == (f"propagation failed over {span[0].isoformat()}.."
+                                   f"{span[1].isoformat()}: {exc}")
+        return
+    assert perigee_alt_km >= 0.0
+    assert_matches_reference(monkeypatch, el, stations, span, 1.0, -5.0, 91.0, False)
