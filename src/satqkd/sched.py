@@ -157,9 +157,13 @@ def evaluate(schedule: Schedule | Sequence[int], matrix) -> np.ndarray:
         raise ValueError(f"assignment length {len(assignment)} does not match "
                          f"{values.shape[0]} intervals")
     arr = np.asarray(assignment)
+    # one stable sort groups each node's rows, still in row order, so every
+    # node sums the same values in the same order as a mask would give
+    order = np.argsort(arr, kind="stable")
+    bounds = np.searchsorted(arr[order], np.arange(values.shape[1] + 1))
     totals = np.zeros(values.shape[1])
     for n in range(values.shape[1]):
-        totals[n] = values[arr == n, n].sum()
+        totals[n] = values[order[bounds[n]:bounds[n + 1]], n].sum()
     return totals
 
 
@@ -280,6 +284,9 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
 # Genetic algorithm
 # ---------------------------------------------------------------------------
 
+_GATHER_GENES = 65_536  # genes per row chunk of the GA's fitness gather
+
+
 def _expand(genes: np.ndarray, active: np.ndarray, starts: np.ndarray,
             n_intervals: int, n_nodes: int) -> np.ndarray:
     """Decode a compressed chromosome into a feasible full assignment."""
@@ -314,6 +321,37 @@ def _node_totals(group: np.ndarray, cells) -> np.ndarray:
     return totals
 
 
+def _seed_genes(seed: Schedule | Sequence[int], index: int, active: np.ndarray,
+                n_intervals: int, n_nodes: int) -> np.ndarray:
+    """Gene string of warm-start schedule `index`, or ValueError naming it.
+
+    The GA's repair and fitness gather both rely on every gene lying in
+    0..n_nodes+1, so a seed must hold exactly one integer activity code
+    (IDLE, SWITCH or a node index) per interval.
+    """
+    arr = np.asarray(seed.assignment if isinstance(seed, Schedule) else seed)
+    where = f"seed_schedules[{index}]"
+    if arr.shape != (n_intervals,):
+        raise ValueError(f"{where} has shape {arr.shape}, expected "
+                         f"({n_intervals},) for {n_intervals} intervals")
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{where} holds {arr.dtype} values, not integer "
+                         f"activity codes")
+    bad = np.flatnonzero(arr != np.round(arr))  # NaN too; +-inf fail below
+    if bad.size:
+        m = int(bad[0])
+        raise ValueError(f"{where}[{m}] = {arr[m].item()!r} is not an integer")
+    bad = np.flatnonzero((arr < SWITCH) | (arr >= n_nodes))
+    if bad.size:
+        m = int(bad[0])
+        raise ValueError(f"{where}[{m}] = {arr[m].item()!r} is not IDLE ({IDLE}), "
+                         f"SWITCH ({SWITCH}) or a node in 0..{n_nodes - 1}")
+    genes = arr[active].astype(np.int16)
+    genes[genes == IDLE] = n_nodes
+    genes[genes == SWITCH] = n_nodes + 1
+    return genes
+
+
 def solve_ga(matrix, cfg: StrategyConfig,
              seed_schedules: Sequence[Schedule | Sequence[int]] = ()) -> Schedule:
     """Best feasible schedule found by the strategy's genetic algorithm.
@@ -321,42 +359,46 @@ def solve_ga(matrix, cfg: StrategyConfig,
     The chromosome is the activity string over the active intervals; offspring
     are made feasible by replacing the gene before each conflicting handoff
     with SWITCH.  `seed_schedules` warm-start part of the initial population
-    (the default is an all-random start).  Deterministic given cfg.ga.seed.
+    (the default is an all-random start); each must be a full-length
+    assignment of IDLE, SWITCH and node codes, else ValueError.  Deterministic
+    given cfg.ga.seed.
 
     S-PD fitness uses the weights normalized to mean 1, so all-equal weights
     reproduce the S-GD objective exactly (solve_exact, by contrast, applies
-    raw weights).
+    raw weights).  S-TD reads the KL divergence of in-band rows only (fitness
+    within kl_tolerance of the generation's best); the others never compete
+    on KL, so theirs is left at +inf.
     """
     values = _values_of(matrix)
     n_intervals, n_nodes = values.shape
     ga = cfg.ga
     active, starts = _active_blocks((values > 0).any(axis=1))
     n_active = len(active)
+    seed_genes = [_seed_genes(seed, index, active, n_intervals, n_nodes)
+                  for index, seed in enumerate(seed_schedules)]
     if n_active == 0 or n_nodes == 0:
         assignment = np.full(n_intervals, IDLE, dtype=np.int64)
         return _finish(assignment, values, 0.0)
 
-    idle_code, switch_code = n_nodes, n_nodes + 1
+    switch_code = n_nodes + 1  # the largest gene; n_nodes is IDLE
     k_active = values[active]  # (A, N)
     if cfg.kind == "S-PD":
         fit_w = np.asarray(cfg.normalized_weights(n_nodes)) * n_nodes
     else:
         fit_w = np.ones(n_nodes)
-    k_fit = np.hstack([k_active * fit_w, np.zeros((n_active, 2))])
+    # node-major fitness table: gene g at active interval a scores
+    # k_flat[g * A + a]; the IDLE and SWITCH rows are zero
+    k_flat = np.zeros((n_nodes + 2) * n_active)
+    np.multiply(k_active.T, fit_w[:, None],
+                out=k_flat[:n_nodes * n_active].reshape(n_nodes, n_active))
+    gather_rows = max(1, _GATHER_GENES // n_active)
     target = (np.asarray(cfg.normalized_weights(n_nodes))
               if cfg.kind == "S-TD" else None)
 
     rng = np.random.default_rng(ga.seed)
     pop = rng.integers(0, n_nodes + 2, size=(ga.population, n_active),
                        dtype=np.int16)
-    for row, seed in enumerate(seed_schedules):
-        if row >= ga.population:
-            break
-        assignment = np.asarray(
-            seed.assignment if isinstance(seed, Schedule) else seed)
-        genes = assignment[active].astype(np.int16)
-        genes[genes == IDLE] = idle_code
-        genes[genes == SWITCH] = switch_code
+    for row, genes in enumerate(seed_genes[:ga.population]):
         pop[row] = genes
 
     not_start = ~starts[1:]
@@ -368,19 +410,26 @@ def solve_ga(matrix, cfg: StrategyConfig,
                 & (group[:, :-1] != group[:, 1:])
                 & (group[:, :-1] != switch_code)
                 & not_start[None, :])
-        group[:, :-1][viol] = switch_code
+        head = group[:, :-1]
+        np.maximum(head, np.multiply(viol, switch_code, dtype=np.int16), out=head)
 
-    gene_cols = np.arange(n_active)[None, :]
+    gene_cols = np.arange(n_active)
 
     def fitness_of(group: np.ndarray) -> np.ndarray:
-        return k_fit[gene_cols, group].sum(axis=1)
+        fit = np.empty(len(group))
+        for lo in range(0, len(group), gather_rows):
+            flat = np.multiply(group[lo:lo + gather_rows], n_active, dtype=np.intp)
+            flat += gene_cols
+            fit[lo:lo + gather_rows] = k_flat.take(flat).sum(axis=1)
+        return fit
 
     cells = _node_cells(k_active)
 
-    def kl_of(group: np.ndarray) -> np.ndarray:
-        totals = _node_totals(group, cells)
-        sums = totals.sum(axis=1)
+    def kl_of(group: np.ndarray, band: np.ndarray) -> np.ndarray:
         out = np.full(len(group), np.inf)
+        rows = np.flatnonzero(band)
+        totals = _node_totals(group[rows], cells)
+        sums = totals.sum(axis=1)
         ok = sums > 0
         if ok.any():
             p = totals[ok] / sums[ok, None]
@@ -392,41 +441,47 @@ def solve_ga(matrix, cfg: StrategyConfig,
                 blocked = (p > 0) & (target <= 0)[None, :]
             vals = terms.sum(axis=1)
             vals[blocked.any(axis=1)] = np.inf
-            out[ok] = vals
+            out[rows[ok]] = vals
         return out
+
+    def score(group: np.ndarray):
+        """Fitness, then for S-TD the tolerance band and the KL of its rows."""
+        fit = fitness_of(group)
+        if target is None:
+            return fit, None, None
+        band = fit >= (1.0 - cfg.kl_tolerance) * fit.max()
+        return fit, band, kl_of(group, band)
 
     repair(pop)
 
     # archive of per-generation champions: (fitness, kl, genes)
     archive: list[tuple[float, float, np.ndarray]] = []
 
-    def record(fit: np.ndarray, kl: np.ndarray | None) -> None:
+    def record(fit: np.ndarray, band: np.ndarray | None,
+               kl: np.ndarray | None) -> None:
         i = int(np.argmax(fit))
         archive.append((float(fit[i]),
                         float(kl[i]) if kl is not None else math.inf,
                         pop[i].copy()))
         if kl is not None:
-            band = fit >= (1.0 - cfg.kl_tolerance) * fit[i]
             idx = np.flatnonzero(band)
             order = np.lexsort((-fit[idx], kl[idx]))
             j = int(idx[order[0]])
             archive.append((float(fit[j]), float(kl[j]), pop[j].copy()))
 
-    def elite_rows(fit: np.ndarray, kl: np.ndarray | None) -> np.ndarray:
+    def elite_rows(fit: np.ndarray, band: np.ndarray | None,
+                   kl: np.ndarray | None) -> np.ndarray:
         if kl is None:
             return np.argsort(-fit, kind="stable")[:ga.elitism]
-        band = fit >= (1.0 - cfg.kl_tolerance) * fit.max()
-        order = np.lexsort((-fit, np.where(band, kl, np.inf),
-                            (~band).astype(np.int8)))
+        order = np.lexsort((-fit, kl, (~band).astype(np.int8)))
         return order[:ga.elitism]
 
     champion = -math.inf
     stalled = 0
     for _ in range(ga.generations):
-        fit = fitness_of(pop)
-        kl = kl_of(pop) if cfg.kind == "S-TD" else None
-        record(fit, kl)
-        elites = pop[elite_rows(fit, kl)].copy()
+        fit, band, kl = score(pop)
+        record(fit, band, kl)
+        elites = pop[elite_rows(fit, band, kl)]
 
         gen_best = float(fit.max())
         if gen_best > champion + 1e-12 * max(1.0, abs(champion)):
@@ -450,8 +505,6 @@ def solve_ga(matrix, cfg: StrategyConfig,
             winner = cand[np.arange(ga.population),
                           np.argmax(fit[cand], axis=1)]
         else:
-            band = fit >= (1.0 - cfg.kl_tolerance) * fit.max()
-
             def beats(i: np.ndarray, j: np.ndarray) -> np.ndarray:
                 both = band[i] & band[j]
                 by_kl = np.where(kl[i] != kl[j], kl[i] < kl[j], fit[i] >= fit[j])
@@ -459,32 +512,30 @@ def solve_ga(matrix, cfg: StrategyConfig,
                 return np.where(np.where(both, by_kl, by_fit), i, j)
 
             winner = beats(beats(cand[:, 0], cand[:, 1]), cand[:, 2])
-        parents = pop[winner]
+        children = pop[winner]
 
+        # one-point crossover of pairs: past the cut the children trade genes
         half = ga.population // 2
-        p1, p2 = parents[0:2 * half:2], parents[1:2 * half:2]
-        children = parents.copy()
         if n_active >= 2 and half:
             do_cx = rng.random(half) < ga.crossover_rate
             cuts = rng.integers(1, n_active, size=half)
-            left = gene_cols < cuts[:, None]
-            c1 = np.where(left, p1, p2)
-            c2 = np.where(left, p2, p1)
-            keep = ~do_cx[:, None]
-            children[0:2 * half:2] = np.where(keep, p1, c1)
-            children[1:2 * half:2] = np.where(keep, p2, c2)
+            p1, p2 = children[0:2 * half:2], children[1:2 * half:2]
+            delta = (p2 - p1) * ((gene_cols >= cuts[:, None]) & do_cx[:, None])
+            p1 += delta
+            p2 -= delta
 
         mut = rng.random(children.shape) < ga.mutation_rate
         fresh = rng.integers(0, n_nodes + 2, size=children.shape, dtype=np.int16)
-        children = np.where(mut, fresh, children).astype(np.int16)
+        fresh -= children
+        fresh *= mut
+        children += fresh
         repair(children)
         if ga.elitism:
             children[:ga.elitism] = elites
         pop = children
 
-    fit = fitness_of(pop)
-    kl = kl_of(pop) if cfg.kind == "S-TD" else None
-    record(fit, kl)
+    fit, band, kl = score(pop)
+    record(fit, band, kl)
 
     fits = np.array([entry[0] for entry in archive])
     if cfg.kind == "S-TD":
