@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 # total_loss is not called here; the benchmark's tracer patches it under this name
-from .channel import loss_columns, total_loss  # noqa: F401
+from .channel import total_loss  # noqa: F401
 from .orbit import AccessInterval, _from_us, _to_us
 from .output import INF, iso_utc, open_new, write_json
 from .qkd import KeyMatrix, add_key_bits, export_key_matrix, pass_link_budget
@@ -212,14 +212,14 @@ def run_schedule(config: ScenarioConfig, out: Path, seed: int | None = None,
     The S-GD total therefore dominates the other strategies on every run
     (checked before writing anything).
     """
+    ga_seed = seed if seed is not None else config.strategy.ga.seed
+    std_cfg = config.strategy_for("S-TD", seed=ga_seed)  # checks the weights first
     out.mkdir(parents=True, exist_ok=True)
     if matrix is None:
         matrix = key_matrix_for(config)
-    ga_seed = seed if seed is not None else config.strategy.ga.seed
 
     sgd = solve_exact(matrix)
     spd = solve_exact(matrix, weights=config.station_weights())
-    std_cfg = config.strategy_for("S-TD", seed=ga_seed)
     std = solve_ga(matrix, std_cfg, seed_schedules=[sgd])
     schedules = {"S-GD": sgd, "S-PD": spd, "S-TD": std}
 
@@ -242,9 +242,8 @@ def run_schedule(config: ScenarioConfig, out: Path, seed: int | None = None,
         for kind, sched in schedules.items():
             kl = summaries[kind]["kl_divergence_vs_weights"]
             kl_txt = _fmt(math.inf if kl in (None, INF) else kl, ".6f")
-            for n, name in enumerate(matrix.node_names):
-                fh.write(f"{kind},{sched.total:.3f},{kl_txt},{name},"
-                         f"{sched.node_totals[n]:.3f}\n")
+            for name, bits in zip(matrix.node_names, sched.node_totals):
+                fh.write(f"{kind},{sched.total:.3f},{kl_txt},{name},{bits:.3f}\n")
     _write_manifest(out, "schedule", config, ga_seed)
     return schedules
 
@@ -258,8 +257,7 @@ def _loss_extremes(config: ScenarioConfig, accesses: list[AccessInterval]):
     lo: dict[str, float] = {}
     hi: dict[str, float] = {}
     for iv in accesses:
-        total = loss_columns(iv.elevation_deg.tolist(), iv.slant_range_km.tolist(),
-                             [0] * len(iv.time_us), config.optics).total_db
+        total = pass_link_budget(iv, config.optics).total_db
         name = iv.station.name
         lo[name] = min(lo.get(name, math.inf), *total)
         hi[name] = max(hi.get(name, -math.inf), *total)

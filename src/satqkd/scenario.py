@@ -127,6 +127,9 @@ class ScenarioConfig:
                                   f"{name!r} is a schedule activity, not a station")
         if len(set(names)) != len(names):
             raise ConfigError("stations", "station names must be unique")
+        weights = self.strategy.weights
+        if weights is not None and len(weights) != len(names):
+            raise ConfigError("strategy.weights", f"expected {len(names)}, got {len(weights)}")
 
     @property
     def orbit_source(self) -> TleElements | Ephemeris:
@@ -144,7 +147,11 @@ class ScenarioConfig:
 
     def strategy_for(self, kind: str, seed: int | None = None) -> StrategyConfig:
         ga = self.strategy.ga if seed is None else replace(self.strategy.ga, seed=seed)
-        return replace(self.strategy, kind=kind, weights=self.station_weights(), ga=ga)
+        try:
+            return replace(self.strategy, kind=kind, weights=self.station_weights(), ga=ga)
+        except ValueError as exc:  # S-PD and S-TD need a positive weight
+            where = "stations" if self.strategy.weights is None else "strategy.weights"
+            raise ConfigError(where, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

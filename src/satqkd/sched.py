@@ -1,9 +1,9 @@
 """Single-satellite downlink scheduling over the per-interval key matrix.
 
-An assignment gives every 10-second interval one activity: a node index,
-IDLE, or SWITCH.  A handoff needs a switch: interval m+1 may be assigned to
-node n only when interval m is the same node or a SWITCH (the first interval
-of the horizon is unconstrained).
+An assignment (a read-only int64 array) gives every 10-second interval one
+activity: a node index, IDLE, or SWITCH.  A handoff needs a switch: interval
+m+1 may be assigned to node n only when interval m is the same node or a
+SWITCH (the first interval of the horizon is unconstrained).
 
 Solvers:
   * solve_exact  - dynamic program over (interval, last activity); provably
@@ -16,8 +16,7 @@ Solvers:
     whose delivered distribution has lower KL divergence from target weights.
 
 Determinism: every solver is deterministic given its inputs (and the GA
-seed).  Value ties in solve_exact prefer IDLE, then lower node index, then
-SWITCH.
+seed).  Value ties in solve_exact prefer IDLE, then lower node index.
 """
 from __future__ import annotations
 
@@ -31,14 +30,20 @@ from .output import INF, open_new
 
 IDLE = -1
 SWITCH = -2
+_ROW_CHUNK = 4096  # schedule CSV rows joined per write: no whole-file string
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """An activity per interval plus the per-node key totals it delivers."""
-    assignment: tuple[int, ...]
+    """An activity per interval (a read-only int64 array) and its node totals."""
+    assignment: np.ndarray
     node_totals: tuple[float, ...]
     objective: float
+
+    def __post_init__(self):
+        assignment = _assignment_of(self.assignment).astype(np.int64)
+        assignment.flags.writeable = False
+        object.__setattr__(self, "assignment", assignment)
 
     @property
     def total(self) -> float:
@@ -129,34 +134,40 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
 
 
 def _values_of(matrix) -> np.ndarray:
-    values = getattr(matrix, "values", matrix)
-    return np.asarray(values, dtype=float)
+    return np.asarray(getattr(matrix, "values", matrix), dtype=float)
 
 
-def is_feasible(schedule: Schedule | Sequence[int], n_intervals: int,
-                n_nodes: int) -> bool:
+def _assignment_of(schedule: Schedule | Sequence[int], where="assignment") -> np.ndarray:
+    """The activity codes of a schedule or a sequence, as an array, or
+    ValueError naming `where` for a code that is not an integer (+-inf pass)."""
+    if isinstance(schedule, Schedule):
+        return schedule.assignment
+    arr = np.asarray(schedule)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{where} holds {arr.dtype} values, not integer activity codes")
+    if arr.dtype.kind == "f" and (bad := np.flatnonzero(arr != np.round(arr))).size:
+        raise ValueError(f"{where}[{bad[0]}] = {arr.flat[bad[0]].item()!r} is not an integer")
+    return arr
+
+
+def is_feasible(schedule: Schedule | Sequence[int], n_intervals: int, n_nodes: int) -> bool:
     """True iff the assignment respects activity codes and switch constraints."""
-    assignment = schedule.assignment if isinstance(schedule, Schedule) else schedule
-    if len(assignment) != n_intervals:
+    try:
+        a = _assignment_of(schedule)
+    except ValueError:
         return False
-    prev = SWITCH  # horizon start: first assignment needs no preceding switch
-    for act in assignment:
-        if not (act in (IDLE, SWITCH) or 0 <= act < n_nodes):
-            return False
-        if 0 <= act < n_nodes and not (prev == act or prev == SWITCH):
-            return False
-        prev = act
-    return True
+    node = (a >= 0) & (a < n_nodes)
+    # a node may follow only itself or a SWITCH; the first interval anything
+    return (a.shape == (n_intervals,) and bool((node | (a == IDLE) | (a == SWITCH)).all())
+            and not (node[1:] & (a[1:] != a[:-1]) & (a[:-1] != SWITCH)).any())
 
 
 def evaluate(schedule: Schedule | Sequence[int], matrix) -> np.ndarray:
     """Per-node delivered totals E_n = sum_m K[m][n] [assignment m == n]."""
-    assignment = schedule.assignment if isinstance(schedule, Schedule) else schedule
+    arr = _assignment_of(schedule)
     values = _values_of(matrix)
-    if len(assignment) != values.shape[0]:
-        raise ValueError(f"assignment length {len(assignment)} does not match "
-                         f"{values.shape[0]} intervals")
-    arr = np.asarray(assignment)
+    if len(arr) != values.shape[0]:
+        raise ValueError(f"assignment length {len(arr)} does not match {len(values)} intervals")
     # one stable sort groups each node's rows, still in row order, so every
     # node sums the same values in the same order as a mask would give
     order = np.argsort(arr, kind="stable")
@@ -177,10 +188,7 @@ def delivered_distribution(schedule: Schedule | Sequence[int], matrix) -> Distri
 
 
 def _finish(assignment: np.ndarray, matrix, objective: float) -> Schedule:
-    totals = evaluate(assignment, matrix)
-    return Schedule(assignment=tuple(int(a) for a in assignment),
-                    node_totals=tuple(float(v) for v in totals),
-                    objective=float(objective))
+    return Schedule(assignment, tuple(evaluate(assignment, matrix).tolist()), float(objective))
 
 
 def _active_blocks(active: np.ndarray,
@@ -214,9 +222,9 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
     """Optimal schedule for the linear objective sum_n w_n * E_n.
 
     Dynamic program over states (interval, last activity); last activity is
-    IDLE, SWITCH or a node.  Ties prefer IDLE, then the lowest node index,
-    then SWITCH; a node state keeps its node parent on parent ties (fewest
-    switches).
+    IDLE, SWITCH or a node.  IDLE and SWITCH share one rest state, the best
+    value of the row before; ties prefer IDLE, then the lowest node index, and
+    a node state keeps its node parent on parent ties (fewest switches).
 
     After two rows of all-zero gains every state holds the best value, so
     each further row of the run has the same transitions (node parent kept,
@@ -226,11 +234,8 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
     """
     values = _values_of(matrix)
     n_intervals, n_nodes = values.shape
-    if n_intervals == 0:
-        return Schedule(assignment=(), node_totals=(0.0,) * n_nodes, objective=0.0)
-    if n_nodes == 0:
-        return Schedule(assignment=(IDLE,) * n_intervals, node_totals=(),
-                        objective=0.0)
+    if n_intervals == 0 or n_nodes == 0:
+        return _finish(np.full(n_intervals, IDLE), values, 0.0)
     w = np.ones(n_nodes) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (n_nodes,):
         raise ValueError(f"expected {n_nodes} weights, got {w.shape}")
@@ -240,26 +245,22 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
     gains = values[rows] * w  # (R, N)
     n_rows = len(rows)
 
-    # state ids in preference order for argmax ties: IDLE, node 0..N-1, SWITCH
+    # state ids: IDLE (first in argmax ties), node n as n + 1, SWITCH (traceback only)
     idle_id, switch_id = 0, n_nodes + 1
 
     f_nodes = gains[0].copy()
-    f_idle = 0.0
-    f_switch = 0.0
+    rest = 0.0  # the value of IDLE and of SWITCH alike
     same_parent = np.zeros((n_rows, n_nodes), dtype=bool)
     other_parent = np.zeros(n_rows, dtype=np.int32)
 
     for k in range(1, n_rows):
-        ordered = np.concatenate(([f_idle], f_nodes, [f_switch]))
-        best_id = int(np.argmax(ordered))
-        best_val = float(ordered[best_id])
-        same_parent[k] = f_nodes >= f_switch
-        f_nodes = gains[k] + np.maximum(f_nodes, f_switch)
-        other_parent[k] = best_id
-        f_idle = best_val
-        f_switch = best_val
+        ordered = np.concatenate(([rest], f_nodes))
+        other_parent[k] = np.argmax(ordered)
+        same_parent[k] = f_nodes >= rest
+        f_nodes = gains[k] + np.maximum(f_nodes, rest)
+        rest = float(ordered[other_parent[k]])
 
-    ordered = np.concatenate(([f_idle], f_nodes, [f_switch]))
+    ordered = np.concatenate(([rest], f_nodes))
     state = int(np.argmax(ordered))
     objective = float(ordered[state])
 
@@ -291,13 +292,11 @@ def _expand(genes: np.ndarray, active: np.ndarray, starts: np.ndarray,
             n_intervals: int, n_nodes: int) -> np.ndarray:
     """Decode a compressed chromosome into a feasible full assignment."""
     full = np.full(n_intervals, IDLE, dtype=np.int64)
-    decoded = np.where(genes == n_nodes, IDLE,
-                       np.where(genes == n_nodes + 1, SWITCH, genes))
+    decoded = np.where(genes >= n_nodes, n_nodes - 1 - genes, genes)  # as _seed_genes
     full[active] = decoded
-    for k in np.flatnonzero(starts):
-        pos = int(active[k])
-        if decoded[k] >= 0 and pos > 0:
-            full[pos - 1] = SWITCH
+    # a block that opens on a node is entered through a SWITCH, if it can be
+    heads = active[starts & (decoded >= 0)]
+    full[heads[heads > 0] - 1] = SWITCH
     return full
 
 
@@ -329,27 +328,19 @@ def _seed_genes(seed: Schedule | Sequence[int], index: int, active: np.ndarray,
     0..n_nodes+1, so a seed must hold exactly one integer activity code
     (IDLE, SWITCH or a node index) per interval.
     """
-    arr = np.asarray(seed.assignment if isinstance(seed, Schedule) else seed)
     where = f"seed_schedules[{index}]"
+    arr = _assignment_of(seed, where)
     if arr.shape != (n_intervals,):
         raise ValueError(f"{where} has shape {arr.shape}, expected "
                          f"({n_intervals},) for {n_intervals} intervals")
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{where} holds {arr.dtype} values, not integer "
-                         f"activity codes")
-    bad = np.flatnonzero(arr != np.round(arr))  # NaN too; +-inf fail below
-    if bad.size:
-        m = int(bad[0])
-        raise ValueError(f"{where}[{m}] = {arr[m].item()!r} is not an integer")
     bad = np.flatnonzero((arr < SWITCH) | (arr >= n_nodes))
     if bad.size:
         m = int(bad[0])
         raise ValueError(f"{where}[{m}] = {arr[m].item()!r} is not IDLE ({IDLE}), "
                          f"SWITCH ({SWITCH}) or a node in 0..{n_nodes - 1}")
     genes = arr[active].astype(np.int16)
-    genes[genes == IDLE] = n_nodes
-    genes[genes == SWITCH] = n_nodes + 1
-    return genes
+    # IDLE (-1) and SWITCH (-2) are genes n_nodes and n_nodes + 1, and back
+    return np.where(genes < 0, n_nodes - 1 - genes, genes)
 
 
 def solve_ga(matrix, cfg: StrategyConfig,
@@ -377,8 +368,7 @@ def solve_ga(matrix, cfg: StrategyConfig,
     seed_genes = [_seed_genes(seed, index, active, n_intervals, n_nodes)
                   for index, seed in enumerate(seed_schedules)]
     if n_active == 0 or n_nodes == 0:
-        assignment = np.full(n_intervals, IDLE, dtype=np.int64)
-        return _finish(assignment, values, 0.0)
+        return _finish(np.full(n_intervals, IDLE), values, 0.0)
 
     switch_code = n_nodes + 1  # the largest gene; n_nodes is IDLE
     k_active = values[active]  # (A, N)
@@ -557,19 +547,23 @@ def solve_ga(matrix, cfg: StrategyConfig,
 
 def write_schedule_csv(schedule: Schedule, matrix, path) -> None:
     """Full interval listing: interval_index,start_utc,activity."""
-    names = {IDLE: "IDLE", SWITCH: "SWITCH", **dict(enumerate(matrix.node_names))}
+    labels = matrix.interval_labels
+    if len(schedule.assignment) != len(labels):
+        raise ValueError(f"{len(schedule.assignment)} activities for {len(labels)} intervals")
+    # shifted by -SWITCH, the codes SWITCH and IDLE index the first two names;
+    # named a chunk at a time, so no column of names outlives its rows
+    names = np.array(["SWITCH", "IDLE", *matrix.node_names], dtype=object)
     with open_new(path) as fh:
         fh.write("interval_index,start_utc,activity\n")
-        for m, (label, act) in enumerate(zip(matrix.interval_labels,
-                                             schedule.assignment, strict=True)):
-            fh.write(f"{m},{label},{names[act]}\n")
+        for lo in range(0, len(labels), _ROW_CHUNK):
+            rows = zip(range(lo, lo + _ROW_CHUNK), labels[lo:lo + _ROW_CHUNK],
+                       names.take(schedule.assignment[lo:lo + _ROW_CHUNK] - SWITCH))
+            fh.write("".join(f"{m},{label},{act}\n" for m, label, act in rows))
 
 
 def schedule_summary(schedule: Schedule, matrix, strategy: StrategyConfig,
                      seed: int) -> dict:
     """JSON-ready summary: totals, KL against the strategy weights, config."""
-    totals = {name: schedule.node_totals[n]
-              for n, name in enumerate(matrix.node_names)}
     try:
         delivered = delivered_distribution(schedule, matrix)
         target = Distribution(strategy.normalized_weights(matrix.n_nodes))
@@ -581,7 +575,7 @@ def schedule_summary(schedule: Schedule, matrix, strategy: StrategyConfig,
     return {
         "strategy": strategy.kind,
         "seed": seed,
-        "node_totals_bits": totals,
+        "node_totals_bits": dict(zip(matrix.node_names, schedule.node_totals)),
         "total_bits": schedule.total,
         "objective": schedule.objective,
         "kl_divergence_vs_weights": kl_out,

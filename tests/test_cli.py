@@ -650,6 +650,40 @@ def test_main_malformed_config_shapes_exit_2(tmp_path, capsys, payload, needle):
     assert json.loads(capsys.readouterr().err)["error"].startswith(f"{needle}:")
 
 
+@pytest.mark.parametrize("command", ["access", "linkbudget", "keymatrix", "schedule"])
+def test_main_weights_not_one_per_station_exit_2(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"strategy": {"weights": [1, 2]}}), encoding="utf-8")
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "strategy.weights: expected 11, got 2")
+    assert not (tmp_path / "out").exists()
+
+
+ZERO_WEIGHT_STATIONS = [{"name": "A", "lat_deg": 30, "lon_deg": 100, "weight": 0},
+                        {"name": "B", "lat_deg": 31, "lon_deg": 101, "weight": 0}]
+
+
+@pytest.mark.parametrize("payload,field", [
+    ({"stations": ZERO_WEIGHT_STATIONS}, "stations"),
+    ({"stations": []}, "stations"),
+    ({"stations": [dict(st, weight=1) for st in ZERO_WEIGHT_STATIONS],
+      "strategy": {"weights": [0, 0]}}, "strategy.weights"),
+], ids=["zero-station-weights", "no-stations", "zero-strategy-weights"])
+def test_main_schedule_without_a_positive_weight_exits_2(tmp_path, capsys, payload, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload), encoding="utf-8")
+    rc = main(["schedule", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        f"{field}: S-TD needs at least one positive weight")
+    assert not (tmp_path / "out").exists()
+    # the weights matter to the schedule only
+    rc = main(["access", "--config", str(cfg_path), "--out", str(tmp_path / "access")])
+    assert rc == 0
+
+
 @pytest.mark.parametrize("token,needle", [
     ("70000", "cloud: cloud value 70000 outside [0, 150] at frame 0, lat row 1, lon col 2"),
     ("151", "cloud: cloud value 151 outside [0, 150] at frame 0, lat row 1, lon col 2"),

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
+from satqkd import sched as sched_module
+from satqkd.qkd import KeyMatrix
 from satqkd.sched import (
     IDLE,
     SWITCH,
@@ -30,6 +33,7 @@ from satqkd.sched import (
     kl_divergence,
     solve_exact,
     solve_ga,
+    write_schedule_csv,
     _node_cells,
     _node_totals,
 )
@@ -68,6 +72,65 @@ def test_feasibility_rejects_bad_shapes_and_codes():
     assert not is_feasible([0, 0], 3, 2)
     assert not is_feasible([0, 5], 2, 2)
     assert not is_feasible([0, -3], 2, 2)
+
+
+def test_non_integer_codes_are_rejected():
+    assert not is_feasible([0.5], 1, 2)
+    assert not is_feasible([math.nan, IDLE], 2, 2)
+    assert is_feasible([0.0, 0.0, float(SWITCH)], 3, 2)  # integral floats are codes
+    with pytest.raises(ValueError, match=r"assignment\[0\] = 0.5 is not an integer"):
+        evaluate([0.5, IDLE], [[3, 4], [1, 1]])
+
+
+def test_schedule_holds_a_read_only_int64_array():
+    sched = Schedule(assignment=(0, SWITCH, 1), node_totals=(1.0, 2.0), objective=3.0)
+    assert sched.assignment.dtype == np.int64
+    assert sched.assignment.tolist() == [0, SWITCH, 1]
+    with pytest.raises(ValueError, match="read-only"):
+        sched.assignment[0] = 1
+    solved = solve_exact(TOY)
+    assert solved.assignment.dtype == np.int64
+    assert not solved.assignment.flags.writeable
+
+
+def loop_is_feasible(schedule, n_intervals: int, n_nodes: int) -> bool:
+    """is_feasible as it was before it became one array expression."""
+    assignment = schedule.assignment if isinstance(schedule, Schedule) else schedule
+    if len(assignment) != n_intervals:
+        return False
+    prev = SWITCH  # horizon start: first assignment needs no preceding switch
+    for act in assignment:
+        if not (act in (IDLE, SWITCH) or 0 <= act < n_nodes):
+            return False
+        if 0 <= act < n_nodes and not (prev == act or prev == SWITCH):
+            return False
+        prev = act
+    return True
+
+
+def test_is_feasible_matches_the_loop_it_replaced():
+    # codes in [-3, n_nodes + 1]: one below SWITCH and one past the last node;
+    # half the strings repeat their last code often, so many are feasible
+    rng = np.random.default_rng(1_107)
+    seen = dict.fromkeys(("feasible", "infeasible", "off_by_one", "empty",
+                          "first_node"), 0)
+    for trial in range(3000):
+        n_nodes = int(rng.integers(0, 4))
+        n_intervals = int(rng.integers(0, 9))
+        length = max(0, n_intervals + int(rng.integers(-1, 2)))
+        codes = rng.integers(-3, n_nodes + 2, size=length)
+        if trial % 2:
+            for m in range(1, length):
+                if rng.random() < 0.6:
+                    codes[m] = codes[m - 1]
+        want = loop_is_feasible(codes.tolist(), n_intervals, n_nodes)
+        for form in (codes.tolist(), codes, tuple(codes.tolist())):
+            assert is_feasible(form, n_intervals, n_nodes) == want, (trial, codes)
+        seen["feasible" if want else "infeasible"] += 1
+        seen["off_by_one"] += length != n_intervals
+        seen["empty"] += length == 0
+        seen["first_node"] += bool(want and length and 0 <= codes[0] < n_nodes)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_evaluate_all_idle_and_one_hot():
@@ -139,7 +202,7 @@ def test_exact_toy_instance_matches_enumeration():
     sched = solve_exact(TOY)
     assert sched.objective == 11.0
     assert sched.objective == enumerate_best(TOY)
-    assert sched.assignment == (0, SWITCH, 1)
+    assert sched.assignment.tolist() == [0, SWITCH, 1]
     assert is_feasible(sched, 3, 2)
 
 
@@ -149,13 +212,13 @@ def test_exact_on_handoff_trap():
     trap = np.array([[10.0, 9.0], [0.0, 9.0], [0.0, 9.0]])
     sched = solve_exact(trap)
     assert sched.objective == 27.0 == enumerate_best(trap)
-    assert sched.assignment == (1, 1, 1)
+    assert sched.assignment.tolist() == [1, 1, 1]
     assert is_feasible(sched, 3, 2)
 
 
 def test_exact_all_zero_returns_idle():
     sched = solve_exact(np.zeros((4, 3)))
-    assert sched.assignment == (IDLE,) * 4
+    assert sched.assignment.tolist() == [IDLE] * 4
     assert sched.objective == 0.0
 
 
@@ -183,13 +246,13 @@ def test_exact_scale_invariance_power_of_two():
     values = rng.uniform(0.0, 8.0, size=(7, 3))
     base = solve_exact(values)
     scaled = solve_exact(values * 4.0)
-    assert scaled.assignment == base.assignment
+    assert np.array_equal(scaled.assignment, base.assignment)
     assert scaled.objective == pytest.approx(4.0 * base.objective, rel=1e-15)
 
 
 def test_exact_empty_and_degenerate_shapes():
-    assert solve_exact(np.zeros((0, 3))).assignment == ()
-    assert solve_exact(np.zeros((3, 0))).assignment == (IDLE,) * 3
+    assert solve_exact(np.zeros((0, 3))).assignment.tolist() == []
+    assert solve_exact(np.zeros((3, 0))).assignment.tolist() == [IDLE] * 3
 
 
 def full_walk_exact(values: np.ndarray, weights=None) -> Schedule:
@@ -267,7 +330,7 @@ def test_exact_matches_full_walk_on_sparse_matrices():
             seen["zero_weight"] += 1
         got = solve_exact(values, weights)
         want = full_walk_exact(values, weights)
-        assert got.assignment == want.assignment, trial
+        assert np.array_equal(got.assignment, want.assignment), trial
         assert got.node_totals == want.node_totals, trial
         assert got.objective == want.objective, trial
     assert min(seen.values()) >= 12, seen
@@ -311,7 +374,7 @@ def test_ga_deterministic_given_seed():
     cfg = StrategyConfig(kind="S-TD", weights=(0.2, 0.3, 0.5), ga=quick_ga(seed=9))
     a = solve_ga(values, cfg)
     b = solve_ga(values, cfg)
-    assert a.assignment == b.assignment
+    assert np.array_equal(a.assignment, b.assignment)
     assert a.objective == b.objective
 
 
@@ -381,7 +444,7 @@ def test_ga_spd_equal_weights_matches_sgd_objective():
     spd = solve_ga(values, StrategyConfig(kind="S-PD",
                                           weights=(2.0, 2.0, 2.0), ga=ga))
     assert spd.objective == pytest.approx(sgd.objective, rel=1e-12)
-    assert spd.assignment == sgd.assignment
+    assert np.array_equal(spd.assignment, sgd.assignment)
 
 
 def test_ga_spd_prefers_weighted_node():
@@ -389,7 +452,7 @@ def test_ga_spd_prefers_weighted_node():
     heavy = StrategyConfig(kind="S-PD", weights=(0.05, 0.95),
                            ga=quick_ga(seed=8, population=30, generations=40))
     sched = solve_ga(values, heavy)
-    assert sched.assignment == (1,)
+    assert sched.assignment.tolist() == [1]
 
 
 def test_ga_std_reduces_kl_within_band():
@@ -449,3 +512,40 @@ def test_strategy_config_validation():
 def test_schedule_total_property():
     sched = Schedule(assignment=(0, 1), node_totals=(2.0, 3.5), objective=5.5)
     assert sched.total == 5.5
+
+
+# ---------------------------------------------------------------------------
+# export
+# ---------------------------------------------------------------------------
+
+def loop_write_schedule_csv(schedule, matrix, path) -> None:
+    """write_schedule_csv as it was before it named the codes with one take:
+    a dict lookup and a write per row."""
+    names = {IDLE: "IDLE", SWITCH: "SWITCH", **dict(enumerate(matrix.node_names))}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("interval_index,start_utc,activity\n")
+        for m, (label, act) in enumerate(zip(matrix.interval_labels,
+                                             schedule.assignment, strict=True)):
+            fh.write(f"{m},{label},{names[act]}\n")
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_schedule_csv_matches_the_row_loop(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(sched_module, "_ROW_CHUNK", chunk)
+    rng = np.random.default_rng(4_096)
+    start = datetime(2016, 9, 19, 13, 0, 0, 250_000, tzinfo=timezone.utc)
+    for n_intervals in (0, 1, 2, 3, 6, 7, 4096, 4097):
+        n_nodes = int(rng.integers(1, 5))
+        matrix = KeyMatrix(start=start, interval_seconds=10.0,
+                           node_names=tuple(f"station-{n}" for n in range(n_nodes)),
+                           values=rng.uniform(0.0, 5.0, size=(n_intervals, n_nodes)))
+        codes = rng.integers(SWITCH, n_nodes, size=n_intervals)
+        for schedule in (solve_exact(matrix),
+                         Schedule(assignment=codes, node_totals=(), objective=0.0)):
+            write_schedule_csv(schedule, matrix, tmp_path / "got.csv")
+            loop_write_schedule_csv(schedule, matrix, tmp_path / "want.csv")
+            assert ((tmp_path / "got.csv").read_bytes()
+                    == (tmp_path / "want.csv").read_bytes()), n_intervals
+    short = Schedule(assignment=codes[:-1], node_totals=(), objective=0.0)
+    with pytest.raises(ValueError):
+        write_schedule_csv(short, matrix, tmp_path / "short.csv")
