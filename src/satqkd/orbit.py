@@ -174,12 +174,13 @@ class AccessInterval:
     """A maximal run of usable samples for one station, held as columns.
 
     `end` is exclusive: it sits one sample step past the last usable sample,
-    so end - start equals the usable duration.  Sample k, at the configured
-    step, is at `time_us[k]` (int64 microseconds from the Unix epoch).
+    so end - start equals the usable duration.  Samples are `step_seconds`
+    apart; sample k is at `time_us[k]` (int64 microseconds from the Unix epoch).
     """
     station: GroundStation
     start: datetime
     end: datetime
+    step_seconds: float
     time_us: np.ndarray = field(repr=False)
     elevation_deg: np.ndarray = field(repr=False)
     azimuth_deg: np.ndarray = field(repr=False)
@@ -188,10 +189,6 @@ class AccessInterval:
     @property
     def duration_seconds(self) -> float:
         return (self.end - self.start).total_seconds()
-
-    @property
-    def step_seconds(self) -> float:
-        return self.duration_seconds / len(self.time_us)
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +660,15 @@ def _screen(source, stations, u0: float, step_seconds: float, count: int,
     return candidates, mine
 
 
+def sample_count(seconds: float, step_seconds: float) -> int:
+    """Steps that start within `seconds` (at least one), or ValueError when
+    the count would not fit int64."""
+    if seconds / step_seconds >= 2.0 ** 63:
+        raise ValueError(f"a step of {step_seconds!r} s makes more than 2**63 - 1 "
+                         f"samples over the span")
+    return max(1, math.ceil(seconds / step_seconds - 1e-9))
+
+
 def compute_access_windows(source: TleElements | Ephemeris,
                            stations: Sequence[GroundStation],
                            span: tuple[datetime, datetime],
@@ -688,7 +694,8 @@ def compute_access_windows(source: TleElements | Ephemeris,
         source: TLE mean elements or a precomputed Ephemeris.
         span: (start, end); samples are taken at interval starts, i.e. at
             start + k*step for k with start + k*step < end.
-        step_seconds: sampling step, > 0.
+        step_seconds: sampling step, > 0 and coarse enough that the sample
+            count fits int64.
     """
     start, end = (_as_utc(span[0]), _as_utc(span[1]))
     if step_seconds <= 0:
@@ -697,7 +704,7 @@ def compute_access_windows(source: TleElements | Ephemeris,
         raise ValueError("span must be non-empty")
 
     u0, u1 = _to_unix(start), _to_unix(end)
-    count = max(1, math.ceil((u1 - u0) / step_seconds - 1e-9))
+    count = sample_count(u1 - u0, step_seconds)
 
     def locate(unix: np.ndarray) -> np.ndarray:
         try:
@@ -762,6 +769,7 @@ def compute_access_windows(source: TleElements | Ephemeris,
                 station=station,
                 start=_from_us(int(time_us[k0])),
                 end=_from_unix(float(unix[k1 - 1]) + step_seconds),
+                step_seconds=step_seconds,
                 time_us=time_us[k0:k1], elevation_deg=elev[k0:k1],
                 azimuth_deg=azim[k0:k1], slant_range_km=rng[k0:k1]))
     intervals.sort(key=lambda iv: iv.start)

@@ -36,6 +36,7 @@ from .orbit import (
     compute_access_windows,
     load_ephemeris,
     parse_tle,
+    sample_count,
 )
 from .qkd import KeyMatrix, QkdParams, build_key_matrix
 from .sched import GaConfig, StrategyConfig
@@ -116,6 +117,10 @@ class ScenarioConfig:
             raise ConfigError(
                 "step_seconds",
                 f"step must divide the {self.grid_interval_seconds} s scheduling interval")
+        try:
+            sample_count((self.span[1] - self.span[0]).total_seconds(), self.step_seconds)
+        except ValueError as exc:
+            raise ConfigError("step_seconds", str(exc)) from None
         names = [st.name for st in self.stations]
         for i, name in enumerate(names):
             # a name is a bare CSV field, and schedules name IDLE and SWITCH
@@ -138,7 +143,7 @@ class ScenarioConfig:
     @property
     def n_grid_intervals(self) -> int:
         seconds = (self.span[1] - self.span[0]).total_seconds()
-        return max(1, math.ceil(seconds / self.grid_interval_seconds - 1e-9))
+        return sample_count(seconds, self.grid_interval_seconds)
 
     def station_weights(self) -> tuple[float, ...]:
         if self.strategy.weights is not None:

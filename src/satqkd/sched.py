@@ -150,22 +150,35 @@ def _assignment_of(schedule: Schedule | Sequence[int], where="assignment") -> np
     return arr
 
 
+def _codes_of(schedule: Schedule | Sequence[int], n_nodes: int,
+              where="assignment") -> np.ndarray:
+    """As _assignment_of, and ValueError naming the first code that is not
+    IDLE, SWITCH or a node in 0..n_nodes-1."""
+    arr = _assignment_of(schedule, where)
+    bad = np.flatnonzero((arr < SWITCH) | (arr >= n_nodes))
+    if bad.size:
+        m = int(bad[0])
+        raise ValueError(f"{where}[{m}] = {arr.flat[m].item()!r} is not IDLE ({IDLE}), "
+                         f"SWITCH ({SWITCH}) or a node in 0..{n_nodes - 1}")
+    return arr
+
+
 def is_feasible(schedule: Schedule | Sequence[int], n_intervals: int, n_nodes: int) -> bool:
     """True iff the assignment respects activity codes and switch constraints."""
     try:
-        a = _assignment_of(schedule)
+        a = _codes_of(schedule, n_nodes)
     except ValueError:
         return False
-    node = (a >= 0) & (a < n_nodes)
     # a node may follow only itself or a SWITCH; the first interval anything
-    return (a.shape == (n_intervals,) and bool((node | (a == IDLE) | (a == SWITCH)).all())
-            and not (node[1:] & (a[1:] != a[:-1]) & (a[:-1] != SWITCH)).any())
+    return a.shape == (n_intervals,) and not (
+        (a[1:] >= 0) & (a[1:] != a[:-1]) & (a[:-1] != SWITCH)).any()
 
 
 def evaluate(schedule: Schedule | Sequence[int], matrix) -> np.ndarray:
-    """Per-node delivered totals E_n = sum_m K[m][n] [assignment m == n]."""
-    arr = _assignment_of(schedule)
+    """Per-node delivered totals E_n = sum_m K[m][n] [assignment m == n], or
+    ValueError for a code that is not IDLE, SWITCH or a node."""
     values = _values_of(matrix)
+    arr = _codes_of(schedule, values.shape[1])
     if len(arr) != values.shape[0]:
         raise ValueError(f"assignment length {len(arr)} does not match {len(values)} intervals")
     # one stable sort groups each node's rows, still in row order, so every
@@ -245,38 +258,31 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
     gains = values[rows] * w  # (R, N)
     n_rows = len(rows)
 
-    # state ids: IDLE (first in argmax ties), node n as n + 1, SWITCH (traceback only)
-    idle_id, switch_id = 0, n_nodes + 1
-
+    # states are activity codes; `ordered` lists IDLE first (it wins argmax
+    # ties), then node n at n + 1, so argmax - 1 is the best activity
     f_nodes = gains[0].copy()
     rest = 0.0  # the value of IDLE and of SWITCH alike
     same_parent = np.zeros((n_rows, n_nodes), dtype=bool)
-    other_parent = np.zeros(n_rows, dtype=np.int32)
+    other_parent = np.zeros(n_rows, dtype=np.int32)  # best activity of row k - 1
 
     for k in range(1, n_rows):
         ordered = np.concatenate(([rest], f_nodes))
-        other_parent[k] = np.argmax(ordered)
+        other_parent[k] = np.argmax(ordered) - 1
         same_parent[k] = f_nodes >= rest
         f_nodes = gains[k] + np.maximum(f_nodes, rest)
-        rest = float(ordered[other_parent[k]])
+        rest = float(ordered[other_parent[k] + 1])
 
     ordered = np.concatenate(([rest], f_nodes))
-    state = int(np.argmax(ordered))
-    objective = float(ordered[state])
+    state = int(np.argmax(ordered)) - 1
+    objective = float(ordered[state + 1])
 
     visited = np.empty(n_rows, dtype=np.int64)
     for k in range(n_rows - 1, -1, -1):
-        if state == idle_id:
-            visited[k] = IDLE
-            nxt = other_parent[k]
-        elif state == switch_id:
-            visited[k] = SWITCH
-            nxt = other_parent[k]
-        else:
-            node = state - 1
-            visited[k] = node
-            nxt = state if same_parent[k, node] else switch_id
-        state = int(nxt)
+        visited[k] = state
+        if state < 0:  # IDLE or SWITCH: entered from the best of the row before
+            state = int(other_parent[k])
+        elif not same_parent[k, state]:
+            state = SWITCH
     owner = np.searchsorted(rows, np.arange(n_intervals), side="right") - 1
     return _finish(visited[owner], values, objective)
 
@@ -333,12 +339,7 @@ def _seed_genes(seed: Schedule | Sequence[int], index: int, active: np.ndarray,
     if arr.shape != (n_intervals,):
         raise ValueError(f"{where} has shape {arr.shape}, expected "
                          f"({n_intervals},) for {n_intervals} intervals")
-    bad = np.flatnonzero((arr < SWITCH) | (arr >= n_nodes))
-    if bad.size:
-        m = int(bad[0])
-        raise ValueError(f"{where}[{m}] = {arr[m].item()!r} is not IDLE ({IDLE}), "
-                         f"SWITCH ({SWITCH}) or a node in 0..{n_nodes - 1}")
-    genes = arr[active].astype(np.int16)
+    genes = _codes_of(arr, n_nodes, where)[active].astype(np.int16)
     # IDLE (-1) and SWITCH (-2) are genes n_nodes and n_nodes + 1, and back
     return np.where(genes < 0, n_nodes - 1 - genes, genes)
 
@@ -356,9 +357,10 @@ def solve_ga(matrix, cfg: StrategyConfig,
 
     S-PD fitness uses the weights normalized to mean 1, so all-equal weights
     reproduce the S-GD objective exactly (solve_exact, by contrast, applies
-    raw weights).  S-TD reads the KL divergence of in-band rows only (fitness
-    within kl_tolerance of the generation's best); the others never compete
-    on KL, so theirs is left at +inf.
+    raw weights).  Every strategy ranks the same way: rows in the tolerance
+    band (fitness within kl_tolerance of the generation's best) by KL, then
+    by fitness.  Only S-TD has a band and reads its rows' KL; for S-GD and
+    S-PD the band is empty and every KL +inf, so fitness alone ranks them.
     """
     values = _values_of(matrix)
     n_intervals, n_nodes = values.shape
@@ -435,11 +437,11 @@ def solve_ga(matrix, cfg: StrategyConfig,
         return out
 
     def score(group: np.ndarray):
-        """Fitness, then for S-TD the tolerance band and the KL of its rows."""
+        """Fitness, the tolerance band (empty but for S-TD) and its rows' KL."""
         fit = fitness_of(group)
-        if target is None:
-            return fit, None, None
-        band = fit >= (1.0 - cfg.kl_tolerance) * fit.max()
+        band = np.zeros(len(group), dtype=bool)
+        if target is not None:
+            band = fit >= (1.0 - cfg.kl_tolerance) * fit.max()
         return fit, band, kl_of(group, band)
 
     repair(pop)
@@ -447,31 +449,21 @@ def solve_ga(matrix, cfg: StrategyConfig,
     # archive of per-generation champions: (fitness, kl, genes)
     archive: list[tuple[float, float, np.ndarray]] = []
 
-    def record(fit: np.ndarray, band: np.ndarray | None,
-               kl: np.ndarray | None) -> None:
-        i = int(np.argmax(fit))
-        archive.append((float(fit[i]),
-                        float(kl[i]) if kl is not None else math.inf,
-                        pop[i].copy()))
-        if kl is not None:
+    def record(fit: np.ndarray, band: np.ndarray, kl: np.ndarray) -> None:
+        """Archive the fittest row and, with a band, its lowest-KL row."""
+        best = [int(np.argmax(fit))]
+        if band.any():
             idx = np.flatnonzero(band)
-            order = np.lexsort((-fit[idx], kl[idx]))
-            j = int(idx[order[0]])
-            archive.append((float(fit[j]), float(kl[j]), pop[j].copy()))
-
-    def elite_rows(fit: np.ndarray, band: np.ndarray | None,
-                   kl: np.ndarray | None) -> np.ndarray:
-        if kl is None:
-            return np.argsort(-fit, kind="stable")[:ga.elitism]
-        order = np.lexsort((-fit, kl, (~band).astype(np.int8)))
-        return order[:ga.elitism]
+            best.append(int(idx[np.lexsort((-fit[idx], kl[idx]))[0]]))
+        archive.extend((float(fit[i]), float(kl[i]), pop[i].copy()) for i in best)
 
     champion = -math.inf
     stalled = 0
     for _ in range(ga.generations):
         fit, band, kl = score(pop)
         record(fit, band, kl)
-        elites = pop[elite_rows(fit, band, kl)]
+        # stable: with an empty band, the fittest first, ties by index
+        elites = pop[np.lexsort((-fit, kl, ~band))[:ga.elitism]]
 
         gen_best = float(fit.max())
         if gen_best > champion + 1e-12 * max(1.0, abs(champion)):
@@ -489,20 +481,18 @@ def solve_ga(matrix, cfg: StrategyConfig,
             stalled = 0
             continue
 
-        # tournament selection, size 3
+        # tournament selection, size 3; a fitness tie goes to the lower
+        # population index for S-TD, to the earlier candidate otherwise
         cand = rng.integers(0, ga.population, size=(ga.population, 3))
-        if kl is None:
-            winner = cand[np.arange(ga.population),
-                          np.argmax(fit[cand], axis=1)]
-        else:
-            def beats(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-                both = band[i] & band[j]
-                by_kl = np.where(kl[i] != kl[j], kl[i] < kl[j], fit[i] >= fit[j])
-                by_fit = np.where(fit[i] != fit[j], fit[i] > fit[j], i <= j)
-                return np.where(np.where(both, by_kl, by_fit), i, j)
 
-            winner = beats(beats(cand[:, 0], cand[:, 1]), cand[:, 2])
-        children = pop[winner]
+        def beats(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+            both = band[i] & band[j]
+            by_kl = np.where(kl[i] != kl[j], kl[i] < kl[j], fit[i] >= fit[j])
+            by_fit = np.where(fit[i] != fit[j], fit[i] > fit[j],
+                              (i <= j) | (target is None))
+            return np.where(np.where(both, by_kl, by_fit), i, j)
+
+        children = pop[beats(beats(cand[:, 0], cand[:, 1]), cand[:, 2])]
 
         # one-point crossover of pairs: past the cut the children trade genes
         half = ga.population // 2
@@ -527,15 +517,13 @@ def solve_ga(matrix, cfg: StrategyConfig,
     fit, band, kl = score(pop)
     record(fit, band, kl)
 
+    # the lowest KL within the band, then the fittest, then the earliest; with
+    # every KL +inf this is the first argmax of the fitness
     fits = np.array([entry[0] for entry in archive])
-    if cfg.kind == "S-TD":
-        best_fit = fits.max()
-        kls = np.array([entry[1] for entry in archive])
-        eligible = np.flatnonzero(fits >= (1.0 - cfg.kl_tolerance) * best_fit)
-        order = np.lexsort((eligible, -fits[eligible], kls[eligible]))
-        chosen = archive[int(eligible[order[0]])]
-    else:
-        chosen = archive[int(np.argmax(fits))]
+    kls = np.array([entry[1] for entry in archive])
+    eligible = np.flatnonzero(fits >= (1.0 - cfg.kl_tolerance) * fits.max())
+    order = np.lexsort((eligible, -fits[eligible], kls[eligible]))
+    chosen = archive[int(eligible[order[0]])]
 
     assignment = _expand(chosen[2], active, starts, n_intervals, n_nodes)
     return _finish(assignment, values, chosen[0])

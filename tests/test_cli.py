@@ -203,6 +203,19 @@ def test_keymatrix_composition_bit_exact(tmp_path):
         (tmp_path / "composed" / "keymatrix.csv").read_bytes()
 
 
+def test_keymatrix_composition_bit_exact_at_a_fractional_step(tmp_path):
+    # each sample adds rate * the configured step on both paths; a step
+    # derived from a pass's duration and sample count differs in the last bit
+    cfg = short_config(step_seconds=0.7, grid_interval_seconds=7.0)
+    run_keymatrix(cfg, tmp_path / "direct")
+    run_linkbudget(cfg, tmp_path / "lb")
+    run_keymatrix(cfg, tmp_path / "composed",
+                  from_linkbudget=tmp_path / "lb" / "linkbudget.csv")
+    direct = (tmp_path / "direct" / "keymatrix.csv").read_bytes()
+    assert direct.count(b"\n") > 100
+    assert direct == (tmp_path / "composed" / "keymatrix.csv").read_bytes()
+
+
 SHORT_SPAN = ["2016-09-19T14:00:00+00:00", "2016-09-19T20:00:00+00:00"]
 
 
@@ -658,6 +671,20 @@ def test_main_weights_not_one_per_station_exit_2(tmp_path, capsys, command):
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == (
         "strategy.weights: expected 11, got 2")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["access", "linkbudget", "keymatrix", "schedule",
+                                     "sweep"])
+def test_main_step_too_fine_for_int64_exits_2(tmp_path, capsys, command):
+    # 6.048e305 samples over the week: refused before any array is made
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"step_seconds": 1e-300,
+                                    "grid_interval_seconds": 1e-300}), encoding="utf-8")
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "step_seconds: a step of 1e-300 s makes more than 2**63 - 1 samples over the span")
     assert not (tmp_path / "out").exists()
 
 

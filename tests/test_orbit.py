@@ -407,6 +407,16 @@ def test_step_validation_and_empty_span():
         compute_access_windows(el, [st], (el.epoch, el.epoch))
 
 
+@pytest.mark.parametrize("step", [1e-300, 1e-320, 6 * 3600 / 2.0 ** 63],
+                         ids=["1e-300", "1e-320", "2**63-samples"])
+def test_step_too_fine_for_int64_raises(step):
+    el = circular_elements(500.0, 97.37)
+    st = GroundStation("site", 34.0, 109.0)
+    with pytest.raises(ValueError, match=r"makes more than 2\*\*63 - 1 samples"):
+        compute_access_windows(el, [st], (el.epoch, el.epoch + timedelta(hours=6)),
+                               step_seconds=step)
+
+
 # ---------------------------------------------------------------------------
 # Ephemeris replay
 # ---------------------------------------------------------------------------
@@ -550,6 +560,7 @@ def reference_access_windows(source, stations, span, step_seconds,
                 station=station,
                 start=times[0],
                 end=orbit._from_unix(float(unix[i1 - 1]) + step_seconds),
+                step_seconds=step_seconds,
                 time_us=np.array([orbit._to_us(t) for t in times], dtype=np.int64),
                 elevation_deg=elev[i0:i1], azimuth_deg=azim[i0:i1],
                 slant_range_km=rng[i0:i1]))

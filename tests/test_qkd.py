@@ -221,6 +221,7 @@ def zenith_access(station, first_interval, n_intervals, grid_start=T0,
     first_us = (start - datetime(1970, 1, 1, tzinfo=UTC)) // timedelta(microseconds=1)
     return AccessInterval(station=station, start=start,
                           end=start + timedelta(seconds=step * n_intervals),
+                          step_seconds=step,
                           time_us=first_us + round(step * 1e6) * np.arange(n_intervals),
                           elevation_deg=np.full(n_intervals, ZENITH.elevation_deg),
                           azimuth_deg=np.full(n_intervals, ZENITH.azimuth_deg),

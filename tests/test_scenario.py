@@ -1,17 +1,20 @@
-"""Scenario JSON reader: the README example and a typed property test.
+"""Scenario JSON reader: the README examples and a typed property test.
 
 The README's configuration block shows every default, so its sections must
-read back to the built-in profile.  The property test draws values of every
-JSON type for every field of every section and requires the reader to
-return a config whose fields have their declared types, or to raise
-ConfigError: never another exception.
+read back to the built-in profile, and its Python API example must run.
+The property test draws values of every JSON type for every field of every
+section and requires the reader to return a config whose fields have their
+declared types, or to raise ConfigError: never another exception.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -43,6 +46,19 @@ def test_readme_defaults_are_the_built_in_profile():
     keys = ("span", "step_seconds", "grid_interval_seconds", "elevation_mask_deg",
             "night_threshold_deg", "require_umbra", "optics", "qkd", "strategy", "sweep")
     assert scenario_from_dict({key: shown[key] for key in keys}) == scenario_from_dict({})
+
+
+def test_readme_python_api_example_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Python API"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    peak, total = run.stdout.splitlines()
+    assert peak.endswith(" deg peak elevation of the first pass")
+    assert total.endswith(" key bits") and float(total.split()[0]) > 0
 
 
 # ---------------------------------------------------------------------------

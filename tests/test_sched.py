@@ -82,6 +82,19 @@ def test_non_integer_codes_are_rejected():
         evaluate([0.5, IDLE], [[3, 4], [1, 1]])
 
 
+@pytest.mark.parametrize("codes, message", [
+    ([7, IDLE], r"assignment\[0\] = 7 is not IDLE \(-1\), SWITCH \(-2\) or a node in 0..1"),
+    ([IDLE, -3], r"assignment\[1\] = -3 is not IDLE"),
+    ([0, 2], r"assignment\[1\] = 2 is not IDLE"),
+    ([math.inf, IDLE], r"assignment\[0\] = inf is not IDLE"),
+    ([0.0, -math.inf], r"assignment\[1\] = -inf is not IDLE"),
+], ids=["past-last-node", "below-switch", "n-nodes", "inf", "minus-inf"])
+def test_evaluate_refuses_stray_activity_codes(codes, message):
+    assert not is_feasible(codes, 2, 2)
+    with pytest.raises(ValueError, match=message):
+        evaluate(codes, [[3, 4], [1, 1]])
+
+
 def test_schedule_holds_a_read_only_int64_array():
     sched = Schedule(assignment=(0, SWITCH, 1), node_totals=(1.0, 2.0), objective=3.0)
     assert sched.assignment.dtype == np.int64
