@@ -25,7 +25,13 @@ from . import __version__
 from .channel import total_loss  # noqa: F401
 from .orbit import AccessInterval, _from_us, _to_us
 from .output import INF, iso_utc, open_new, write_json
-from .qkd import KeyMatrix, add_key_bits, export_key_matrix, pass_link_budget
+from .qkd import (
+    KeyMatrix,
+    add_key_bits,
+    assemble_key_matrix,
+    export_key_matrix,
+    pass_link_budget,
+)
 from .sched import (
     Schedule,
     is_feasible,
@@ -133,7 +139,6 @@ def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -
 def key_matrix_from_linkbudget(config: ScenarioConfig, csv_path) -> KeyMatrix:
     """Rebuild the key matrix from a linkbudget.csv intermediate."""
     start = config.span[0]
-    values = np.zeros((config.n_grid_intervals, len(config.stations)))
     column = {st.name: i for i, st in enumerate(config.stations)}
     nodes, times, etas = [], [], []
     with open(csv_path, encoding="utf-8") as fh:
@@ -166,12 +171,14 @@ def key_matrix_from_linkbudget(config: ScenarioConfig, csv_path) -> KeyMatrix:
             times.append(us)
             etas.append(eta)
     time_us = np.array(times, dtype=np.int64)
-    add_key_bits(values, start, config.grid_interval_seconds, config.qkd, nodes,
-                 time_us, etas, config.step_seconds, lambda i: f"{csv_path}:{i + 2}: "
+    parts: list = []
+    add_key_bits(parts, start, config.grid_interval_seconds, config.n_grid_intervals,
+                 config.qkd, nodes, time_us, etas, config.step_seconds,
+                 lambda i: f"{csv_path}:{i + 2}: "
                  f"time_utc: {_from_us(int(time_us[i])).isoformat()}")
-    return KeyMatrix(start=start, interval_seconds=config.grid_interval_seconds,
-                     node_names=tuple(st.name for st in config.stations),
-                     values=values)
+    return assemble_key_matrix(parts, start, config.grid_interval_seconds,
+                               config.n_grid_intervals,
+                               tuple(st.name for st in config.stations))
 
 
 def run_keymatrix(config: ScenarioConfig, out: Path, seed: int | None = None,
@@ -186,9 +193,8 @@ def run_keymatrix(config: ScenarioConfig, out: Path, seed: int | None = None,
                       out / "keymatrix_meta.json")
 
     daily: dict[tuple[str, str], float] = defaultdict(float)
-    rows, cols = np.nonzero(matrix.values)
-    for label, n, bits in zip(matrix.row_labels(rows), cols.tolist(),
-                              matrix.values[rows, cols].tolist()):
+    rows, cols, cell_bits = matrix.nonzero()
+    for label, n, bits in zip(matrix.row_labels(rows), cols.tolist(), cell_bits.tolist()):
         daily[label[:10], matrix.node_names[n]] += bits
     with open_new(out / "keys_daily.csv") as fh:
         fh.write("date,station,key_bits\n")
@@ -355,6 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    config = None
     try:
         config = (load_scenario(args.config) if args.config is not None
                   else micius_week_config())
@@ -371,6 +378,16 @@ def main(argv=None) -> int:
             run_sweep(config, args.variable, args.out, args.seed)
     except (ConfigError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 2
+    except MemoryError:  # numpy's _ArrayMemoryError included
+        if config is None:
+            raise
+        start, end = config.span
+        print(json.dumps({"error": (
+            f"out of memory: step_seconds {config.step_seconds!r} and "
+            f"grid_interval_seconds {config.grid_interval_seconds!r} over the span "
+            f"{start.isoformat()} to {end.isoformat()} give more samples or "
+            f"intervals than fit in memory")}), file=sys.stderr)
         return 2
     return 0
 

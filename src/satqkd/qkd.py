@@ -14,6 +14,13 @@ clamped at zero.  Rates integrate over access intervals as rate-per-second
 times sample spacing, and assemble into the per-interval, per-node key matrix
 used by the scheduler.  Each formula is one float loop over a column of
 transmittances; the scalar functions call it.
+
+The key matrix holds only the intervals with a nonzero cell (`rows`) and
+those rows' cells, never an intervals x nodes array: add_key_bits turns
+samples into (row, node, bits) columns and assemble_key_matrix sums them
+into the cells of their distinct rows.  `KeyMatrix.values` builds the dense
+array on each access, for tests and small callers; the pipeline never reads
+it.
 """
 from __future__ import annotations
 
@@ -142,30 +149,92 @@ def gllp_rate(eta: float, params: QkdParams) -> RateResult:
                       per_pulse * params.rep_rate_hz)
 
 
-@dataclass(frozen=True)
+def nonzero_rows(values) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n_intervals, rows, cells) of a dense (n_intervals, n_nodes) key matrix:
+    the rows with a nonzero cell and their cells, or ValueError naming the
+    first negative, NaN or infinite entry."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"a key matrix is 2-D (intervals, nodes), got shape {values.shape}")
+    rows = np.flatnonzero(values.any(axis=1))  # NaN and negative cells count
+    cells = values[rows]
+    _check_cells(rows, cells)
+    return len(values), rows, cells
+
+
+def _check_cells(rows: np.ndarray, cells: np.ndarray) -> None:
+    bad = np.flatnonzero(~((cells >= 0.0) & (cells < np.inf)))
+    if bad.size:
+        k, n = divmod(int(bad[0]), cells.shape[1])
+        raise ValueError(f"key matrix entry [{rows[k]}][{n}] = {float(cells[k, n])!r} "
+                         f"is not finite and >= 0")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class KeyMatrix:
-    """K[m][n]: secure-key bits obtainable in interval m by node n."""
+    """K[m][n]: secure-key bits obtainable in interval m by node n.
+
+    Held as its nonzero rows: `rows` are the sorted intervals with a nonzero
+    cell and `cells` their (len(rows), n_nodes) bits; every other interval is
+    all zero.  Give either the dense `values` or rows, cells and n_intervals;
+    rows left all zero are dropped.  `values` builds the dense array on each
+    access, for tests and small callers.
+    """
     start: datetime
     interval_seconds: float
     node_names: tuple[str, ...]
-    values: np.ndarray = field(repr=False)  # (n_intervals, n_nodes) float
+    n_intervals: int
+    rows: np.ndarray = field(repr=False)   # (R,) int64, strictly increasing
+    cells: np.ndarray = field(repr=False)  # (R, n_nodes) float
 
-    def __post_init__(self):
-        object.__setattr__(self, "start", _as_utc(self.start))
-        v = self.values
-        if v.ndim != 2 or v.shape[1] != len(self.node_names):
-            raise ValueError(f"values shape {v.shape} inconsistent with "
-                             f"{len(self.node_names)} nodes")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("key matrix entries must be finite and >= 0")
-
-    @property
-    def n_intervals(self) -> int:
-        return int(self.values.shape[0])
+    def __init__(self, start: datetime, interval_seconds: float,
+                 node_names: Sequence[str], values=None, *, rows=None, cells=None,
+                 n_intervals: int | None = None):
+        if values is not None:
+            if any(arg is not None for arg in (rows, cells, n_intervals)):
+                raise TypeError("give values, or rows, cells and n_intervals, not both")
+            n_intervals, rows, cells = nonzero_rows(values)
+            if cells.shape[1] != len(node_names):
+                raise ValueError(f"values shape {(n_intervals, cells.shape[1])} "
+                                 f"inconsistent with {len(node_names)} nodes")
+        elif rows is None or cells is None or n_intervals is None:
+            raise TypeError("give values, or rows, cells and n_intervals")
+        else:
+            rows = np.array(rows, dtype=np.int64).reshape(-1)
+            cells = np.array(cells, dtype=float)
+            n_intervals = int(n_intervals)
+            if cells.shape != (len(rows), len(node_names)):
+                raise ValueError(f"cells shape {cells.shape} does not match "
+                                 f"{len(rows)} rows and {len(node_names)} nodes")
+            if len(rows) and (rows[0] < 0 or rows[-1] >= n_intervals
+                              or (np.diff(rows) <= 0).any()):
+                raise ValueError(f"rows must increase strictly within "
+                                 f"0..{n_intervals - 1}")
+            _check_cells(rows, cells)
+            if not (keep := cells.any(axis=1)).all():
+                rows, cells = rows[keep], cells[keep]
+        rows.flags.writeable = cells.flags.writeable = False
+        for name, value in (("start", _as_utc(start)), ("interval_seconds", interval_seconds),
+                            ("node_names", tuple(node_names)), ("n_intervals", n_intervals),
+                            ("rows", rows), ("cells", cells)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_nodes(self) -> int:
-        return int(self.values.shape[1])
+        return len(self.node_names)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense (n_intervals, n_nodes) array, built read-only on each access."""
+        dense = np.zeros((self.n_intervals, self.n_nodes))
+        dense[self.rows] = self.cells
+        dense.flags.writeable = False
+        return dense
+
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Interval, node and bits of every nonzero cell, in row-major order."""
+        k, n = np.nonzero(self.cells)
+        return self.rows[k], n, self.cells[k, n]
 
     def interval_start(self, m: int) -> datetime:
         return self.start + timedelta(seconds=m * self.interval_seconds)
@@ -196,23 +265,39 @@ def pass_link_budget(access: AccessInterval, optics: OpticalParams,
                         alphas, optics)
 
 
-def add_key_bits(values: np.ndarray, start: datetime, interval_seconds: float,
-                 params: QkdParams, nodes, time_us: np.ndarray,
+def add_key_bits(parts: list, start: datetime, interval_seconds: float,
+                 n_intervals: int, params: QkdParams, nodes, time_us: np.ndarray,
                  etas: Sequence[float], step_seconds: float, where) -> None:
-    """Add rate_per_second(eta) * step of each sample, in order, to its grid
-    interval; nodes is one column or one per sample, where(i) names sample i."""
+    """Append the grid row, node and bits rate_per_second(eta) * step of each
+    sample with eta > 0 to parts, in order; nodes is one column or one per
+    sample, where(i) names sample i.  assemble_key_matrix sums them."""
     rows = np.floor((time_us - _to_us(start)) / 1e6 / interval_seconds)
-    outside = (rows < 0) | (rows >= len(values))
+    outside = (rows < 0) | (rows >= n_intervals)
     if outside.any():
         raise ValueError(f"{where(int(np.argmax(outside)))} is outside the "
-                         f"{len(values)}-interval grid from {_as_utc(start).isoformat()}")
-    rows, nodes = rows.astype(np.intp), np.broadcast_to(nodes, rows.shape)
+                         f"{n_intervals}-interval grid from {_as_utc(start).isoformat()}")
+    rows, nodes = rows.astype(np.int64), np.broadcast_to(nodes, rows.shape)
     keep = np.flatnonzero(np.asarray(etas, dtype=float) > 0.0)
-    for part in np.split(keep, range(_RATE_CHUNK, len(keep), _RATE_CHUNK)):
+    bits = np.empty(len(keep))
+    for lo in range(0, len(keep), _RATE_CHUNK):
+        part = keep[lo:lo + _RATE_CHUNK]
         per_pulse = _rate_terms([etas[k] for k in part.tolist()], params)[-1]
-        # ufunc.at adds repeated cells one sample at a time, in sample order
-        np.add.at(values, (rows[part], nodes[part]),
-                  np.array(per_pulse) * params.rep_rate_hz * step_seconds)
+        bits[lo:lo + len(part)] = np.array(per_pulse) * params.rep_rate_hz * step_seconds
+    parts.append((rows[keep], nodes[keep], bits))
+
+
+def assemble_key_matrix(parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                        start: datetime, interval_seconds: float, n_intervals: int,
+                        node_names: Sequence[str]) -> KeyMatrix:
+    """The key matrix of the samples add_key_bits appended to parts: each
+    cell sums its samples' bits one at a time, in sample order."""
+    rows, nodes, bits = ((np.concatenate(column) for column in zip(*parts)) if parts
+                         else (np.empty(0, np.int64),) * 3)
+    grid_rows, owner = np.unique(rows, return_inverse=True)
+    cells = np.zeros((len(grid_rows), len(node_names)))
+    np.add.at(cells, (owner, nodes), bits)  # repeated cells add in sample order
+    return KeyMatrix(start, interval_seconds, node_names, rows=grid_rows, cells=cells,
+                     n_intervals=n_intervals)
 
 
 def build_key_matrix(accesses: Sequence[AccessInterval],
@@ -230,18 +315,18 @@ def build_key_matrix(accesses: Sequence[AccessInterval],
     Samples falling outside the grid raise (grid misalignment).
     """
     column = {st.name: i for i, st in enumerate(stations)}
-    values = np.zeros((n_intervals, len(stations)))
+    parts: list = []
     for access in accesses:
         n = column.get(access.station.name)
         if n is None:
             raise ValueError(f"access interval for unknown station "
                              f"{access.station.name!r}")
         etas = pass_link_budget(access, optics, cloud).transmittance
-        add_key_bits(values, start, interval_seconds, params, n, access.time_us, etas,
-                     access.step_seconds, lambda i, t=access.time_us:
+        add_key_bits(parts, start, interval_seconds, n_intervals, params, n,
+                     access.time_us, etas, access.step_seconds, lambda i, t=access.time_us:
                      f"grid misalignment: sample at {_from_us(int(t[i])).isoformat()}")
-    return KeyMatrix(start=start, interval_seconds=interval_seconds,
-                     node_names=tuple(st.name for st in stations), values=values)
+    return assemble_key_matrix(parts, start, interval_seconds, n_intervals,
+                               tuple(st.name for st in stations))
 
 
 def params_digest(params: QkdParams) -> str:
@@ -253,13 +338,12 @@ def params_digest(params: QkdParams) -> str:
 def export_key_matrix(matrix: KeyMatrix, params: QkdParams,
                       csv_path, meta_path) -> None:
     """Write nonzero entries as CSV plus a JSON metadata sidecar."""
-    rows, cols = np.nonzero(matrix.values)
+    rows, cols, bits = matrix.nonzero()
     names = matrix.node_names
     with open_new(csv_path) as fh:
         fh.write("interval_index,node_name,start_utc,key_bits\n")
-        fh.writelines(f"{m},{names[n]},{label},{bits!r}\n" for m, n, label, bits in zip(
-            rows.tolist(), cols.tolist(), matrix.row_labels(rows),
-            matrix.values[rows, cols].tolist()))
+        fh.writelines(f"{m},{names[n]},{label},{b!r}\n" for m, n, label, b in zip(
+            rows.tolist(), cols.tolist(), matrix.row_labels(rows), bits.tolist()))
     write_json(meta_path, {
         "grid_start_utc": matrix.start.isoformat(),
         "interval_seconds": matrix.interval_seconds,

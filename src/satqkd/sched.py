@@ -5,12 +5,20 @@ activity: a node index, IDLE, or SWITCH.  A handoff needs a switch: interval
 m+1 may be assigned to node n only when interval m is the same node or a
 SWITCH (the first interval of the horizon is unconstrained).
 
+The key matrix is a qkd.KeyMatrix, held as the rows with a nonzero cell, or
+a dense (intervals, nodes) array, which is first reduced to those rows and
+rejected (ValueError naming the entry) if any entry is negative, NaN or
+infinite.  No solver builds an intervals x nodes array: their work follows
+the nonzero rows, and only the returned assignment, and evaluate's stable
+sort of it, is as long as the horizon.
+
 Solvers:
   * solve_exact  - dynamic program over (interval, last activity); provably
     optimal for any linear objective sum_n w_n * E_n.  It steps through the
     rows with a nonzero gain plus at most two rows of each all-zero run.
-  * solve_ga     - generational genetic algorithm on the activity string with
-    one-point crossover, per-gene mutation and switch-insertion repair.
+  * solve_ga     - generational genetic algorithm on the activity string of
+    the nonzero rows, with one-point crossover, per-gene mutation and
+    switch-insertion repair.
     Strategies: S-GD maximises total keys, S-PD a weighted total, S-TD uses
     the S-GD fitness but prefers, within a fitness tolerance band, schedules
     whose delivered distribution has lower KL divergence from target weights.
@@ -27,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .output import INF, open_new
+from .qkd import KeyMatrix, nonzero_rows
 
 IDLE = -1
 SWITCH = -2
@@ -133,8 +142,13 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return total
 
 
-def _values_of(matrix) -> np.ndarray:
-    return np.asarray(getattr(matrix, "values", matrix), dtype=float)
+def _cells_of(matrix) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n_intervals, rows, cells) of a KeyMatrix or a dense (intervals, nodes)
+    array: the sorted rows with a nonzero cell and their cells.  A dense
+    array with a negative, NaN or infinite entry raises ValueError naming it."""
+    if isinstance(matrix, KeyMatrix):
+        return matrix.n_intervals, matrix.rows, matrix.cells
+    return nonzero_rows(matrix)
 
 
 def _assignment_of(schedule: Schedule | Sequence[int], where="assignment") -> np.ndarray:
@@ -177,17 +191,32 @@ def is_feasible(schedule: Schedule | Sequence[int], n_intervals: int, n_nodes: i
 def evaluate(schedule: Schedule | Sequence[int], matrix) -> np.ndarray:
     """Per-node delivered totals E_n = sum_m K[m][n] [assignment m == n], or
     ValueError for a code that is not IDLE, SWITCH or a node."""
-    values = _values_of(matrix)
-    arr = _codes_of(schedule, values.shape[1])
-    if len(arr) != values.shape[0]:
-        raise ValueError(f"assignment length {len(arr)} does not match {len(values)} intervals")
-    # one stable sort groups each node's rows, still in row order, so every
-    # node sums the same values in the same order as a mask would give
+    return _delivered(schedule, *_cells_of(matrix))
+
+
+def _delivered(schedule: Schedule | Sequence[int], n_intervals: int,
+               rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """evaluate of a matrix given as (n_intervals, rows, cells).
+
+    Each node sums the column of all its assigned rows, zeros included and
+    in row order: numpy's pairwise sum groups by position, so the totals
+    are bit for bit those of the dense masked sum.  O(n_intervals) memory.
+    """
+    n_nodes = cells.shape[1]
+    arr = _codes_of(schedule, n_nodes)
+    if len(arr) != n_intervals:
+        raise ValueError(f"assignment length {len(arr)} does not match {n_intervals} intervals")
+    # one stable sort lists each node's assigned rows in row order
     order = np.argsort(arr, kind="stable")
-    bounds = np.searchsorted(arr[order], np.arange(values.shape[1] + 1))
-    totals = np.zeros(values.shape[1])
-    for n in range(values.shape[1]):
-        totals[n] = values[order[bounds[n]:bounds[n + 1]], n].sum()
+    bounds = np.searchsorted(arr, np.arange(n_nodes + 1), sorter=order)
+    owner = arr[rows]
+    totals = np.zeros(n_nodes)
+    for n in range(n_nodes):
+        mine = order[bounds[n]:bounds[n + 1]]
+        hit = np.flatnonzero(owner == n)
+        column = np.zeros(len(mine))
+        column[np.searchsorted(mine, rows[hit])] = cells[hit, n]
+        totals[n] = column.sum()
     return totals
 
 
@@ -200,15 +229,16 @@ def delivered_distribution(schedule: Schedule | Sequence[int], matrix) -> Distri
     return Distribution(tuple(float(v / total) for v in totals))
 
 
-def _finish(assignment: np.ndarray, matrix, objective: float) -> Schedule:
-    return Schedule(assignment, tuple(evaluate(assignment, matrix).tolist()), float(objective))
+def _finish(assignment: np.ndarray, key: tuple, objective: float) -> Schedule:
+    return Schedule(assignment, tuple(_delivered(assignment, *key).tolist()),
+                    float(objective))
 
 
-def _active_blocks(active: np.ndarray,
+def _active_blocks(active: np.ndarray, n_intervals: int,
                    run_head: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Rows worth visiting, plus block-start flags.
 
-    The rows are those flagged `active` plus the first `run_head` rows of
+    The rows are the sorted `active` rows plus the first `run_head` rows of
     every run of inactive rows (the leading run included); a block starts at
     the first row and after every left-out row.  Intervals where every
     node's key yield is zero never need a node in an optimal assignment (a
@@ -216,11 +246,9 @@ def _active_blocks(active: np.ndarray,
     the active intervals; the switch constraint does not couple across a
     gap.  The exact DP keeps two rows of each gap (see solve_exact).
     """
-    keep = active.copy()
-    for lag in range(1, run_head + 1):
-        keep[lag:] |= active[:-lag]
-    keep[:run_head] = True
-    rows = np.flatnonzero(keep)
+    rows = np.unique(np.concatenate([active + lag for lag in range(run_head + 1)]
+                                    + [np.arange(min(run_head, n_intervals))]))
+    rows = rows[:np.searchsorted(rows, n_intervals)]
     starts = np.empty(len(rows), dtype=bool)
     starts[:1] = True
     starts[1:] = np.diff(rows) > 1
@@ -245,18 +273,22 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
     nonzero gain plus at most two rows per zero run.  A left-out row takes
     the activity of the row before it, which is what the full walk assigns.
     """
-    values = _values_of(matrix)
-    n_intervals, n_nodes = values.shape
+    key = n_intervals, cell_rows, cells = _cells_of(matrix)
+    n_nodes = cells.shape[1]
     if n_intervals == 0 or n_nodes == 0:
-        return _finish(np.full(n_intervals, IDLE), values, 0.0)
+        return _finish(np.full(n_intervals, IDLE), key, 0.0)
     w = np.ones(n_nodes) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (n_nodes,):
         raise ValueError(f"expected {n_nodes} weights, got {w.shape}")
     if np.any(w < 0):
         raise ValueError("weights must be >= 0")
-    rows, _ = _active_blocks(((values != 0) & (w != 0)).any(axis=1), run_head=2)
-    gains = values[rows] * w  # (R, N)
+    active = cell_rows[((cells != 0) & (w != 0)).any(axis=1)]
+    rows, _ = _active_blocks(active, n_intervals, run_head=2)
     n_rows = len(rows)
+    # the gains of the kept rows; a run-head row outside cell_rows is all zero
+    held = np.isin(rows, cell_rows)
+    gains = np.zeros((n_rows, n_nodes))  # (R, N)
+    gains[held] = cells[np.searchsorted(cell_rows, rows[held])] * w
 
     # states are activity codes; `ordered` lists IDLE first (it wins argmax
     # ties), then node n at n + 1, so argmax - 1 is the best activity
@@ -283,8 +315,8 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
             state = int(other_parent[k])
         elif not same_parent[k, state]:
             state = SWITCH
-    owner = np.searchsorted(rows, np.arange(n_intervals), side="right") - 1
-    return _finish(visited[owner], values, objective)
+    # rows[0] == 0: each kept row's activity runs to the next kept row
+    return _finish(np.repeat(visited, np.diff(rows, append=n_intervals)), key, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +394,18 @@ def solve_ga(matrix, cfg: StrategyConfig,
     by fitness.  Only S-TD has a band and reads its rows' KL; for S-GD and
     S-PD the band is empty and every KL +inf, so fitness alone ranks them.
     """
-    values = _values_of(matrix)
-    n_intervals, n_nodes = values.shape
+    # the rows with a nonzero cell are the active rows, and cells their keys
+    key = n_intervals, active, k_active = _cells_of(matrix)  # k_active: (A, N)
+    n_nodes = k_active.shape[1]
     ga = cfg.ga
-    active, starts = _active_blocks((values > 0).any(axis=1))
+    active, starts = _active_blocks(active, n_intervals)
     n_active = len(active)
     seed_genes = [_seed_genes(seed, index, active, n_intervals, n_nodes)
                   for index, seed in enumerate(seed_schedules)]
     if n_active == 0 or n_nodes == 0:
-        return _finish(np.full(n_intervals, IDLE), values, 0.0)
+        return _finish(np.full(n_intervals, IDLE), key, 0.0)
 
     switch_code = n_nodes + 1  # the largest gene; n_nodes is IDLE
-    k_active = values[active]  # (A, N)
     if cfg.kind == "S-PD":
         fit_w = np.asarray(cfg.normalized_weights(n_nodes)) * n_nodes
     else:
@@ -526,7 +558,7 @@ def solve_ga(matrix, cfg: StrategyConfig,
     chosen = archive[int(eligible[order[0]])]
 
     assignment = _expand(chosen[2], active, starts, n_intervals, n_nodes)
-    return _finish(assignment, values, chosen[0])
+    return _finish(assignment, key, chosen[0])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from satqkd import cli as cli_module
+from satqkd import scenario as scenario_module
 from satqkd.cli import (
     key_matrix_from_linkbudget,
     main,
@@ -686,6 +688,28 @@ def test_main_step_too_fine_for_int64_exits_2(tmp_path, capsys, command):
     assert json.loads(capsys.readouterr().err)["error"] == (
         "step_seconds: a step of 1e-300 s makes more than 2**63 - 1 samples over the span")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["access", "linkbudget", "keymatrix", "schedule",
+                                     "sweep"])
+def test_main_step_too_fine_for_memory_exits_2(tmp_path, capsys, monkeypatch, command):
+    # 2.16e13 samples fit int64 but not memory; the allocation failure is
+    # simulated, so no huge array is ever requested
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 28.8 TiB")
+
+    monkeypatch.setattr(cli_module, "compute_accesses", exhausted)
+    monkeypatch.setattr(scenario_module, "compute_accesses", exhausted)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "span": ["2016-09-19T14:00:00Z", "2016-09-19T20:00:00Z"],
+        "step_seconds": 1e-9, "grid_interval_seconds": 1e-8}), encoding="utf-8")
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "out of memory: step_seconds 1e-09 and grid_interval_seconds 1e-08 over the "
+        "span 2016-09-19T14:00:00+00:00 to 2016-09-19T20:00:00+00:00 give more "
+        "samples or intervals than fit in memory")
 
 
 ZERO_WEIGHT_STATIONS = [{"name": "A", "lat_deg": 30, "lon_deg": 100, "weight": 0},

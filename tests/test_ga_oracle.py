@@ -7,28 +7,28 @@ node-major table).  The RNG draws and every tie rule were meant to stay, so
 the new solver must return the same assignment and the same objective, to
 the bit, on every case of a derandomized grid of strategies, tolerances,
 population shapes, tiny active sets, restarts, infeasible warm starts and a
-gene index too large for int16.  `evaluate` is held bit for bit to the
+gene index too large for int16, given the matrix dense or as a KeyMatrix.
+The oracle carries its own copies of the dense-matrix helpers it called, so
+it does not move with the solver it checks.  `evaluate` is held bit for bit to the
 per-node mask sums it replaced, and malformed warm starts must raise a
 ValueError naming the seed.
 """
 from __future__ import annotations
 
 import math
+from datetime import datetime, timezone
 from typing import Sequence
 
 import numpy as np
 import pytest
 
+from satqkd.qkd import KeyMatrix
 from satqkd.sched import (
     IDLE,
     SWITCH,
     GaConfig,
     Schedule,
     StrategyConfig,
-    _active_blocks,
-    _expand,
-    _finish,
-    _values_of,
     evaluate,
     is_feasible,
     solve_exact,
@@ -37,8 +37,70 @@ from satqkd.sched import (
 
 
 # ---------------------------------------------------------------------------
-# oracle: solve_ga before the generation loop was rewritten, kept verbatim
+# oracle: solve_ga before the generation loop was rewritten, kept verbatim,
+# with the dense-matrix helpers it called then (only `evaluate` drops its
+# activity-code check: the oracle's assignments are its own)
 # ---------------------------------------------------------------------------
+
+def _values_of(matrix) -> np.ndarray:
+    return np.asarray(getattr(matrix, "values", matrix), dtype=float)
+
+
+def oracle_evaluate(schedule: Schedule | Sequence[int], matrix) -> np.ndarray:
+    """Per-node delivered totals E_n = sum_m K[m][n] [assignment m == n]."""
+    values = _values_of(matrix)
+    arr = np.asarray(getattr(schedule, "assignment", schedule))
+    if len(arr) != values.shape[0]:
+        raise ValueError(f"assignment length {len(arr)} does not match {len(values)} intervals")
+    # one stable sort groups each node's rows, still in row order, so every
+    # node sums the same values in the same order as a mask would give
+    order = np.argsort(arr, kind="stable")
+    bounds = np.searchsorted(arr[order], np.arange(values.shape[1] + 1))
+    totals = np.zeros(values.shape[1])
+    for n in range(values.shape[1]):
+        totals[n] = values[order[bounds[n]:bounds[n + 1]], n].sum()
+    return totals
+
+
+def _finish(assignment: np.ndarray, matrix, objective: float) -> Schedule:
+    return Schedule(assignment, tuple(oracle_evaluate(assignment, matrix).tolist()),
+                    float(objective))
+
+
+def _active_blocks(active: np.ndarray,
+                   run_head: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Rows worth visiting, plus block-start flags.
+
+    The rows are those flagged `active` plus the first `run_head` rows of
+    every run of inactive rows (the leading run included); a block starts at
+    the first row and after every left-out row.  Intervals where every
+    node's key yield is zero never need a node in an optimal assignment (a
+    SWITCH placed in the gap preserves feasibility), so the GA searches only
+    the active intervals; the switch constraint does not couple across a
+    gap.  The exact DP keeps two rows of each gap (see solve_exact).
+    """
+    keep = active.copy()
+    for lag in range(1, run_head + 1):
+        keep[lag:] |= active[:-lag]
+    keep[:run_head] = True
+    rows = np.flatnonzero(keep)
+    starts = np.empty(len(rows), dtype=bool)
+    starts[:1] = True
+    starts[1:] = np.diff(rows) > 1
+    return rows, starts
+
+
+def _expand(genes: np.ndarray, active: np.ndarray, starts: np.ndarray,
+            n_intervals: int, n_nodes: int) -> np.ndarray:
+    """Decode a compressed chromosome into a feasible full assignment."""
+    full = np.full(n_intervals, IDLE, dtype=np.int64)
+    decoded = np.where(genes >= n_nodes, n_nodes - 1 - genes, genes)  # as _seed_genes
+    full[active] = decoded
+    # a block that opens on a node is entered through a SWITCH, if it can be
+    heads = active[starts & (decoded >= 0)]
+    full[heads[heads > 0] - 1] = SWITCH
+    return full
+
 
 def oracle_node_cells(k: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per node (column of k), the rows of its nonzero cells and their values."""
@@ -285,6 +347,8 @@ def warm_starts(values: np.ndarray, count: int, seed: int) -> list:
 
 
 ALL_KINDS = ("S-GD", "S-PD", "S-TD")
+DAY0 = datetime(2016, 9, 19, tzinfo=timezone.utc)
+NAMES = tuple("ABCDEFGH")
 
 # name -> (values, kinds, weights, kl_tolerance, GaConfig fields, seeds?)
 GRID = {
@@ -345,12 +409,15 @@ def test_ga_matches_frozen_oracle(name):
                                  kl_tolerance=tolerance,
                                  ga=GaConfig(seed=ga_seed, **base))
             seeds = warm_starts(values, n_seeds, ga_seed) if n_seeds else ()
-            got = solve_ga(values, cfg, seed_schedules=seeds)
             want = oracle_solve_ga(values, cfg, seed_schedules=seeds)
-            where = (name, kind, ga_seed)
-            assert np.array_equal(got.assignment, want.assignment), where
-            assert got.objective.hex() == want.objective.hex(), where
-            assert is_feasible(got, n_intervals, n_nodes), where
+            # a dense array and the same matrix held as its nonzero rows
+            for matrix in (values, KeyMatrix(DAY0, 10.0, NAMES[:n_nodes], values)):
+                got = solve_ga(matrix, cfg, seed_schedules=seeds)
+                where = (name, kind, ga_seed, type(matrix).__name__)
+                assert np.array_equal(got.assignment, want.assignment), where
+                assert got.objective.hex() == want.objective.hex(), where
+                assert got.node_totals == want.node_totals, where
+                assert is_feasible(got, n_intervals, n_nodes), where
 
 
 def test_grid_covers_its_edge_cases():

@@ -21,6 +21,7 @@ from satqkd.qkd import (
     KeyMatrix,
     QkdParams,
     add_key_bits,
+    assemble_key_matrix,
     binary_entropy,
     build_key_matrix,
     decoy_estimate,
@@ -184,15 +185,16 @@ def test_add_key_bits_constant_rate_closed_form():
     eta = loss_for_db(25.0).transmittance
     rate = gllp_rate(eta, TABLE1).rate_per_second
     times = T0_US + 1_000_000 * np.arange(10)
-    values = np.zeros((2, 1))
-    add_key_bits(values, T0, 10.0, TABLE1, 0, times, [eta] * 10, 1.0, str)
+    parts = []
+    add_key_bits(parts, T0, 10.0, 2, TABLE1, 0, times, [eta] * 10, 1.0, str)
+    values = assemble_key_matrix(parts, T0, 10.0, 2, ("A",)).values
     assert values[0, 0] == pytest.approx(10.0 * rate, rel=1e-12)
     assert values[1, 0] == 0.0
     # the same samples added in two runs give the same bits
-    split = np.zeros((2, 1))
-    add_key_bits(split, T0, 10.0, TABLE1, 0, times[:6], [eta] * 6, 1.0, str)
-    add_key_bits(split, T0, 10.0, TABLE1, 0, times[6:], [eta] * 4, 1.0, str)
-    assert split[0, 0] == values[0, 0]
+    split = []
+    add_key_bits(split, T0, 10.0, 2, TABLE1, 0, times[:6], [eta] * 6, 1.0, str)
+    add_key_bits(split, T0, 10.0, 2, TABLE1, 0, times[6:], [eta] * 4, 1.0, str)
+    assert assemble_key_matrix(split, T0, 10.0, 2, ("A",)).values[0, 0] == values[0, 0]
 
 
 def test_add_key_bits_blocked_sample_adds_zero():
@@ -200,10 +202,27 @@ def test_add_key_bits_blocked_sample_adds_zero():
     blocked = loss_for_db(math.inf).transmittance
     assert blocked == 0.0
     rate = gllp_rate(good, TABLE1).rate_per_second
-    values = np.zeros((1, 1))
-    add_key_bits(values, T0, 10.0, TABLE1, 0, T0_US + 1_000_000 * np.arange(6),
+    parts = []
+    add_key_bits(parts, T0, 10.0, 1, TABLE1, 0, T0_US + 1_000_000 * np.arange(6),
                  [good, good, good, blocked, good, good], 1.0, str)
+    values = assemble_key_matrix(parts, T0, 10.0, 1, ("A",)).values
     assert values[0, 0] == pytest.approx(5.0 * rate, rel=1e-12)
+
+
+def test_assembly_keeps_only_rows_with_a_nonzero_cell():
+    weak, good = loss_for_db(70.0).transmittance, loss_for_db(25.0).transmittance
+    assert weak > 0.0 and gllp_rate(weak, TABLE1).rate_per_second == 0.0
+    rate = gllp_rate(good, TABLE1).rate_per_second
+    parts = []
+    # interval 0 sees only a zero-rate sample, interval 1 only a blocked one
+    add_key_bits(parts, T0, 10.0, 4, TABLE1, [0, 1, 1, 0],
+                 T0_US + 1_000_000 * np.array([0, 12, 25, 27]),
+                 [weak, 0.0, good, good], 1.0, str)
+    km = assemble_key_matrix(parts, T0, 10.0, 4, ("A", "B"))
+    assert (km.n_intervals, km.rows.tolist()) == (4, [2])
+    assert km.cells.tolist() == [[rate, rate]]
+    assert km.values.tolist() == [[0.0, 0.0], [0.0, 0.0], [rate, rate], [0.0, 0.0]]
+    assert assemble_key_matrix([], T0, 10.0, 4, ("A", "B")).rows.tolist() == []
 
 
 # ---------------------------------------------------------------------------

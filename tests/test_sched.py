@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
 from satqkd import sched as sched_module
-from satqkd.qkd import KeyMatrix
+from satqkd.qkd import KeyMatrix, QkdParams, export_key_matrix
 from satqkd.sched import (
     IDLE,
     SWITCH,
@@ -562,3 +564,96 @@ def test_schedule_csv_matches_the_row_loop(tmp_path, monkeypatch, chunk):
     short = Schedule(assignment=codes[:-1], node_totals=(), objective=0.0)
     with pytest.raises(ValueError):
         write_schedule_csv(short, matrix, tmp_path / "short.csv")
+
+
+# ---------------------------------------------------------------------------
+# raw matrices and the key matrix held as its nonzero rows
+# ---------------------------------------------------------------------------
+
+DAY0 = datetime(2016, 9, 19, tzinfo=timezone.utc)
+
+
+@pytest.mark.parametrize("values,cell,shown", [
+    ([[math.nan, 1.0], [1.0, 0.0]], "[0][0]", "nan"),
+    ([[1.0, 2.0], [-0.5, 0.0]], "[1][0]", "-0.5"),
+    ([[0.0, 0.0], [0.0, math.inf]], "[1][1]", "inf"),
+    ([[0.0, -math.inf], [math.nan, 0.0]], "[0][1]", "-inf"),
+    ([[0.0, 0.0], [0.0, 0.0], [3.0, -1e-300]], "[2][1]", "-1e-300"),
+], ids=["nan", "negative", "inf", "first-of-two", "tiny-negative"])
+@pytest.mark.parametrize("call", ["solve_exact", "solve_ga", "evaluate"])
+def test_raw_matrix_with_a_bad_entry_is_rejected(values, cell, shown, call):
+    run = {"solve_exact": solve_exact,
+           "solve_ga": lambda v: solve_ga(v, StrategyConfig(
+               ga=GaConfig(population=4, generations=2))),
+           "evaluate": lambda v: evaluate([IDLE] * len(v), v)}[call]
+    with pytest.raises(ValueError, match=re.escape(
+            f"key matrix entry {cell} = {shown} is not finite and >= 0")):
+        run(np.array(values))
+
+
+def test_key_matrix_rows_and_cells_agree_with_the_dense_form():
+    rng = np.random.default_rng(14)
+    values = rng.uniform(0.0, 9.0, size=(40, 3))
+    values[rng.random(40) < 0.5] = 0.0
+    values[rng.random(values.shape) < 0.3] = 0.0
+    dense = KeyMatrix(DAY0, 10.0, ("A", "B", "C"), values)
+    nonzero = values.any(axis=1)
+    assert dense.rows.tolist() == np.flatnonzero(nonzero).tolist()
+    assert np.array_equal(dense.cells, values[nonzero])
+    assert np.array_equal(dense.values, values) and not dense.values.flags.writeable
+    # rows left all zero are dropped; both forms schedule alike
+    padded_rows = np.arange(40)
+    held = KeyMatrix(DAY0, 10.0, ("A", "B", "C"), rows=padded_rows, cells=values,
+                     n_intervals=40)
+    assert np.array_equal(held.rows, dense.rows) and np.array_equal(held.cells, dense.cells)
+    for solve in (solve_exact, lambda m: solve_ga(m, StrategyConfig(
+            kind="S-TD", ga=GaConfig(population=8, generations=10)))):
+        a, b = solve(values), solve(held)
+        assert np.array_equal(a.assignment, b.assignment)
+        assert (a.node_totals, a.objective) == (b.node_totals, b.objective)
+
+
+@pytest.mark.parametrize("rows,cells,n_intervals,needle", [
+    ([3, 1], [[1.0], [1.0]], 5, "rows must increase strictly"),
+    ([1, 1], [[1.0], [1.0]], 5, "rows must increase strictly"),
+    ([-1], [[1.0]], 5, "rows must increase strictly"),
+    ([5], [[1.0]], 5, "rows must increase strictly"),
+    ([1, 2], [[1.0]], 5, "cells shape (1, 1) does not match 2 rows and 1 nodes"),
+    ([1], [[1.0, 2.0]], 5, "cells shape (1, 2) does not match 1 rows and 1 nodes"),
+    ([0, 4], [[1.0], [math.nan]], 5, "key matrix entry [4][0] = nan"),
+])
+def test_key_matrix_rejects_malformed_rows_and_cells(rows, cells, n_intervals, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        KeyMatrix(DAY0, 10.0, ("A",), rows=rows, cells=cells, n_intervals=n_intervals)
+
+
+def test_a_sparse_key_matrix_is_never_made_dense(tmp_path):
+    # 10**6 intervals x 20 nodes would be 160 MB dense; 36 rows hold keys
+    n_intervals, n_nodes, n_rows = 10**6, 20, 36
+    rng = np.random.default_rng(10**6)
+    # rows 3 or more apart, so a SWITCH fits before each
+    rows = 3 * np.sort(rng.choice(n_intervals // 3, size=n_rows, replace=False))
+    cells = rng.uniform(0.0, 80.0, size=(n_rows, n_nodes))
+    cells[rng.random(cells.shape) < 0.8] = 0.0
+    cells[np.arange(n_rows), rng.integers(0, n_nodes, size=n_rows)] = 7.0
+    matrix = KeyMatrix(DAY0, 10.0, tuple(f"N{n}" for n in range(n_nodes)),
+                       rows=rows, cells=cells, n_intervals=n_intervals)
+    cfg = StrategyConfig(kind="S-TD", ga=GaConfig(population=10, generations=5))
+
+    tracemalloc.start()
+    try:
+        export_key_matrix(matrix, QkdParams(), tmp_path / "km.csv", tmp_path / "km.json")
+        sgd = solve_exact(matrix)
+        std = solve_ga(matrix, cfg, seed_schedules=[sgd])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_intervals * n_nodes * 8 / 4, peak
+
+    n_cells = int((cells > 0).sum())
+    assert len((tmp_path / "km.csv").read_text().splitlines()) == 1 + n_cells
+    for schedule in (sgd, std):
+        assert is_feasible(schedule, n_intervals, n_nodes)
+    # each row goes to its best node
+    assert sgd.total == pytest.approx(cells.max(axis=1).sum(), rel=1e-12)
+    assert std.total <= sgd.total + 1e-9
