@@ -111,6 +111,8 @@ class ScenarioConfig:
             raise ConfigError("span", "span must be non-empty")
         if self.step_seconds <= 0:
             raise ConfigError("step_seconds", "must be positive")
+        if self.grid_interval_seconds <= 0:
+            raise ConfigError("grid_interval_seconds", "must be positive")
         ratio = self.grid_interval_seconds / self.step_seconds
         if not (math.isfinite(ratio) and ratio >= 1 - 1e-9
                 and abs(ratio - round(ratio)) <= 1e-9):

@@ -15,7 +15,8 @@ sort of it, is as long as the horizon.
 Solvers:
   * solve_exact  - dynamic program over (interval, last activity); provably
     optimal for any linear objective sum_n w_n * E_n.  It steps through the
-    rows with a nonzero gain plus at most two rows of each all-zero run.
+    rows with a nonzero weighted gain; each all-zero run between them is
+    taken in closed form.
   * solve_ga     - generational genetic algorithm on the activity string of
     the nonzero rows, with one-point crossover, per-gene mutation and
     switch-insertion repair.
@@ -234,27 +235,6 @@ def _finish(assignment: np.ndarray, key: tuple, objective: float) -> Schedule:
                     float(objective))
 
 
-def _active_blocks(active: np.ndarray, n_intervals: int,
-                   run_head: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Rows worth visiting, plus block-start flags.
-
-    The rows are the sorted `active` rows plus the first `run_head` rows of
-    every run of inactive rows (the leading run included); a block starts at
-    the first row and after every left-out row.  Intervals where every
-    node's key yield is zero never need a node in an optimal assignment (a
-    SWITCH placed in the gap preserves feasibility), so the GA searches only
-    the active intervals; the switch constraint does not couple across a
-    gap.  The exact DP keeps two rows of each gap (see solve_exact).
-    """
-    rows = np.unique(np.concatenate([active + lag for lag in range(run_head + 1)]
-                                    + [np.arange(min(run_head, n_intervals))]))
-    rows = rows[:np.searchsorted(rows, n_intervals)]
-    starts = np.empty(len(rows), dtype=bool)
-    starts[:1] = True
-    starts[1:] = np.diff(rows) > 1
-    return rows, starts
-
-
 # ---------------------------------------------------------------------------
 # Exact dynamic program
 # ---------------------------------------------------------------------------
@@ -266,57 +246,69 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
     IDLE, SWITCH or a node.  IDLE and SWITCH share one rest state, the best
     value of the row before; ties prefer IDLE, then the lowest node index, and
     a node state keeps its node parent on parent ties (fewest switches).
+    Weights must be finite and >= 0, one per node, else ValueError.
 
-    After two rows of all-zero gains every state holds the best value, so
-    each further row of the run has the same transitions (node parent kept,
-    IDLE otherwise) and is left out: the DP steps O(N) per row with a
-    nonzero gain plus at most two rows per zero run.  A left-out row takes
-    the activity of the row before it, which is what the full walk assigns.
+    The DP steps O(N) through exactly the rows with a nonzero weighted gain.
+    A run of zero rows is taken in closed form: its first row lifts each node
+    to max(node, rest) and rest to the best value `top`, and every later row
+    holds `top` in all states, so the row after the run adds its gains to
+    `top` whatever the run's length; adding the zero gains changes no bit.
+    In the traceback a node holds through the run before its row, or
+    re-enters through a SWITCH on the run's first row; IDLE and SWITCH leave
+    the run IDLE, which is what the full walk assigns.
     """
     key = n_intervals, cell_rows, cells = _cells_of(matrix)
     n_nodes = cells.shape[1]
-    if n_intervals == 0 or n_nodes == 0:
-        return _finish(np.full(n_intervals, IDLE), key, 0.0)
     w = np.ones(n_nodes) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (n_nodes,):
         raise ValueError(f"expected {n_nodes} weights, got {w.shape}")
-    if np.any(w < 0):
-        raise ValueError("weights must be >= 0")
-    active = cell_rows[((cells != 0) & (w != 0)).any(axis=1)]
-    rows, _ = _active_blocks(active, n_intervals, run_head=2)
+    if (bad := np.flatnonzero(~((w >= 0.0) & (w < np.inf)))).size:
+        raise ValueError(f"weights[{bad[0]}] = {float(w[bad[0]])!r} is not finite and >= 0")
+    weighted = ((cells != 0) & (w != 0)).any(axis=1)
+    rows = cell_rows[weighted]
+    gains = cells[weighted] * w  # (R, N)
+    gap = np.diff(rows, prepend=-1) > 1  # a zero row lies before row k
     n_rows = len(rows)
-    # the gains of the kept rows; a run-head row outside cell_rows is all zero
-    held = np.isin(rows, cell_rows)
-    gains = np.zeros((n_rows, n_nodes))  # (R, N)
-    gains[held] = cells[np.searchsorted(cell_rows, rows[held])] * w
 
-    # states are activity codes; `ordered` lists IDLE first (it wins argmax
-    # ties), then node n at n + 1, so argmax - 1 is the best activity
-    f_nodes = gains[0].copy()
-    rest = 0.0  # the value of IDLE and of SWITCH alike
-    same_parent = np.zeros((n_rows, n_nodes), dtype=bool)
-    other_parent = np.zeros(n_rows, dtype=np.int32)  # best activity of row k - 1
+    # states are activity codes; `ordered` holds the value of IDLE and SWITCH
+    # alike first (it wins argmax ties), then node n at n + 1, so argmax - 1
+    # is the best activity
+    ordered = np.zeros(n_nodes + 1)
+    f_nodes = ordered[1:]
+    best = np.empty(n_rows, dtype=np.int64)  # best activity of the state before row k
+    stays = np.empty((n_rows, n_nodes), dtype=bool)  # a node keeps its node parent
+    through = np.ones((n_rows, n_nodes), dtype=bool)  # a node holds across the gap
 
-    for k in range(1, n_rows):
-        ordered = np.concatenate(([rest], f_nodes))
-        other_parent[k] = np.argmax(ordered) - 1
-        same_parent[k] = f_nodes >= rest
-        f_nodes = gains[k] + np.maximum(f_nodes, rest)
-        rest = float(ordered[other_parent[k] + 1])
+    for k, after_gap in enumerate(gap.tolist()):
+        parent = int(ordered.argmax())
+        best[k] = parent - 1
+        top = ordered[parent]
+        stays[k] = f_nodes >= ordered[0]
+        np.maximum(f_nodes, ordered[0], out=f_nodes)
+        if after_gap:
+            through[k] = f_nodes >= top
+            f_nodes.fill(top)
+        f_nodes += gains[k]
+        ordered[0] = top
 
-    ordered = np.concatenate(([rest], f_nodes))
-    state = int(np.argmax(ordered)) - 1
+    state = int(ordered.argmax()) - 1
     objective = float(ordered[state + 1])
 
-    visited = np.empty(n_rows, dtype=np.int64)
+    assignment = np.full(n_intervals, IDLE, dtype=np.int64)  # every gap IDLE
     for k in range(n_rows - 1, -1, -1):
-        visited[k] = state
+        row = rows[k]
         if state < 0:  # IDLE or SWITCH: entered from the best of the row before
-            state = int(other_parent[k])
-        elif not same_parent[k, state]:
+            assignment[row] = state
+            state = int(best[k])
+            continue
+        first = rows[k - 1] + 1 if k else 0  # the gap before row k
+        assignment[first:row + 1] = state
+        if not through[k, state]:
+            assignment[first] = SWITCH
+            state = int(best[k])
+        elif not stays[k, state]:
             state = SWITCH
-    # rows[0] == 0: each kept row's activity runs to the next kept row
-    return _finish(np.repeat(visited, np.diff(rows, append=n_intervals)), key, objective)
+    return _finish(assignment, key, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +390,9 @@ def solve_ga(matrix, cfg: StrategyConfig,
     key = n_intervals, active, k_active = _cells_of(matrix)  # k_active: (A, N)
     n_nodes = k_active.shape[1]
     ga = cfg.ga
-    active, starts = _active_blocks(active, n_intervals)
+    # the switch rule does not couple across a zero row (a SWITCH fits there),
+    # so a block of the chromosome starts after each gap
+    starts = np.diff(active, prepend=-2) > 1
     n_active = len(active)
     seed_genes = [_seed_genes(seed, index, active, n_intervals, n_nodes)
                   for index, seed in enumerate(seed_schedules)]

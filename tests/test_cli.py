@@ -121,6 +121,8 @@ def test_config_json_round_trip(tmp_path):
     ({"strategy": {"kind": "S-XX"}}, "strategy"),
     ({"tle": ["bogus"]}, "tle"),
     ({"optics": {"beam_convention": "quarter"}}, "optics"),
+    ({"grid_interval_seconds": -10}, "grid_interval_seconds"),
+    ({"grid_interval_seconds": 0}, "grid_interval_seconds"),
 ])
 def test_config_errors_carry_field_paths(payload, needle):
     with pytest.raises(ConfigError, match=needle.replace("[", r"\[")):

@@ -270,6 +270,19 @@ def test_exact_empty_and_degenerate_shapes():
     assert solve_exact(np.zeros((3, 0))).assignment.tolist() == [IDLE] * 3
 
 
+@pytest.mark.parametrize("weights,needle", [
+    ([-1.0, 1.0], "weights[0] = -1.0 is not finite and >= 0"),
+    ([1.0, math.nan], "weights[1] = nan is not finite and >= 0"),
+    ([math.inf, 1.0], "weights[0] = inf is not finite and >= 0"),
+    ([1.0, -math.inf], "weights[1] = -inf is not finite and >= 0"),
+    ([1.0], "expected 2 weights, got (1,)"),
+    ([1.0, 1.0, 1.0], "expected 2 weights, got (3,)"),
+])
+def test_exact_rejects_bad_weights(weights, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        solve_exact([[1.0, 2.0], [3.0, 0.0]], weights=weights)
+
+
 def full_walk_exact(values: np.ndarray, weights=None) -> Schedule:
     """solve_exact as it was before zero runs were skipped: every row walked."""
     n_intervals, n_nodes = values.shape
@@ -311,12 +324,45 @@ def full_walk_exact(values: np.ndarray, weights=None) -> Schedule:
                     objective=objective)
 
 
+def _gap_cases(values: np.ndarray, weights, assignment: np.ndarray) -> dict[str, int]:
+    """Counts of the zero-gain gaps between two weighted-active rows that
+    the exact DP's traceback tells apart, read from an assignment."""
+    w = np.ones(values.shape[1]) if weights is None else weights
+    rows = np.flatnonzero((values * w).any(axis=1))
+    cases = dict.fromkeys(("gap_1", "gap_2plus", "hold", "hold_after_switch",
+                           "reenter"), 0)
+    for a, b in zip(rows[:-1], rows[1:]):
+        if b - a < 2:
+            continue
+        cases["gap_1" if b - a == 2 else "gap_2plus"] += 1
+        node = assignment[b]
+        if node < 0:
+            continue
+        if (assignment[a + 1:b] == node).all():  # the node holds across the gap
+            cases["hold"] += 1
+            cases["hold_after_switch"] += bool(assignment[a] == SWITCH)
+        elif assignment[a + 1] == SWITCH and (assignment[a + 2:b] == node).all():
+            cases["reenter"] += 1  # through a SWITCH on the gap's first row
+    return cases
+
+
 def test_exact_matches_full_walk_on_sparse_matrices():
     # alternating zero runs (1-5 rows) and pass blocks (1-3 rows) of
     # half-integer yields, so that value ties are common
     rng = np.random.default_rng(2_106)
     seen = dict.fromkeys(("lead", "middle", "trail", "all_zero",
-                          "zero_weight", "tie"), 0)
+                          "zero_weight", "tie", "gap_1", "gap_2plus", "hold",
+                          "hold_after_switch", "reenter"), 0)
+
+    def check(trial, values, weights):
+        got = solve_exact(values, weights)
+        want = full_walk_exact(values, weights)
+        assert np.array_equal(got.assignment, want.assignment), trial
+        assert got.node_totals == want.node_totals, trial
+        assert got.objective == want.objective, trial
+        for case, count in _gap_cases(values, weights, want.assignment).items():
+            seen[case] += count
+
     for trial in range(600):
         n = int(rng.integers(1, 5))
         if trial % 50 == 0:
@@ -343,11 +389,21 @@ def test_exact_matches_full_walk_on_sparse_matrices():
         weights = None if rng.random() < 0.3 else rng.choice([0.0, 0.5, 1.0, 2.0], n)
         if weights is not None and values[:, weights == 0].any():
             seen["zero_weight"] += 1
-        got = solve_exact(values, weights)
-        want = full_walk_exact(values, weights)
-        assert np.array_equal(got.assignment, want.assignment), trial
-        assert got.node_totals == want.node_totals, trial
-        assert got.objective == want.objective, trial
+        check(trial, values, weights)
+
+    # handoffs: node i's pass, then one row where only node j yields less
+    # than i gave, a gap, and node j's pass.  Node j holds across the gap
+    # and the row before the gap is a SWITCH, a case the trials above
+    # rarely build.
+    for trial in range(600, 640):
+        n = int(rng.integers(2, 5))
+        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+        lead = int(rng.integers(0, 3))
+        values = np.zeros((lead + 3 + int(rng.integers(1, 6)), n))
+        values[lead, i] = 2.0
+        values[lead + 1, j] = 0.5
+        values[-1, j] = float(rng.integers(1, 5)) * 0.5
+        check(trial, values, None)
     assert min(seen.values()) >= 12, seen
 
 
