@@ -226,7 +226,12 @@ def run_schedule(config: ScenarioConfig, out: Path, seed: int | None = None,
 
     sgd = solve_exact(matrix)
     spd = solve_exact(matrix, weights=config.station_weights())
-    std = solve_ga(matrix, std_cfg, seed_schedules=[sgd])
+    try:
+        std = solve_ga(matrix, std_cfg, seed_schedules=[sgd])
+    except MemoryError:  # numpy's _ArrayMemoryError, from either GA thread
+        raise ConfigError("strategy.ga.population", (
+            f"{std_cfg.ga.population} schedules of {len(matrix.rows)} active "
+            f"intervals do not fit in memory")) from None
     schedules = {"S-GD": sgd, "S-PD": spd, "S-TD": std}
 
     for kind, sched in schedules.items():
@@ -363,6 +368,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config = None
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed", "seed must be >= 0")
         config = (load_scenario(args.config) if args.config is not None
                   else micius_week_config())
         if args.command == "access":

@@ -25,7 +25,11 @@ Solvers:
     whose delivered distribution has lower KL divergence from target weights.
 
 Determinism: every solver is deterministic given its inputs (and the GA
-seed).  Value ties in solve_exact prefer IDLE, then lower node index.
+seed).  Value ties in solve_exact prefer IDLE, then lower node index.  Above
+_PREFETCH_GENES genes per generation, solve_ga draws the next generation's
+random numbers on a second thread while the current one is scored and bred;
+the draws still come from the one generator in the same order, so the stream
+and every result are independent of thread timing.
 """
 from __future__ import annotations
 
@@ -82,6 +86,8 @@ class GaConfig:
             raise ValueError("elitism must be in [0, population)")
         if self.restart_after < 1:
             raise ValueError("restart_after must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 STRATEGY_KINDS = ("S-GD", "S-PD", "S-TD")
@@ -316,6 +322,11 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
 # ---------------------------------------------------------------------------
 
 _GATHER_GENES = 65_536  # genes per row chunk of the GA's fitness gather
+# genes per generation (population x active intervals) from which the next
+# generation's draws run on a second thread; below it the hand-off between
+# the threads costs more than the draws it moves off the main one (the two
+# broke even near 40,000 genes on a 2-core x86 machine)
+_PREFETCH_GENES = 40_000
 
 
 def _expand(genes: np.ndarray, active: np.ndarray, starts: np.ndarray,
@@ -414,8 +425,8 @@ def solve_ga(matrix, cfg: StrategyConfig,
               if cfg.kind == "S-TD" else None)
 
     rng = np.random.default_rng(ga.seed)
-    pop = rng.integers(0, n_nodes + 2, size=(ga.population, n_active),
-                       dtype=np.int16)
+    shape = (ga.population, n_active)
+    pop = rng.integers(0, n_nodes + 2, size=shape, dtype=np.int16)
     for row, genes in enumerate(seed_genes[:ga.population]):
         pop[row] = genes
 
@@ -483,62 +494,104 @@ def solve_ga(matrix, cfg: StrategyConfig,
             best.append(int(idx[np.lexsort((-fit[idx], kl[idx]))[0]]))
         archive.extend((float(fit[i]), float(kl[i]), pop[i].copy()) for i in best)
 
-    champion = -math.inf
-    stalled = 0
-    for _ in range(ga.generations):
-        fit, band, kl = score(pop)
-        record(fit, band, kl)
-        # stable: with an empty band, the fittest first, ties by index
-        elites = pop[np.lexsort((-fit, kl, ~band))[:ga.elitism]]
+    half = ga.population // 2
+    crossover = n_active >= 2 and half > 0
 
-        gen_best = float(fit.max())
-        if gen_best > champion + 1e-12 * max(1.0, abs(champion)):
-            champion = gen_best
-            stalled = 0
-        else:
-            stalled += 1
-        if stalled >= ga.restart_after:
-            # cataclysmic restart: keep the elites, refresh everyone else
-            pop = rng.integers(0, n_nodes + 2,
-                               size=(ga.population, n_active), dtype=np.int16)
-            repair(pop)
-            if ga.elitism:
-                pop[:ga.elitism] = elites
-            stalled = 0
-            continue
-
-        # tournament selection, size 3; a fitness tie goes to the lower
-        # population index for S-TD, to the earlier candidate otherwise
+    def draws():
+        """One generation's random numbers, drawn in stream order and put in
+        the form breeding applies: the tournament candidates, the genes each
+        crossover pair trades, and the flat indices and values of the
+        mutated genes.  None of it depends on the population."""
         cand = rng.integers(0, ga.population, size=(ga.population, 3))
-
-        def beats(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-            both = band[i] & band[j]
-            by_kl = np.where(kl[i] != kl[j], kl[i] < kl[j], fit[i] >= fit[j])
-            by_fit = np.where(fit[i] != fit[j], fit[i] > fit[j],
-                              (i <= j) | (target is None))
-            return np.where(np.where(both, by_kl, by_fit), i, j)
-
-        children = pop[beats(beats(cand[:, 0], cand[:, 1]), cand[:, 2])]
-
-        # one-point crossover of pairs: past the cut the children trade genes
-        half = ga.population // 2
-        if n_active >= 2 and half:
+        trade = None
+        if crossover:
             do_cx = rng.random(half) < ga.crossover_rate
             cuts = rng.integers(1, n_active, size=half)
-            p1, p2 = children[0:2 * half:2], children[1:2 * half:2]
-            delta = (p2 - p1) * ((gene_cols >= cuts[:, None]) & do_cx[:, None])
-            p1 += delta
-            p2 -= delta
+            trade = (gene_cols >= cuts[:, None]) & do_cx[:, None]
+        # each double is one 64-bit draw, so the mask drawn in row chunks is
+        # the mask drawn whole, without a population-sized float array
+        mut = np.empty(shape, dtype=bool)
+        for lo in range(0, ga.population, gather_rows):
+            chunk = mut[lo:lo + gather_rows]
+            np.less(rng.random(chunk.shape), ga.mutation_rate, out=chunk)
+        # int16 draws are buffered within one call: splitting it would
+        # change the genes drawn
+        fresh = rng.integers(0, n_nodes + 2, size=shape, dtype=np.int16)
+        at = np.flatnonzero(mut)
+        return cand, trade, at, fresh.reshape(-1).take(at)
 
-        mut = rng.random(children.shape) < ga.mutation_rate
-        fresh = rng.integers(0, n_nodes + 2, size=children.shape, dtype=np.int16)
-        fresh -= children
-        fresh *= mut
-        children += fresh
-        repair(children)
-        if ga.elitism:
-            children[:ga.elitism] = elites
-        pop = children
+    # imported here, as only the GA uses it: with the logging it imports it
+    # costs about 7 ms, which every command would otherwise pay at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    prefetch = ga.population * n_active >= _PREFETCH_GENES
+    if prefetch:
+        # allocate and free, untouched, one block the size of the whole float
+        # mask.  glibc's dynamic mmap threshold rises to the largest block
+        # freed, and its heap is trimmed only past twice that; the chunked
+        # mask no longer raises it, and the main thread's per-generation
+        # temporaries would be returned to the system and faulted back every
+        # generation (97k minor faults, 0.3 s of one micius-week `schedule`)
+        np.empty(shape)
+
+    champion = -math.inf
+    stalled = 0
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        upcoming = None  # this generation's draws, submitted a generation ago
+        for gen in range(ga.generations):
+            fit, band, kl = score(pop)
+            record(fit, band, kl)
+            # stable: with an empty band, the fittest first, ties by index
+            elites = pop[np.lexsort((-fit, kl, ~band))[:ga.elitism]]
+
+            gen_best = float(fit.max())
+            if gen_best > champion + 1e-12 * max(1.0, abs(champion)):
+                champion = gen_best
+                stalled = 0
+            else:
+                stalled += 1
+            if stalled >= ga.restart_after:
+                # cataclysmic restart: keep the elites, refresh everyone else;
+                # nothing was drawn ahead, as a restart was possible
+                pop = rng.integers(0, n_nodes + 2, size=shape, dtype=np.int16)
+                repair(pop)
+                if ga.elitism:
+                    pop[:ga.elitism] = elites
+                stalled = 0
+                continue
+
+            cand, trade, at, genes = upcoming.result() if upcoming else draws()
+            # stalled only resets or grows by one, so when the next generation
+            # cannot restart (the one way the population steers the stream),
+            # its draws come next in the stream whatever it scores
+            upcoming = None
+            if (prefetch and gen + 1 < ga.generations
+                    and stalled + 1 < ga.restart_after):
+                upcoming = pool.submit(draws)
+
+            # tournament selection, size 3; a fitness tie goes to the lower
+            # population index for S-TD, to the earlier candidate otherwise
+            def beats(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+                both = band[i] & band[j]
+                by_kl = np.where(kl[i] != kl[j], kl[i] < kl[j], fit[i] >= fit[j])
+                by_fit = np.where(fit[i] != fit[j], fit[i] > fit[j],
+                                  (i <= j) | (target is None))
+                return np.where(np.where(both, by_kl, by_fit), i, j)
+
+            children = pop[beats(beats(cand[:, 0], cand[:, 1]), cand[:, 2])]
+
+            # one-point crossover of pairs: past the cut the children trade genes
+            if crossover:
+                p1, p2 = children[0:2 * half:2], children[1:2 * half:2]
+                delta = (p2 - p1) * trade
+                p1 += delta
+                p2 -= delta
+
+            children.put(at, genes)  # mutation
+            repair(children)
+            if ga.elitism:
+                children[:ga.elitism] = elites
+            pop = children
 
     fit, band, kl = score(pop)
     record(fit, band, kl)

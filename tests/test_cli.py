@@ -8,6 +8,7 @@ given with an offset, and cloud-grid errors that name the station.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import json
 import math
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from satqkd import cli as cli_module
 from satqkd import scenario as scenario_module
+from satqkd import sched as sched_module
 from satqkd.cli import (
     key_matrix_from_linkbudget,
     main,
@@ -712,6 +714,56 @@ def test_main_step_too_fine_for_memory_exits_2(tmp_path, capsys, monkeypatch, co
         "out of memory: step_seconds 1e-09 and grid_interval_seconds 1e-08 over the "
         "span 2016-09-19T14:00:00+00:00 to 2016-09-19T20:00:00+00:00 give more "
         "samples or intervals than fit in memory")
+
+
+def test_main_negative_ga_seed_names_its_source(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"strategy": {"ga": {"seed": -1}}}), encoding="utf-8")
+    assert main(["schedule", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "strategy.ga: seed must be >= 0")
+    assert main(["schedule", "--seed", "-5", "--out", str(tmp_path / "b")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "--seed: seed must be >= 0"
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+NIGHT = ["2016-09-19T14:00:00Z", "2016-09-19T20:00:00Z"]
+
+
+def test_main_ga_population_too_large_for_memory_exits_2(tmp_path, capsys):
+    # 1e15 schedules of int16 genes exceed any address space, so numpy
+    # refuses the first population at once
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"span": NIGHT, "strategy": {
+        "ga": {"population": 10**15}}}), encoding="utf-8")
+    rc = main(["schedule", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    n_active = len(scenario_module.key_matrix_for(load_scenario(cfg_path)).rows)
+    assert n_active > 0
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        f"strategy.ga.population: 1000000000000000 schedules of {n_active} "
+        f"active intervals do not fit in memory")
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_main_ga_out_of_memory_on_the_draws_thread_exits_2(tmp_path, capsys,
+                                                           monkeypatch):
+    class Exhausted(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            def fail():
+                raise MemoryError("Unable to allocate")
+            return super().submit(fail)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Exhausted)
+    monkeypatch.setattr(sched_module, "_PREFETCH_GENES", 0)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"span": NIGHT, "strategy": {
+        "ga": {"population": 20, "generations": 5}}}), encoding="utf-8")
+    rc = main(["schedule", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert re.fullmatch(r"strategy\.ga\.population: 20 schedules of \d+ active "
+                        r"intervals do not fit in memory",
+                        json.loads(capsys.readouterr().err)["error"])
 
 
 ZERO_WEIGHT_STATIONS = [{"name": "A", "lat_deg": 30, "lon_deg": 100, "weight": 0},

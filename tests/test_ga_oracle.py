@@ -7,7 +7,9 @@ node-major table).  The RNG draws and every tie rule were meant to stay, so
 the new solver must return the same assignment and the same objective, to
 the bit, on every case of a derandomized grid of strategies, tolerances,
 population shapes, tiny active sets, restarts, infeasible warm starts and a
-gene index too large for int16, given the matrix dense or as a KeyMatrix.
+gene index too large for int16, given the matrix dense or as a KeyMatrix,
+with the next generation's draws made on the main thread and drawn ahead
+on a second one.
 The oracle carries its own copies of the dense-matrix helpers it called, so
 it does not move with the solver it checks.  `evaluate` is held bit for bit to the
 per-node mask sums it replaced, and malformed warm starts must raise a
@@ -15,13 +17,17 @@ ValueError naming the seed.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import sys
+import threading
 from datetime import datetime, timezone
 from typing import Sequence
 
 import numpy as np
 import pytest
 
+from satqkd import sched
 from satqkd.qkd import KeyMatrix
 from satqkd.sched import (
     IDLE,
@@ -390,6 +396,12 @@ GRID = {
     "more-seeds-than-population": (sparse_matrix(15, 30, 3), ALL_KINDS,
                                    (0.5, 0.3, 0.2), 0.05,
                                    {"population": 3, "elitism": 1}, 6),
+    # 100 x 500 genes per generation, above _PREFETCH_GENES, restarting
+    # every third generation from an S-GD warm start
+    "restarts-prefetch": (sparse_matrix(18, 500, 4, row_p=0.0, cell_p=0.3),
+                          ALL_KINDS, (0.4, 0.3, 0.2, 0.1), 0.05,
+                          {"population": 100, "generations": 12,
+                           "restart_after": 3}, 1),
     # (n_nodes + 1) * n_active = 36,000 > 32,767: a gene index computed in
     # int16 would overflow; 10 rows of 9,000 genes also span two gathers
     "int16-overflow": (sparse_matrix(16, 9000, 3, row_p=0.0, cell_p=0.2),
@@ -399,7 +411,7 @@ GRID = {
 
 
 @pytest.mark.parametrize("name", sorted(GRID))
-def test_ga_matches_frozen_oracle(name):
+def test_ga_matches_frozen_oracle(name, monkeypatch):
     values, kinds, weights, tolerance, fields, n_seeds = GRID[name]
     n_intervals, n_nodes = values.shape
     base = {"population": 20, "generations": 40} | fields
@@ -410,14 +422,17 @@ def test_ga_matches_frozen_oracle(name):
                                  ga=GaConfig(seed=ga_seed, **base))
             seeds = warm_starts(values, n_seeds, ga_seed) if n_seeds else ()
             want = oracle_solve_ga(values, cfg, seed_schedules=seeds)
-            # a dense array and the same matrix held as its nonzero rows
-            for matrix in (values, KeyMatrix(DAY0, 10.0, NAMES[:n_nodes], values)):
-                got = solve_ga(matrix, cfg, seed_schedules=seeds)
-                where = (name, kind, ga_seed, type(matrix).__name__)
-                assert np.array_equal(got.assignment, want.assignment), where
-                assert got.objective.hex() == want.objective.hex(), where
-                assert got.node_totals == want.node_totals, where
-                assert is_feasible(got, n_intervals, n_nodes), where
+            # every generation drawn ahead on the second thread, or none
+            for prefetch_genes in (0, sys.maxsize):
+                monkeypatch.setattr(sched, "_PREFETCH_GENES", prefetch_genes)
+                # a dense array and the same matrix held as its nonzero rows
+                for matrix in (values, KeyMatrix(DAY0, 10.0, NAMES[:n_nodes], values)):
+                    got = solve_ga(matrix, cfg, seed_schedules=seeds)
+                    where = (name, kind, ga_seed, prefetch_genes, type(matrix).__name__)
+                    assert np.array_equal(got.assignment, want.assignment), where
+                    assert got.objective.hex() == want.objective.hex(), where
+                    assert got.node_totals == want.node_totals, where
+                    assert is_feasible(got, n_intervals, n_nodes), where
 
 
 def test_grid_covers_its_edge_cases():
@@ -431,6 +446,56 @@ def test_grid_covers_its_edge_cases():
     assert (values.shape[1] + 1) * n_active(values) > np.iinfo(np.int16).max
     infeasible = warm_starts(GRID["infeasible-seeds"][0], 5, 0)[1:]
     assert not any(is_feasible(s, 60, 4) for s in infeasible)
+    values, *_, fields, _ = GRID["restarts-prefetch"]
+    assert fields["population"] * n_active(values) >= sched._PREFETCH_GENES
+    assert fields["generations"] > 3 * fields["restart_after"]
+
+
+# ---------------------------------------------------------------------------
+# the draws thread ends with the solve
+# ---------------------------------------------------------------------------
+
+PREFETCH_VALUES = GRID["restarts-prefetch"][0]
+PREFETCH_CFG = StrategyConfig(kind="S-TD", weights=(0.4, 0.3, 0.2, 0.1),
+                              ga=GaConfig(population=100, generations=12))
+
+
+def test_draws_thread_ends_when_the_ga_returns():
+    before = threading.enumerate()
+    solve_ga(PREFETCH_VALUES, PREFETCH_CFG)
+    assert threading.enumerate() == before
+
+
+def test_draws_thread_ends_when_it_raises(monkeypatch):
+    class Exhausted(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            def fail():
+                raise MemoryError("Unable to allocate")
+            return super().submit(fail)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Exhausted)
+    before = threading.enumerate()
+    with pytest.raises(MemoryError, match="Unable to allocate"):
+        solve_ga(PREFETCH_VALUES, PREFETCH_CFG)
+    assert threading.enumerate() == before
+
+
+def test_draws_thread_ends_when_the_main_thread_raises(monkeypatch):
+    # the third KL raises while the draws of a later generation are pending
+    calls = []
+    real = sched._node_totals
+
+    def failing(group, cells):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("scoring failed")
+        return real(group, cells)
+
+    monkeypatch.setattr(sched, "_node_totals", failing)
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError, match="scoring failed"):
+        solve_ga(PREFETCH_VALUES, PREFETCH_CFG)
+    assert threading.enumerate() == before
 
 
 # ---------------------------------------------------------------------------

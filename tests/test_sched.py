@@ -578,6 +578,8 @@ def test_strategy_config_validation():
         GaConfig(population=1)
     with pytest.raises(ValueError, match="elitism"):
         GaConfig(population=10, elitism=10)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        GaConfig(seed=-1)
 
 
 def test_schedule_total_property():
