@@ -170,7 +170,8 @@ def key_matrix_from_linkbudget(config: ScenarioConfig, csv_path) -> KeyMatrix:
             nodes.append(n)
             times.append(us)
             etas.append(eta)
-    time_us = np.array(times, dtype=np.int64)
+    # int64 also for a file with no rows, whose empty list would read as float
+    time_us, nodes = np.array(times, dtype=np.int64), np.array(nodes, dtype=np.int64)
     parts: list = []
     add_key_bits(parts, start, config.grid_interval_seconds, config.n_grid_intervals,
                  config.qkd, nodes, time_us, etas, config.step_seconds,

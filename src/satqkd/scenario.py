@@ -123,6 +123,9 @@ class ScenarioConfig:
             sample_count((self.span[1] - self.span[0]).total_seconds(), self.step_seconds)
         except ValueError as exc:
             raise ConfigError("step_seconds", str(exc)) from None
+        for i, urad in enumerate(self.sweep_divergences_urad):
+            if not urad * 1e-6 > 0:  # the divergence_rad the sweep sets
+                raise ConfigError(f"sweep.divergences_urad[{i}]", f"must be positive, got {urad}")
         names = [st.name for st in self.stations]
         for i, name in enumerate(names):
             # a name is a bare CSV field, and schedules name IDLE and SWITCH

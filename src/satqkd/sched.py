@@ -18,18 +18,20 @@ Solvers:
     rows with a nonzero weighted gain; each all-zero run between them is
     taken in closed form.
   * solve_ga     - generational genetic algorithm on the activity string of
-    the nonzero rows, with one-point crossover, per-gene mutation and
-    switch-insertion repair.
+    the nonzero rows, with one-point crossover, per-gene mutation,
+    switch-insertion repair and a restart of all but the elites every
+    restart_after generations.
     Strategies: S-GD maximises total keys, S-PD a weighted total, S-TD uses
     the S-GD fitness but prefers, within a fitness tolerance band, schedules
     whose delivered distribution has lower KL divergence from target weights.
 
 Determinism: every solver is deterministic given its inputs (and the GA
-seed).  Value ties in solve_exact prefer IDLE, then lower node index.  Above
-_PREFETCH_GENES genes per generation, solve_ga draws the next generation's
-random numbers on a second thread while the current one is scored and bred;
-the draws still come from the one generator in the same order, so the stream
-and every result are independent of thread timing.
+seed).  Value ties in solve_exact prefer IDLE, then lower node index.  A
+solve_ga generation's random numbers (a restart's population or breeding's
+draws) depend only on its index.  Above _PREFETCH_GENES genes per generation,
+they are drawn on a second thread while the generation before is scored and
+bred; they still come from the one generator in the same order, so the
+stream and every result are independent of thread timing.
 """
 from __future__ import annotations
 
@@ -72,7 +74,7 @@ class GaConfig:
     mutation_rate: float = 0.02
     elitism: int = 2
     seed: int = 0
-    restart_after: int = 60  # re-randomize non-elites after this many stalled generations
+    restart_after: int = 60  # re-randomize non-elites every this many generations
 
     def __post_init__(self):
         if self.population < 2:
@@ -483,7 +485,7 @@ def solve_ga(matrix, cfg: StrategyConfig,
 
     repair(pop)
 
-    # archive of per-generation champions: (fitness, kl, genes)
+    # archive of each generation's best rows: (fitness, kl, genes)
     archive: list[tuple[float, float, np.ndarray]] = []
 
     def record(fit: np.ndarray, band: np.ndarray, kl: np.ndarray) -> None:
@@ -497,11 +499,17 @@ def solve_ga(matrix, cfg: StrategyConfig,
     half = ga.population // 2
     crossover = n_active >= 2 and half > 0
 
-    def draws():
-        """One generation's random numbers, drawn in stream order and put in
-        the form breeding applies: the tournament candidates, the genes each
-        crossover pair trades, and the flat indices and values of the
-        mutated genes.  None of it depends on the population."""
+    def restarts(gen: int) -> bool:
+        return (gen + 1) % ga.restart_after == 0
+
+    def draws(gen: int):
+        """Generation gen's random numbers, drawn in stream order: a
+        restart's fresh population, or the form breeding applies (the
+        tournament candidates, the genes each crossover pair trades, and the
+        flat indices and values of the mutated genes).  None of it depends
+        on the population, so the stream is a function of gen alone."""
+        if restarts(gen):
+            return rng.integers(0, n_nodes + 2, size=shape, dtype=np.int16)
         cand = rng.integers(0, ga.population, size=(ga.population, 3))
         trade = None
         if crossover:
@@ -534,8 +542,6 @@ def solve_ga(matrix, cfg: StrategyConfig,
         # generation (97k minor faults, 0.3 s of one micius-week `schedule`)
         np.empty(shape)
 
-    champion = -math.inf
-    stalled = 0
     with ThreadPoolExecutor(max_workers=1) as pool:
         upcoming = None  # this generation's draws, submitted a generation ago
         for gen in range(ga.generations):
@@ -544,30 +550,17 @@ def solve_ga(matrix, cfg: StrategyConfig,
             # stable: with an empty band, the fittest first, ties by index
             elites = pop[np.lexsort((-fit, kl, ~band))[:ga.elitism]]
 
-            gen_best = float(fit.max())
-            if gen_best > champion + 1e-12 * max(1.0, abs(champion)):
-                champion = gen_best
-                stalled = 0
-            else:
-                stalled += 1
-            if stalled >= ga.restart_after:
-                # cataclysmic restart: keep the elites, refresh everyone else;
-                # nothing was drawn ahead, as a restart was possible
-                pop = rng.integers(0, n_nodes + 2, size=shape, dtype=np.int16)
+            drawn = upcoming.result() if upcoming else draws(gen)
+            upcoming = (pool.submit(draws, gen + 1)
+                        if prefetch and gen + 1 < ga.generations else None)
+            if restarts(gen):
+                # cataclysmic restart: keep the elites, refresh everyone else
+                pop = drawn
                 repair(pop)
                 if ga.elitism:
                     pop[:ga.elitism] = elites
-                stalled = 0
                 continue
-
-            cand, trade, at, genes = upcoming.result() if upcoming else draws()
-            # stalled only resets or grows by one, so when the next generation
-            # cannot restart (the one way the population steers the stream),
-            # its draws come next in the stream whatever it scores
-            upcoming = None
-            if (prefetch and gen + 1 < ga.generations
-                    and stalled + 1 < ga.restart_after):
-                upcoming = pool.submit(draws)
+            cand, trade, at, genes = drawn
 
             # tournament selection, size 3; a fitness tie goes to the lower
             # population index for S-TD, to the earlier candidate otherwise

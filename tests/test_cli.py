@@ -125,6 +125,11 @@ def test_config_json_round_trip(tmp_path):
     ({"optics": {"beam_convention": "quarter"}}, "optics"),
     ({"grid_interval_seconds": -10}, "grid_interval_seconds"),
     ({"grid_interval_seconds": 0}, "grid_interval_seconds"),
+    ({"sweep": {"divergences_urad": [0]}}, "sweep.divergences_urad[0]"),
+    ({"sweep": {"divergences_urad": [5, -1]}}, "sweep.divergences_urad[1]"),
+    ({"sweep": {"divergences_urad": [5, 10, -0.0]}}, "sweep.divergences_urad[2]"),
+    # positive, but 0 rad once scaled
+    ({"sweep": {"divergences_urad": [1e-320]}}, "sweep.divergences_urad[0]"),
 ])
 def test_config_errors_carry_field_paths(payload, needle):
     with pytest.raises(ConfigError, match=needle.replace("[", r"\[")):
@@ -220,6 +225,22 @@ def test_keymatrix_composition_bit_exact_at_a_fractional_step(tmp_path):
     direct = (tmp_path / "direct" / "keymatrix.csv").read_bytes()
     assert direct.count(b"\n") > 100
     assert direct == (tmp_path / "composed" / "keymatrix.csv").read_bytes()
+
+
+def test_keymatrix_from_a_pass_free_linkbudget_equals_direct(tmp_path):
+    # two hours without a pass: linkbudget.csv is its header alone
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"span": ["2016-09-19T02:00:00+00:00",
+                                             "2016-09-19T04:00:00+00:00"]}),
+                        encoding="utf-8")
+    linkbudget = tmp_path / "lb" / "linkbudget.csv"
+    for name, args in [("lb", ["linkbudget"]), ("direct", ["keymatrix"]),
+                       ("composed", ["keymatrix", "--from-linkbudget", str(linkbudget)])]:
+        assert main([*args, "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+    assert linkbudget.read_text(encoding="utf-8").count("\n") == 1
+    for name in ("keymatrix.csv", "keymatrix_meta.json", "keys_daily.csv"):
+        assert (tmp_path / "direct" / name).read_bytes() == \
+            (tmp_path / "composed" / name).read_bytes(), name
 
 
 SHORT_SPAN = ["2016-09-19T14:00:00+00:00", "2016-09-19T20:00:00+00:00"]
@@ -678,6 +699,25 @@ def test_main_weights_not_one_per_station_exit_2(tmp_path, capsys, command):
     assert json.loads(capsys.readouterr().err)["error"] == (
         "strategy.weights: expected 11, got 2")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["access"], ["linkbudget"], ["keymatrix"],
+                                     ["schedule"], ["sweep", "--variable", "altitude"],
+                                     ["sweep", "--variable", "divergence"]])
+def test_main_non_positive_sweep_divergence_exits_2(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sweep": {"divergences_urad": [5, 0]}}),
+                        encoding="utf-8")
+    rc = main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "sweep.divergences_urad[1]: must be positive, got 0.0")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_divergences_are_checked_for_library_callers():
+    with pytest.raises(ConfigError, match=r"^sweep\.divergences_urad\[0\]: "):
+        short_config(sweep_divergences_urad=(0.0, 5.0))
 
 
 @pytest.mark.parametrize("command", ["access", "linkbudget", "keymatrix", "schedule",

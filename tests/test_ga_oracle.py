@@ -385,8 +385,8 @@ GRID = {
                           0.05, {}, 0),
     "active-2-apart": (one_row(8, 3, 1, 6), ALL_KINDS, (0.2, 0.3, 0.5),
                        0.05, {}, 0),
-    # a stall of one or two generations triggers the cataclysmic restart,
-    # which the tiny instances reach within a few generations
+    # the cataclysmic restart comes every restart_after generations: every
+    # generation with restart_after 1, every second one with 2
     "restarts": (sparse_matrix(12, 12, 2), ALL_KINDS, (0.7, 0.3), 0.05,
                  {"restart_after": 1, "generations": 50}, 0),
     "restarts-2": (sparse_matrix(13, 40, 3), ALL_KINDS, (0.5, 0.3, 0.2), 0.2,
