@@ -5,14 +5,24 @@ w = sqrt((lambda/(pi*phi))^2 + (phi*L)^2); the collected fraction
 f = 1 - exp(-D^2 / (2 w^2)) is reported as -10*log10(f) dB so that it adds
 with the other dB terms.  A `half` beam-radius convention (w/2 in place of w)
 is available because published link budgets differ by roughly 5-6 dB at
-10 urad depending on the spot-size convention.  Each term is one float loop
-over a column of samples (`loss_columns`); the scalar functions call it.
+10 urad depending on the spot-size convention.
+
+Each term runs over a column of samples (`loss_columns`) as numpy arrays,
+but numpy does only what IEEE 754 rounds exactly (+ - * /, comparisons,
+np.where); hypot, expm1, log10, sin and 10.0 ** are the `math` functions
+(and Python's pow) mapped over the column.  numpy's SIMD loops for log10,
+expm1 and powers differ from them in the last bit on a fraction of inputs
+(and np.hypot on a few), so this keeps every bit of the scalar code.  The
+scalar functions are one-element calls that return Python floats.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import expm1, hypot, inf, isinf, log10, pi, radians, sin
+from itertools import repeat
+from math import expm1, hypot, inf, log10, pi, sin
 from typing import NamedTuple
+
+import numpy as np
 
 from .cloud import MAX_INDEX, cloud_loss
 from .orbit import LookAngles
@@ -62,72 +72,107 @@ class LossBreakdown:
 
 
 class LossColumns(NamedTuple):
-    """LossBreakdown's columns, one list each, except the fixed dB."""
-    geometric_db: list[float]
-    atmospheric_db: list[float]
-    cloud_db: list[float]
-    total_db: list[float]
-    transmittance: list[float]
+    """LossBreakdown's columns, one float64 array each, except the fixed dB."""
+    geometric_db: np.ndarray
+    atmospheric_db: np.ndarray
+    cloud_db: np.ndarray
+    total_db: np.ndarray
+    transmittance: np.ndarray
 
 
-_CLOUD_DB = tuple(cloud_loss(alpha) for alpha in range(MAX_INDEX + 1))
+_CLOUD_DB = np.array([cloud_loss(alpha) for alpha in range(MAX_INDEX + 1)])
 
 
-def _not_positive(name: str, value: float):
-    raise ValueError(f"{name} must be positive, got {value}")
+# numpy as Python floats behave: an overflow gives inf and inf - inf gives NaN,
+# without a warning
+_float_rules = np.errstate(over="ignore", invalid="ignore")
 
 
-def _beam_widths(slant_range_km, params: OpticalParams) -> list[float]:
+def _mapped(f, *columns) -> np.ndarray:
+    """map(f, *columns) as a float64 array: the `math` function once per
+    Python float, never numpy's SIMD loop."""
+    return np.fromiter(map(f, *columns), float)
+
+
+def _first_not_positive(values: np.ndarray) -> int:
+    """Index of the first value <= 0 (NaN passes), or len(values)."""
+    bad = values <= 0.0
+    return int(np.argmax(bad)) if bad.any() else len(values)
+
+
+@_float_rules
+def _beam_widths(slant_range_km, params: OpticalParams) -> np.ndarray:
+    ranges = np.asarray(slant_range_km, dtype=float)
+    if (k := _first_not_positive(ranges)) < len(ranges):
+        raise ValueError(f"slant range must be positive, got {slant_range_km[k]}")
     near = params.wavelength_m / (pi * params.divergence_rad)
-    divergence = params.divergence_rad
-    return [_not_positive("slant range", rng) if rng <= 0 else
-            hypot(near, divergence * rng * 1e3) for rng in slant_range_km]
+    far = params.divergence_rad * ranges * 1e3
+    return _mapped(hypot, repeat(near), far.tolist())
 
 
-def _geometric_db(widths, params: OpticalParams) -> list[float]:
+@_float_rules
+def _geometric_db(widths: np.ndarray, params: OpticalParams) -> np.ndarray:
     neg_d2 = -params.receiver_diameter_m**2
     # the half convention takes w/2 as the radius; 1.0 * w is exactly w
-    k = 0.5 if params.beam_convention == "half" else 1.0
-    fractions = [-expm1(neg_d2 / (2.0 * (k * w) * (k * w))) for w in widths]
-    return [inf if f <= 0.0 else -10.0 * log10(f) for f in fractions]
+    kw = (0.5 if params.beam_convention == "half" else 1.0) * widths
+    # a width whose square underflows to 0 collects everything (a fraction of 1)
+    with np.errstate(divide="ignore"):
+        fractions = -_mapped(expm1, (neg_d2 / (2.0 * kw * kw)).tolist())
+    db = np.full(len(fractions), inf)
+    collects = ~(fractions <= 0.0)
+    db[collects] = -10.0 * _mapped(log10, fractions[collects].tolist())
+    return db
 
 
-def _atmospheric_db(elevation_deg, zenith_loss_db: float) -> list[float]:
-    return [_not_positive("elevation", elev) if elev <= 0 else
-            zenith_loss_db / sin(radians(elev)) for elev in elevation_deg]
+@_float_rules
+def _atmospheric_db(elevation_deg, zenith_loss_db: float) -> np.ndarray:
+    elevations = np.asarray(elevation_deg, dtype=float)
+    k = _first_not_positive(elevations)
+    # radians(x) is x * (pi / 180.0); the sines before the first bad
+    # elevation come first, as a sample-by-sample walk meets them
+    sines = _mapped(sin, (elevations[:k] * (pi / 180.0)).tolist())
+    if k < len(elevations):
+        raise ValueError(f"elevation must be positive, got {elevation_deg[k]}")
+    # a sine that underflows to 0 gives an infinite loss
+    return np.divide(zenith_loss_db, sines, out=np.full(k, inf), where=sines != 0.0)
 
 
 def beam_width(slant_range_km: float, params: OpticalParams) -> float:
     """Received beam radius in metres at the given slant range."""
-    return _beam_widths([slant_range_km], params)[0]
+    return _beam_widths([slant_range_km], params)[0].item()
 
 
 def geometric_loss(slant_range_km: float, params: OpticalParams) -> float:
     """Beam-spreading loss in dB for a circular receiver aperture."""
-    return _geometric_db(_beam_widths([slant_range_km], params), params)[0]
+    return _geometric_db(_beam_widths([slant_range_km], params), params)[0].item()
 
 
 def atmospheric_loss(elevation_deg: float, zenith_loss_db: float) -> float:
     """Zenith extinction elongated by the 1/sin(elevation) slant path."""
-    return _atmospheric_db([elevation_deg], zenith_loss_db)[0]
+    return _atmospheric_db([elevation_deg], zenith_loss_db)[0].item()
 
 
+@_float_rules
 def loss_columns(elevation_deg, slant_range_km, cloud_index,
                  params: OpticalParams) -> LossColumns:
-    """Loss decomposition of each sample, from columns of plain numbers; a
-    cloud index of 150 (overcast) gives +inf dB and a transmittance of 0."""
+    """Loss decomposition of each sample, from columns of numbers; a cloud
+    index of 150 (overcast) gives +inf dB and a transmittance of 0."""
     geo = _geometric_db(_beam_widths(slant_range_km, params), params)
     atm = _atmospheric_db(elevation_deg, params.zenith_atm_loss_db)
-    # cloud_loss of an index outside [0, MAX_INDEX] raises its range error
-    cld = [_CLOUD_DB[a] if 0 <= a <= MAX_INDEX else cloud_loss(a) for a in cloud_index]
-    fixed = params.fixed_loss_db
-    total = [g + a + c + fixed for g, a, c in zip(geo, atm, cld)]
-    return LossColumns(geo, atm, cld, total,
-                       [0.0 if isinf(t) else 10.0 ** (-t / 10.0) for t in total])
+    alphas = np.asarray(cloud_index, dtype=np.int64)
+    if (outside := (alphas < 0) | (alphas > MAX_INDEX)).any():
+        cloud_loss(cloud_index[int(np.argmax(outside))])  # raises its range error
+    cld = _CLOUD_DB[alphas]
+    total = geo + atm + cld + params.fixed_loss_db
+    eta = np.zeros(len(total))
+    passes = ~np.isinf(total)
+    eta[passes] = _mapped(pow, repeat(10.0), (-total[passes] / 10.0).tolist())
+    return LossColumns(geo, atm, cld, total, eta)
 
 
 def total_loss(look: LookAngles, cloud_index: int, params: OpticalParams) -> LossBreakdown:
     """Full loss decomposition for one geometry sample (see loss_columns)."""
-    (geo,), (atm,), (cld,), (total,), (eta,) = loss_columns(
-        [look.elevation_deg], [look.slant_range_km], [cloud_index], params)
+    columns = loss_columns([look.elevation_deg], [look.slant_range_km], [cloud_index],
+                           params)
+    geo, atm, cld, total, eta = (column[0].item() for column in columns)
     return LossBreakdown(geo, atm, cld, params.fixed_loss_db, total, eta)

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from collections import defaultdict
 from datetime import datetime
 from itertools import repeat
@@ -29,8 +30,11 @@ from .qkd import (
     KeyMatrix,
     add_key_bits,
     assemble_key_matrix,
+    each_pass_block,
     export_key_matrix,
-    pass_link_budget,
+    joined,
+    link_budget,
+    per_sample,
 )
 from .sched import (
     Schedule,
@@ -113,65 +117,114 @@ def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -
     """
     out.mkdir(parents=True, exist_ok=True)
     accesses = compute_accesses(config)
-    n_rows = 0
-    blocked = 0
+    counts = {"n_samples": 0, "n_blocked": 0}
     with open_new(out / "linkbudget.csv") as fh:
         fh.write("time_utc,station,elevation_deg,range_km,geo_db,atm_db,"
                  "cloud_db,fixed_db,total_db,eta\n")
         fixed = _fmt(config.optics.fixed_loss_db)
-        for iv in accesses:
-            geo, atm, cld, total, etas = pass_link_budget(iv, config.optics, config.cloud)
-            elev, rng = iv.elevation_deg.tolist(), iv.slant_range_km.tolist()
-            columns = (iso_utc(iv.time_us), repeat(iv.station.name),
-                       *(list(map(_fmt, c)) for c in (elev, rng, geo, atm, cld)),
-                       repeat(fixed), list(map(_fmt, total)), map(repr, etas))
+
+        def write(block: list[AccessInterval]) -> None:
+            geo, atm, cld, total, etas = link_budget(block, config.optics, config.cloud)
+            columns = (iso_utc(joined(block, "time_us")),
+                       per_sample(block, [iv.station.name for iv in block]).tolist(),
+                       *(list(map(_fmt, c.tolist())) for c in (
+                           joined(block, "elevation_deg"), joined(block, "slant_range_km"),
+                           geo, atm, cld)),
+                       repeat(fixed), list(map(_fmt, total.tolist())),
+                       map(repr, etas.tolist()))
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
-            blocked += etas.count(0.0)
-            n_rows += len(etas)
+            counts["n_blocked"] += int(np.count_nonzero(etas == 0.0))
+            counts["n_samples"] += len(etas)
+
+        each_pass_block(accesses, write)
     _write_manifest(out, "linkbudget", config, seed)
-    return {"n_samples": n_rows, "n_blocked": blocked}
+    return counts
 
 
 # ---------------------------------------------------------------------------
 # keymatrix
 # ---------------------------------------------------------------------------
 
+# bytes of linkbudget.csv rows read and parsed at a time (about 4,000 rows)
+_LINKBUDGET_CHUNK = 1 << 19
+
+
+def _written_rows(lines: list[str], column: dict[str, int]):
+    """(nodes, time_us, etas) of rows as run_linkbudget writes them: 10
+    fields, a scenario station, a time_utc that output.iso_utc writes back
+    unchanged and an eta in [0, 1]; None if any row is otherwise."""
+    if set(map(str.count, lines, repeat(","))) != {9}:
+        return None
+    end = 10 * len(lines)
+    fields = "".join(lines).replace("\n", ",").split(",")
+    times = fields[0:end:10]
+    try:
+        nodes = np.fromiter(map(column.__getitem__, fields[1:end:10]), np.int64)
+        with warnings.catch_warnings():  # numpy warns on a time zone it drops
+            warnings.simplefilter("error")
+            time_us = np.array([t[:-6] for t in times], "datetime64[us]").astype(np.int64)
+        if iso_utc(time_us) != times:
+            return None
+        etas = np.fromiter(map(float, fields[9:end:10]), float)
+    except (KeyError, ValueError, Warning, OverflowError):  # NaT overflows iso_utc
+        return None
+    return (nodes, time_us, etas) if ((0.0 <= etas) & (etas <= 1.0)).all() else None
+
+
+def _parsed_rows(lines: list[str], first_lineno: int, column: dict[str, int], csv_path):
+    """(nodes, time_us, etas) of rows parsed one at a time, or ValueError
+    naming the file, line and field of the first bad row."""
+    nodes, times, etas = [], [], []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        parts = line.rstrip("\n").split(",")
+        where = f"{csv_path}:{lineno}"
+        if len(parts) != 10:
+            raise ValueError(f"{where}: expected 10 fields, got {len(parts)}")
+        n = column.get(parts[1])
+        if n is None:
+            raise ValueError(f"{where}: station: {parts[1]!r} is not a "
+                             f"scenario station")
+        try:
+            t = datetime.fromisoformat(parts[0])
+            if t.tzinfo is None:
+                raise ValueError(f"{parts[0]} has no UTC offset")
+            us = _to_us(t)  # overflows for an offset at year 1 or 9999
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{where}: time_utc: {exc}") from None
+        try:
+            eta = float(parts[9])
+        except ValueError as exc:
+            raise ValueError(f"{where}: eta: {exc}") from None
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"{where}: eta: {parts[9]} is not in [0, 1]")
+        nodes.append(n)
+        times.append(us)
+        etas.append(eta)
+    # int64 also for no rows, whose empty lists would read as float
+    return (np.array(nodes, dtype=np.int64), np.array(times, dtype=np.int64),
+            np.array(etas, dtype=float))
+
+
 def key_matrix_from_linkbudget(config: ScenarioConfig, csv_path) -> KeyMatrix:
-    """Rebuild the key matrix from a linkbudget.csv intermediate."""
+    """Rebuild the key matrix from a linkbudget.csv intermediate.
+
+    Each chunk of rows is read as columns where it holds exactly what
+    run_linkbudget writes; any other chunk is parsed row by row, which
+    accepts the same rows and names the first bad one."""
     start = config.span[0]
     column = {st.name: i for i, st in enumerate(config.stations)}
-    nodes, times, etas = [], [], []
+    chunks = []
     with open(csv_path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("time_utc,station,"):
             raise ValueError(f"not a linkbudget CSV: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            where = f"{csv_path}:{lineno}"
-            if len(parts) != 10:
-                raise ValueError(f"{where}: expected 10 fields, got {len(parts)}")
-            n = column.get(parts[1])
-            if n is None:
-                raise ValueError(f"{where}: station: {parts[1]!r} is not a "
-                                 f"scenario station")
-            try:
-                t = datetime.fromisoformat(parts[0])
-                if t.tzinfo is None:
-                    raise ValueError(f"{parts[0]} has no UTC offset")
-                us = _to_us(t)  # overflows for an offset at year 1 or 9999
-            except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{where}: time_utc: {exc}") from None
-            try:
-                eta = float(parts[9])
-            except ValueError as exc:
-                raise ValueError(f"{where}: eta: {exc}") from None
-            if not 0.0 <= eta <= 1.0:
-                raise ValueError(f"{where}: eta: {parts[9]} is not in [0, 1]")
-            nodes.append(n)
-            times.append(us)
-            etas.append(eta)
-    # int64 also for a file with no rows, whose empty list would read as float
-    time_us, nodes = np.array(times, dtype=np.int64), np.array(nodes, dtype=np.int64)
+        lineno = 2
+        while lines := fh.readlines(_LINKBUDGET_CHUNK):
+            chunks.append(_written_rows(lines, column)
+                          or _parsed_rows(lines, lineno, column, csv_path))
+            lineno += len(lines)
+    nodes, time_us, etas = (np.concatenate(c) for c in zip(*chunks)) if chunks else (
+        np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     parts: list = []
     add_key_bits(parts, start, config.grid_interval_seconds, config.n_grid_intervals,
                  config.qkd, nodes, time_us, etas, config.step_seconds,
@@ -268,11 +321,18 @@ def _loss_extremes(config: ScenarioConfig, accesses: list[AccessInterval]):
     """Min/max total loss per station over its visible samples (no cloud)."""
     lo: dict[str, float] = {}
     hi: dict[str, float] = {}
-    for iv in accesses:
-        total = pass_link_budget(iv, config.optics).total_db
-        name = iv.station.name
-        lo[name] = min(lo.get(name, math.inf), *total)
-        hi[name] = max(hi.get(name, -math.inf), *total)
+
+    def extremes(block: list[AccessInterval]) -> None:
+        total = link_budget(block, config.optics).total_db.tolist()
+        end = 0
+        for iv in block:
+            begin, end = end, end + len(iv.time_us)
+            # Python's min and max, not numpy's: they keep the old rule for NaN
+            name = iv.station.name
+            lo[name] = min(lo.get(name, math.inf), *total[begin:end])
+            hi[name] = max(hi.get(name, -math.inf), *total[begin:end])
+
+    each_pass_block(accesses, extremes)
     return lo, hi
 
 

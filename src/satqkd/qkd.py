@@ -12,8 +12,16 @@ from the GLLP formula
 
 clamped at zero.  Rates integrate over access intervals as rate-per-second
 times sample spacing, and assemble into the per-interval, per-node key matrix
-used by the scheduler.  Each formula is one float loop over a column of
-transmittances; the scalar functions call it.
+used by the scheduler.  Each formula runs over a column of transmittances
+as numpy arrays doing only + - * /, comparisons and np.where, with expm1
+and log2 the `math` functions mapped over the column, as in channel: the
+bits are those of the scalar code, whichever SIMD loops numpy picks.  A zero
+gain (y0 = 0 and eta * mu underflowing to 0) has QBER 0 and rate 0.  The
+scalar functions are one-element calls that return Python floats.
+
+Passes are walked in blocks of about _RATE_CHUNK samples that span many
+short passes (`pass_blocks`, `each_pass_block`): one kernel call per pass
+costs more than the old float loops on passes of a few dozen samples.
 
 The key matrix holds only the intervals with a nonzero cell (`rows`) and
 those rows' cells, never an intervals x nodes array: add_key_bits turns
@@ -30,18 +38,27 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from functools import cached_property
 from math import exp, expm1, log2
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 # total_loss is not called here; the benchmark's tracer patches it under this name
-from .channel import LossColumns, OpticalParams, loss_columns, total_loss  # noqa: F401
+from .channel import (  # noqa: F401
+    LossColumns,
+    OpticalParams,
+    _float_rules,
+    _mapped,
+    loss_columns,
+    total_loss,
+)
 from .cloud import CloudGrid, query_column
 from .orbit import AccessInterval, GroundStation, _as_utc, _from_us, _to_us, _unix_to_us
 from .output import iso_utc, open_new, write_json
 
 
-# Samples per rate-kernel call in add_key_bits (a week at 1 s is ~10 MB of floats)
+# Samples per kernel call: pass_blocks closes a block of passes at this many,
+# and add_key_bits rates at most this many at a time (a week at 1 s is ~10 MB
+# of floats)
 _RATE_CHUNK = 4096
 
 
@@ -88,32 +105,50 @@ class RateResult:
     rate_per_second: float
 
 
+def _clamped(values: np.ndarray, low: float, high: float) -> np.ndarray:
+    """min(max(v, low), high) of each v: NaN and a -0.0 at low pass through."""
+    values = np.where(low > values, low, values)
+    return np.where(high < values, high, values)
+
+
+def _entropies(xs: np.ndarray) -> np.ndarray:
+    """binary_entropy of each x."""
+    h = np.zeros(len(xs))
+    inside = ~((xs <= 0.0) | (xs >= 1.0))
+    x = xs[inside]
+    y = 1.0 - x
+    h[inside] = -x * _mapped(log2, x.tolist()) - y * _mapped(log2, y.tolist())
+    return h
+
+
 def binary_entropy(x: float) -> float:
     """h2(x) = -x log2 x - (1-x) log2 (1-x), with h2(0) = h2(1) = 0."""
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * log2(x) - (1.0 - x) * log2(1.0 - x)
+    return _entropies(np.array([x], dtype=float))[0].item()
 
 
-def _gains(mu_i: float, etas, params: QkdParams) -> tuple[list[float], list[float]]:
-    """Gain and QBER columns of intensity mu_i."""
-    for eta in etas:
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {eta}")
+@_float_rules
+def _gains(mu_i: float, etas, params: QkdParams) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and QBER columns of intensity mu_i; a zero gain has QBER 0."""
+    column = np.asarray(etas, dtype=float)
+    if (bad := ~((0.0 <= column) & (column <= 1.0))).any():
+        raise ValueError(f"eta must be in [0, 1], got {etas[int(np.argmax(bad))]}")
     if mu_i < 0.0:
         raise ValueError(f"intensity must be >= 0, got {mu_i}")
     y0, e0_y0, e_det = params.y0, params.e0 * params.y0, params.e_detector
-    detected = [-expm1(-eta * mu_i) for eta in etas]
-    gains = [y0 + d for d in detected]
-    return gains, [(e0_y0 + e_det * d) / q for d, q in zip(detected, gains)]
+    detected = -_mapped(expm1, (-column * mu_i).tolist())
+    gains = y0 + detected
+    # a zero gain (y0 = 0 and eta * mu_i = 0) has no errors: its numerator is 0 too
+    return gains, np.divide(e0_y0 + e_det * detected, gains, out=np.zeros(len(gains)),
+                            where=gains != 0.0)
 
 
 def gain_and_qber(mu_i: float, eta: float, params: QkdParams) -> tuple[float, float]:
     """Gain and QBER of intensity mu_i through transmittance eta."""
-    return tuple(column[0] for column in _gains(mu_i, [eta], params))
+    return tuple(column[0].item() for column in _gains(mu_i, [eta], params))
 
 
-def _rate_terms(etas, params: QkdParams) -> tuple[list[float], ...]:
+@_float_rules
+def _rate_terms(etas, params: QkdParams) -> tuple[np.ndarray, ...]:
     """Columns of Q_mu, E_mu, Y1 lower, Q1, e1 upper and the per-pulse rate."""
     mu, nu = params.mu, params.nu
     mu2, nu2 = mu * mu, nu * nu
@@ -122,16 +157,16 @@ def _rate_terms(etas, params: QkdParams) -> tuple[list[float], ...]:
     scale, vacuum = mu / (mu * nu - nu2), ((mu2 - nu2) / mu2) * params.y0
     e0_y0, f_e, q_factor = params.e0 * params.y0, params.f_e, params.q_factor
     exp_mu, exp_nu, exp_neg_mu = exp(mu), exp(nu), exp(-mu)
-    y1s = [min(max(scale * (q_nu * exp_nu - q_mu * exp_mu * nu2 / mu2 - vacuum), 0.0), 1.0)
-           for q_mu, q_nu in zip(q_mus, q_nus)]
-    q1s = [y1 * mu * exp_neg_mu for y1 in y1s]
+    y1s = _clamped(scale * (q_nus * exp_nu - q_mus * exp_mu * nu2 / mu2 - vacuum), 0.0, 1.0)
+    q1s = y1s * mu * exp_neg_mu
     # e1 = 1 where no single-photon signal survives (the worst case)
-    e1s = [min(max((e_nu * q_nu * exp_nu - e0_y0) / (y1 * nu), 0.0), 1.0)
-           if y1 * nu > 0.0 else 1.0 for y1, q_nu, e_nu in zip(y1s, q_nus, e_nus)]
-    return q_mus, e_mus, y1s, q1s, e1s, [
-        max(0.0, q_factor * (-f_e * q_mu * binary_entropy(e_mu)
-                             + q1 * (1.0 - binary_entropy(e1))))
-        for q_mu, e_mu, q1, e1 in zip(q_mus, e_mus, q1s, e1s)]
+    e1s = np.ones(len(y1s))
+    signal = y1s * nu > 0.0
+    e1s[signal] = _clamped((e_nus[signal] * q_nus[signal] * exp_nu - e0_y0)
+                           / (y1s[signal] * nu), 0.0, 1.0)
+    bracket = q_factor * (-f_e * q_mus * _entropies(e_mus) + q1s * (1.0 - _entropies(e1s)))
+    # max(0.0, x) is x only where x > 0.0: NaN and -0.0 become 0.0
+    return q_mus, e_mus, y1s, q1s, e1s, np.where(bracket > 0.0, bracket, 0.0)
 
 
 def decoy_estimate(params: QkdParams, eta: float) -> tuple[float, float, float]:
@@ -139,14 +174,13 @@ def decoy_estimate(params: QkdParams, eta: float) -> tuple[float, float, float]:
 
     Assumes omega = 0 so the vacuum gain is identified with y0.
     """
-    return tuple(column[0] for column in _rate_terms([eta], params)[2:5])
+    return tuple(column[0].item() for column in _rate_terms([eta], params)[2:5])
 
 
 def gllp_rate(eta: float, params: QkdParams) -> RateResult:
     """Secure-key rate for one transmittance; degenerate inputs give rate 0."""
-    *terms, (per_pulse,) = _rate_terms([eta], params)
-    return RateResult(*(column[0] for column in terms), per_pulse,
-                      per_pulse * params.rep_rate_hz)
+    *terms, per_pulse = (column[0].item() for column in _rate_terms([eta], params))
+    return RateResult(*terms, per_pulse, per_pulse * params.rep_rate_hz)
 
 
 def nonzero_rows(values) -> tuple[int, np.ndarray, np.ndarray]:
@@ -251,38 +285,81 @@ class KeyMatrix:
         return self.row_labels(np.arange(self.n_intervals))
 
 
-def pass_link_budget(access: AccessInterval, optics: OpticalParams,
-                     cloud: CloudGrid | None = None) -> LossColumns:
-    """Loss columns of each sample of one pass."""
-    station = access.station
-    try:
-        alphas = ([0] * len(access.time_us) if cloud is None else
-                  query_column(cloud, station.latitude_deg, station.longitude_deg,
-                               access.time_us).tolist())
-    except ValueError as exc:
-        raise ValueError(f"cloud: {station.name}: {exc}") from None
-    return loss_columns(access.elevation_deg.tolist(), access.slant_range_km.tolist(),
-                        alphas, optics)
+def pass_blocks(accesses: Sequence[AccessInterval]) -> Iterator[list[AccessInterval]]:
+    """Runs of consecutive passes, each closed once it holds _RATE_CHUNK
+    samples, so a kernel call covers many short passes or one long one."""
+    block, size = [], 0
+    for access in accesses:
+        block.append(access)
+        size += len(access.time_us)
+        if size >= _RATE_CHUNK:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
+def each_pass_block(accesses: Sequence[AccessInterval], step) -> None:
+    """step(block) on each run of pass_blocks.  A block that raises is
+    stepped again one pass at a time, so the error raised is the one a walk
+    pass by pass meets first; step must change nothing before it can raise."""
+    for block in pass_blocks(accesses):
+        try:
+            step(block)
+        except (ValueError, ArithmeticError):
+            if len(block) == 1:
+                raise
+            for access in block:
+                step([access])
+
+
+def link_budget(accesses: Sequence[AccessInterval], optics: OpticalParams,
+                cloud: CloudGrid | None = None) -> LossColumns:
+    """Loss columns of the samples of the given passes, in order."""
+    alphas = []
+    for access in accesses:
+        station = access.station
+        try:
+            alphas.append(np.zeros(len(access.time_us), np.int16) if cloud is None else
+                          query_column(cloud, station.latitude_deg,
+                                       station.longitude_deg, access.time_us))
+        except ValueError as exc:
+            raise ValueError(f"cloud: {station.name}: {exc}") from None
+    return loss_columns(joined(accesses, "elevation_deg"),
+                        joined(accesses, "slant_range_km"), np.concatenate(alphas), optics)
+
+
+def joined(accesses: Sequence[AccessInterval], name: str) -> np.ndarray:
+    """One column (time_us, elevation_deg, ...) of the passes, end to end."""
+    return np.concatenate([getattr(access, name) for access in accesses])
+
+
+def per_sample(accesses: Sequence[AccessInterval], values) -> np.ndarray:
+    """values[i] of pass i, once per sample of the pass."""
+    return np.repeat(values, [len(access.time_us) for access in accesses])
 
 
 def add_key_bits(parts: list, start: datetime, interval_seconds: float,
                  n_intervals: int, params: QkdParams, nodes, time_us: np.ndarray,
-                 etas: Sequence[float], step_seconds: float, where) -> None:
+                 etas, step_seconds, where) -> None:
     """Append the grid row, node and bits rate_per_second(eta) * step of each
-    sample with eta > 0 to parts, in order; nodes is one column or one per
-    sample, where(i) names sample i.  assemble_key_matrix sums them."""
+    sample with eta > 0 to parts, in order; nodes and step_seconds are one
+    value or one per sample, where(i) names sample i.  assemble_key_matrix
+    sums them."""
     rows = np.floor((time_us - _to_us(start)) / 1e6 / interval_seconds)
     outside = (rows < 0) | (rows >= n_intervals)
     if outside.any():
         raise ValueError(f"{where(int(np.argmax(outside)))} is outside the "
                          f"{n_intervals}-interval grid from {_as_utc(start).isoformat()}")
     rows, nodes = rows.astype(np.int64), np.broadcast_to(nodes, rows.shape)
-    keep = np.flatnonzero(np.asarray(etas, dtype=float) > 0.0)
+    steps = np.broadcast_to(step_seconds, rows.shape)
+    etas = np.asarray(etas, dtype=float)
+    keep = np.flatnonzero(etas > 0.0)
     bits = np.empty(len(keep))
     for lo in range(0, len(keep), _RATE_CHUNK):
         part = keep[lo:lo + _RATE_CHUNK]
-        per_pulse = _rate_terms([etas[k] for k in part.tolist()], params)[-1]
-        bits[lo:lo + len(part)] = np.array(per_pulse) * params.rep_rate_hz * step_seconds
+        per_pulse = _rate_terms(etas[part], params)[-1]
+        bits[lo:lo + len(part)] = per_pulse * params.rep_rate_hz * steps[part]
     parts.append((rows[keep], nodes[keep], bits))
 
 
@@ -316,15 +393,23 @@ def build_key_matrix(accesses: Sequence[AccessInterval],
     """
     column = {st.name: i for i, st in enumerate(stations)}
     parts: list = []
-    for access in accesses:
-        n = column.get(access.station.name)
-        if n is None:
-            raise ValueError(f"access interval for unknown station "
-                             f"{access.station.name!r}")
-        etas = pass_link_budget(access, optics, cloud).transmittance
-        add_key_bits(parts, start, interval_seconds, n_intervals, params, n,
-                     access.time_us, etas, access.step_seconds, lambda i, t=access.time_us:
-                     f"grid misalignment: sample at {_from_us(int(t[i])).isoformat()}")
+
+    def add(block: list[AccessInterval]) -> None:
+        nodes = []
+        for access in block:
+            if (n := column.get(access.station.name)) is None:
+                raise ValueError(f"access interval for unknown station "
+                                 f"{access.station.name!r}")
+            nodes.append(n)
+        etas = link_budget(block, optics, cloud).transmittance
+        time_us = joined(block, "time_us")
+        add_key_bits(parts, start, interval_seconds, n_intervals, params,
+                     per_sample(block, nodes), time_us, etas,
+                     per_sample(block, [access.step_seconds for access in block]),
+                     lambda i: f"grid misalignment: sample at "
+                     f"{_from_us(int(time_us[i])).isoformat()}")
+
+    each_pass_block(accesses, add)
     return assemble_key_matrix(parts, start, interval_seconds, n_intervals,
                                tuple(st.name for st in stations))
 

@@ -77,7 +77,9 @@ def oracle_geometric_loss(slant_range_km, params):
 def oracle_atmospheric_loss(elevation_deg, zenith_loss_db):
     if elevation_deg <= 0:
         raise ValueError(f"elevation must be positive, got {elevation_deg}")
-    return zenith_loss_db / math.sin(math.radians(elevation_deg))
+    sine = math.sin(math.radians(elevation_deg))
+    # a sine that underflows to 0 (elevation 5e-324) gives an infinite loss
+    return math.inf if sine == 0.0 else zenith_loss_db / sine
 
 
 def oracle_total_loss(elevation_deg, slant_range_km, cloud_index, params):
@@ -104,6 +106,8 @@ def oracle_gain_and_qber(mu_i, eta, params):
         raise ValueError(f"intensity must be >= 0, got {mu_i}")
     detected = -math.expm1(-eta * mu_i)
     gain = params.y0 + detected
+    if gain == 0.0:  # y0 = 0 and no detection: no errors either
+        return gain, 0.0
     qber = (params.e0 * params.y0 + params.e_detector * detected) / gain
     return gain, qber
 

@@ -246,6 +246,28 @@ def test_keymatrix_from_a_pass_free_linkbudget_equals_direct(tmp_path):
 SHORT_SPAN = ["2016-09-19T14:00:00+00:00", "2016-09-19T20:00:00+00:00"]
 
 
+def test_zero_background_yield_exits_0(tmp_path, capsys):
+    # with y0 = 0, an eta whose eta * nu underflows to 0 has a zero gain: rate 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"span": SHORT_SPAN, "qkd": {"y0": 0}}),
+                        encoding="utf-8")
+    assert main(["linkbudget", "--config", str(cfg_path), "--out", str(tmp_path / "lb")]) == 0
+    header, *rows = (tmp_path / "lb" / "linkbudget.csv").read_text().splitlines()
+    k = next(i for i, row in enumerate(rows) if float(row.split(",")[9]) > 0.0)
+    fields = rows[k].split(",")
+    fields[9] = "5e-324"
+    edited = tmp_path / "edited.csv"
+    edited.write_text("\n".join([header, *rows[:k], ",".join(fields), *rows[k + 1:]])
+                      + "\n", encoding="utf-8")
+    for name, extra in [("direct", []), ("composed", ["--from-linkbudget", str(edited)])]:
+        assert main(["keymatrix", "--config", str(cfg_path), "--out", str(tmp_path / name),
+                     *extra]) == 0, capsys.readouterr().err
+    direct = (tmp_path / "direct" / "keymatrix.csv").read_text().splitlines()
+    composed = (tmp_path / "composed" / "keymatrix.csv").read_text().splitlines()
+    # the edited sample was the only one of its interval: that row has no key now
+    assert len(direct) > 1 and len(composed) == len(direct) - 1
+
+
 @pytest.fixture(scope="module")
 def linkbudget_rows(tmp_path_factory):
     """Config path plus header and rows of the first night's linkbudget.csv."""

@@ -10,6 +10,7 @@ oracle's ValueError.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -128,6 +129,16 @@ def test_bad_loss_inputs_raise_the_oracle_error(elev, rng, alpha):
                         good_a[:20] + [alpha] + good_a[20:], optics) == want
 
 
+def test_elevation_whose_sine_underflows_gives_infinite_loss():
+    optics = OpticalParams()
+    assert atmospheric_loss(5e-324, 2.0) == oracle_atmospheric_loss(5e-324, 2.0) == math.inf
+    got = total_loss(LookAngles(5e-324, 0.0, 500.0), 0, optics)
+    want = oracle_total_loss(5e-324, 500.0, 0, optics)
+    assert hexes([got.geometric_db, got.atmospheric_db, got.cloud_db, got.fixed_db,
+                  got.total_db, got.transmittance]) == hexes(want)
+    assert got.transmittance == 0.0
+
+
 def test_negative_mask_elevation_fails_linkbudget_and_keymatrix(tmp_path, capsys):
     payload = {"span": ["2016-09-19T14:00:00+00:00", "2016-09-19T20:00:00+00:00"],
                "elevation_mask_deg": -5.0}
@@ -178,9 +189,9 @@ def rate_etas(seed: int, count: int = 200) -> list[float]:
 def test_rate_terms_match_scalar_oracle():
     hits = dict.fromkeys(("y1=0", "y1=1", "rate=0", "rate>0", "e1=0"), 0)
     for params in rate_params(8, 60):
-        # with y0 = 0 a zero gain divides by zero, in the oracle too
-        etas = [eta for eta in rate_etas(9) if params.y0 > 0.0 or eta * params.nu > 0.0]
-        q_mu, e_mu, y1, q1, e1, rates = qkd._rate_terms(etas, params)
+        etas = rate_etas(9)
+        q_mu, e_mu, y1, q1, e1, rates = (column.tolist()
+                                         for column in qkd._rate_terms(etas, params))
         want = [oracle_gllp_rate(eta, params) for eta in etas]
         for k, column in enumerate((q_mu, e_mu, y1, q1, e1, rates)):
             assert hexes(column) == hexes(w[k] for w in want), k
@@ -196,11 +207,8 @@ def test_scalar_rate_functions_match_oracle():
     for params in rate_params(10, 15):
         for eta in rate_etas(11, 40):
             for mu_i in (0.0, params.nu, params.mu, 2.5):
-                if params.y0 > 0.0 or eta * mu_i > 0.0:  # else 0/0, in the oracle too
-                    assert hexes(gain_and_qber(mu_i, eta, params)) == \
-                        hexes(oracle_gain_and_qber(mu_i, eta, params))
-            if params.y0 == 0.0 and eta * params.nu == 0.0:
-                continue
+                assert hexes(gain_and_qber(mu_i, eta, params)) == \
+                    hexes(oracle_gain_and_qber(mu_i, eta, params))
             got = gllp_rate(eta, params)
             assert hexes([got.q_mu, got.e_mu, got.y1_lower, got.q1, got.e1_upper,
                           got.rate_per_pulse, got.rate_per_second]) == \
@@ -235,6 +243,15 @@ def error_of(fn, *args) -> str | None:
 def test_bad_rate_inputs_raise_the_oracle_error(call, eta):
     kernel, oracle = CALLS[call]
     assert error_of(kernel, QkdParams(), eta) == error_of(oracle, QkdParams(), eta)
+
+
+def test_zero_gain_gives_qber_0_and_rate_0():
+    params = QkdParams(y0=0.0)
+    assert gain_and_qber(params.mu, 0.0, params) == (0.0, 0.0)
+    for eta in (0.0, 5e-324):  # eta * nu underflows to 0
+        got = gllp_rate(eta, params)
+        assert (got.e_mu, got.rate_per_pulse, got.rate_per_second) == (0.0, 0.0, 0.0)
+        assert hexes(dataclasses.astuple(got)) == hexes(oracle_gllp_rate(eta, params))
 
 
 def test_intensities_without_a_decoy_bound_are_rejected():
