@@ -25,7 +25,7 @@ from . import __version__
 # total_loss is not called here; the benchmark's tracer patches it under this name
 from .channel import total_loss  # noqa: F401
 from .orbit import AccessInterval, _from_us, _to_us
-from .output import INF, iso_utc, open_new, write_json
+from .output import INF, csv_rows, fixed_point, iso_utc, open_new, spelled, write_json
 from .qkd import (
     KeyMatrix,
     add_key_bits,
@@ -58,7 +58,10 @@ from .scenario import (
 
 
 def _fmt(value: float, spec: str = ".4f") -> str:
-    return INF if math.isinf(value) else format(value, spec)
+    """format(value, spec) for a fixed-point spec ".<digits>f", INF where
+    value is infinite: one row of output.fixed_point."""
+    row = fixed_point([value], int(spec[1:-1]))[0]
+    return row[row != 0].tobytes().decode()
 
 
 def _write_manifest(out: Path, command: str, config: ScenarioConfig,
@@ -118,21 +121,23 @@ def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -
     out.mkdir(parents=True, exist_ok=True)
     accesses = compute_accesses(config)
     counts = {"n_samples": 0, "n_blocked": 0}
+    fixed = fixed_point([config.optics.fixed_loss_db], 4)
     with open_new(out / "linkbudget.csv") as fh:
-        fh.write("time_utc,station,elevation_deg,range_km,geo_db,atm_db,"
-                 "cloud_db,fixed_db,total_db,eta\n")
-        fixed = _fmt(config.optics.fixed_loss_db)
+        fh.buffer.write(b"time_utc,station,elevation_deg,range_km,geo_db,atm_db,"
+                        b"cloud_db,fixed_db,total_db,eta\n")
 
         def write(block: list[AccessInterval]) -> None:
             geo, atm, cld, total, etas = link_budget(block, config.optics, config.cloud)
-            columns = (iso_utc(joined(block, "time_us")),
-                       per_sample(block, [iv.station.name for iv in block]).tolist(),
-                       *(list(map(_fmt, c.tolist())) for c in (
-                           joined(block, "elevation_deg"), joined(block, "slant_range_km"),
-                           geo, atm, cld)),
-                       repeat(fixed), list(map(_fmt, total.tolist())),
-                       map(repr, etas.tolist()))
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+            names = [iv.station.name.encode() for iv in block]
+            fh.buffer.write(csv_rows([
+                spelled(iso_utc(joined(block, "time_us"))),
+                spelled(per_sample(block, names)),
+                *(fixed_point(c, 4) for c in (
+                    joined(block, "elevation_deg"), joined(block, "slant_range_km"),
+                    geo, atm, cld)),
+                np.broadcast_to(fixed, (len(etas), fixed.shape[1])),
+                fixed_point(total, 4),
+                spelled(list(map(repr, etas.tolist())))]))
             counts["n_blocked"] += int(np.count_nonzero(etas == 0.0))
             counts["n_samples"] += len(etas)
 

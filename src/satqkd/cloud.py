@@ -28,13 +28,11 @@ MAX_INDEX = 150
 # temporaries (about 32 bytes per byte of text) stay near 2 MB, which the
 # allocator reuses from chunk to chunk and from load to load
 _CHUNK_BYTES = 1 << 16
-# byte classes of text parsed as an array: other bytes go through int()
-_DIGIT, _SPACE = 1, 2
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[list(b"0123456789")] = _DIGIT
-_BYTE_CLASS[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = _SPACE  # what str.split() splits on
+# bytes of text parsed as an array, ASCII digits and what str.split() splits
+# on; other bytes go through int()
+_ARRAY_BYTE = np.zeros(256, dtype=bool)
+_ARRAY_BYTE[list(b"0123456789\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = True
 _MAX_DIGITS = 18  # a token of up to 18 digits fits int64
-_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
 
 def cloud_loss(alpha: int) -> float:
@@ -140,20 +138,26 @@ def _digit_cells(text: str) -> np.ndarray | None:
     if not text.isascii():
         return None
     raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    kind = _BYTE_CLASS[raw]
-    if not kind.all():
+    d = raw - np.uint8(ord("0"))  # bytes below "0" wrap past 9
+    digit = d < 10
+    # spaces and newlines are what save_cloud_grid writes; the table is for
+    # the rest of str.split()'s whitespace
+    if not (digit | (raw == ord(" ")) | (raw == ord("\n"))).all() and \
+            not _ARRAY_BYTE[raw].all():
         return None
-    edges = np.diff((kind == _DIGIT).view(np.int8), prepend=0, append=0)
-    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    widths = stops - starts
+    first, last = digit.copy(), digit.copy()
+    first[1:] &= ~digit[:-1]
+    last[:-1] &= ~digit[1:]
+    stops = np.flatnonzero(last)
+    widths = stops - np.flatnonzero(first) + 1
     longest = widths.max(initial=0)
     if longest > _MAX_DIGITS:
         return None
-    # add the digits place by place, from the units up
-    cells = np.zeros(len(widths), dtype=np.int64)
+    # add the digits place by place, from the units up; a narrower token's
+    # index may land outside it, even before the text, and is masked out
+    cells = np.zeros(len(stops), dtype=np.int16 if longest <= 4 else np.int64)
     for place in range(longest):
-        has = np.flatnonzero(widths > place)
-        cells[has] += (raw[stops[has] - 1 - place] - ord("0")) * _POW10[place]
+        cells += np.where(widths > place, d[stops - place], 0) * cells.dtype.type(10 ** place)
     return cells
 
 

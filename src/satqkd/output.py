@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -32,6 +33,57 @@ def write_json(path, obj) -> None:
     with open_new(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def fixed_point(values, digits: int) -> np.ndarray:
+    """format(v, f".{digits}f") of each value, INF where it is infinite, as
+    the rows of a NUL-padded uint8 matrix; digits >= 1.
+
+    format writes the correctly rounded decimal, so the integer nearest to
+    q = |v| * 10**digits spells it wherever q is more than np.spacing(q)
+    from a tie.  The rest go through format itself: ties, NaN, infinities
+    and q >= 2**51, where the spacing reaches 0.5.
+    """
+    v = np.asarray(values, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        q = np.abs(v) * 10.0 ** digits
+        exact = np.abs(q - np.floor(q) - 0.5) > np.spacing(q)  # False for NaN
+    r = np.rint(np.where(exact, q, 0.0)).astype(np.int64)
+    whole = len(str(int(r.max(initial=0)) // 10 ** digits))  # digits left of the point
+    places = 10 ** np.arange(whole + digits - 1, -1, -1, dtype=np.int64)
+    figures = (r[:, None] // places % 10).astype(np.uint8) + ord("0")
+    figures[:, :whole - 1] *= r[:, None] >= places[:whole - 1]  # no leading zeros
+    text = np.zeros((len(v), whole + digits + 2), np.uint8)
+    text[:, 0] = np.signbit(v) * ord("-")  # -0.0 and what rounds to it keep the sign
+    text[:, 1:whole + 1] = figures[:, :whole]
+    text[:, whole + 1] = ord(".")
+    text[:, whole + 2:] = figures[:, whole:]
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        words = np.array([INF if math.isinf(x) else format(x, f".{digits}f")
+                          for x in v[rest].tolist()], dtype="S")
+        if words.itemsize > text.shape[1]:
+            text = np.pad(text, ((0, 0), (0, words.itemsize - text.shape[1])))
+        text[rest] = 0
+        text[rest, :words.itemsize] = words[:, None].view(np.uint8)
+    return text
+
+
+def spelled(words) -> np.ndarray:
+    """bytes or ASCII strings as the rows of a NUL-padded uint8 matrix."""
+    return np.array(words, dtype="S")[:, None].view(np.uint8)
+
+
+def csv_rows(columns: list[np.ndarray]) -> np.ndarray:
+    """The rows of the NUL-padded uint8 matrices in columns as the UTF-8
+    bytes of CSV text: fields joined by commas, each row ended by a newline,
+    NULs dropped."""
+    n = len(columns[0])
+    comma = np.full((n, 1), ord(","), np.uint8)
+    parts = [part for column in columns for part in (column, comma)]
+    parts[-1] = np.full((n, 1), ord("\n"), np.uint8)
+    table = np.concatenate(parts, axis=1)
+    return table[table != 0]
 
 
 def iso_utc(time_us) -> list[str]:

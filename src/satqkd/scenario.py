@@ -128,10 +128,11 @@ class ScenarioConfig:
                 raise ConfigError(f"sweep.divergences_urad[{i}]", f"must be positive, got {urad}")
         names = [st.name for st in self.stations]
         for i, name in enumerate(names):
-            # a name is a bare CSV field, and schedules name IDLE and SWITCH
-            if not name or any(c in name for c in ',"\r\n'):
-                raise ConfigError(f"stations[{i}].name",
-                                  f"{name!r} is empty or holds a comma, quote or newline")
+            # a name is a bare CSV field, written with the NUL padding of the
+            # linkbudget byte matrix dropped; schedules name IDLE and SWITCH
+            if not name or any(c in name for c in ',"\r\n\0'):
+                raise ConfigError(f"stations[{i}].name", f"{name!r} is empty or holds "
+                                  "a comma, quote, newline or NUL")
             if name in ("IDLE", "SWITCH"):
                 raise ConfigError(f"stations[{i}].name",
                                   f"{name!r} is a schedule activity, not a station")

@@ -1,5 +1,6 @@
 """Shared test helpers: the exhaustive scheduling oracle, the scalar
-loss and key-rate code that the column kernels replaced, and the cloud-grid
+loss and key-rate code that the column kernels replaced, the per-value
+fixed-point formatter that output.fixed_point replaced, and the cloud-grid
 loader and writer that handled every cell through int()."""
 from __future__ import annotations
 
@@ -140,6 +141,11 @@ def oracle_gllp_rate(eta, params):
                + q1 * (1.0 - oracle_binary_entropy(e1)))
     per_pulse = max(0.0, params.q_factor * bracket)
     return q_mu, e_mu, y1, q1, e1, per_pulse, per_pulse * params.rep_rate_hz
+
+
+def oracle_fmt(value, spec=".4f"):
+    """cli._fmt before output.fixed_point: one format() per value."""
+    return "Inf" if math.isinf(value) else format(value, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_fmt
 from satqkd import cli, qkd
 from satqkd.cloud import CloudGrid, query_column
 from satqkd.orbit import GroundStation, _from_us, _to_us
@@ -77,14 +78,14 @@ def oracle_write_linkbudget(config, accesses, path) -> dict:
     blocked = 0
     with open_new(path) as fh:
         fh.write(HEADER)
-        fixed = cli._fmt(config.optics.fixed_loss_db)
+        fixed = oracle_fmt(config.optics.fixed_loss_db)
         for iv in accesses:
             geo, atm, cld, total, etas = oracle_pass_link_budget(iv, config.optics,
                                                                  config.cloud)
             elev, rng = iv.elevation_deg.tolist(), iv.slant_range_km.tolist()
             columns = (iso_utc(iv.time_us), repeat(iv.station.name),
-                       *(list(map(cli._fmt, c)) for c in (elev, rng, geo, atm, cld)),
-                       repeat(fixed), list(map(cli._fmt, total)), map(repr, etas))
+                       *(list(map(oracle_fmt, c)) for c in (elev, rng, geo, atm, cld)),
+                       repeat(fixed), list(map(oracle_fmt, total)), map(repr, etas))
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
             blocked += etas.count(0.0)
             n_rows += len(etas)
@@ -289,6 +290,25 @@ def test_linkbudget_over_blocks_equals_per_pass(night, tmp_path, monkeypatch, ki
     if kind == "walk":
         text = (tmp_path / "want4" / "linkbudget.csv").read_text(encoding="utf-8")
         assert ",Inf,8.0000,Inf,0.0\n" in text  # the overcast case wrote Inf tokens
+
+
+def test_non_ascii_station_names_written_and_read_back(tmp_path):
+    # station names of two and three UTF-8 bytes a character among ASCII ones
+    names = {"Urumqi": "Ürümqi", "Xian": "Xi’an", "Beijing": "北京"}
+    config = micius_week_config(span=SPAN)
+    config = replace(config, stations=tuple(replace(st, name=names.get(st.name, st.name))
+                                            for st in config.stations))
+    oracle_write_linkbudget(config, compute_accesses(config), tmp_path / "want.csv")
+    cli.run_linkbudget(config, tmp_path / "lb")
+    text = (tmp_path / "lb" / "linkbudget.csv").read_bytes()
+    assert text == (tmp_path / "want.csv").read_bytes()
+    assert all(f",{name},".encode() in text for name in names.values())
+    cli.run_keymatrix(config, tmp_path / "direct")
+    cli.run_keymatrix(config, tmp_path / "composed",
+                      from_linkbudget=tmp_path / "lb" / "linkbudget.csv")
+    for name in ("keymatrix.csv", "keymatrix_meta.json", "keys_daily.csv"):
+        assert (tmp_path / "direct" / name).read_bytes() == \
+            (tmp_path / "composed" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)

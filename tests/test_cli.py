@@ -702,7 +702,7 @@ def test_main_runs_access_with_config(tmp_path):
     # a station name that would break a CSV row or read as a schedule activity
     *(({"stations": [{"name": "A", "lat_deg": 30, "lon_deg": 100},
                      {"name": name, "lat_deg": 31, "lon_deg": 101}]}, "stations[1].name")
-      for name in ("", "Xi,an", 'Xi"an', "Xi\nan", "Xi\ran", "IDLE", "SWITCH")),
+      for name in ("", "Xi,an", 'Xi"an', "Xi\nan", "Xi\ran", "IDLE", "SWITCH", "Xi\0an")),
 ])
 def test_main_malformed_config_shapes_exit_2(tmp_path, capsys, payload, needle):
     cfg_path = tmp_path / "bad.json"

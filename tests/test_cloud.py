@@ -298,6 +298,12 @@ def test_byte_parser_agrees_with_int_parser(tmp_path, chunk_bytes):
     @example(cells=[(b"5", b" "), (b"9" * 19, b" ")], repeats=600, miscount=0)
     @example(cells=[(b"5", b" "), ("\u0663".encode(), b"\n")], repeats=600, miscount=0)
     @example(cells=[(b"5", b" "), (b"\xff", b"\n")], repeats=600, miscount=0)
+    # around the parser's int16 sums (tokens of at most 4 digits) and int64 sums
+    @example(cells=[(b"9999", b" "), (b"0150", b"\n")], repeats=300, miscount=0)
+    @example(cells=[(b"0150", b" "), (b"10000", b"\n")], repeats=300, miscount=0)
+    @example(cells=[(b"32768", b" "), (b"32767", b"\n")], repeats=300, miscount=0)
+    @example(cells=[(b"0150", b" "), (b"0" * 16 + b"42", b"\n")], repeats=300, miscount=0)
+    @example(cells=[(b"7", b"\n"), (b"0150", b"")], repeats=1, miscount=0)  # ends on a digit
     def check(cells, repeats, miscount):
         body = b"".join(token + sep for token, sep in cells) * repeats
         n = len(cells) * repeats + miscount

@@ -20,9 +20,9 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from conftest import oracle_gllp_rate, oracle_total_loss
+from conftest import oracle_fmt, oracle_gllp_rate, oracle_total_loss
 from satqkd import cloud, orbit
-from satqkd.cli import _fmt, key_matrix_from_linkbudget, run_access, run_linkbudget
+from satqkd.cli import key_matrix_from_linkbudget, run_access, run_linkbudget
 from satqkd.cloud import query, query_column, synthetic_cloud_grid
 from satqkd.orbit import GroundStation, LookAngles
 from satqkd.qkd import build_key_matrix
@@ -117,8 +117,9 @@ def reference_linkbudget_csv(config, accesses) -> str:
     for name, t, look, (geo, atm, cld, fixed, total, eta) in reference_link_rows(
             config, accesses):
         lines.append(f"{t.isoformat()},{name},{look.elevation_deg:.4f},"
-                     f"{look.slant_range_km:.4f},{_fmt(geo)},{_fmt(atm)},"
-                     f"{_fmt(cld)},{_fmt(fixed)},{_fmt(total)},{eta!r}\n")
+                     f"{look.slant_range_km:.4f},"
+                     + ",".join(map(oracle_fmt, (geo, atm, cld, fixed, total)))
+                     + f",{eta!r}\n")
     return "".join(lines)
 
 
