@@ -240,6 +240,24 @@ def key_matrix_from_linkbudget(config: ScenarioConfig, csv_path) -> KeyMatrix:
                                tuple(st.name for st in config.stations))
 
 
+def daily_key_bits(matrix: KeyMatrix):
+    """(UTC date, station, key bits) of each day and station with keys,
+    sorted by date, then station name.  A total sums its cells from 0.0 in
+    row-major order; the day is that of the cell's interval start."""
+    rows, cols, cell_bits = matrix.nonzero()
+    days = matrix.row_us(rows) // 86_400_000_000
+    by_name = sorted(range(matrix.n_nodes), key=matrix.node_names.__getitem__)
+    rank = np.empty(matrix.n_nodes, dtype=np.int64)
+    rank[by_name] = np.arange(matrix.n_nodes)
+    # one key per (day, name), ordered as the pair is
+    groups, owner = np.unique(days * matrix.n_nodes + rank[cols], return_inverse=True)
+    totals = np.zeros(len(groups))
+    np.add.at(totals, owner, cell_bits)  # repeated keys add in row-major order
+    dates = np.datetime_as_string((groups // matrix.n_nodes).astype("datetime64[D]"))
+    names = [matrix.node_names[by_name[r]] for r in (groups % matrix.n_nodes).tolist()]
+    return zip(dates.tolist(), names, totals.tolist())
+
+
 def run_keymatrix(config: ScenarioConfig, out: Path, seed: int | None = None,
                   from_linkbudget=None) -> KeyMatrix:
     """Key matrix CSV + metadata sidecar + per-day per-station key totals."""
@@ -251,14 +269,9 @@ def run_keymatrix(config: ScenarioConfig, out: Path, seed: int | None = None,
     export_key_matrix(matrix, config.qkd, out / "keymatrix.csv",
                       out / "keymatrix_meta.json")
 
-    daily: dict[tuple[str, str], float] = defaultdict(float)
-    rows, cols, cell_bits = matrix.nonzero()
-    for label, n, bits in zip(matrix.row_labels(rows), cols.tolist(), cell_bits.tolist()):
-        daily[label[:10], matrix.node_names[n]] += bits
     with open_new(out / "keys_daily.csv") as fh:
         fh.write("date,station,key_bits\n")
-        for (day, name), bits in sorted(daily.items()):
-            fh.write(f"{day},{name},{bits:.3f}\n")
+        fh.writelines(f"{day},{name},{bits:.3f}\n" for day, name, bits in daily_key_bits(matrix))
     _write_manifest(out, "keymatrix", config, seed)
     return matrix
 

@@ -12,17 +12,20 @@ low-precision analytic ephemeris (good to well under 0.5 degrees).
 
 Access windows are computed once per span, not once per station.  A coarse
 screen first samples the span every _SCREEN_SECONDS and keeps, per station,
-the gaps between coarse samples where the satellite may rise above the mask:
-the vertical component changes no faster than a bound on the satellite's
-Earth-fixed speed, so a skipped sample provably has elevation <= mask.  The
-union of the kept samples is then walked in fixed-size blocks; per block the
-propagation, GMST and the Earth-fixed satellite position are shared by every
-station, and the Sun's RA/Dec is computed where any station has the
-satellite above the horizon.  Per station the vertical component covers only
-its own candidates: range, elevation and solar elevation are evaluated above
-the horizon, and azimuth only on usable samples.  Each value is the same
-elementwise formula at the same time as on the full grid, so the results are
-bit-identical to it.
+the gaps between coarse samples where the satellite may rise above the mask
+at night.  The vertical component changes no faster than a bound on the
+satellite's Earth-fixed speed, and elevation > mask >= 0 needs it above
+sin(mask) times the smallest slant range; the sine of the Sun's elevation
+changes no faster than _SUN_SINE_RATE, and night needs it below the sine of
+the threshold.  So a skipped sample provably has elevation <= mask or the
+Sun at or above the threshold.  The union of the kept samples is then
+walked in fixed-size blocks; per block the propagation, GMST and the
+Earth-fixed satellite position are shared by every station, and the Sun's
+RA/Dec is computed where any station has the satellite above the up floor.
+Per station the vertical component covers only its own candidates: range,
+elevation and solar elevation are evaluated above that floor, and azimuth
+only on usable samples.  Each value is the same elementwise formula at the
+same time as on the full grid, so the results are bit-identical to it.
 """
 from __future__ import annotations
 
@@ -50,6 +53,11 @@ _SCREEN_SECONDS = 60.0
 # Slack (km) in the screen's bound on the vertical component, for rounding
 # in positions, sample times and rates.
 _SCREEN_MARGIN_KM = 1.0
+# Bound (per second) on |d/dt| of the sine of the Sun's elevation at any
+# station, |dh/dt| + 2 |d dec/dt| < 362 deg/day, and the night test's slack
+# on that sine for rounding.
+_SUN_SINE_RATE = math.radians(364.0) / 86400.0
+_SUN_SINE_MARGIN = 1e-6
 _EARTH_RATE_RAD_S = math.radians(SIDEREAL_RATE_DEG_PER_DAY) / 86400.0
 
 
@@ -600,6 +608,64 @@ def _speed_bound(source: TleElements | Ephemeris) -> tuple[float, float]:
             + (abs(raan_rate) + abs(argp_rate) + _EARTH_RATE_RAD_S) * r_max), r_max
 
 
+def _radius_floor(source: TleElements | Ephemeris) -> float:
+    """A bound (km) below the satellite's distance from the Earth's centre,
+    less _SCREEN_MARGIN_KM: the perigee radius for mean elements, the point
+    of any interpolated segment nearest the centre for an ephemeris (a
+    segment can pass nearer than both of its ends)."""
+    if isinstance(source, TleElements):
+        return source.semi_major_axis_km * (1.0 - source.eccentricity) - _SCREEN_MARGIN_KM
+    first, step = source.positions_km[:-1], np.diff(source.positions_km, axis=0)
+    length2 = np.einsum("ij,ij->i", step, step)
+    along = np.divide(-np.einsum("ij,ij->i", first, step), length2,
+                      out=np.zeros(len(step)), where=length2 > 0.0)
+    nearest = first + np.clip(along, 0.0, 1.0)[:, None] * step
+    return float(np.linalg.norm(nearest, axis=1).min()) - _SCREEN_MARGIN_KM
+
+
+def _up_floors(source, stations, elevation_mask_deg: float) -> list[float]:
+    """Per station, a floor (km) that the vertical component exceeds wherever
+    the elevation exceeds the mask: elevation > mask needs up > sin(mask)
+    times the slant range, which for a mask >= 0 is at least the radius floor
+    less the station's radius, and for a negative mask at most the largest
+    radius plus it."""
+    sin_mask = math.sin(math.radians(max(elevation_mask_deg, -90.0)))
+    radii = [float(np.linalg.norm(_station_ecef_km(st))) for st in stations]
+    if elevation_mask_deg >= 0.0:
+        r_min = _radius_floor(source)
+        return [sin_mask * max(r_min - r, 0.0) for r in radii]
+    r_max = _speed_bound(source)[1]
+    return [sin_mask * (r_max + r) for r in radii]
+
+
+def _drop_daylight(kept: np.ndarray, stations, t: np.ndarray, gmst: np.ndarray,
+                   seconds: np.ndarray, night_threshold_deg: float) -> None:
+    """Clear each kept gap (row: station; column j: the gap from t[j] to
+    t[j + 1], seconds[j] long) over which the Sun stays at or above the
+    night threshold.  The sine of its elevation moves at most _SUN_SINE_RATE
+    per second, so over gap j it is at least (s_j + s_j+1 - rate seconds[j]) / 2.
+    The Sun is computed only at the ends of kept gaps."""
+    who, gap = np.nonzero(kept)
+    at = np.zeros(len(t), dtype=bool)
+    at[gap] = at[gap + 1] = True
+    ends = np.flatnonzero(at)
+    ra, dec = _sun_radec(t[ends])
+    phase = np.radians(gmst[ends]) - ra
+    sin_dec, cos_dec = np.sin(dec), np.cos(dec)
+    cos_part, sin_part = cos_dec * np.cos(phase), cos_dec * np.sin(phase)
+    sin_lat, cos_lat, sin_lon, cos_lon = np.array(
+        [_lat_lon_trig(station) for station in stations]).T[:, who]
+
+    def sun_sine(i):
+        # sin(lat) sin(dec) + cos(lat) cos(dec) cos(phase + longitude)
+        return sin_lat * sin_dec[i] + cos_lat * (cos_lon * cos_part[i] - sin_lon * sin_part[i])
+
+    first = np.searchsorted(ends, gap)
+    low = (0.5 * (sun_sine(first) + sun_sine(first + 1) - _SUN_SINE_RATE * seconds[gap])
+           - _SUN_SINE_MARGIN)
+    kept[who, gap] = low < math.sin(math.radians(max(night_threshold_deg, -90.0)))
+
+
 def _gap_runs(coarse: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First sample and length of each run of kept gaps between coarse
     samples; gap j spans samples coarse[j]..coarse[j + 1], ends included."""
@@ -615,19 +681,24 @@ def _expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _screen(source, stations, u0: float, step_seconds: float, count: int,
-            elevation_mask_deg: float, locate) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The samples where some station may see the satellite above the mask,
-    and for each station the positions of its own candidates among them.
+            floors: Sequence[float], night_threshold_deg: float,
+            locate) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The samples where some station may see the satellite above the mask
+    at night, and for each station the positions of its own candidates
+    among them.
 
     The vertical component `up` changes at most as fast as the Earth-fixed
     speed bound V, so between coarse samples j and j + 1, dt apart, it is at
     most (up_j + up_j+1 + V dt) / 2.  A gap is kept when that bound (plus
-    _SCREEN_MARGIN_KM) exceeds the floor: 0 for a mask >= 0, since elevation
-    > mask needs up > 0, else sin(mask) times the largest slant range.  A
-    skipped sample therefore has elevation <= mask.  A span of few coarse
-    steps, a step coarser than half the screen, or an orbit whose perigee
-    comes within _SCREEN_MARGIN_KM of the surface (so that propagation fails
-    at the same first sample as on the full grid) makes every sample a
+    _SCREEN_MARGIN_KM) exceeds the station's floor (_up_floors): for a mask
+    >= 0, sin(mask) times the radius floor less the station's radius, else
+    sin(mask) times the largest slant range.  With a night threshold below
+    90 degrees, a kept gap is then dropped where the Sun stays at or above
+    it (_drop_daylight).  A skipped sample therefore has elevation <= mask
+    or the Sun at or above the threshold.  A span of few coarse steps, a
+    step coarser than half the screen, or an orbit whose perigee comes
+    within _SCREEN_MARGIN_KM of the surface (so that propagation fails at
+    the same first sample as on the full grid) makes every sample a
     candidate.
     """
     stride = int(_SCREEN_SECONDS // step_seconds)
@@ -636,19 +707,19 @@ def _screen(source, stations, u0: float, step_seconds: float, count: int,
                 * (1.0 - source.eccentricity) <= EARTH_RADIUS_KM + _SCREEN_MARGIN_KM)):
         every = np.arange(count)
         return every, [every] * len(stations)
-    speed, r_max = _speed_bound(source)
     coarse = np.append(np.arange(0, count - 1, stride), count - 1)
     t = u0 + step_seconds * coarse
-    ecef = _earth_fixed(locate(t), _gmst_deg(t))
-    reach = 0.5 * speed * step_seconds * np.diff(coarse) + _SCREEN_MARGIN_KM
-    sin_mask = math.sin(math.radians(max(elevation_mask_deg, -90.0)))
-    kept = []
-    for station in stations:
+    gmst = _gmst_deg(t)
+    ecef = _earth_fixed(locate(t), gmst)
+    seconds = step_seconds * np.diff(coarse)
+    reach = 0.5 * _speed_bound(source)[0] * seconds + _SCREEN_MARGIN_KM
+    kept = np.empty((len(stations), len(seconds)), dtype=bool)
+    for row, station, floor in zip(kept, stations, floors):
         up = _up_km(_offsets(ecef, station), station)
-        floor = (0.0 if elevation_mask_deg >= 0.0 else
-                 sin_mask * (r_max + float(np.linalg.norm(_station_ecef_km(station)))))
-        kept.append(0.5 * (up[:-1] + up[1:]) + reach > floor)
-    candidates = _expand_runs(*_gap_runs(coarse, np.logical_or.reduce(kept)))
+        np.greater(0.5 * (up[:-1] + up[1:]) + reach, floor, out=row)
+    if night_threshold_deg < 90.0:
+        _drop_daylight(kept, stations, t, gmst, seconds, night_threshold_deg)
+    candidates = _expand_runs(*_gap_runs(coarse, kept.any(axis=0)))
     # a station's run lies inside one run of the union, where positions
     # advance with the sample index; int32 halves them (2**31 candidates
     # would take 16 GiB before these)
@@ -716,8 +787,9 @@ def compute_access_windows(source: TleElements | Ephemeris,
                              f"..{end.isoformat()}: {exc}") from exc
 
     # sample i is at u0 + step_seconds * i, the same value wherever it is taken
-    candidates, mine = _screen(source, stations, u0, step_seconds, count,
-                               elevation_mask_deg, locate)
+    floors = _up_floors(source, stations, elevation_mask_deg)
+    candidates, mine = _screen(source, stations, u0, step_seconds, count, floors,
+                               night_threshold_deg, locate)
     # per station: (sample index, elevation, azimuth, range) of usable samples
     found: list[list[tuple[np.ndarray, ...]]] = [[] for _ in stations]
     for lo in range(0, len(candidates), _BLOCK_SAMPLES):
@@ -727,16 +799,16 @@ def compute_access_windows(source: TleElements | Ephemeris,
         gmst = _gmst_deg(block)
         ecef = _earth_fixed(pos, gmst)
 
-        # per station, its candidates above the horizon (elevation > mask >= 0
-        # needs up > 0, a negative mask takes them all); the Sun only where
-        # some station has one
+        # per station, its candidates above its up floor (elevation > mask >= 0
+        # needs up > floor, a negative mask takes them all); the Sun only
+        # where some station has one
         above = []
         seen = np.zeros(len(block), dtype=bool)
-        for station, own in zip(stations, mine):
+        for station, own, floor in zip(stations, mine, floors):
             near = own[np.searchsorted(own, lo):np.searchsorted(own, lo + len(block))] - lo
             if elevation_mask_deg >= 0.0:
                 near = near[_up_km(_offsets(tuple(c[near] for c in ecef), station),
-                                   station) > 0.0]
+                                   station) > floor]
             seen[near] = True
             above.append(near)
         need = np.flatnonzero(seen)

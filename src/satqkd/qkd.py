@@ -36,7 +36,6 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
-from functools import cached_property
 from math import exp, expm1, log2
 from typing import Iterator, Sequence
 
@@ -197,11 +196,32 @@ def nonzero_rows(values) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _check_cells(rows: np.ndarray, cells: np.ndarray) -> None:
+    # min and max see every cell (a NaN makes both NaN) without the full-size
+    # temporaries that finding the first bad cell needs
+    if not cells.size or (cells.min() >= 0.0 and cells.max() < np.inf):
+        return
     bad = np.flatnonzero(~((cells >= 0.0) & (cells < np.inf)))
     if bad.size:
         k, n = divmod(int(bad[0]), cells.shape[1])
         raise ValueError(f"key matrix entry [{rows[k]}][{n}] = {float(cells[k, n])!r} "
                          f"is not finite and >= 0")
+
+
+def _sparse_rows(rows: np.ndarray, cells: np.ndarray, n_intervals: int,
+                 n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """rows and cells checked for shape, row order and cell values, with the
+    rows left all zero dropped."""
+    if cells.shape != (len(rows), n_nodes):
+        raise ValueError(f"cells shape {cells.shape} does not match "
+                         f"{len(rows)} rows and {n_nodes} nodes")
+    if len(rows) and (rows[0] < 0 or rows[-1] >= n_intervals
+                      or (np.diff(rows) <= 0).any()):
+        raise ValueError(f"rows must increase strictly within "
+                         f"0..{n_intervals - 1}")
+    _check_cells(rows, cells)
+    if not (keep := cells.any(axis=1)).all():
+        rows, cells = rows[keep], cells[keep]
+    return rows, cells
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -234,19 +254,24 @@ class KeyMatrix:
         elif rows is None or cells is None or n_intervals is None:
             raise TypeError("give values, or rows, cells and n_intervals")
         else:
-            rows = np.array(rows, dtype=np.int64).reshape(-1)
-            cells = np.array(cells, dtype=float)
+            # copies, so the caller's arrays stay theirs
             n_intervals = int(n_intervals)
-            if cells.shape != (len(rows), len(node_names)):
-                raise ValueError(f"cells shape {cells.shape} does not match "
-                                 f"{len(rows)} rows and {len(node_names)} nodes")
-            if len(rows) and (rows[0] < 0 or rows[-1] >= n_intervals
-                              or (np.diff(rows) <= 0).any()):
-                raise ValueError(f"rows must increase strictly within "
-                                 f"0..{n_intervals - 1}")
-            _check_cells(rows, cells)
-            if not (keep := cells.any(axis=1)).all():
-                rows, cells = rows[keep], cells[keep]
+            rows, cells = _sparse_rows(np.array(rows, dtype=np.int64).reshape(-1),
+                                       np.array(cells, dtype=float), n_intervals,
+                                       len(node_names))
+        self._set(start, interval_seconds, node_names, n_intervals, rows, cells)
+
+    @classmethod
+    def _adopt(cls, start: datetime, interval_seconds: float, node_names: Sequence[str],
+               rows: np.ndarray, cells: np.ndarray, n_intervals: int) -> "KeyMatrix":
+        """The matrix of freshly built int64 rows and float cells, checked as
+        the constructor checks them but held without a copy."""
+        matrix = cls.__new__(cls)
+        matrix._set(start, interval_seconds, node_names, n_intervals,
+                    *_sparse_rows(rows, cells, n_intervals, len(node_names)))
+        return matrix
+
+    def _set(self, start, interval_seconds, node_names, n_intervals, rows, cells) -> None:
         rows.flags.writeable = cells.flags.writeable = False
         for name, value in (("start", _as_utc(start)), ("interval_seconds", interval_seconds),
                             ("node_names", tuple(node_names)), ("n_intervals", n_intervals),
@@ -273,15 +298,20 @@ class KeyMatrix:
     def interval_start(self, m: int) -> datetime:
         return self.start + timedelta(seconds=m * self.interval_seconds)
 
-    def row_labels(self, rows: np.ndarray) -> list[str]:
-        """interval_start(m).isoformat() of each m in rows."""
+    def row_us(self, rows: np.ndarray) -> np.ndarray:
+        """interval_start(m) of each m in rows, as int64 microseconds from the
+        Unix epoch."""
         # the offsets round to microseconds as timedelta(seconds=...) does
         offsets = _unix_to_us(np.asarray(rows, dtype=np.int64) * self.interval_seconds)
-        return iso_utc(_to_us(self.start) + offsets)
+        return _to_us(self.start) + offsets
 
-    @cached_property
+    def row_labels(self, rows: np.ndarray) -> list[str]:
+        """interval_start(m).isoformat() of each m in rows."""
+        return iso_utc(self.row_us(rows))
+
+    @property
     def interval_labels(self) -> list[str]:
-        """ISO-8601 start of every interval, built once per matrix."""
+        """ISO-8601 start of every interval, built on each access."""
         return self.row_labels(np.arange(self.n_intervals))
 
 
@@ -373,8 +403,8 @@ def assemble_key_matrix(parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray
     grid_rows, owner = np.unique(rows, return_inverse=True)
     cells = np.zeros((len(grid_rows), len(node_names)))
     np.add.at(cells, (owner, nodes), bits)  # repeated cells add in sample order
-    return KeyMatrix(start, interval_seconds, node_names, rows=grid_rows, cells=cells,
-                     n_intervals=n_intervals)
+    return KeyMatrix._adopt(start, interval_seconds, node_names, grid_rows, cells,
+                            n_intervals)
 
 
 def build_key_matrix(accesses: Sequence[AccessInterval],

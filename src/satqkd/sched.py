@@ -274,7 +274,8 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
         raise ValueError(f"weights[{bad[0]}] = {float(w[bad[0]])!r} is not finite and >= 0")
     weighted = ((cells != 0) & (w != 0)).any(axis=1)
     rows = cell_rows[weighted]
-    gains = cells[weighted] * w  # (R, N)
+    gains = cells[weighted]  # (R, N), weighted in place: one full-size temporary
+    gains *= w
     gap = np.diff(rows, prepend=-1) > 1  # a zero row lies before row k
     n_rows = len(rows)
 
@@ -607,16 +608,17 @@ def solve_ga(matrix, cfg: StrategyConfig,
 
 def write_schedule_csv(schedule: Schedule, matrix, path) -> None:
     """Full interval listing: interval_index,start_utc,activity."""
-    labels = matrix.interval_labels
-    if len(schedule.assignment) != len(labels):
-        raise ValueError(f"{len(schedule.assignment)} activities for {len(labels)} intervals")
+    n_intervals = matrix.n_intervals
+    if len(schedule.assignment) != n_intervals:
+        raise ValueError(f"{len(schedule.assignment)} activities for {n_intervals} intervals")
     # shifted by -SWITCH, the codes SWITCH and IDLE index the first two names;
-    # named a chunk at a time, so no column of names outlives its rows
+    # labelled and named a chunk at a time, so no column of text outlives its rows
     names = np.array(["SWITCH", "IDLE", *matrix.node_names], dtype=object)
     with open_new(path) as fh:
         fh.write("interval_index,start_utc,activity\n")
-        for lo in range(0, len(labels), _ROW_CHUNK):
-            rows = zip(range(lo, lo + _ROW_CHUNK), labels[lo:lo + _ROW_CHUNK],
+        for lo in range(0, n_intervals, _ROW_CHUNK):
+            chunk = np.arange(lo, min(lo + _ROW_CHUNK, n_intervals))
+            rows = zip(chunk.tolist(), matrix.row_labels(chunk),
                        names.take(schedule.assignment[lo:lo + _ROW_CHUNK] - SWITCH))
             fh.write("".join(f"{m},{label},{act}\n" for m, label, act in rows))
 

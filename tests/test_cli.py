@@ -434,6 +434,48 @@ def test_keymatrix_daily_totals_cover_nonzero_days(tmp_path):
     assert total == pytest.approx(matrix.values.sum(), rel=1e-6)
 
 
+def dict_daily_key_bits(matrix):
+    """keys_daily.csv rows as run_keymatrix built them before the integer
+    days: a dict of float sums keyed by (label[:10], name), sorted."""
+    daily = {}
+    rows, cols, cell_bits = matrix.nonzero()
+    for label, n, bits in zip(matrix.row_labels(rows), cols.tolist(), cell_bits.tolist()):
+        key = label[:10], matrix.node_names[n]
+        daily[key] = daily.get(key, 0.0) + bits
+    return [(day, name, bits) for (day, name), bits in sorted(daily.items())]
+
+
+@pytest.mark.parametrize("interval_seconds", [10.0, 7.3, 1 / 3, 3600.0])
+@pytest.mark.parametrize("start", [DAY0 - timedelta(hours=1, microseconds=3),
+                                   datetime(1969, 12, 31, 23, 0, tzinfo=UTC)],
+                         ids=["before-midnight", "before-the-epoch"])
+def test_daily_key_bits_match_the_dict_sums(start, interval_seconds):
+    # unsorted, repeated-prefix names; rows across several midnights; the
+    # cells drawn so that the order of the sums shows in the last bits
+    rng = np.random.default_rng(20)
+    names = ("Xinglong", "Nanshan", "Ali", "Ali-2", "Delingha", "B")
+    n_intervals = int(3.5 * 86400 / interval_seconds)
+    # seeded rows, and every row within 5 of a midnight
+    day0 = datetime(start.year, start.month, start.day, tzinfo=UTC)
+    midnights = [math.ceil((day0 + timedelta(days=k) - start).total_seconds()
+                           / interval_seconds) for k in range(1, 5)]
+    near = np.add.outer(midnights, np.arange(-5, 6)).ravel()
+    rows = np.unique(np.concatenate([rng.choice(n_intervals, min(n_intervals, 3000),
+                                                replace=False),
+                                     near[(near >= 0) & (near < n_intervals)]]))
+    cells = np.where(rng.random((len(rows), len(names))) < 0.3,
+                     rng.uniform(0.0, 1e6, (len(rows), len(names))) ** 2, 0.0)
+    matrix = KeyMatrix(start, interval_seconds, names, rows=rows, cells=cells,
+                       n_intervals=n_intervals)
+    got = list(cli_module.daily_key_bits(matrix))
+    want = dict_daily_key_bits(matrix)
+    assert len(want) > 3 * len(names)
+    assert [(day, name) for day, name, _ in got] == [(day, name) for day, name, _ in want]
+    assert [bits.hex() for _, _, bits in got] == [bits.hex() for _, _, bits in want]
+    empty = KeyMatrix(start, interval_seconds, names, values=np.zeros((4, len(names))))
+    assert list(cli_module.daily_key_bits(empty)) == []
+
+
 def test_keymatrix_fine_sampling_converges(tmp_path):
     # 1 s refinement against the default 10 s sampling of the rate integral
     coarse = run_keymatrix(short_config(), tmp_path / "coarse")

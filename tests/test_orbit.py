@@ -14,11 +14,13 @@ Covers:
     per-station full-grid oracle, bit for bit (sample times through
     datetime.fromtimestamp, fractional ones included), and the fixed-point
     Kepler exit against the 12-step loop
-  - the coarse pass screen: the speed bound holds on a fine grid, a
+  - the coarse pass screen: the speed, radius and Sun-sine bounds hold on
+    fine grids, daylight gaps have the Sun at or above the threshold, a
     derandomized property test against the full-grid oracle (eccentric,
-    retrograde and polar orbits, uneven ephemerides, every mask sign, coarse
-    steps of 2 samples and 600 s), and propagation errors that name the
-    same span and the same first bad sample as the full grid
+    retrograde and polar orbits, uneven ephemerides, every mask sign, night
+    thresholds from -18 to 45 degrees, a polar station, coarse steps of 2
+    samples and 600 s), and propagation errors that name the same span and
+    the same first bad sample as the full grid
 """
 from __future__ import annotations
 
@@ -702,7 +704,7 @@ def up_km_on(source, station, unix):
     return orbit._up_km(d, station), np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
 
 
-@pytest.mark.parametrize("source", [
+BOUND_SOURCES = pytest.mark.parametrize("source", [
     parse_tle(MICIUS_TLE),
     eccentric_elements(0.7, 300.0, 116.6, 40.0, 270.0, 350.0),
     eccentric_elements(0.3, 500.0, 63.4, 200.0, 90.0, 10.0),
@@ -710,6 +712,9 @@ def up_km_on(source, station, unix):
     uneven_ephemeris(parse_tle(MICIUS_TLE), EPOCH.timestamp(),
                      EPOCH.timestamp() + 6 * 3600.0, 3),
 ], ids=["micius", "e0.7-retrograde", "e0.3", "geostationary", "uneven-ephemeris"])
+
+
+@BOUND_SOURCES
 def test_up_changes_no_faster_than_the_speed_bound(source):
     speed, r_max = orbit._speed_bound(source)
     unix = EPOCH.timestamp() + np.arange(0.0, 6 * 3600.0, 0.5)
@@ -719,20 +724,92 @@ def test_up_changes_no_faster_than_the_speed_bound(source):
         assert rng.max() <= r_max + np.linalg.norm(orbit._station_ecef_km(station))
 
 
-def test_screen_keeps_few_samples_of_a_1s_day():
+@BOUND_SOURCES
+def test_radius_floor_is_below_every_radius(source):
+    unix = EPOCH.timestamp() + np.arange(0.0, 6 * 3600.0, 0.5)
+    pos = (source.positions_at(unix) if isinstance(source, Ephemeris)
+           else orbit._propagate_arrays(source, unix)[0])
+    assert orbit._radius_floor(source) <= np.linalg.norm(pos, axis=1).min()
+
+
+def test_radius_floor_of_an_ephemeris_finds_a_segment_nearer_than_its_ends():
+    # the chord between two points 7000 km out passes 4949.7 km from the centre
+    t0 = EPOCH.timestamp()
+    ephemeris = Ephemeris(np.array([t0, t0 + 60.0, t0 + 120.0]),
+                          np.array([[7000.0, 0.0, 0.0], [0.0, 7000.0, 0.0],
+                                    [0.0, 7000.0, 0.0]]))
+    floor = orbit._radius_floor(ephemeris)
+    assert floor == pytest.approx(7000.0 / math.sqrt(2.0) - orbit._SCREEN_MARGIN_KM)
+    mid = ephemeris.positions_at(np.array([t0 + 30.0]))
+    assert floor <= np.linalg.norm(mid)
+
+
+def sun_sines(station, unix):
+    return np.sin(np.radians(orbit._sun_elevation_arrays(
+        station, orbit._gmst_deg(unix), *orbit._sun_radec(unix))))
+
+
+def test_sun_sine_changes_no_faster_than_its_bound():
+    # steps of 0.5 s taken every 61 s through a year, up to 89 degrees from
+    # the equator; the bound is not loose by more than a few percent
+    unix = EPOCH.timestamp() + np.arange(0.0, 366 * 86400.0, 61.0)
+    fastest = 0.0
+    for k, lat in enumerate([-89.0, -66.5, -23.4, 0.0, 23.4, 45.0, 66.5, 89.0]):
+        station = GroundStation(f"lat{lat}", lat, -170.0 + 45.0 * k)
+        rate = np.abs(sun_sines(station, unix + 0.5) - sun_sines(station, unix)) / 0.5
+        assert rate.max() <= orbit._SUN_SINE_RATE
+        fastest = max(fastest, float(rate.max()))
+    assert fastest > 0.95 * orbit._SUN_SINE_RATE
+
+
+@pytest.mark.parametrize("night", [-18.0, -6.0, 0.0, 45.0])
+def test_daylight_gaps_have_the_sun_at_or_above_the_threshold(night):
+    # every second of a day, for polar, tropical and mid-latitude stations
+    stations = [GroundStation("north", 89.0, 20.0), GroundStation("svalbard", 78.2, 15.6),
+                GroundStation("south", -75.1, 123.3), GroundStation("equator", 0.0, -60.0),
+                GroundStation("mid", 40.0, 116.4)]
+    u0, step = EPOCH.timestamp() + 11 * 86400.0, 1.0
+    coarse = np.append(np.arange(0, 86400 - 1, 60), 86400 - 1)
+    t = u0 + step * coarse
+    kept = np.ones((len(stations), len(coarse) - 1), dtype=bool)
+    orbit._drop_daylight(kept, stations, t, orbit._gmst_deg(t),
+                         step * np.diff(coarse), night)
+    unix = u0 + step * np.arange(86400)
+    for station, row in zip(stations, kept):
+        sun = orbit._sun_elevation_arrays(station, orbit._gmst_deg(unix),
+                                          *orbit._sun_radec(unix))
+        for j in np.flatnonzero(~row):
+            assert sun[coarse[j]:coarse[j + 1] + 1].min() >= night
+        # the gaps with the Sun below the threshold somewhere stay
+        assert row[(sun[coarse[:-1]] < night) | (sun[coarse[1:]] < night)].all()
+    assert not kept.all()
+
+
+def screen_1s_day(night_threshold_deg):
     # the built-in stations, all between 20 and 48 degrees north
     from satqkd.scenario import default_stations
     el = parse_tle(MICIUS_TLE)
     stations = default_stations()
+    return orbit._screen(el, stations, EPOCH.timestamp(), 1.0, 86400,
+                         orbit._up_floors(el, stations, 10.0), night_threshold_deg,
+                         lambda unix: orbit._propagate_arrays(el, unix)[0])
+
+
+def test_screen_keeps_few_samples_of_a_1s_day():
     count = 86400
-    candidates, mine = orbit._screen(
-        el, stations, EPOCH.timestamp(), 1.0, count, 10.0,
-        lambda unix: orbit._propagate_arrays(el, unix)[0])
+    candidates, mine = screen_1s_day(91.0)
     assert len(candidates) < 0.15 * count
     assert np.all(np.diff(candidates) > 0)
     for own in mine:
         assert len(own) < 0.08 * count
         assert np.all(np.diff(own) > 0) and 0 <= own[0] and own[-1] < len(candidates)
+
+
+def test_night_test_drops_most_of_the_screened_day():
+    at_night, _ = screen_1s_day(-6.0)
+    any_time, _ = screen_1s_day(91.0)
+    assert len(at_night) <= 0.6 * len(any_time)
+    assert np.isin(at_night, any_time).all()
 
 
 def screened_outcome(source, stations, span, step, mask, night, umbra, screen_seconds):
@@ -759,14 +836,16 @@ def screened_outcome(source, stations, span, step, mask, night, umbra, screen_se
        samples=st.integers(100, 12000),
        offset_s=st.floats(0.0, 3 * 86400.0),
        mask=st.sampled_from([-5.0, 0.0, 10.0, 60.0]),
-       night=st.sampled_from([91.0, 91.0, -6.0]),
+       night=st.sampled_from([91.0, 91.0, -6.0, -18.0, 0.0, 45.0]),
        umbra=st.booleans(),
        screen=st.sampled_from([None, "two-steps", 600.0]),
        overhead_at=st.floats(0.0, 1.0),
+       polar=st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(66.6, 90.0),
+                       st.floats(-180.0, 180.0)),
        seed=st.integers(0, 2**16))
 def test_screen_matches_full_grid_oracle(ecc, perigee_alt_km, angles, kind, step, samples,
                                          offset_s, mask, night, umbra, screen,
-                                         overhead_at, seed):
+                                         overhead_at, polar, seed):
     el = eccentric_elements(ecc, perigee_alt_km, *angles)
     start = EPOCH + timedelta(seconds=offset_s)
     span = (start, start + timedelta(seconds=samples * step))
@@ -779,6 +858,7 @@ def test_screen_matches_full_grid_oracle(ecc, perigee_alt_km, angles, kind, step
                                                  orbit._gmst_deg(t_over)))
     stations = [GroundStation("overhead", math.degrees(math.atan2(z, math.hypot(x, y))),
                               math.degrees(math.atan2(y, x))),
+                GroundStation("polar", polar[0] * polar[1], polar[2]),
                 *seeded_stations(seed)[:4]]
     got, ref = screened_outcome(source, stations, span, step, mask, night, umbra,
                                 2.0 * step if screen == "two-steps" else screen)
