@@ -4,8 +4,8 @@ Every subcommand reads one JSON scenario config (omitted: the built-in
 Micius-week default profile), writes machine-readable CSV/JSON artifacts into
 --out, plus a manifest.json with the resolved-config hash, seed and package
 version.  Outputs contain no wall-clock state: identical config and seed
-reproduce byte-identical files.  Infinite values serialize as the literal
-token `Inf`.
+reproduce byte-identical files.  Every infinite value, in every CSV and JSON
+file, is written as the literal token `Inf`.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from . import __version__
 # total_loss is not called here; the benchmark's tracer patches it under this name
 from .channel import total_loss  # noqa: F401
 from .orbit import AccessInterval, _from_us, _to_us
-from .output import INF, csv_rows, fixed_point, iso_utc, open_new, spelled, write_json
+from .output import csv_rows, fixed_point, iso_utc, spelled, write_csv, write_json
 from .qkd import (
     KeyMatrix,
     add_key_bits,
@@ -57,13 +57,6 @@ from .scenario import (
 )
 
 
-def _fmt(value: float, spec: str = ".4f") -> str:
-    """format(value, spec) for a fixed-point spec ".<digits>f", INF where
-    value is infinite: one row of output.fixed_point."""
-    row = fixed_point([value], int(spec[1:-1]))[0]
-    return row[row != 0].tobytes().decode()
-
-
 def _write_manifest(out: Path, command: str, config: ScenarioConfig,
                     seed: int | None) -> None:
     write_json(out / "manifest.json", {
@@ -82,23 +75,25 @@ def run_access(config: ScenarioConfig, out: Path, seed: int | None = None) -> di
     """Access-interval report: per-pass CSV plus a per-day duration summary."""
     out.mkdir(parents=True, exist_ok=True)
     accesses = compute_accesses(config)
-    with open_new(out / "access_intervals.csv") as fh:
-        fh.write("station,start_utc,end_utc,duration_s,max_elevation_deg,min_range_km\n")
-        for iv in accesses:
-            fh.write(f"{iv.station.name},{iv.start.isoformat()},{iv.end.isoformat()},"
-                     f"{iv.duration_seconds:.1f},{iv.elevation_deg.max():.3f},"
-                     f"{iv.slant_range_km.min():.3f}\n")
+    # one chunk: a pass's samples outweigh its row of text
+    write_csv(out / "access_intervals.csv",
+              "station,start_utc,end_utc,duration_s,max_elevation_deg,min_range_km\n", [[
+                  spelled([iv.station.name.encode() for iv in accesses]),
+                  iso_utc([_to_us(iv.start) for iv in accesses]),
+                  iso_utc([_to_us(iv.end) for iv in accesses]),
+                  fixed_point([iv.duration_seconds for iv in accesses], 1),
+                  fixed_point([iv.elevation_deg.max() for iv in accesses], 3),
+                  fixed_point([iv.slant_range_km.min() for iv in accesses], 3)]])
 
     by_day: dict[str, list[AccessInterval]] = defaultdict(list)
     for iv in accesses:
         by_day[iv.start.date().isoformat()].append(iv)
     daily_union = {day: union_duration_seconds(ivs, config.step_seconds)
                    for day, ivs in sorted(by_day.items())}
-    with open_new(out / "access_daily.csv") as fh:
-        fh.write("date,station_sum_s,union_s\n")
-        for day, union in daily_union.items():
-            fh.write(f"{day},{sum(iv.duration_seconds for iv in by_day[day]):.1f},"
-                     f"{union:.1f}\n")
+    write_csv(out / "access_daily.csv", "date,station_sum_s,union_s\n", [[
+        spelled(list(daily_union)),
+        fixed_point([sum(iv.duration_seconds for iv in by_day[day]) for day in daily_union], 1),
+        fixed_point(list(daily_union.values()), 1)]])
     _write_manifest(out, "access", config, seed)
     return {
         "n_intervals": len(accesses),
@@ -122,26 +117,23 @@ def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -
     accesses = compute_accesses(config)
     counts = {"n_samples": 0, "n_blocked": 0}
     fixed = fixed_point([config.optics.fixed_loss_db], 4)
-    with open_new(out / "linkbudget.csv") as fh:
-        fh.buffer.write(b"time_utc,station,elevation_deg,range_km,geo_db,atm_db,"
-                        b"cloud_db,fixed_db,total_db,eta\n")
 
-        def write(block: list[AccessInterval]) -> None:
-            geo, atm, cld, total, etas = link_budget(block, config.optics, config.cloud)
-            names = [iv.station.name.encode() for iv in block]
-            fh.buffer.write(csv_rows([
-                spelled(iso_utc(joined(block, "time_us"))),
-                spelled(per_sample(block, names)),
+    def columns(block: list[AccessInterval]) -> list[np.ndarray]:
+        geo, atm, cld, total, etas = link_budget(block, config.optics, config.cloud)
+        names = [iv.station.name.encode() for iv in block]
+        text = [iso_utc(joined(block, "time_us")), spelled(per_sample(block, names)),
                 *(fixed_point(c, 4) for c in (
                     joined(block, "elevation_deg"), joined(block, "slant_range_km"),
                     geo, atm, cld)),
                 np.broadcast_to(fixed, (len(etas), fixed.shape[1])),
                 fixed_point(total, 4),
-                spelled(list(map(repr, etas.tolist())))]))
-            counts["n_blocked"] += int(np.count_nonzero(etas == 0.0))
-            counts["n_samples"] += len(etas)
+                spelled(list(map(repr, etas.tolist())))]
+        counts["n_blocked"] += int(np.count_nonzero(etas == 0.0))
+        counts["n_samples"] += len(etas)
+        return text
 
-        each_pass_block(accesses, write)
+    write_csv(out / "linkbudget.csv", "time_utc,station,elevation_deg,range_km,geo_db,"
+              "atm_db,cloud_db,fixed_db,total_db,eta\n", each_pass_block(accesses, columns))
     _write_manifest(out, "linkbudget", config, seed)
     return counts
 
@@ -157,7 +149,7 @@ _LINKBUDGET_CHUNK = 1 << 19
 def _written_rows(lines: list[str], column: dict[str, int]):
     """(nodes, time_us, etas) of rows as run_linkbudget writes them: 10
     fields, a scenario station, a time_utc that output.iso_utc writes back
-    unchanged and an eta in [0, 1]; None if any row is otherwise."""
+    byte for byte and an eta in [0, 1]; None if any row is otherwise."""
     if set(map(str.count, lines, repeat(","))) != {9}:
         return None
     end = 10 * len(lines)
@@ -168,7 +160,7 @@ def _written_rows(lines: list[str], column: dict[str, int]):
         with warnings.catch_warnings():  # numpy warns on a time zone it drops
             warnings.simplefilter("error")
             time_us = np.array([t[:-6] for t in times], "datetime64[us]").astype(np.int64)
-        if iso_utc(time_us) != times:
+        if csv_rows([iso_utc(time_us)]).tobytes() != "\n".join(times).encode() + b"\n":
             return None
         etas = np.fromiter(map(float, fields[9:end:10]), float)
     except (KeyError, ValueError, Warning, OverflowError):  # NaT overflows iso_utc
@@ -241,9 +233,10 @@ def key_matrix_from_linkbudget(config: ScenarioConfig, csv_path) -> KeyMatrix:
 
 
 def daily_key_bits(matrix: KeyMatrix):
-    """(UTC date, station, key bits) of each day and station with keys,
-    sorted by date, then station name.  A total sums its cells from 0.0 in
-    row-major order; the day is that of the cell's interval start."""
+    """The columns UTC date, station and key bits of each day and station
+    with keys, sorted by date, then station name.  A total sums its cells
+    from 0.0 in row-major order; the day is that of the cell's interval
+    start."""
     rows, cols, cell_bits = matrix.nonzero()
     days = matrix.row_us(rows) // 86_400_000_000
     by_name = sorted(range(matrix.n_nodes), key=matrix.node_names.__getitem__)
@@ -255,7 +248,7 @@ def daily_key_bits(matrix: KeyMatrix):
     np.add.at(totals, owner, cell_bits)  # repeated keys add in row-major order
     dates = np.datetime_as_string((groups // matrix.n_nodes).astype("datetime64[D]"))
     names = [matrix.node_names[by_name[r]] for r in (groups % matrix.n_nodes).tolist()]
-    return zip(dates.tolist(), names, totals.tolist())
+    return dates, names, totals
 
 
 def run_keymatrix(config: ScenarioConfig, out: Path, seed: int | None = None,
@@ -269,9 +262,9 @@ def run_keymatrix(config: ScenarioConfig, out: Path, seed: int | None = None,
     export_key_matrix(matrix, config.qkd, out / "keymatrix.csv",
                       out / "keymatrix_meta.json")
 
-    with open_new(out / "keys_daily.csv") as fh:
-        fh.write("date,station,key_bits\n")
-        fh.writelines(f"{day},{name},{bits:.3f}\n" for day, name, bits in daily_key_bits(matrix))
+    dates, names, bits = daily_key_bits(matrix)
+    write_csv(out / "keys_daily.csv", "date,station,key_bits\n", [[
+        spelled(dates), spelled([name.encode() for name in names]), fixed_point(bits, 3)]])
     _write_manifest(out, "keymatrix", config, seed)
     return matrix
 
@@ -320,13 +313,17 @@ def run_schedule(config: ScenarioConfig, out: Path, seed: int | None = None,
         summaries[kind] = schedule_summary(sched, matrix,
                                            config.strategy_for(kind, ga_seed), ga_seed)
         write_json(out / f"summary_{tag}.json", summaries[kind])
-    with open_new(out / "strategy_comparison.csv") as fh:
-        fh.write("strategy,total_bits,kl_vs_weights,node_name,node_bits\n")
-        for kind, sched in schedules.items():
-            kl = summaries[kind]["kl_divergence_vs_weights"]
-            kl_txt = _fmt(math.inf if kl in (None, INF) else kl, ".6f")
-            for name, bits in zip(matrix.node_names, sched.node_totals):
-                fh.write(f"{kind},{sched.total:.3f},{kl_txt},{name},{bits:.3f}\n")
+    kls = {kind: summary["kl_divergence_vs_weights"] for kind, summary in summaries.items()}
+    per_row = [(kind, name, bits) for kind, sched in schedules.items()
+               for name, bits in zip(matrix.node_names, sched.node_totals)]
+    write_csv(out / "strategy_comparison.csv",
+              "strategy,total_bits,kl_vs_weights,node_name,node_bits\n", [[
+                  spelled([kind for kind, _, _ in per_row]),
+                  fixed_point([schedules[kind].total for kind, _, _ in per_row], 3),
+                  fixed_point([math.inf if kls[kind] is None else kls[kind]
+                               for kind, _, _ in per_row], 6),
+                  spelled([name.encode() for _, name, _ in per_row]),
+                  fixed_point([bits for _, _, bits in per_row], 3)]])
     _write_manifest(out, "schedule", config, ga_seed)
     return schedules
 
@@ -340,8 +337,10 @@ def _loss_extremes(config: ScenarioConfig, accesses: list[AccessInterval]):
     lo: dict[str, float] = {}
     hi: dict[str, float] = {}
 
-    def extremes(block: list[AccessInterval]) -> None:
-        total = link_budget(block, config.optics).total_db.tolist()
+    def totals(block: list[AccessInterval]):
+        return block, link_budget(block, config.optics).total_db.tolist()
+
+    for block, total in each_pass_block(accesses, totals):
         end = 0
         for iv in block:
             begin, end = end, end + len(iv.time_us)
@@ -349,8 +348,6 @@ def _loss_extremes(config: ScenarioConfig, accesses: list[AccessInterval]):
             name = iv.station.name
             lo[name] = min(lo.get(name, math.inf), *total[begin:end])
             hi[name] = max(hi.get(name, -math.inf), *total[begin:end])
-
-    each_pass_block(accesses, extremes)
     return lo, hi
 
 
@@ -397,17 +394,18 @@ def run_sweep(config: ScenarioConfig, variable: str, out: Path,
             rows.append(measure(sub, urad, accesses))
 
     unit = "altitude_km" if variable == "altitude" else "divergence_urad"
-    with open_new(out / f"sweep_{variable}.csv") as fh:
-        fh.write(f"{unit},total_visible_duration_s,station_sum_duration_s,"
-                 f"station,min_total_db,max_total_db\n")
-        for row in rows:
-            for st in config.stations:
-                lo = row["lo"].get(st.name, math.inf)
-                hi = row["hi"].get(st.name, -math.inf)
-                hi = math.inf if math.isinf(lo) else hi
-                fh.write(f"{row['value']:g},{row['duration_s']:.1f},"
-                         f"{row['station_sum_s']:.1f},{st.name},"
-                         f"{_fmt(lo)},{_fmt(hi)}\n")
+    per_row = [(row, st.name) for row in rows for st in config.stations]
+    lo = [row["lo"].get(name, math.inf) for row, name in per_row]
+    hi = [math.inf if math.isinf(low) else row["hi"].get(name, -math.inf)
+          for (row, name), low in zip(per_row, lo)]
+    write_csv(out / f"sweep_{variable}.csv",
+              unit + ",total_visible_duration_s,station_sum_duration_s,"
+              "station,min_total_db,max_total_db\n", [[
+                  spelled([format(row["value"], "g") for row, _ in per_row]),
+                  fixed_point([row["duration_s"] for row, _ in per_row], 1),
+                  fixed_point([row["station_sum_s"] for row, _ in per_row], 1),
+                  spelled([name.encode() for _, name in per_row]),
+                  fixed_point(lo, 4), fixed_point(hi, 4)]])
     _write_manifest(out, f"sweep_{variable}", config, seed)
     return rows
 

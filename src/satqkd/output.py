@@ -1,15 +1,22 @@
-"""The one writer of output files: each run writes every file anew."""
+"""The one writer of output files: each run writes every file anew.
+
+Every CSV cell is a row of a NUL-padded uint8 matrix, and csv_rows joins a
+list of such columns into the UTF-8 bytes of CSV rows.  Numbers and times
+are spelled by one digit kernel (_figures) through three column makers:
+fixed_point, integers and iso_utc.  Names and repr cells are spelled.
+"""
 from __future__ import annotations
 
 import json
 import math
 import os
+from typing import Iterator
 
 import numpy as np
 
 INF = "Inf"  # the token for an infinite value: a blocked link, an undefined KL
 
-_LABEL_CHUNK = 4096  # time labels formatted at a time: no whole-span string array
+_CHUNK = 4096  # CSV rows spelled at a time: no column of text outlives its rows
 # int64 microseconds from the Unix epoch of datetime.min and datetime.max in UTC
 _US_RANGE = (-62_135_596_800_000_000, 253_402_300_799_999_999)
 
@@ -28,11 +35,45 @@ def open_new(path):
     return open(path, "x", encoding="utf-8")
 
 
+def _tokens(obj):
+    """obj with every infinite float in it replaced by INF."""
+    if isinstance(obj, dict):
+        return {key: _tokens(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(map(_tokens, obj))
+    return INF if isinstance(obj, float) and math.isinf(obj) else obj
+
+
 def write_json(path, obj) -> None:
-    """obj as indented JSON with sorted keys and a final newline."""
+    """obj as indented JSON with sorted keys and a final newline; an
+    infinite float is written as INF, which JSON can hold."""
     with open_new(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_tokens(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, header: str, chunks) -> None:
+    """A CSV file at path: the header line, then the rows of each list of
+    column matrices in chunks, as csv_rows joins them."""
+    with open_new(path) as fh:
+        fh.write(header)
+        fh.flush()
+        for columns in chunks:
+            fh.buffer.write(csv_rows(columns))
+
+
+def row_chunks(n_rows: int) -> Iterator[slice]:
+    """Rows 0 to n_rows - 1 in slices of at most _CHUNK rows."""
+    return (slice(lo, min(lo + _CHUNK, n_rows)) for lo in range(0, n_rows, _CHUNK))
+
+
+def _figures(r: np.ndarray, width: int, shown: int = 1) -> np.ndarray:
+    """The width low decimal digits of each int64 in r >= 0 as ASCII, one row
+    each; a leading zero is NUL unless it is one of the last shown."""
+    places = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    figures = (r[:, None] // places % 10).astype(np.uint8) + ord("0")
+    figures[:, :width - shown] *= r[:, None] >= places[:width - shown]
+    return figures
 
 
 def fixed_point(values, digits: int) -> np.ndarray:
@@ -50,9 +91,7 @@ def fixed_point(values, digits: int) -> np.ndarray:
         exact = np.abs(q - np.floor(q) - 0.5) > np.spacing(q)  # False for NaN
     r = np.rint(np.where(exact, q, 0.0)).astype(np.int64)
     whole = len(str(int(r.max(initial=0)) // 10 ** digits))  # digits left of the point
-    places = 10 ** np.arange(whole + digits - 1, -1, -1, dtype=np.int64)
-    figures = (r[:, None] // places % 10).astype(np.uint8) + ord("0")
-    figures[:, :whole - 1] *= r[:, None] >= places[:whole - 1]  # no leading zeros
+    figures = _figures(r, whole + digits, digits + 1)
     text = np.zeros((len(v), whole + digits + 2), np.uint8)
     text[:, 0] = np.signbit(v) * ord("-")  # -0.0 and what rounds to it keep the sign
     text[:, 1:whole + 1] = figures[:, :whole]
@@ -86,18 +125,30 @@ def csv_rows(columns: list[np.ndarray]) -> np.ndarray:
     return table[table != 0]
 
 
-def iso_utc(time_us) -> list[str]:
+def integers(values) -> np.ndarray:
+    """str(v) of each integer v >= 0 as the rows of a NUL-padded uint8 matrix."""
+    r = np.asarray(values, dtype=np.int64)
+    return _figures(r, len(str(int(r.max(initial=0)))))
+
+
+def iso_utc(time_us) -> np.ndarray:
     """datetime.isoformat() of each UTC time in int64 microseconds from the
-    Unix epoch: seconds, then .ffffff where the microsecond is nonzero, then
-    +00:00."""
-    time_us = np.asarray(time_us, dtype=np.int64)
-    if time_us.size and not (_US_RANGE[0] <= time_us.min()
-                             and time_us.max() <= _US_RANGE[1]):
+    Unix epoch, as the rows of a NUL-padded uint8 matrix: date and seconds,
+    then .ffffff where the microsecond is nonzero, then +00:00."""
+    us = np.asarray(time_us, dtype=np.int64)
+    if us.size and not (_US_RANGE[0] <= us.min() and us.max() <= _US_RANGE[1]):
         raise OverflowError("date value out of range")
-    labels: list[str] = []
-    for start in range(0, len(time_us), _LABEL_CHUNK):
-        us = time_us[start:start + _LABEL_CHUNK]
-        text = np.datetime_as_string(us.astype("datetime64[us]"), unit="us")
-        text = np.where(us % 1_000_000 == 0, np.strings.slice(text, 19), text)
-        labels += np.strings.add(text, "+00:00").tolist()
-    return labels
+    day, of_day = np.divmod(us, 86_400_000_000)
+    days, which = np.unique(day, return_inverse=True)
+    dates = np.datetime_as_string(days.astype("datetime64[D]")).astype("S10")
+    second, micro = np.divmod(of_day, 1_000_000)
+    hours, second = np.divmod(second, 3600)
+    # HHMMSSffffff
+    clock = (hours * 10_000 + second // 60 * 100 + second % 60) * 1_000_000 + micro
+    text = np.zeros((len(us), 32), np.uint8)
+    text[:, :10] = dates[:, None].view(np.uint8)[which]
+    text[:, [10, 13, 16, 19]] = np.frombuffer(b"T::.", np.uint8)
+    text[:, [11, 12, 14, 15, 17, 18, *range(20, 26)]] = _figures(clock, 12, 12)
+    text[micro == 0, 19:26] = 0
+    text[:, 26:] = np.frombuffer(b"+00:00", np.uint8)
+    return text

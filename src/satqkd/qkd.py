@@ -52,7 +52,7 @@ from .channel import (  # noqa: F401
 )
 from .cloud import CloudGrid, query_column
 from .orbit import AccessInterval, GroundStation, _as_utc, _from_us, _to_us, _unix_to_us
-from .output import iso_utc, open_new, write_json
+from .output import integers, iso_utc, row_chunks, spelled, write_csv, write_json
 
 
 # Samples per kernel call: pass_blocks closes a block of passes at this many,
@@ -305,15 +305,6 @@ class KeyMatrix:
         offsets = _unix_to_us(np.asarray(rows, dtype=np.int64) * self.interval_seconds)
         return _to_us(self.start) + offsets
 
-    def row_labels(self, rows: np.ndarray) -> list[str]:
-        """interval_start(m).isoformat() of each m in rows."""
-        return iso_utc(self.row_us(rows))
-
-    @property
-    def interval_labels(self) -> list[str]:
-        """ISO-8601 start of every interval, built on each access."""
-        return self.row_labels(np.arange(self.n_intervals))
-
 
 def pass_blocks(accesses: Sequence[AccessInterval]) -> Iterator[list[AccessInterval]]:
     """Runs of consecutive passes, each closed once it holds _RATE_CHUNK
@@ -329,18 +320,21 @@ def pass_blocks(accesses: Sequence[AccessInterval]) -> Iterator[list[AccessInter
         yield block
 
 
-def each_pass_block(accesses: Sequence[AccessInterval], step) -> None:
-    """step(block) on each run of pass_blocks.  A block that raises is
-    stepped again one pass at a time, so the error raised is the one a walk
-    pass by pass meets first; step must change nothing before it can raise."""
+def each_pass_block(accesses: Sequence[AccessInterval], step) -> Iterator:
+    """step(block) of each run of pass_blocks, yielded as it is stepped.  A
+    block that raises is stepped again one pass at a time, so the error
+    raised is the one a walk pass by pass meets first; step must change
+    nothing before it can raise."""
     for block in pass_blocks(accesses):
         try:
-            step(block)
+            result = step(block)
         except (ValueError, ArithmeticError):
             if len(block) == 1:
                 raise
             for access in block:
-                step([access])
+                yield step([access])
+        else:
+            yield result
 
 
 def link_budget(accesses: Sequence[AccessInterval], optics: OpticalParams,
@@ -439,7 +433,8 @@ def build_key_matrix(accesses: Sequence[AccessInterval],
                      lambda i: f"grid misalignment: sample at "
                      f"{_from_us(int(time_us[i])).isoformat()}")
 
-    each_pass_block(accesses, add)
+    for _ in each_pass_block(accesses, add):
+        pass
     return assemble_key_matrix(parts, start, interval_seconds, n_intervals,
                                tuple(st.name for st in stations))
 
@@ -454,11 +449,10 @@ def export_key_matrix(matrix: KeyMatrix, params: QkdParams,
                       csv_path, meta_path) -> None:
     """Write nonzero entries as CSV plus a JSON metadata sidecar."""
     rows, cols, bits = matrix.nonzero()
-    names = matrix.node_names
-    with open_new(csv_path) as fh:
-        fh.write("interval_index,node_name,start_utc,key_bits\n")
-        fh.writelines(f"{m},{names[n]},{label},{b!r}\n" for m, n, label, b in zip(
-            rows.tolist(), cols.tolist(), matrix.row_labels(rows), bits.tolist()))
+    names = spelled([name.encode() for name in matrix.node_names])
+    write_csv(csv_path, "interval_index,node_name,start_utc,key_bits\n", (
+        [integers(rows[part]), names[cols[part]], iso_utc(matrix.row_us(rows[part])),
+         spelled(list(map(repr, bits[part].tolist())))] for part in row_chunks(len(rows))))
     write_json(meta_path, {
         "grid_start_utc": matrix.start.isoformat(),
         "interval_seconds": matrix.interval_seconds,

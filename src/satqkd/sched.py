@@ -41,12 +41,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .output import INF, open_new
+from .output import integers, iso_utc, row_chunks, spelled, write_csv
 from .qkd import KeyMatrix, nonzero_rows
 
 IDLE = -1
 SWITCH = -2
-_ROW_CHUNK = 4096  # schedule CSV rows joined per write: no whole-file string
 
 
 @dataclass(frozen=True, eq=False)
@@ -611,28 +610,24 @@ def write_schedule_csv(schedule: Schedule, matrix, path) -> None:
     n_intervals = matrix.n_intervals
     if len(schedule.assignment) != n_intervals:
         raise ValueError(f"{len(schedule.assignment)} activities for {n_intervals} intervals")
-    # shifted by -SWITCH, the codes SWITCH and IDLE index the first two names;
-    # labelled and named a chunk at a time, so no column of text outlives its rows
-    names = np.array(["SWITCH", "IDLE", *matrix.node_names], dtype=object)
-    with open_new(path) as fh:
-        fh.write("interval_index,start_utc,activity\n")
-        for lo in range(0, n_intervals, _ROW_CHUNK):
-            chunk = np.arange(lo, min(lo + _ROW_CHUNK, n_intervals))
-            rows = zip(chunk.tolist(), matrix.row_labels(chunk),
-                       names.take(schedule.assignment[lo:lo + _ROW_CHUNK] - SWITCH))
-            fh.write("".join(f"{m},{label},{act}\n" for m, label, act in rows))
+    # shifted by -SWITCH, the codes SWITCH and IDLE index the first two names
+    names = spelled([name.encode() for name in ("SWITCH", "IDLE", *matrix.node_names)])
+    intervals = np.arange(n_intervals)
+    write_csv(path, "interval_index,start_utc,activity\n", (
+        [integers(intervals[part]), iso_utc(matrix.row_us(intervals[part])),
+         names[schedule.assignment[part] - SWITCH]] for part in row_chunks(n_intervals)))
 
 
 def schedule_summary(schedule: Schedule, matrix, strategy: StrategyConfig,
                      seed: int) -> dict:
-    """JSON-ready summary: totals, KL against the strategy weights, config."""
+    """JSON-ready summary: totals, KL against the strategy weights (None
+    where it is undefined), config."""
     try:
         delivered = delivered_distribution(schedule, matrix)
         target = Distribution(strategy.normalized_weights(matrix.n_nodes))
         kl = kl_divergence(delivered, target)
-        kl_out = INF if math.isinf(kl) else kl
     except ValueError:
-        kl_out = None
+        kl = None
     ga = strategy.ga
     return {
         "strategy": strategy.kind,
@@ -640,7 +635,7 @@ def schedule_summary(schedule: Schedule, matrix, strategy: StrategyConfig,
         "node_totals_bits": dict(zip(matrix.node_names, schedule.node_totals)),
         "total_bits": schedule.total,
         "objective": schedule.objective,
-        "kl_divergence_vs_weights": kl_out,
+        "kl_divergence_vs_weights": kl,
         "ga": {"population": ga.population, "generations": ga.generations,
                "crossover_rate": ga.crossover_rate,
                "mutation_rate": ga.mutation_rate, "elitism": ga.elitism},

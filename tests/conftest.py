@@ -144,7 +144,8 @@ def oracle_gllp_rate(eta, params):
 
 
 def oracle_fmt(value, spec=".4f"):
-    """cli._fmt before output.fixed_point: one format() per value."""
+    """A fixed-point cell as written before output.fixed_point: one format()
+    per value."""
     return "Inf" if math.isinf(value) else format(value, spec)
 
 

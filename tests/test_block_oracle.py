@@ -30,7 +30,7 @@ from conftest import oracle_fmt
 from satqkd import cli, qkd
 from satqkd.cloud import CloudGrid, query_column
 from satqkd.orbit import GroundStation, _from_us, _to_us
-from satqkd.output import iso_utc, open_new
+from satqkd.output import open_new
 from satqkd.qkd import add_key_bits, assemble_key_matrix, build_key_matrix, loss_columns
 from satqkd.scenario import compute_accesses, micius_week_config
 
@@ -83,7 +83,8 @@ def oracle_write_linkbudget(config, accesses, path) -> dict:
             geo, atm, cld, total, etas = oracle_pass_link_budget(iv, config.optics,
                                                                  config.cloud)
             elev, rng = iv.elevation_deg.tolist(), iv.slant_range_km.tolist()
-            columns = (iso_utc(iv.time_us), repeat(iv.station.name),
+            columns = ([_from_us(t).isoformat() for t in iv.time_us.tolist()],
+                       repeat(iv.station.name),
                        *(list(map(oracle_fmt, c)) for c in (elev, rng, geo, atm, cld)),
                        repeat(fixed), list(map(oracle_fmt, total)), map(repr, etas))
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
@@ -389,8 +390,8 @@ def reader_cases(rows):
         ("11 fields", HEADER + "\n".join([*rows[:k], rows[k] + ",0", *rows[k + 1:]]) + "\n"),
         ("9 and 11 fields", HEADER + "\n".join(
             [*rows[:k], rows[k].rsplit(",", 1)[0], rows[k + 1] + ",0", *rows[k + 2:]]) + "\n"),
-        ("before the span", HEADER + "\n".join(edited(rows, k, 0, iso_utc(
-            [_to_us(datetime.fromisoformat(time_k)) - 86400 * 10**6])[0])) + "\n"),
+        ("before the span", HEADER + "\n".join(edited(rows, k, 0, _from_us(
+            _to_us(datetime.fromisoformat(time_k)) - 86400 * 10**6).isoformat())) + "\n"),
     ]
 
 

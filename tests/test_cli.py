@@ -439,8 +439,8 @@ def dict_daily_key_bits(matrix):
     days: a dict of float sums keyed by (label[:10], name), sorted."""
     daily = {}
     rows, cols, cell_bits = matrix.nonzero()
-    for label, n, bits in zip(matrix.row_labels(rows), cols.tolist(), cell_bits.tolist()):
-        key = label[:10], matrix.node_names[n]
+    for m, n, bits in zip(rows.tolist(), cols.tolist(), cell_bits.tolist()):
+        key = matrix.interval_start(m).isoformat()[:10], matrix.node_names[n]
         daily[key] = daily.get(key, 0.0) + bits
     return [(day, name, bits) for (day, name), bits in sorted(daily.items())]
 
@@ -467,13 +467,13 @@ def test_daily_key_bits_match_the_dict_sums(start, interval_seconds):
                      rng.uniform(0.0, 1e6, (len(rows), len(names))) ** 2, 0.0)
     matrix = KeyMatrix(start, interval_seconds, names, rows=rows, cells=cells,
                        n_intervals=n_intervals)
-    got = list(cli_module.daily_key_bits(matrix))
+    got = list(zip(*cli_module.daily_key_bits(matrix)))
     want = dict_daily_key_bits(matrix)
     assert len(want) > 3 * len(names)
     assert [(day, name) for day, name, _ in got] == [(day, name) for day, name, _ in want]
     assert [bits.hex() for _, _, bits in got] == [bits.hex() for _, _, bits in want]
     empty = KeyMatrix(start, interval_seconds, names, values=np.zeros((4, len(names))))
-    assert list(cli_module.daily_key_bits(empty)) == []
+    assert list(zip(*cli_module.daily_key_bits(empty))) == []
 
 
 def test_keymatrix_fine_sampling_converges(tmp_path):

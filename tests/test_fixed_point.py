@@ -1,10 +1,12 @@
-"""output.fixed_point against one format() per value.
+"""output.fixed_point and output.integers against one format() per value.
 
 fixed_point spells the integer nearest to |v| * 10**digits and hands NaN,
 values of 2**52 and more after scaling, and values within an ulp of a tie to
 format() itself.  Every output must be the bytes of the per-value formatter
-it replaced (conftest.oracle_fmt), over the ranges the CSV columns hold and
-at the values where integer rounding and correct rounding could part.
+it replaced (conftest.oracle_fmt), for each digit count a CSV column uses
+(.1f, .3f, .4f, .6f), over the ranges the columns hold and at the values
+where integer rounding and correct rounding could part.  integers must be
+str() of each value.
 """
 from __future__ import annotations
 
@@ -14,8 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_fmt
-from satqkd import cli
-from satqkd.output import csv_rows, fixed_point
+from satqkd.output import csv_rows, fixed_point, integers
 
 N_SEEDED = 1 << 20
 
@@ -64,7 +65,7 @@ def adversarial_values(digits):
     return np.concatenate([values, -values])
 
 
-@pytest.mark.parametrize("digits", [4, 6])
+@pytest.mark.parametrize("digits", [1, 3, 4, 6])
 def test_seeded_values_match_format(digits):
     values = seeded_values(np.random.default_rng(digits), N_SEEDED)
     assert len(values) >= 1_000_000
@@ -75,13 +76,13 @@ def test_seeded_values_match_format(digits):
         assert got == want, [(v, g, w) for v, g, w in zip(chunk, got, want) if g != w][:5]
 
 
-@pytest.mark.parametrize("digits", [4, 6])
+@pytest.mark.parametrize("digits", [1, 3, 4, 6])
 def test_adversarial_values_match_format(digits):
     values = adversarial_values(digits)
     want = [oracle_fmt(v, f".{digits}f") for v in values.tolist()]
     assert lines(values, digits) == want
-    # the same one at a time, through the scalar wrapper the small CSVs use
-    assert [cli._fmt(v, f".{digits}f") for v in values[-200:].tolist()] == want[-200:]
+    # the same one at a time: each a column only as wide as its one value
+    assert [lines([v], digits)[0] for v in values[-200:].tolist()] == want[-200:]
 
 
 def test_signs_ties_and_tokens():
@@ -94,3 +95,14 @@ def test_signs_ties_and_tokens():
 def test_empty_column():
     assert fixed_point(np.empty(0), 4).shape[0] == 0
     assert lines([], 4) == []
+    assert integers(np.empty(0, np.int64)).shape[0] == 0
+
+
+def test_integers_match_str():
+    tens = [10 ** k for k in range(19)]
+    values = [0, 1, 2 ** 62, 2 ** 63 - 1, *tens, *(t - 1 for t in tens[1:]),
+              *(t + 1 for t in tens), *np.random.default_rng(5).integers(0, 2 ** 63 - 1, 1000)]
+    values = list(map(int, values))
+    for column in (values, values[:3], [0], [9], [10], [10 ** 18 - 1]):
+        text = csv_rows([integers(column)]).tobytes().decode()
+        assert text.split("\n")[:-1] == list(map(str, column))

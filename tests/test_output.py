@@ -2,8 +2,9 @@
 opens files for writing.
 
 Covers:
-  - iso_utc equals datetime.isoformat() of every UTC time it is given, over
-    the whole datetime range and across its chunks
+  - the rows of iso_utc equal datetime.isoformat() of every UTC time it is
+    given, over the whole datetime range, and write_csv writes them the same
+    across its chunks
   - a rerun of every subcommand over an output path that is a symlink to, or
     a hard link of, a file outside --out replaces the link and leaves that
     file alone; the new outputs equal the first run's
@@ -27,7 +28,7 @@ import satqkd
 from satqkd import output
 from satqkd.cli import main
 from satqkd.orbit import _from_us, _to_us
-from satqkd.output import iso_utc, open_new
+from satqkd.output import iso_utc, open_new, row_chunks, write_csv
 
 # ---------------------------------------------------------------------------
 # time labels
@@ -49,6 +50,11 @@ def isoformat_labels(time_us) -> list[str]:
     return [_from_us(us).isoformat() for us in time_us]
 
 
+def decoded(text: np.ndarray) -> list[str]:
+    """The rows of a NUL-padded uint8 matrix as str."""
+    return [row[row != 0].tobytes().decode() for row in text]
+
+
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(time_us=st.lists(UTC_TIMES_US, max_size=40))
 @example(time_us=[US_MIN, US_MIN + 1, US_MAX - 999_999, US_MAX])   # years 1 and 9999
@@ -56,17 +62,20 @@ def isoformat_labels(time_us) -> list[str]:
 @example(time_us=LEAP_DAYS_US + [us + 86_400 * 10**6 - 1 for us in LEAP_DAYS_US])
 @example(time_us=[])
 def test_iso_utc_matches_isoformat(time_us):
-    assert iso_utc(np.array(time_us, dtype=np.int64)) == isoformat_labels(time_us)
+    assert decoded(iso_utc(np.array(time_us, dtype=np.int64))) == isoformat_labels(time_us)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 4096])
-def test_iso_utc_mixes_whole_and_fractional_across_chunks(monkeypatch, chunk):
-    monkeypatch.setattr(output, "_LABEL_CHUNK", chunk)
+def test_iso_utc_mixes_whole_and_fractional_across_chunks(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(output, "_CHUNK", chunk)
     rng = np.random.default_rng(3)
     time_us = rng.integers(US_MIN, US_MAX, size=9000, endpoint=True)
     whole = rng.random(9000) < 0.5
     time_us[whole] -= time_us[whole] % 10**6
-    assert iso_utc(time_us) == isoformat_labels(time_us.tolist())
+    write_csv(tmp_path / "times.csv", "time_utc\n",
+              ([iso_utc(time_us[part])] for part in row_chunks(len(time_us))))
+    assert (tmp_path / "times.csv").read_text(encoding="utf-8").splitlines() == [
+        "time_utc", *isoformat_labels(time_us.tolist())]
 
 
 @pytest.mark.parametrize("time_us", [[US_MIN - 1], [0, US_MAX + 1]])

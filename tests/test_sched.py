@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from satqkd import sched as sched_module
+from satqkd import output
 from satqkd.qkd import KeyMatrix, QkdParams, export_key_matrix
 from satqkd.sched import (
     IDLE,
@@ -597,14 +597,13 @@ def loop_write_schedule_csv(schedule, matrix, path) -> None:
     names = {IDLE: "IDLE", SWITCH: "SWITCH", **dict(enumerate(matrix.node_names))}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("interval_index,start_utc,activity\n")
-        for m, (label, act) in enumerate(zip(matrix.interval_labels,
-                                             schedule.assignment, strict=True)):
-            fh.write(f"{m},{label},{names[act]}\n")
+        for m, act in enumerate(schedule.assignment):
+            fh.write(f"{m},{matrix.interval_start(m).isoformat()},{names[act]}\n")
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 4096])
 def test_schedule_csv_matches_the_row_loop(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(sched_module, "_ROW_CHUNK", chunk)
+    monkeypatch.setattr(output, "_CHUNK", chunk)
     rng = np.random.default_rng(4_096)
     start = datetime(2016, 9, 19, 13, 0, 0, 250_000, tzinfo=timezone.utc)
     for n_intervals in (0, 1, 2, 3, 6, 7, 4096, 4097):
