@@ -26,9 +26,7 @@ costs more than the old float loops on passes of a few dozen samples.
 The key matrix holds only the intervals with a nonzero cell (`rows`) and
 those rows' cells, never an intervals x nodes array: add_key_bits turns
 samples into (row, node, bits) columns and assemble_key_matrix sums them
-into the cells of their distinct rows.  `KeyMatrix.values` builds the dense
-array on each access, for tests and small callers; the pipeline never reads
-it.
+into the cells of their distinct rows.
 """
 from __future__ import annotations
 
@@ -231,8 +229,7 @@ class KeyMatrix:
     Held as its nonzero rows: `rows` are the sorted intervals with a nonzero
     cell and `cells` their (len(rows), n_nodes) bits; every other interval is
     all zero.  Give either the dense `values` or rows, cells and n_intervals;
-    rows left all zero are dropped.  `values` builds the dense array on each
-    access, for tests and small callers.
+    rows left all zero are dropped.
     """
     start: datetime
     interval_seconds: float
@@ -281,14 +278,6 @@ class KeyMatrix:
     @property
     def n_nodes(self) -> int:
         return len(self.node_names)
-
-    @property
-    def values(self) -> np.ndarray:
-        """The dense (n_intervals, n_nodes) array, built read-only on each access."""
-        dense = np.zeros((self.n_intervals, self.n_nodes))
-        dense[self.rows] = self.cells
-        dense.flags.writeable = False
-        return dense
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Interval, node and bits of every nonzero cell, in row-major order."""

@@ -24,6 +24,10 @@ Solvers:
     Strategies: S-GD maximises total keys, S-PD a weighted total, S-TD uses
     the S-GD fitness but prefers, within a fitness tolerance band, schedules
     whose delivered distribution has lower KL divergence from target weights.
+    S-GD and S-PD run all `generations`; for S-TD it is a cap: S-TD stops
+    after scoring generation g once the archive entry it would return was
+    recorded at generation g - restart_after or earlier, so a small
+    restart_after stops it within a few generations.
 
 Determinism: every solver is deterministic given its inputs (and the GA
 seed).  Value ties in solve_exact prefer IDLE, then lower node index.  A
@@ -50,10 +54,16 @@ SWITCH = -2
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """An activity per interval (a read-only int64 array) and its node totals."""
+    """An activity per interval (a read-only int64 array) and its node totals.
+
+    `generations` is the number of generations solve_ga bred before it
+    picked the schedule (0 for solve_exact, and for a matrix without keys):
+    rerun with that many, the GA returns the same schedule.
+    """
     assignment: np.ndarray
     node_totals: tuple[float, ...]
     objective: float
+    generations: int = 0
 
     def __post_init__(self):
         assignment = _assignment_of(self.assignment).astype(np.int64)
@@ -68,12 +78,14 @@ class Schedule:
 @dataclass(frozen=True)
 class GaConfig:
     population: int = 200
-    generations: int = 500
+    generations: int = 500  # S-GD and S-PD run all of them; a cap for S-TD
     crossover_rate: float = 0.8
     mutation_rate: float = 0.02
     elitism: int = 2
     seed: int = 0
-    restart_after: int = 60  # re-randomize non-elites every this many generations
+    # re-randomize non-elites every this many generations; S-TD stops once
+    # the schedule it would return has stood this many generations
+    restart_after: int = 60
 
     def __post_init__(self):
         if self.population < 2:
@@ -237,9 +249,10 @@ def delivered_distribution(schedule: Schedule | Sequence[int], matrix) -> Distri
     return Distribution(tuple(float(v / total) for v in totals))
 
 
-def _finish(assignment: np.ndarray, key: tuple, objective: float) -> Schedule:
+def _finish(assignment: np.ndarray, key: tuple, objective: float,
+            generations: int = 0) -> Schedule:
     return Schedule(assignment, tuple(_delivered(assignment, *key).tolist()),
-                    float(objective))
+                    float(objective), generations)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +394,38 @@ def _seed_genes(seed: Schedule | Sequence[int], index: int, active: np.ndarray,
     return np.where(genes < 0, n_nodes - 1 - genes, genes)
 
 
+class _Archive:
+    """Each GA generation's best rows, and the entry the final rule picks.
+
+    The rule: the lowest KL within the band (fitness within `tolerance` of
+    the archive's best), then the fittest, then the earliest; with every KL
+    +inf, the first of the fittest.  The pick is kept as entries arrive: a
+    new best fitness raises the band, so the whole archive is ranked again;
+    otherwise the band only grows, and the new entry competes with the pick.
+    """
+
+    def __init__(self, size: int, tolerance: float):
+        self.fits = np.empty(size)
+        self.kls = np.empty(size)
+        self.born = np.empty(size, dtype=np.int64)  # the generation recording each
+        self.genes: list[np.ndarray] = []
+        self.tolerance = tolerance
+        self.top = -math.inf
+        self.pick = 0
+
+    def add(self, fit: float, kl: float, genes: np.ndarray, gen: int) -> None:
+        i = len(self.genes)
+        self.fits[i], self.kls[i], self.born[i] = fit, kl, gen
+        self.genes.append(genes)
+        if fit > self.top:
+            self.top = fit
+            rows = np.arange(i + 1)
+        else:
+            rows = np.array([self.pick, i])
+        rows = rows[self.fits[rows] >= (1.0 - self.tolerance) * self.top]
+        self.pick = int(rows[np.lexsort((rows, -self.fits[rows], self.kls[rows]))[0]])
+
+
 def solve_ga(matrix, cfg: StrategyConfig,
              seed_schedules: Sequence[Schedule | Sequence[int]] = ()) -> Schedule:
     """Best feasible schedule found by the strategy's genetic algorithm.
@@ -398,6 +443,12 @@ def solve_ga(matrix, cfg: StrategyConfig,
     band (fitness within kl_tolerance of the generation's best) by KL, then
     by fitness.  Only S-TD has a band and reads its rows' KL; for S-GD and
     S-PD the band is empty and every KL +inf, so fitness alone ranks them.
+
+    S-GD and S-PD run all cfg.ga.generations.  S-TD stops after scoring
+    generation g once the archive entry it would return was recorded at
+    generation g - restart_after or earlier: that entry has survived a
+    whole restart period, the GA's only escape move.  The returned
+    Schedule's `generations` is g, or cfg.ga.generations without a stop.
     """
     # the rows with a nonzero cell are the active rows, and cells their keys
     key = n_intervals, active, k_active = _cells_of(matrix)  # k_active: (A, N)
@@ -485,16 +536,16 @@ def solve_ga(matrix, cfg: StrategyConfig,
 
     repair(pop)
 
-    # archive of each generation's best rows: (fitness, kl, genes)
-    archive: list[tuple[float, float, np.ndarray]] = []
+    archive = _Archive(2 * (ga.generations + 1), cfg.kl_tolerance)
 
-    def record(fit: np.ndarray, band: np.ndarray, kl: np.ndarray) -> None:
+    def record(gen: int, fit: np.ndarray, band: np.ndarray, kl: np.ndarray) -> None:
         """Archive the fittest row and, with a band, its lowest-KL row."""
         best = [int(np.argmax(fit))]
         if band.any():
             idx = np.flatnonzero(band)
             best.append(int(idx[np.lexsort((-fit[idx], kl[idx]))[0]]))
-        archive.extend((float(fit[i]), float(kl[i]), pop[i].copy()) for i in best)
+        for i in best:
+            archive.add(float(fit[i]), float(kl[i]), pop[i].copy(), gen)
 
     half = ga.population // 2
     crossover = n_active >= 2 and half > 0
@@ -542,11 +593,15 @@ def solve_ga(matrix, cfg: StrategyConfig,
         # generation (97k minor faults, 0.3 s of one micius-week `schedule`)
         np.empty(shape)
 
+    stops = target is not None  # S-TD, once its pick has stood a restart period
     with ThreadPoolExecutor(max_workers=1) as pool:
         upcoming = None  # this generation's draws, submitted a generation ago
-        for gen in range(ga.generations):
+        for gen in range(ga.generations + 1):
             fit, band, kl = score(pop)
-            record(fit, band, kl)
+            record(gen, fit, band, kl)
+            if gen == ga.generations or (
+                    stops and archive.born[archive.pick] <= gen - ga.restart_after):
+                break
             # stable: with an empty band, the fittest first, ties by index
             elites = pop[np.lexsort((-fit, kl, ~band))[:ga.elitism]]
 
@@ -585,20 +640,12 @@ def solve_ga(matrix, cfg: StrategyConfig,
             if ga.elitism:
                 children[:ga.elitism] = elites
             pop = children
+        if upcoming:
+            upcoming.cancel()  # a stop leaves the next generation's draws unused
 
-    fit, band, kl = score(pop)
-    record(fit, band, kl)
-
-    # the lowest KL within the band, then the fittest, then the earliest; with
-    # every KL +inf this is the first argmax of the fitness
-    fits = np.array([entry[0] for entry in archive])
-    kls = np.array([entry[1] for entry in archive])
-    eligible = np.flatnonzero(fits >= (1.0 - cfg.kl_tolerance) * fits.max())
-    order = np.lexsort((eligible, -fits[eligible], kls[eligible]))
-    chosen = archive[int(eligible[order[0]])]
-
-    assignment = _expand(chosen[2], active, starts, n_intervals, n_nodes)
-    return _finish(assignment, key, chosen[0])
+    chosen = archive.pick
+    assignment = _expand(archive.genes[chosen], active, starts, n_intervals, n_nodes)
+    return _finish(assignment, key, archive.fits[chosen], gen)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Shared test helpers: the exhaustive scheduling oracle, the scalar
-loss and key-rate code that the column kernels replaced, the per-value
-fixed-point formatter that output.fixed_point replaced, and the cloud-grid
-loader and writer that handled every cell through int()."""
+"""Shared test helpers: the exhaustive scheduling oracle, the dense form of
+a key matrix, the scalar loss and key-rate code that the column kernels
+replaced, the per-value fixed-point formatter that output.fixed_point
+replaced, and the cloud-grid loader and writer that handled every cell
+through int()."""
 from __future__ import annotations
 
 import math
@@ -51,6 +52,13 @@ def enumeration_oracle(values: np.ndarray, weights=None) -> float:
     padded = np.hstack([values * w, np.zeros((n_intervals, 2))])
     objective = padded[np.arange(n_intervals)[None, :], strings].sum(axis=1)
     return float(objective[feasible].max())
+
+
+def dense(matrix) -> np.ndarray:
+    """The (n_intervals, n_nodes) array of a qkd.KeyMatrix, zeros included."""
+    values = np.zeros((matrix.n_intervals, matrix.n_nodes))
+    values[matrix.rows] = matrix.cells
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import enumeration_oracle
+from conftest import dense, enumeration_oracle
 
 from satqkd.channel import (
     OpticalParams,
@@ -231,7 +231,7 @@ def test_criterion_3_micius_week(tmp_path):
     assert abs(mean_daily_minutes - 30.0) / 30.0 <= 0.30, mean_daily_minutes
 
     matrix = run_keymatrix(config, tmp_path / "keys")
-    weekly = matrix.values.sum(axis=0)
+    weekly = matrix.cells.sum(axis=0)
     assert np.all(weekly > 0.0), weekly
     assert weekly.max() / weekly.min() <= 10.0, weekly
     _report(3, "Micius-class week", t0, 60.0)
@@ -307,7 +307,7 @@ def _two_week_matrix() -> tuple[KeyMatrix, tuple[float, ...]]:
 def test_criterion_5_strategy_properties():
     t0 = time.monotonic()
     matrix, weights = _two_week_matrix()
-    n_intervals, n_nodes = matrix.values.shape
+    n_intervals, n_nodes = matrix.n_intervals, matrix.n_nodes
     target = Distribution(tuple(w / sum(weights) for w in weights))
 
     sgd = solve_exact(matrix)
@@ -376,17 +376,18 @@ def test_criterion_6_cloud_blockage_bit_exact():
         for us in blocked_pass.time_us.tolist()}
     # low-elevation edge samples already yield rate 0, so only the intervals
     # that carried keys in the clear run can change
-    carrying = {m for m in pass_intervals if km_clear.values[m, col] > 0.0}
+    clear, block = dense(km_clear), dense(km_block)
+    carrying = {m for m in pass_intervals if clear[m, col] > 0.0}
     assert carrying, "blocked pass delivered nothing even under clear skies"
-    diff = km_clear.values != km_block.values
+    diff = clear != block
     changed = {(int(m), int(n)) for m, n in zip(*np.nonzero(diff))}
     assert changed == {(m, col) for m in carrying}, changed
-    assert all(km_block.values[m, col] == 0.0 for m in pass_intervals)
+    assert all(block[m, col] == 0.0 for m in pass_intervals)
     # bit-exact equality everywhere else
     mask = np.ones_like(diff)
     for m in pass_intervals:
         mask[m, col] = False
-    assert np.array_equal(km_clear.values[mask], km_block.values[mask])
+    assert np.array_equal(clear[mask], block[mask])
     _report(6, "cloud blockage isolation", t0, 30.0)
 
 

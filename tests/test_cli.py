@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import dense
 from satqkd import cli as cli_module
 from satqkd import scenario as scenario_module
 from satqkd import sched as sched_module
@@ -209,7 +210,7 @@ def test_keymatrix_composition_bit_exact(tmp_path):
     run_linkbudget(cfg, tmp_path / "lb")
     rebuilt = run_keymatrix(cfg, tmp_path / "composed",
                             from_linkbudget=tmp_path / "lb" / "linkbudget.csv")
-    assert np.array_equal(direct.values, rebuilt.values)
+    assert np.array_equal(dense(direct), dense(rebuilt))
     assert (tmp_path / "direct" / "keymatrix.csv").read_bytes() == \
         (tmp_path / "composed" / "keymatrix.csv").read_bytes()
 
@@ -375,7 +376,7 @@ def test_keymatrix_zero_cloud_equals_disabled(tmp_path):
     with_zero = run_keymatrix(micius_week_config(span=cfg.span, cloud=grid),
                               tmp_path / "zero")
     without = run_keymatrix(cfg, tmp_path / "none")
-    assert np.array_equal(with_zero.values, without.values)
+    assert np.array_equal(dense(with_zero), dense(without))
 
 
 def test_keymatrix_all_blocked_grid_is_all_zero(tmp_path):
@@ -387,7 +388,7 @@ def test_keymatrix_all_blocked_grid_is_all_zero(tmp_path):
                      time_start=cfg.span[0], frames=frames)
     matrix = run_keymatrix(micius_week_config(span=cfg.span, cloud=grid),
                            tmp_path)
-    assert not matrix.values.any()
+    assert not matrix.cells.any()
 
 
 def test_ephemeris_file_through_config(tmp_path):
@@ -431,7 +432,7 @@ def test_keymatrix_daily_totals_cover_nonzero_days(tmp_path):
     daily = (tmp_path / "keys_daily.csv").read_text().strip().splitlines()
     assert daily[0] == "date,station,key_bits"
     total = sum(float(line.split(",")[2]) for line in daily[1:])
-    assert total == pytest.approx(matrix.values.sum(), rel=1e-6)
+    assert total == pytest.approx(matrix.cells.sum(), rel=1e-6)
 
 
 def dict_daily_key_bits(matrix):
@@ -480,8 +481,8 @@ def test_keymatrix_fine_sampling_converges(tmp_path):
     # 1 s refinement against the default 10 s sampling of the rate integral
     coarse = run_keymatrix(short_config(), tmp_path / "coarse")
     fine = run_keymatrix(short_config(step_seconds=1.0), tmp_path / "fine")
-    assert fine.values.shape == coarse.values.shape
-    assert fine.values.sum() == pytest.approx(coarse.values.sum(), rel=0.05)
+    assert (fine.n_intervals, fine.n_nodes) == (coarse.n_intervals, coarse.n_nodes)
+    assert fine.cells.sum() == pytest.approx(coarse.cells.sum(), rel=0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,11 @@ population shapes, tiny active sets, restarts, infeasible warm starts and a
 gene index too large for int16, given the matrix dense or as a KeyMatrix,
 with the next generation's draws made on the main thread and drawn ahead
 on a second one.
+S-TD stops once its pick has stood for a whole restart period, which the
+grid's shortest periods reach: there the solver must return what the oracle
+returns run for as many generations as the solver reports it ran.  The
+archive's incremental pick is checked against a full rescan after every
+entry on random warm-started matrices.
 The oracle carries its own copies of the dense-matrix helpers it called, so
 it does not move with the solver it checks.  `evaluate` is held bit for bit to the
 per-node mask sums it replaced, and malformed warm starts must raise a
@@ -21,12 +26,14 @@ import concurrent.futures
 import math
 import sys
 import threading
+from dataclasses import replace
 from datetime import datetime, timezone
 from typing import Sequence
 
 import numpy as np
 import pytest
 
+from conftest import dense
 from satqkd import sched
 from satqkd.qkd import KeyMatrix
 from satqkd.sched import (
@@ -49,7 +56,9 @@ from satqkd.sched import (
 # ---------------------------------------------------------------------------
 
 def _values_of(matrix) -> np.ndarray:
-    return np.asarray(getattr(matrix, "values", matrix), dtype=float)
+    if isinstance(matrix, KeyMatrix):
+        return dense(matrix)
+    return np.asarray(matrix, dtype=float)
 
 
 def oracle_evaluate(schedule: Schedule | Sequence[int], matrix) -> np.ndarray:
@@ -410,6 +419,17 @@ GRID = {
 }
 
 
+# the cases whose restart period (1 to 3 generations) is short enough for
+# S-TD's pick to stand through one before the generation cap
+STOPPING = {"restarts", "restarts-2", "restarts-prefetch"}
+
+
+def oracle_run(values, cfg: StrategyConfig, seeds, generations: int) -> Schedule:
+    """The oracle run for the given number of generations."""
+    return oracle_solve_ga(values, replace(cfg, ga=replace(cfg.ga, generations=generations)),
+                           seed_schedules=seeds)
+
+
 @pytest.mark.parametrize("name", sorted(GRID))
 def test_ga_matches_frozen_oracle(name, monkeypatch):
     values, kinds, weights, tolerance, fields, n_seeds = GRID[name]
@@ -421,14 +441,22 @@ def test_ga_matches_frozen_oracle(name, monkeypatch):
                                  kl_tolerance=tolerance,
                                  ga=GaConfig(seed=ga_seed, **base))
             seeds = warm_starts(values, n_seeds, ga_seed) if n_seeds else ()
-            want = oracle_solve_ga(values, cfg, seed_schedules=seeds)
+            stops = kind == "S-TD" and name in STOPPING
+            wants = {}  # the oracle run for as many generations as solve_ga ran
             # every generation drawn ahead on the second thread, or none
             for prefetch_genes in (0, sys.maxsize):
                 monkeypatch.setattr(sched, "_PREFETCH_GENES", prefetch_genes)
                 # a dense array and the same matrix held as its nonzero rows
                 for matrix in (values, KeyMatrix(DAY0, 10.0, NAMES[:n_nodes], values)):
                     got = solve_ga(matrix, cfg, seed_schedules=seeds)
-                    where = (name, kind, ga_seed, prefetch_genes, type(matrix).__name__)
+                    where = (name, kind, ga_seed, prefetch_genes, type(matrix).__name__,
+                             got.generations)
+                    # S-TD stops early only here; everything else runs in full
+                    assert (got.generations < cfg.ga.generations) == stops, where
+                    if got.generations not in wants:
+                        wants[got.generations] = oracle_run(values, cfg, seeds,
+                                                            got.generations)
+                    want = wants[got.generations]
                     assert np.array_equal(got.assignment, want.assignment), where
                     assert got.objective.hex() == want.objective.hex(), where
                     assert got.node_totals == want.node_totals, where
@@ -452,6 +480,126 @@ def test_grid_covers_its_edge_cases():
 
 
 # ---------------------------------------------------------------------------
+# S-TD's stop: once its pick has stood for a whole restart period
+# ---------------------------------------------------------------------------
+
+def final_pick(fits: np.ndarray, kls: np.ndarray, tolerance: float) -> int:
+    """The archive entry the final rule takes, ranked from scratch."""
+    eligible = np.flatnonzero(fits >= (1.0 - tolerance) * fits.max())
+    return int(eligible[np.lexsort((eligible, -fits[eligible], kls[eligible]))[0]])
+
+
+@pytest.fixture
+def archives(monkeypatch) -> list:
+    """Every archive solve_ga makes.  Each checks, after every entry, the pick
+    it keeps against a full rescan, and maps each generation to the
+    generation that recorded the pick after it (`picked_at`)."""
+    made = []
+
+    class Checked(sched._Archive):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.picked_at = {}
+            made.append(self)
+
+        def add(self, fit, kl, genes, gen):
+            super().add(fit, kl, genes, gen)
+            n = len(self.genes)
+            assert self.pick == final_pick(self.fits[:n], self.kls[:n], self.tolerance)
+            self.picked_at[gen] = int(self.born[self.pick])
+
+    monkeypatch.setattr(sched, "_Archive", Checked)
+    return made
+
+
+def same_schedule(a: Schedule, b: Schedule) -> bool:
+    return (np.array_equal(a.assignment, b.assignment)
+            and a.objective.hex() == b.objective.hex() and a.node_totals == b.node_totals)
+
+
+def test_stopped_std_is_the_oracle_run_to_its_stop(archives, monkeypatch):
+    # seeded random sparse matrices, targets and GA shapes, each warm-started
+    # from the exact S-GD optimum as the schedule subcommand does; every
+    # draw is kept, whether or not the stopped result differs from the full run
+    rng = np.random.default_rng(2_022)
+    trials, stopped, differing = 60, 0, 0
+    for trial in range(trials):
+        m, n = int(rng.integers(20, 120)), int(rng.integers(2, 7))
+        values = sparse_matrix(int(rng.integers(2**31)), m, n,
+                               row_p=float(rng.uniform(0.0, 0.6)),
+                               cell_p=float(rng.uniform(0.0, 0.6)))
+        assert values.any(), trial
+        ga = GaConfig(population=int(rng.integers(4, 30)),
+                      generations=int(rng.integers(1, 40)),
+                      restart_after=int(rng.integers(1, 8)), seed=trial)
+        cfg = StrategyConfig(kind="S-TD", weights=tuple(rng.dirichlet(np.ones(n))),
+                             kl_tolerance=float(rng.choice([0.0, 0.02, 0.05, 0.2])), ga=ga)
+        seeds = [solve_exact(values)]
+        results = []
+        for prefetch_genes in (0, sys.maxsize):
+            monkeypatch.setattr(sched, "_PREFETCH_GENES", prefetch_genes)
+            archives.clear()
+            got = solve_ga(values, cfg, seeds)
+            (archive,) = archives
+            at = archive.picked_at
+            # the first generation whose pick was recorded a whole restart
+            # period before it, or the cap
+            ends = [g for g in sorted(at) if at[g] <= g - ga.restart_after]
+            assert got.generations == (ends[0] if ends else ga.generations), trial
+            assert max(at) == got.generations, trial
+            results.append(got)
+        assert same_schedule(*results), trial
+        got = results[0]
+        assert same_schedule(got, oracle_run(values, cfg, seeds, got.generations)), trial
+        if got.generations < ga.generations:
+            stopped += 1
+            differing += not same_schedule(got, oracle_run(values, cfg, seeds, ga.generations))
+    # the rate reported with the rule: 47 of the 60 runs stopped, and 13 of
+    # those returned another schedule than the full run would have
+    assert (stopped, differing) == (47, 13)
+
+
+def test_a_pick_that_changes_after_a_restart_keeps_the_loop_running(archives):
+    values = sparse_matrix(103, 40, 3)
+    ga = GaConfig(population=12, generations=40, restart_after=4, seed=3)
+    cfg = StrategyConfig(kind="S-TD", weights=(0.5, 0.3, 0.2), ga=ga)
+    seeds = [solve_exact(values)]
+    got = solve_ga(values, cfg, seeds)
+    at = archives[0].picked_at
+    # at generations 5 and 11, both after a restart, the pick was one
+    # generation short of a whole period, and a row of that generation
+    # displaced it; the stop came a whole period after the final pick
+    changes = [g for g in range(1, got.generations + 1)
+               if g - 1 - at[g - 1] == ga.restart_after - 1 and at[g] == g]
+    assert changes == [5, 11]
+    assert at[got.generations] == got.generations - ga.restart_after == 14
+    assert same_schedule(got, oracle_run(values, cfg, seeds, got.generations))
+
+
+def test_only_std_stops_and_only_past_its_restart_period(archives):
+    rng = np.random.default_rng(60)
+    would_stop = 0
+    for trial in range(20):
+        n = int(rng.integers(2, 5))
+        values = sparse_matrix(int(rng.integers(2**31)), int(rng.integers(10, 60)), n)
+        seeds = [solve_exact(values)]
+        period = int(rng.integers(1, 6))
+        weights = tuple(rng.dirichlet(np.ones(n)))
+        for kind, generations in (("S-GD", 4 * period + 3), ("S-PD", 4 * period + 3),
+                                  ("S-TD", period), ("S-TD", int(rng.integers(1, period + 1)))):
+            ga = GaConfig(population=10, generations=generations, restart_after=period,
+                          seed=trial)
+            archives.clear()
+            got = solve_ga(values, StrategyConfig(kind=kind, weights=weights, ga=ga), seeds)
+            assert got.generations == generations, (trial, kind)
+            if kind != "S-TD":
+                # S-TD's rule would have stopped this run
+                would_stop += any(g - born >= period
+                                  for g, born in archives[0].picked_at.items())
+    assert would_stop >= 30
+
+
+# ---------------------------------------------------------------------------
 # the draws thread ends with the solve
 # ---------------------------------------------------------------------------
 
@@ -463,6 +611,17 @@ PREFETCH_CFG = StrategyConfig(kind="S-TD", weights=(0.4, 0.3, 0.2, 0.1),
 def test_draws_thread_ends_when_the_ga_returns():
     before = threading.enumerate()
     solve_ga(PREFETCH_VALUES, PREFETCH_CFG)
+    assert threading.enumerate() == before
+
+
+def test_draws_thread_ends_when_the_ga_stops():
+    # 100 x 500 genes restarting every third generation: S-TD stops while the
+    # next generation's draws are pending on the second thread
+    values, _, weights, _, fields, _ = GRID["restarts-prefetch"]
+    cfg = StrategyConfig(kind="S-TD", weights=weights, ga=GaConfig(**fields))
+    before = threading.enumerate()
+    got = solve_ga(values, cfg, [solve_exact(values)])
+    assert got.generations < cfg.ga.generations
     assert threading.enumerate() == before
 
 

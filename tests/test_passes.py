@@ -20,7 +20,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from conftest import oracle_fmt, oracle_gllp_rate, oracle_total_loss
+from conftest import dense, oracle_fmt, oracle_gllp_rate, oracle_total_loss
 from satqkd import cloud, orbit
 from satqkd.cli import key_matrix_from_linkbudget, run_access, run_linkbudget
 from satqkd.cloud import query, query_column, synthetic_cloud_grid
@@ -251,7 +251,7 @@ def test_key_matrix_matches_per_sample_oracle(scenario):
                            cloud=config.cloud)
     want = reference_key_matrix(config, accesses)
     assert want.any()
-    assert got.values.tobytes() == want.tobytes()
+    assert dense(got).tobytes() == want.tobytes()
 
 
 def test_linkbudget_and_rebuild_match_per_sample_oracle(scenario, tmp_path):
@@ -263,7 +263,7 @@ def test_linkbudget_and_rebuild_match_per_sample_oracle(scenario, tmp_path):
     if config.cloud is not None:
         assert 0 < info["n_blocked"] < info["n_samples"]
     rebuilt = key_matrix_from_linkbudget(config, csv_path)
-    assert rebuilt.values.tobytes() == reference_from_linkbudget(config, csv_path).tobytes()
+    assert dense(rebuilt).tobytes() == reference_from_linkbudget(config, csv_path).tobytes()
 
 
 def test_access_csvs_and_union_match_per_sample_oracle(scenario, tmp_path):

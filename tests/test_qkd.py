@@ -14,6 +14,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from conftest import dense
 from satqkd.channel import OpticalParams, total_loss
 from satqkd.cloud import synthetic_cloud_grid
 from satqkd.orbit import AccessInterval, GroundStation, LookAngles
@@ -187,14 +188,14 @@ def test_add_key_bits_constant_rate_closed_form():
     times = T0_US + 1_000_000 * np.arange(10)
     parts = []
     add_key_bits(parts, T0, 10.0, 2, TABLE1, 0, times, [eta] * 10, 1.0, str)
-    values = assemble_key_matrix(parts, T0, 10.0, 2, ("A",)).values
+    values = dense(assemble_key_matrix(parts, T0, 10.0, 2, ("A",)))
     assert values[0, 0] == pytest.approx(10.0 * rate, rel=1e-12)
     assert values[1, 0] == 0.0
     # the same samples added in two runs give the same bits
     split = []
     add_key_bits(split, T0, 10.0, 2, TABLE1, 0, times[:6], [eta] * 6, 1.0, str)
     add_key_bits(split, T0, 10.0, 2, TABLE1, 0, times[6:], [eta] * 4, 1.0, str)
-    assert assemble_key_matrix(split, T0, 10.0, 2, ("A",)).values[0, 0] == values[0, 0]
+    assert dense(assemble_key_matrix(split, T0, 10.0, 2, ("A",)))[0, 0] == values[0, 0]
 
 
 def test_add_key_bits_blocked_sample_adds_zero():
@@ -205,7 +206,7 @@ def test_add_key_bits_blocked_sample_adds_zero():
     parts = []
     add_key_bits(parts, T0, 10.0, 1, TABLE1, 0, T0_US + 1_000_000 * np.arange(6),
                  [good, good, good, blocked, good, good], 1.0, str)
-    values = assemble_key_matrix(parts, T0, 10.0, 1, ("A",)).values
+    values = dense(assemble_key_matrix(parts, T0, 10.0, 1, ("A",)))
     assert values[0, 0] == pytest.approx(5.0 * rate, rel=1e-12)
 
 
@@ -221,7 +222,7 @@ def test_assembly_keeps_only_rows_with_a_nonzero_cell():
     km = assemble_key_matrix(parts, T0, 10.0, 4, ("A", "B"))
     assert (km.n_intervals, km.rows.tolist()) == (4, [2])
     assert km.cells.tolist() == [[rate, rate]]
-    assert km.values.tolist() == [[0.0, 0.0], [0.0, 0.0], [rate, rate], [0.0, 0.0]]
+    assert dense(km).tolist() == [[0.0, 0.0], [0.0, 0.0], [rate, rate], [0.0, 0.0]]
     assert assemble_key_matrix([], T0, 10.0, 4, ("A", "B")).rows.tolist() == []
 
 
@@ -249,19 +250,19 @@ def zenith_access(station, first_interval, n_intervals, grid_start=T0,
 
 def test_key_matrix_no_accesses_all_zero():
     km = build_key_matrix([], STATIONS, OPTICS, TABLE1, T0, 12)
-    assert km.values.shape == (12, 3)
-    assert not km.values.any()
+    assert (km.n_intervals, km.n_nodes) == (12, 3)
+    assert not km.cells.any()
 
 
 def test_key_matrix_support_and_constant_rate():
     access = zenith_access(STATIONS[2], first_interval=3, n_intervals=3)
     km = build_key_matrix([access], STATIONS, OPTICS, TABLE1, T0, 12)
-    nonzero = {(int(m), int(n)) for m, n in zip(*np.nonzero(km.values))}
+    nonzero = {(int(m), int(n)) for m, n in zip(*np.nonzero(dense(km)))}
     assert nonzero == {(3, 2), (4, 2), (5, 2)}
     eta = total_loss(ZENITH, 0, OPTICS).transmittance
     expected = 10.0 * gllp_rate(eta, TABLE1).rate_per_second
     for m in (3, 4, 5):
-        assert km.values[m, 2] == pytest.approx(expected, rel=1e-9)
+        assert dense(km)[m, 2] == pytest.approx(expected, rel=1e-9)
 
 
 def test_key_matrix_invariant_under_access_order():
@@ -270,7 +271,7 @@ def test_key_matrix_invariant_under_access_order():
     a3 = zenith_access(STATIONS[2], 2, 6)
     km1 = build_key_matrix([a1, a2, a3], STATIONS, OPTICS, TABLE1, T0, 12)
     km2 = build_key_matrix([a3, a1, a2], STATIONS, OPTICS, TABLE1, T0, 12)
-    assert np.array_equal(km1.values, km2.values)
+    assert np.array_equal(dense(km1), dense(km2))
 
 
 def test_key_matrix_grid_misalignment_error():
@@ -287,8 +288,9 @@ def test_key_matrix_cloud_blockage_zeroes_entries():
     a1 = zenith_access(STATIONS[0], 0, 3)
     a2 = zenith_access(STATIONS[1], 0, 3)
     km = build_key_matrix([a1, a2], STATIONS, OPTICS, TABLE1, T0, 12, cloud=grid)
-    assert not km.values[:, 0].any()
-    assert km.values[:, 1].all() or km.values[:3, 1].all()
+    values = dense(km)
+    assert not values[:, 0].any()
+    assert values[:, 1].all() or values[:3, 1].all()
 
 
 def test_key_matrix_validation():
@@ -311,7 +313,7 @@ def test_key_matrix_export_round_trip(tmp_path):
     assert len(lines) == 3
     m, name, start_utc, bits = lines[1].split(",")
     assert (m, name) == ("2", "B")
-    assert float(bits) == km.values[2, 1]
+    assert float(bits) == dense(km)[2, 1]
     assert "params_digest" in meta_path.read_text()
 
 
