@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import warnings
-from collections import defaultdict
 from datetime import datetime
 from itertools import repeat
 from pathlib import Path
@@ -75,32 +74,60 @@ def run_access(config: ScenarioConfig, out: Path, seed: int | None = None) -> di
     """Access-interval report: per-pass CSV plus a per-day duration summary."""
     out.mkdir(parents=True, exist_ok=True)
     accesses = compute_accesses(config)
+    step = config.step_seconds
+    # every pass's samples, pass after pass; pass p starts at first[p]
+    times = [iv.time_us for iv in accesses] or [np.zeros(0, np.int64)]
+    sizes = np.array([len(iv.time_us) for iv in accesses], dtype=np.int64)
+    first = np.cumsum(sizes) - sizes
+    start_us = np.concatenate(times)[first]
+    end_us = np.array([_to_us(iv.end) for iv in accesses], dtype=np.int64)
+    # (end - start).total_seconds(): the microseconds, divided exactly rounded
+    durations = ((end_us - start_us) / 1e6).tolist()
     # one chunk: a pass's samples outweigh its row of text
     write_csv(out / "access_intervals.csv",
               "station,start_utc,end_utc,duration_s,max_elevation_deg,min_range_km\n", [[
                   spelled([iv.station.name.encode() for iv in accesses]),
-                  iso_utc([_to_us(iv.start) for iv in accesses]),
-                  iso_utc([_to_us(iv.end) for iv in accesses]),
-                  fixed_point([iv.duration_seconds for iv in accesses], 1),
-                  fixed_point([iv.elevation_deg.max() for iv in accesses], 3),
-                  fixed_point([iv.slant_range_km.min() for iv in accesses], 3)]])
+                  iso_utc(start_us), iso_utc(end_us), fixed_point(durations, 1),
+                  fixed_point(np.maximum.reduceat(
+                      np.concatenate([iv.elevation_deg for iv in accesses] or [[]]), first), 3),
+                  fixed_point(np.minimum.reduceat(
+                      np.concatenate([iv.slant_range_km for iv in accesses] or [[]]), first), 3)]])
 
-    by_day: dict[str, list[AccessInterval]] = defaultdict(list)
-    for iv in accesses:
-        by_day[iv.start.date().isoformat()].append(iv)
-    daily_union = {day: union_duration_seconds(ivs, config.step_seconds)
-                   for day, ivs in sorted(by_day.items())}
+    # a pass counts on the UTC day it starts; sums run in pass order
+    days, day_of = np.unique(start_us // 86_400_000_000, return_inverse=True)
+    dates = np.datetime_as_string(days.astype("datetime64[D]")).tolist()
+    daily_sums = [0] * len(dates)
+    for day, duration in zip(day_of.tolist(), durations):
+        daily_sums[day] += duration
+    by_day = np.argsort(day_of, kind="stable")
+    union, per_day = _distinct_samples(np.concatenate([times[p] for p in by_day.tolist()] or times),
+                                       np.repeat(day_of[by_day], sizes[by_day]), len(dates))
+    daily_union = {date: count * step for date, count in zip(dates, per_day)}
     write_csv(out / "access_daily.csv", "date,station_sum_s,union_s\n", [[
-        spelled(list(daily_union)),
-        fixed_point([sum(iv.duration_seconds for iv in by_day[day]) for day in daily_union], 1),
-        fixed_point(list(daily_union.values()), 1)]])
+        spelled(dates), fixed_point(daily_sums, 1), fixed_point(list(daily_union.values()), 1)]])
     _write_manifest(out, "access", config, seed)
     return {
         "n_intervals": len(accesses),
-        "total_station_seconds": sum(iv.duration_seconds for iv in accesses),
-        "union_seconds": union_duration_seconds(accesses, config.step_seconds),
+        "total_station_seconds": sum(durations),
+        "union_seconds": union * step,
         "daily_union_seconds": daily_union,
     }
+
+
+def _distinct_samples(time_us: np.ndarray, group: np.ndarray,
+                      n_groups: int) -> tuple[int, list[int]]:
+    """The number of distinct sample times, and of distinct times within
+    each group, where group (0 .. n_groups - 1) never decreases along
+    time_us.  A stable sort keeps the samples of one time in group order,
+    so each (time, group) pair is a run of the sorted order."""
+    order = np.argsort(time_us, kind="stable")
+    t, g = time_us[order], group[order]
+    new_time = np.ones(len(t), dtype=bool)
+    new_time[1:] = t[1:] != t[:-1]
+    new_pair = new_time.copy()
+    new_pair[1:] |= g[1:] != g[:-1]
+    return (int(np.count_nonzero(new_time)),
+            np.bincount(g[new_pair], minlength=n_groups).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,18 @@ changes no faster than _SUN_SINE_RATE, and night needs it below the sine of
 the threshold.  So a skipped sample provably has elevation <= mask or the
 Sun at or above the threshold.  The union of the kept samples is then
 walked in fixed-size blocks; per block the propagation, GMST and the
-Earth-fixed satellite position are shared by every station, and the Sun's
-RA/Dec is computed where any station has the satellite above the up floor.
-Per station the vertical component covers only its own candidates: range,
-elevation and solar elevation are evaluated above that floor, and azimuth
-only on usable samples.  Each value is the same elementwise formula at the
-same time as on the full grid, so the results are bit-identical to it.
+Earth-fixed satellite position are shared by every station.  In a block,
+each station's own candidates are (station, sample) pairs, taken station
+by station in runs of stations that hold at most _BLOCK_SAMPLES pairs
+between them; a run's pairs go through one set of numpy calls, with its
+stations' constants (_site) repeated over their pairs (a station with
+_ALONE_SAMPLES pairs or more is a run of its own and keeps them as
+floats).  The vertical component covers every pair, range and elevation
+the pairs above the up floor, solar elevation the pairs above the mask,
+and azimuth the usable ones; the Sun's RA/Dec is computed once per block,
+where some pair is above the mask.  Each value is the same elementwise
+formula at the same time as on the full grid, so the results are
+bit-identical to it.
 """
 from __future__ import annotations
 
@@ -48,6 +54,10 @@ _J2000_JD = 2451545.0
 # Samples per block in compute_access_windows: a week at 1 s is 37 blocks,
 # so the propagation temporaries stay near a megabyte each.
 _BLOCK_SAMPLES = 16384
+# Candidates of one station in a block from which it is taken alone, with
+# float constants: repeating them over this many (station, sample) pairs
+# costs more than the numpy calls a run of stations shares.
+_ALONE_SAMPLES = 2048
 # Coarse grid step (s) of the pass screen in compute_access_windows.
 _SCREEN_SECONDS = 60.0
 # Slack (km) in the screen's bound on the vertical component, for rounding
@@ -81,6 +91,8 @@ class TleError(ValueError):
 
 
 def _as_utc(t: datetime) -> datetime:
+    if t.tzinfo is timezone.utc:
+        return t
     if t.tzinfo is None:
         return t.replace(tzinfo=timezone.utc)
     return t.astimezone(timezone.utc)
@@ -419,11 +431,12 @@ def _sun_radec(unix) -> tuple[np.ndarray, np.ndarray]:
     return ra, dec
 
 
-def _sun_elevation_arrays(station: GroundStation, gmst, ra, dec) -> np.ndarray:
-    """Solar elevation (deg) from GMST (deg) and the Sun's RA/Dec (rad)."""
-    sin_lat, cos_lat, _, _ = _lat_lon_trig(station)
-    h = np.radians(gmst + station.longitude_deg) - ra
-    sin_alt = sin_lat * np.sin(dec) + cos_lat * np.cos(dec) * np.cos(h)
+def _sun_elevation_arrays(site, gmst, ra, sin_dec, cos_dec) -> np.ndarray:
+    """Solar elevation (deg) at a _site from GMST (deg), the Sun's right
+    ascension (rad) and the sine and cosine of its declination."""
+    sin_lat, cos_lat, _, _, longitude_deg = site[3:8]
+    h = np.radians(gmst + longitude_deg) - ra
+    sin_alt = sin_lat * sin_dec + cos_lat * cos_dec * np.cos(h)
     return np.degrees(np.arcsin(np.clip(sin_alt, -1.0, 1.0)))
 
 
@@ -433,7 +446,9 @@ def sun_elevation(station: GroundStation, t: datetime) -> float:
     if not 1950 <= t.year <= 2100:
         raise ValueError(f"time {t.isoformat()} outside supported years 1950-2100")
     u = _to_unix(t)
-    return float(_sun_elevation_arrays(station, _gmst_deg(u), *_sun_radec(u)))
+    ra, dec = _sun_radec(u)
+    return float(_sun_elevation_arrays(_site(station), _gmst_deg(u), ra,
+                                       np.sin(dec), np.cos(dec)))
 
 
 def _lat_lon_trig(station: GroundStation) -> tuple[float, float, float, float]:
@@ -449,6 +464,16 @@ def _station_ecef_km(station: GroundStation) -> np.ndarray:
     return r * np.array([cos_lat * cos_lon, cos_lat * sin_lon, sin_lat])
 
 
+def _site(station: GroundStation) -> tuple[float, ...]:
+    """The constants of the topocentric formulas below, which read them by
+    position: the station's Earth-fixed x, y, z (km), the sine and cosine of
+    its latitude, then of its longitude, and its longitude (deg).  The
+    formulas take them as floats for one station, or as rows of per-sample
+    columns for many, and ignore any values after them."""
+    return (*_station_ecef_km(station).tolist(), *_lat_lon_trig(station),
+            station.longitude_deg)
+
+
 def _earth_fixed(pos_eci: np.ndarray, gmst) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Earth-fixed x, y, z (km) of ECI positions, rotated by GMST (deg)."""
     theta = np.radians(gmst)
@@ -458,15 +483,14 @@ def _earth_fixed(pos_eci: np.ndarray, gmst) -> tuple[np.ndarray, np.ndarray, np.
             pos_eci[..., 2])
 
 
-def _offsets(ecef, station: GroundStation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Station-to-satellite vector (km) in Earth-fixed axes."""
-    st = _station_ecef_km(station)
-    return ecef[0] - st[0], ecef[1] - st[1], ecef[2] - st[2]
+def _offsets(ecef, site) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Site-to-satellite vector (km) in Earth-fixed axes."""
+    return ecef[0] - site[0], ecef[1] - site[1], ecef[2] - site[2]
 
 
-def _up_km(d, station: GroundStation) -> np.ndarray:
-    """Component of the station-to-satellite vector along the local vertical."""
-    sin_lat, cos_lat, sin_lon, cos_lon = _lat_lon_trig(station)
+def _up_km(d, site) -> np.ndarray:
+    """Component of the site-to-satellite vector along the local vertical."""
+    sin_lat, cos_lat, sin_lon, cos_lon = site[3:7]
     return cos_lat * cos_lon * d[0] + cos_lat * sin_lon * d[1] + sin_lat * d[2]
 
 
@@ -476,9 +500,9 @@ def _elevation_range(d, up) -> tuple[np.ndarray, np.ndarray]:
     return np.degrees(np.arcsin(np.clip(up / rng, -1.0, 1.0))), rng
 
 
-def _azimuth(d, station: GroundStation) -> np.ndarray:
-    """Azimuth (deg, clockwise from north) of the station-to-satellite vector."""
-    sin_lat, cos_lat, sin_lon, cos_lon = _lat_lon_trig(station)
+def _azimuth(d, site) -> np.ndarray:
+    """Azimuth (deg, clockwise from north) of the site-to-satellite vector."""
+    sin_lat, cos_lat, sin_lon, cos_lon = site[3:7]
     east = -sin_lon * d[0] + cos_lon * d[1]
     north = -sin_lat * cos_lon * d[0] - sin_lat * sin_lon * d[1] + cos_lat * d[2]
     return np.mod(np.degrees(np.arctan2(east, north)), 360.0)
@@ -486,9 +510,10 @@ def _azimuth(d, station: GroundStation) -> np.ndarray:
 
 def _look_arrays(ecef, station: GroundStation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elevation/azimuth (deg) and slant range (km) for Earth-fixed positions."""
-    d = _offsets(ecef, station)
-    elev, rng = _elevation_range(d, _up_km(d, station))
-    return elev, _azimuth(d, station), rng
+    site = _site(station)
+    d = _offsets(ecef, site)
+    elev, rng = _elevation_range(d, _up_km(d, site))
+    return elev, _azimuth(d, site), rng
 
 
 def look_angles(state: SatelliteState, station: GroundStation,
@@ -715,7 +740,8 @@ def _screen(source, stations, u0: float, step_seconds: float, count: int,
     reach = 0.5 * _speed_bound(source)[0] * seconds + _SCREEN_MARGIN_KM
     kept = np.empty((len(stations), len(seconds)), dtype=bool)
     for row, station, floor in zip(kept, stations, floors):
-        up = _up_km(_offsets(ecef, station), station)
+        site = _site(station)
+        up = _up_km(_offsets(ecef, site), site)
         np.greater(0.5 * (up[:-1] + up[1:]) + reach, floor, out=row)
     if night_threshold_deg < 90.0:
         _drop_daylight(kept, stations, t, gmst, seconds, night_threshold_deg)
@@ -729,6 +755,38 @@ def _screen(source, stations, u0: float, step_seconds: float, count: int,
         mine.append(_expand_runs(np.searchsorted(candidates, starts),
                                  lengths).astype(np.int32))
     return candidates, mine
+
+
+def _station_runs(counts: list[int]):
+    """The stations with candidates in a block (counts[s] of them for
+    station s), in config order, cut into runs of at most _BLOCK_SAMPLES
+    candidates between them; yields (stations, counts) per run.  A station
+    with _ALONE_SAMPLES or more is a run of its own."""
+    run: list[int] = []
+    held: list[int] = []
+    total = 0
+    for station, count in enumerate(counts):
+        if not count:
+            continue
+        if count >= _ALONE_SAMPLES:
+            yield [station], [count]
+            continue
+        if total + count > _BLOCK_SAMPLES:
+            yield run, held
+            run, held, total = [], [], 0
+        run.append(station)
+        held.append(count)
+        total += count
+    if run:
+        yield run, held
+
+
+def _counts_within(picked: np.ndarray, counts) -> list[int]:
+    """How many of the sorted positions `picked` fall in each of the
+    consecutive spans of the given lengths."""
+    if len(counts) == 1:
+        return [len(picked)]
+    return np.diff(np.searchsorted(picked, np.cumsum(counts)), prepend=0).tolist()
 
 
 def sample_count(seconds: float, step_seconds: float) -> int:
@@ -758,8 +816,9 @@ def compute_access_windows(source: TleElements | Ephemeris,
 
     The span is screened on a coarse grid, then the candidate samples are
     walked in blocks of _BLOCK_SAMPLES with the geometry shared across
-    stations, as the module docstring describes.  With a negative mask,
-    every candidate counts as above the horizon.
+    stations, and within a block the stations' candidates in station runs of
+    at most _BLOCK_SAMPLES (station, sample) pairs, as the module docstring
+    describes.  With a negative mask, no pair is dropped at the up floor.
 
     Args:
         source: TLE mean elements or a precomputed Ephemeris.
@@ -790,59 +849,105 @@ def compute_access_windows(source: TleElements | Ephemeris,
     floors = _up_floors(source, stations, elevation_mask_deg)
     candidates, mine = _screen(source, stations, u0, step_seconds, count, floors,
                                night_threshold_deg, locate)
+    # per station its _site, then its up floor: floats for a run of one
+    # station, else repeated over the run's station-major pairs
+    sites = [(*_site(station), floor) for station, floor in zip(stations, floors)]
+    table = np.array(sites).T.copy()
+
+    def spread(run: list[int], counts):
+        return sites[run[0]] if len(run) == 1 else np.repeat(table[:, run], counts, axis=1)
+
+    # where each station's candidates enter each block
+    bounds = np.arange(0, len(candidates) + _BLOCK_SAMPLES, _BLOCK_SAMPLES)
+    edges = [np.searchsorted(own, bounds).tolist() for own in mine]
     # per station: (sample index, elevation, azimuth, range) of usable samples
     found: list[list[tuple[np.ndarray, ...]]] = [[] for _ in stations]
-    for lo in range(0, len(candidates), _BLOCK_SAMPLES):
+
+    # a function, so that one block's arrays are gone before the next's
+    def usable_in_block(k: int, lo: int) -> None:
         index = candidates[lo:lo + _BLOCK_SAMPLES]
         block = u0 + step_seconds * index
         pos = locate(block)
         gmst = _gmst_deg(block)
-        ecef = _earth_fixed(pos, gmst)
+        ecef = np.stack(_earth_fixed(pos, gmst))
 
-        # per station, its candidates above its up floor (elevation > mask >= 0
-        # needs up > floor, a negative mask takes them all); the Sun only
-        # where some station has one
-        above = []
+        # per run of stations, range and elevation of its (station, sample)
+        # pairs above their station's up floor (elevation > mask >= 0 needs
+        # up > floor, a negative mask takes them all) and above the mask;
+        # the Sun only where some pair is
+        held = []
         seen = np.zeros(len(block), dtype=bool)
-        for station, own, floor in zip(stations, mine, floors):
-            near = own[np.searchsorted(own, lo):np.searchsorted(own, lo + len(block))] - lo
-            if elevation_mask_deg >= 0.0:
-                near = near[_up_km(_offsets(tuple(c[near] for c in ecef), station),
-                                   station) > floor]
+        for run, counts in _station_runs([e[k + 1] - e[k] for e in edges]):
+            near = np.concatenate([mine[s][edges[s][k]:edges[s][k + 1]]
+                                   for s in run]).astype(np.intp) - lo
+            site = spread(run, counts)
+            d = _offsets(np.take(ecef, near, axis=1), site)
+            up = _up_km(d, site)
+            keep = (np.flatnonzero(up > site[-1]) if elevation_mask_deg >= 0.0
+                    else np.arange(len(up)))
+            elev, rng = _elevation_range(tuple(c[keep] for c in d), up[keep])
+            over = np.flatnonzero(elev > elevation_mask_deg)
+            keep = keep[over]
+            near = near[keep]
             seen[near] = True
-            above.append(near)
+            held.append((run, _counts_within(keep, counts), near, elev[over], rng[over]))
         need = np.flatnonzero(seen)
+        rank = np.cumsum(seen) - 1  # of each seen sample in need
         ra, dec = _sun_radec(block[need])
+        sin_dec, cos_dec = np.sin(dec), np.cos(dec)
         umbra = _umbra_mask(pos[need], ra, dec) if require_umbra else None
 
-        for station, chunks, near in zip(stations, found, above):
-            d = _offsets(tuple(c[near] for c in ecef), station)
-            elev, rng = _elevation_range(d, _up_km(d, station))
-            at = np.searchsorted(need, near)
-            usable = (elev > elevation_mask_deg) & (_sun_elevation_arrays(
-                station, gmst[near], ra[at], dec[at]) < night_threshold_deg)
+        for run, counts, near, elev, rng in held:
+            at = rank[near]
+            usable = _sun_elevation_arrays(spread(run, counts), gmst[near], ra[at],
+                                           sin_dec[at], cos_dec[at]) < night_threshold_deg
             if umbra is not None:
                 usable &= umbra[at]
-            if usable.any():
-                chunks.append((index[near[usable]], elev[usable],
-                               _azimuth(tuple(c[usable] for c in d), station),
-                               rng[usable]))
+            use = np.flatnonzero(usable)
+            if not use.size:
+                continue
+            counts = _counts_within(use, counts)
+            site = spread(run, counts)
+            near = near[use]
+            azim = _azimuth(_offsets(np.take(ecef, near, axis=1), site), site)
+            ends = np.cumsum(counts).tolist()
+            for s, k0, k1 in zip(run, [0, *ends], ends):
+                if k1 > k0:
+                    found[s].append((index[near[k0:k1]], elev[use[k0:k1]],
+                                     azim[k0:k1], rng[use[k0:k1]]))
 
-    intervals: list[AccessInterval] = []
-    for station, chunks in zip(stations, found):
-        if not chunks:
-            continue
-        index, elev, azim, rng = (np.concatenate(col) for col in zip(*chunks))
-        unix = u0 + step_seconds * index
-        time_us = _unix_to_us(unix)
-        cuts = [0, *(np.flatnonzero(np.diff(index) != 1) + 1).tolist(), len(index)]
-        for k0, k1 in zip(cuts, cuts[1:]):
-            intervals.append(AccessInterval(
-                station=station,
-                start=_from_us(int(time_us[k0])),
-                end=_from_unix(float(unix[k1 - 1]) + step_seconds),
-                step_seconds=step_seconds,
-                time_us=time_us[k0:k1], elevation_deg=elev[k0:k1],
-                azimuth_deg=azim[k0:k1], slant_range_km=rng[k0:k1]))
-    intervals.sort(key=lambda iv: iv.start)
+    for k, lo in enumerate(bounds[:-1].tolist()):
+        usable_in_block(k, lo)
+    return _passes(stations, found, u0, step_seconds)
+
+
+def _passes(stations: Sequence[GroundStation], found: list[list[tuple[np.ndarray, ...]]],
+            u0: float, step_seconds: float) -> list[AccessInterval]:
+    """One AccessInterval per run of consecutive sample indices of one
+    station in `found` (per station, its (sample index, elevation, azimuth,
+    range) columns in index order), stably sorted by start, so that ties
+    keep station order.  Sample i is at u0 + step_seconds * i."""
+    chunks = [(station, chunk) for station, own in enumerate(found) for chunk in own]
+    if not chunks:
+        return []
+    owner = np.repeat([station for station, _ in chunks], [len(c[0]) for _, c in chunks])
+    index, elev, azim, rng = (np.concatenate(col) for col in zip(*(c for _, c in chunks)))
+    unix = u0 + step_seconds * index
+    time_us = _unix_to_us(unix)
+    cut = np.ones(len(index), dtype=bool)
+    cut[1:] = (np.diff(index) != 1) | (np.diff(owner) != 0)
+    first = np.flatnonzero(cut)
+    stop = np.append(first[1:], len(index))
+    start_us = time_us[first]
+    ends = (unix[stop - 1] + step_seconds).tolist()
+    who = owner[first].tolist()
+    spans = list(zip(first.tolist(), stop.tolist(), start_us.tolist()))
+    intervals = []
+    for p in np.argsort(start_us, kind="stable").tolist():
+        k0, k1, us = spans[p]
+        intervals.append(AccessInterval(
+            station=stations[who[p]], start=_from_us(us), end=_from_unix(ends[p]),
+            step_seconds=step_seconds,
+            time_us=time_us[k0:k1], elevation_deg=elev[k0:k1],
+            azimuth_deg=azim[k0:k1], slant_range_km=rng[k0:k1]))
     return intervals

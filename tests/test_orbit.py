@@ -581,7 +581,7 @@ def exact_form(intervals):
             for iv in intervals]
 
 
-def seeded_stations(seed: int) -> list[GroundStation]:
+def seeded_stations(seed: int, others: int = 7) -> list[GroundStation]:
     """Poles, the +-180 deg meridian, a 3000 m site and seeded others."""
     rng = np.random.default_rng(seed)
     fixed = [GroundStation("north-pole", 90.0, 0.0),
@@ -591,7 +591,7 @@ def seeded_stations(seed: int) -> list[GroundStation]:
              GroundStation("high", 32.3, 80.0, 3000.0)]
     seeded = [GroundStation(f"s{k}", math.degrees(math.asin(rng.uniform(-1.0, 1.0))),
                             rng.uniform(-180.0, 180.0), rng.uniform(0.0, 3000.0))
-              for k in range(7)]
+              for k in range(others)]
     return fixed + seeded
 
 
@@ -672,6 +672,70 @@ def test_access_matches_oracle_with_fractional_times(monkeypatch, step):
                              span, step, 10.0, 91.0, False, block=4099)
 
 
+@pytest.mark.parametrize("umbra,alone", [(False, None), (True, 40)],
+                         ids=["night-runs", "umbra-alone"])
+@pytest.mark.parametrize("mask", [10.0, -5.0])
+@pytest.mark.parametrize("kind", ["tle", "ephemeris"])
+def test_access_matches_oracle_with_many_stations(monkeypatch, kind, mask, umbra, alone):
+    # 105 stations in blocks of 997 samples: a block holds several runs of
+    # stations, of at most 997 (station, sample) pairs between them, and a
+    # station's candidates span several blocks; with `alone`, a station with
+    # that many candidates in a block is a run of its own
+    span = (EPOCH + timedelta(hours=15, seconds=3), EPOCH + timedelta(hours=21))
+    runs = []
+
+    def recorded(counts):
+        for run, held in station_runs(counts):
+            assert sum(held) <= orbit._BLOCK_SAMPLES
+            runs.append(len(run))
+            yield run, held
+        runs.append(0)  # the end of a block
+
+    station_runs = orbit._station_runs
+    monkeypatch.setattr(orbit, "_station_runs", recorded)
+    if alone is not None:
+        monkeypatch.setattr(orbit, "_ALONE_SAMPLES", alone)
+    assert_matches_reference(monkeypatch, tle_or_ephemeris(kind, span),
+                             seeded_stations(11, 100), span, 10.0, mask, -6.0, umbra,
+                             block=997)
+    blocks = " ".join(map(str, runs)).split(" 0")
+    assert len(blocks) > 2 and max(runs) > 1
+    assert any(len(block.split()) > 1 for block in blocks)
+    assert alone is None or 1 in runs
+
+
+@pytest.mark.parametrize("step", [10.0, 1.0])
+def test_stations_at_one_site_keep_config_order(step):
+    # at 1 s each station holds more than _ALONE_SAMPLES candidates per block
+    site = dict(latitude_deg=39.90, longitude_deg=116.40, altitude_m=44.0)
+    stations = [GroundStation("B", **site), GroundStation("Urumqi", 43.8, 87.6),
+                GroundStation("A", **site)]
+    got = compute_access_windows(parse_tle(MICIUS_TLE), stations,
+                                 (EPOCH + timedelta(hours=14), EPOCH + timedelta(hours=46)),
+                                 step_seconds=step)
+    shared = [iv for iv in got if iv.station.name != "Urumqi"]
+    assert len(shared) >= 4
+    assert [iv.station.name for iv in shared] == ["B", "A"] * (len(shared) // 2)
+    for b, a in zip(shared[::2], shared[1::2]):
+        assert exact_form([b])[0][1:] == exact_form([a])[0][1:]
+
+
+def test_passes_are_cut_where_the_station_changes():
+    # station a's samples 5..7 run straight into station b's 8..9
+    stations = [GroundStation("a", 0.0, 0.0), GroundStation("b", 1.0, 1.0)]
+
+    def chunk(*index):
+        return (np.array(index),) + (np.array(index, dtype=float),) * 3
+
+    got = orbit._passes(stations, [[chunk(5, 6, 7)], [chunk(8, 9), chunk(11)]],
+                        EPOCH.timestamp(), 10.0)
+    assert [(iv.station.name, iv.elevation_deg.tolist(), iv.end - iv.start)
+            for iv in got] == [("a", [5.0, 6.0, 7.0], timedelta(seconds=30)),
+                               ("b", [8.0, 9.0], timedelta(seconds=20)),
+                               ("b", [11.0], timedelta(seconds=10))]
+    assert got[1].start == EPOCH + timedelta(seconds=80)
+
+
 # ---------------------------------------------------------------------------
 # The coarse pass screen
 # ---------------------------------------------------------------------------
@@ -700,8 +764,9 @@ def up_km_on(source, station, unix):
     pos = (source.positions_at(unix) if isinstance(source, Ephemeris)
            else orbit._propagate_arrays(source, unix)[0])
     ecef = orbit._earth_fixed(pos, orbit._gmst_deg(unix))
-    d = orbit._offsets(ecef, station)
-    return orbit._up_km(d, station), np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
+    site = orbit._site(station)
+    d = orbit._offsets(ecef, site)
+    return orbit._up_km(d, site), np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
 
 
 BOUND_SOURCES = pytest.mark.parametrize("source", [
@@ -744,9 +809,14 @@ def test_radius_floor_of_an_ephemeris_finds_a_segment_nearer_than_its_ends():
     assert floor <= np.linalg.norm(mid)
 
 
+def sun_elevations(station, unix):
+    ra, dec = orbit._sun_radec(unix)
+    return orbit._sun_elevation_arrays(orbit._site(station), orbit._gmst_deg(unix), ra,
+                                       np.sin(dec), np.cos(dec))
+
+
 def sun_sines(station, unix):
-    return np.sin(np.radians(orbit._sun_elevation_arrays(
-        station, orbit._gmst_deg(unix), *orbit._sun_radec(unix))))
+    return np.sin(np.radians(sun_elevations(station, unix)))
 
 
 def test_sun_sine_changes_no_faster_than_its_bound():
@@ -776,8 +846,7 @@ def test_daylight_gaps_have_the_sun_at_or_above_the_threshold(night):
                          step * np.diff(coarse), night)
     unix = u0 + step * np.arange(86400)
     for station, row in zip(stations, kept):
-        sun = orbit._sun_elevation_arrays(station, orbit._gmst_deg(unix),
-                                          *orbit._sun_radec(unix))
+        sun = sun_elevations(station, unix)
         for j in np.flatnonzero(~row):
             assert sun[coarse[j]:coarse[j + 1] + 1].min() >= night
         # the gaps with the Sun below the threshold somewhere stay
