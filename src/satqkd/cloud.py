@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from stat import S_ISREG
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 
 import numpy as np
@@ -24,9 +24,10 @@ from .output import open_new
 
 TIME_STEP_SECONDS = 600
 MAX_INDEX = 150
-# text read and parsed at a time by load_cloud_grid: at 64 KiB the parse's
-# temporaries (about 32 bytes per byte of text) stay near 2 MB, which the
-# allocator reuses from chunk to chunk and from load to load
+# characters of text read and parsed at a time by load_cloud_grid: at 64 KiB
+# the chunk and its parse's temporaries (about 21 bytes per byte of text) stay
+# near 1.4 MB, which the allocator reuses from chunk to chunk and from load to
+# load; 256 KiB parsed no faster
 _CHUNK_BYTES = 1 << 16
 # bytes of text parsed as an array, ASCII digits and what str.split() splits
 # on; other bytes go through int()
@@ -57,6 +58,23 @@ class CloudGrid:
     frames: np.ndarray = field(repr=False)  # (n_frames, n_lat, n_lon) ints
 
     def __post_init__(self):
+        self._check_header()
+        error = _out_of_range(self.frames.ravel(), 0, self.frames.shape)
+        if error is not None:
+            raise error
+
+    @classmethod
+    def _adopt(cls, *values) -> "CloudGrid":
+        """The grid of these field values, checked as the constructor checks
+        them but for the cell range, which the loader checked chunk by chunk."""
+        grid = cls.__new__(cls)
+        for name, value in zip((f.name for f in fields(cls)), values, strict=True):
+            object.__setattr__(grid, name, value)
+        grid._check_header()
+        return grid
+
+    def _check_header(self) -> None:
+        """time_start made UTC; the frames' shape checked against the axes."""
         object.__setattr__(self, "time_start", _as_utc(self.time_start))
         f = self.frames
         if f.ndim != 3 or f.shape[0] < 1:
@@ -72,9 +90,6 @@ class CloudGrid:
                 name = ("lat", "lon")[axis]
                 raise ValueError(
                     f"{name} header mismatch: {lo} + {count - 1}*{step} != {hi}")
-        error = _out_of_range(f.ravel(), 0, f.shape)
-        if error is not None:
-            raise error
 
     @property
     def n_frames(self) -> int:
@@ -84,7 +99,8 @@ class CloudGrid:
 def load_cloud_grid(path) -> CloudGrid:
     """Parse and fully validate a cloud grid file.
 
-    Cells are parsed a chunk of lines at a time, range-checked and stored
+    The body is read _CHUNK_BYTES characters at a time, each chunk cut after
+    its last newline; its cells are parsed, range-checked and stored
     straight into the int16 grid, so the whole file is never held as one
     Python string or one int64 per cell.  A chunk of ASCII digits and
     whitespace is parsed from its bytes; any other chunk goes token by token
@@ -109,13 +125,12 @@ def load_cloud_grid(path) -> CloudGrid:
         fits = 0 <= expected and (expected <= st.st_size or not S_ISREG(st.st_mode))
         flat = np.empty(expected if fits else 0, dtype=np.int16)
         found, error, outside = 0, None, None
-        while lines := fh.readlines(_CHUNK_BYTES):
-            text = "".join(lines)
-            tokens = _digit_cells(text)
-            if tokens is None:
-                tokens = text.split()
+        for text in _lines_in_chunks(fh):
+            cells = _digit_cells(text)
+            tokens = text.split() if cells is None else cells
             if error is None and found + len(tokens) <= flat.size:
-                cells = _parse_cells(tokens, found, shape)
+                if cells is None:
+                    cells = _parse_cells(tokens, found, shape)
                 if isinstance(cells, ValueError):
                     error = cells
                 elif outside is None:
@@ -127,8 +142,24 @@ def load_cloud_grid(path) -> CloudGrid:
                          f"({n_frames}x{n_lat}x{n_lon}), found {found}")
     if error is not None or outside is not None:
         raise error or outside
-    return CloudGrid(lat_min, lat_max, lon_min, lon_max, lat_step, lon_step,
-                     time_start, flat.reshape(shape))
+    return CloudGrid._adopt(lat_min, lat_max, lon_min, lon_max, lat_step, lon_step,
+                            time_start, flat.reshape(shape))
+
+
+def _lines_in_chunks(fh):
+    """The rest of text file fh in whole lines, about _CHUNK_BYTES characters
+    at a time: each read is cut after its last newline and the tail carried
+    into the next (a line longer than a read is read on until it ends)."""
+    head = ""
+    while chunk := fh.read(_CHUNK_BYTES):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield head + chunk[:cut]
+            head = chunk[cut:]
+        else:
+            head += chunk
+    if head:
+        yield head
 
 
 def _digit_cells(text: str) -> np.ndarray | None:
@@ -145,26 +176,31 @@ def _digit_cells(text: str) -> np.ndarray | None:
     if not (digit | (raw == ord(" ")) | (raw == ord("\n"))).all() and \
             not _ARRAY_BYTE[raw].all():
         return None
-    first, last = digit.copy(), digit.copy()
-    first[1:] &= ~digit[:-1]
-    last[:-1] &= ~digit[1:]
-    stops = np.flatnonzero(last)
-    widths = stops - np.flatnonzero(first) + 1
+    # the digit mask changes at each token's first digit and after its last:
+    # with a non-digit on either side, even edges start tokens, odd ones end them
+    padded = np.zeros(len(raw) + 2, dtype=bool)
+    padded[1:-1] = digit
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    widths = edges[1::2] - edges[0::2]
     longest = widths.max(initial=0)
     if longest > _MAX_DIGITS:
         return None
     # add the digits place by place, from the units up; a narrower token's
     # index may land outside it, even before the text, and is masked out
-    cells = np.zeros(len(stops), dtype=np.int16 if longest <= 4 else np.int64)
-    for place in range(longest):
-        cells += np.where(widths > place, d[stops - place], 0) * cells.dtype.type(10 ** place)
+    at = edges[1::2] - 1
+    cells = d.take(at).astype(np.int16 if longest <= 4 else np.int64)
+    for place in range(1, longest):
+        at -= 1
+        figure = d.take(at)
+        figure *= widths > place
+        cells += figure * cells.dtype.type(10 ** place)
     return cells
 
 
-def _parse_cells(tokens, start: int,
+def _parse_cells(tokens: list[str], start: int,
                  shape: tuple[int, int, int]) -> np.ndarray | ValueError:
-    """Tokens (strings, or integers parsed already) as int64, each as int()
-    parses it; or the error of the first bad token, cells from start on."""
+    """Tokens as int64, each as int() parses it; or the error of the first
+    bad token, cells from start on."""
     try:
         return np.asarray(tokens, dtype=np.int64)
     except ValueError as exc:

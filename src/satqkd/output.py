@@ -70,9 +70,15 @@ def row_chunks(n_rows: int) -> Iterator[slice]:
 def _figures(r: np.ndarray, width: int, shown: int = 1) -> np.ndarray:
     """The width low decimal digits of each int64 in r >= 0 as ASCII, one row
     each; a leading zero is NUL unless it is one of the last shown."""
-    places = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    figures = (r[:, None] // places % 10).astype(np.uint8) + ord("0")
-    figures[:, :width - shown] *= r[:, None] >= places[:width - shown]
+    figures = np.empty((len(r), width), np.uint8)
+    q = r
+    for j in range(width - 1, -1, -1):  # a scalar divisor: numpy's fast integer division
+        lower = q // 10
+        figures[:, j] = q - lower * 10
+        q = lower
+    figures += ord("0")
+    for j in range(width - shown):
+        figures[:, j] *= r >= 10 ** (width - 1 - j)
     return figures
 
 

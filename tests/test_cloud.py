@@ -116,6 +116,28 @@ def test_header_extent_mismatch_detected():
                   frames=np.zeros((1, 2, 3), dtype=np.int16))
 
 
+@pytest.mark.parametrize("header,needle", [
+    ("30 32 100 102 1 1 2016-09-23T00:00:00+00:00 1 2 3", "lat header mismatch"),
+    ("30 31 100 102 1 0.5 2016-09-23T00:00:00+00:00 1 2 3", "lon header mismatch"),
+    ("30 31 100 102 1 -1 2016-09-23T00:00:00+00:00 1 2 3", "grid steps must be positive"),
+])
+def test_loaded_header_checked_as_the_constructor_checks_it(tmp_path, header, needle):
+    path = tmp_path / "header.txt"
+    write_grid_text(path, header + "\n0 10 20\n30 40 50\n")
+    with pytest.raises(ValueError, match=needle):
+        load_cloud_grid(path)
+    assert load_outcome(load_cloud_grid, path) == load_outcome(oracle_load_cloud_grid, path)
+
+
+@pytest.mark.parametrize("stamp", ["2016-09-23T08:00:00+08:00", "2016-09-23T00:00:00",
+                                   "2016-09-23T00:00:00Z"])
+def test_loaded_time_start_is_utc(tmp_path, stamp):
+    path = tmp_path / "zone.txt"
+    write_grid_text(path, f"30 31 100 102 1 1 {stamp} 1 2 3\n0 10 20\n30 40 50\n")
+    time_start = load_cloud_grid(path).time_start
+    assert time_start.tzinfo is UTC and time_start == T0
+
+
 @pytest.mark.parametrize("token,needle", [
     ("151", r"cloud value 151 outside \[0, 150\] at frame 0, lat row 1, lon col 1"),
     ("-1", r"cloud value -1 outside .* at frame 0, lat row 1, lon col 1"),
@@ -166,9 +188,12 @@ def big_cells() -> list[str]:
     return [str(v) for v in rng.integers(0, 151, size=math.prod(BIG_SHAPE))]
 
 
+def big_rows(cells: list[str], per_row: int = BIG_SHAPE[2]) -> list[str]:
+    return [" ".join(cells[r:r + per_row]) for r in range(0, len(cells), per_row)]
+
+
 def write_big_grid(path, cells: list[str]) -> None:
-    rows = [" ".join(cells[r:r + BIG_SHAPE[2]]) for r in range(0, len(cells), BIG_SHAPE[2])]
-    write_grid_text(path, BIG_HEADER + "\n".join(rows) + "\n")
+    write_grid_text(path, BIG_HEADER + "\n".join(big_rows(cells)) + "\n")
 
 
 @pytest.fixture(params=[None, 4096], ids=["default-chunk", "4KiB-chunk"])
@@ -314,6 +339,48 @@ def test_byte_parser_agrees_with_int_parser(tmp_path, chunk_bytes):
                                                                    path)
 
     check()
+
+
+# the body is read in chunks of _CHUNK_BYTES characters cut after their last
+# newline: lines longer than a chunk, other line ends, no final newline and a
+# chunk that ends on a newline load as the line-by-line oracle loads them
+
+def assert_loads_as_oracle(path, shape) -> None:
+    outcome = load_outcome(load_cloud_grid, path)
+    assert outcome == load_outcome(oracle_load_cloud_grid, path)
+    assert outcome[0] == np.int16 and np.array(outcome[1]).shape == shape
+
+
+def test_frame_per_line_longer_than_a_chunk(tmp_path, chunk_bytes):
+    cells = big_cells()
+    rows = big_rows(cells, BIG_SHAPE[1] * BIG_SHAPE[2])
+    assert min(map(len, rows)) > cloud_module._CHUNK_BYTES
+    (tmp_path / "frames.txt").write_bytes((BIG_HEADER + "\n".join(rows) + "\n").encode())
+    assert_loads_as_oracle(tmp_path / "frames.txt", BIG_SHAPE)
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_carriage_return_line_ends(tmp_path, chunk_bytes, newline):
+    text = BIG_HEADER.replace("\n", newline) + newline.join(big_rows(big_cells()))
+    (tmp_path / "cr.txt").write_bytes((text + newline).encode())
+    assert_loads_as_oracle(tmp_path / "cr.txt", BIG_SHAPE)
+
+
+def test_last_line_without_newline(tmp_path, chunk_bytes):
+    body = "\n".join(big_rows(big_cells()))
+    (tmp_path / "open.txt").write_bytes((BIG_HEADER + body).encode())
+    assert_loads_as_oracle(tmp_path / "open.txt", BIG_SHAPE)
+
+
+def test_chunk_ending_on_a_newline(tmp_path, chunk_bytes):
+    # 16 characters a line, so every chunk of the body ends right after one
+    line = "1 22 3 4 150 70"
+    assert len(line) + 1 == 16 and cloud_module._CHUNK_BYTES % 16 == 0
+    n_lines = 3 * (1 << 16) // 16 + 5
+    shape = (1, 1, 6 * n_lines)
+    header = f"30 30 0 {shape[2] - 1} 1 1 2016-09-23T00:00:00+00:00 1 1 {shape[2]}\n"
+    (tmp_path / "even.txt").write_bytes((header + (line + "\n") * n_lines).encode())
+    assert_loads_as_oracle(tmp_path / "even.txt", shape)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,37 @@ def test_iso_utc_rejects_times_outside_datetime(time_us):
     with pytest.raises(OverflowError):
         iso_utc(time_us)
 
+
+# ---------------------------------------------------------------------------
+# the digit kernel against the broadcast formula it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_figures(r: np.ndarray, width: int, shown: int = 1) -> np.ndarray:
+    places = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    figures = (r[:, None] // places % 10).astype(np.uint8) + ord("0")
+    figures[:, :width - shown] *= r[:, None] >= places[:width - shown]
+    return figures
+
+
+def figure_inputs() -> np.ndarray:
+    """0, every power of ten in int64 and its neighbours, seeded values of
+    every length, and the largest int64."""
+    powers = [10 ** k + step for k in range(19) for step in (-1, 0, 1)]
+    rng = np.random.default_rng(11)
+    seeded = [int(rng.integers(0, 10 ** k)) for k in range(1, 19) for _ in range(8)]
+    seeded += rng.integers(0, 2**63 - 1, size=40, endpoint=True).tolist()
+    return np.array([0, *powers, *seeded, 2**63 - 1], dtype=np.int64)
+
+
+@pytest.mark.parametrize("width", range(1, 20))
+def test_figures_match_the_broadcast_formula(width):
+    r = figure_inputs()
+    for shown in range(1, width + 1):
+        got = output._figures(r, width, shown)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, oracle_figures(r, width, shown)), (width, shown)
+
+
 CONFIG = {
     "span": ["2016-09-19T14:00:00Z", "2016-09-19T20:00:00Z"],
     "strategy": {"ga": {"population": 20, "generations": 10}},
