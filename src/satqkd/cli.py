@@ -320,7 +320,7 @@ def run_schedule(config: ScenarioConfig, out: Path, seed: int | None = None,
     spd = solve_exact(matrix, weights=config.station_weights())
     try:
         std = solve_ga(matrix, std_cfg, seed_schedules=[sgd])
-    except MemoryError:  # numpy's _ArrayMemoryError, from either GA thread
+    except MemoryError:  # numpy's _ArrayMemoryError, at any generation
         raise ConfigError("strategy.ga.population", (
             f"{std_cfg.ga.population} schedules of {len(matrix.rows)} active "
             f"intervals do not fit in memory")) from None

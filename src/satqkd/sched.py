@@ -32,10 +32,8 @@ Solvers:
 Determinism: every solver is deterministic given its inputs (and the GA
 seed).  Value ties in solve_exact prefer IDLE, then lower node index.  A
 solve_ga generation's random numbers (a restart's population or breeding's
-draws) depend only on its index.  Above _PREFETCH_GENES genes per generation,
-they are drawn on a second thread while the generation before is scored and
-bred; they still come from the one generator in the same order, so the
-stream and every result are independent of thread timing.
+draws) depend only on its index: they come from the one generator, in
+generation order, on the calling thread.
 """
 from __future__ import annotations
 
@@ -337,11 +335,6 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
 # ---------------------------------------------------------------------------
 
 _GATHER_GENES = 65_536  # genes per row chunk of the GA's fitness gather
-# genes per generation (population x active intervals) from which the next
-# generation's draws run on a second thread; below it the hand-off between
-# the threads costs more than the draws it moves off the main one (the two
-# broke even near 40,000 genes on a 2-core x86 machine)
-_PREFETCH_GENES = 40_000
 
 
 def _expand(genes: np.ndarray, active: np.ndarray, starts: np.ndarray,
@@ -402,12 +395,13 @@ class _Archive:
     +inf, the first of the fittest.  The pick is kept as entries arrive: a
     new best fitness raises the band, so the whole archive is ranked again;
     otherwise the band only grows, and the new entry competes with the pick.
+    The columns double as entries arrive, so no generation count sizes them.
     """
 
-    def __init__(self, size: int, tolerance: float):
-        self.fits = np.empty(size)
-        self.kls = np.empty(size)
-        self.born = np.empty(size, dtype=np.int64)  # the generation recording each
+    def __init__(self, tolerance: float):
+        self.fits = np.empty(64)
+        self.kls = np.empty(64)
+        self.born = np.empty(64, dtype=np.int64)  # the generation recording each
         self.genes: list[np.ndarray] = []
         self.tolerance = tolerance
         self.top = -math.inf
@@ -415,6 +409,9 @@ class _Archive:
 
     def add(self, fit: float, kl: float, genes: np.ndarray, gen: int) -> None:
         i = len(self.genes)
+        if i == len(self.fits):
+            self.fits, self.kls, self.born = (np.concatenate((col, np.empty_like(col)))
+                                              for col in (self.fits, self.kls, self.born))
         self.fits[i], self.kls[i], self.born[i] = fit, kl, gen
         self.genes.append(genes)
         if fit > self.top:
@@ -536,7 +533,7 @@ def solve_ga(matrix, cfg: StrategyConfig,
 
     repair(pop)
 
-    archive = _Archive(2 * (ga.generations + 1), cfg.kl_tolerance)
+    archive = _Archive(cfg.kl_tolerance)
 
     def record(gen: int, fit: np.ndarray, band: np.ndarray, kl: np.ndarray) -> None:
         """Archive the fittest row and, with a band, its lowest-KL row."""
@@ -579,69 +576,56 @@ def solve_ga(matrix, cfg: StrategyConfig,
         at = np.flatnonzero(mut)
         return cand, trade, at, fresh.reshape(-1).take(at)
 
-    # imported here, as only the GA uses it: with the logging it imports it
-    # costs about 7 ms, which every command would otherwise pay at start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    prefetch = ga.population * n_active >= _PREFETCH_GENES
-    if prefetch:
-        # allocate and free, untouched, one block the size of the whole float
-        # mask.  glibc's dynamic mmap threshold rises to the largest block
-        # freed, and its heap is trimmed only past twice that; the chunked
-        # mask no longer raises it, and the main thread's per-generation
-        # temporaries would be returned to the system and faulted back every
-        # generation (97k minor faults, 0.3 s of one micius-week `schedule`)
-        np.empty(shape)
+    # allocate and free, untouched, one block the size of the whole float
+    # mask.  glibc's dynamic mmap threshold rises to the largest block freed,
+    # and its heap is trimmed only past twice that; the chunked mask no longer
+    # raises it, and in a long-lived process the per-generation temporaries
+    # could be returned to the system and faulted back every generation
+    np.empty(shape)
 
     stops = target is not None  # S-TD, once its pick has stood a restart period
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        upcoming = None  # this generation's draws, submitted a generation ago
-        for gen in range(ga.generations + 1):
-            fit, band, kl = score(pop)
-            record(gen, fit, band, kl)
-            if gen == ga.generations or (
-                    stops and archive.born[archive.pick] <= gen - ga.restart_after):
-                break
-            # stable: with an empty band, the fittest first, ties by index
-            elites = pop[np.lexsort((-fit, kl, ~band))[:ga.elitism]]
+    for gen in range(ga.generations + 1):
+        fit, band, kl = score(pop)
+        record(gen, fit, band, kl)
+        if gen == ga.generations or (
+                stops and archive.born[archive.pick] <= gen - ga.restart_after):
+            break
+        # stable: with an empty band, the fittest first, ties by index
+        elites = pop[np.lexsort((-fit, kl, ~band))[:ga.elitism]]
 
-            drawn = upcoming.result() if upcoming else draws(gen)
-            upcoming = (pool.submit(draws, gen + 1)
-                        if prefetch and gen + 1 < ga.generations else None)
-            if restarts(gen):
-                # cataclysmic restart: keep the elites, refresh everyone else
-                pop = drawn
-                repair(pop)
-                if ga.elitism:
-                    pop[:ga.elitism] = elites
-                continue
-            cand, trade, at, genes = drawn
-
-            # tournament selection, size 3; a fitness tie goes to the lower
-            # population index for S-TD, to the earlier candidate otherwise
-            def beats(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-                both = band[i] & band[j]
-                by_kl = np.where(kl[i] != kl[j], kl[i] < kl[j], fit[i] >= fit[j])
-                by_fit = np.where(fit[i] != fit[j], fit[i] > fit[j],
-                                  (i <= j) | (target is None))
-                return np.where(np.where(both, by_kl, by_fit), i, j)
-
-            children = pop[beats(beats(cand[:, 0], cand[:, 1]), cand[:, 2])]
-
-            # one-point crossover of pairs: past the cut the children trade genes
-            if crossover:
-                p1, p2 = children[0:2 * half:2], children[1:2 * half:2]
-                delta = (p2 - p1) * trade
-                p1 += delta
-                p2 -= delta
-
-            children.put(at, genes)  # mutation
-            repair(children)
+        drawn = draws(gen)
+        if restarts(gen):
+            # cataclysmic restart: keep the elites, refresh everyone else
+            pop = drawn
+            repair(pop)
             if ga.elitism:
-                children[:ga.elitism] = elites
-            pop = children
-        if upcoming:
-            upcoming.cancel()  # a stop leaves the next generation's draws unused
+                pop[:ga.elitism] = elites
+            continue
+        cand, trade, at, genes = drawn
+
+        # tournament selection, size 3; a fitness tie goes to the lower
+        # population index for S-TD, to the earlier candidate otherwise
+        def beats(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+            both = band[i] & band[j]
+            by_kl = np.where(kl[i] != kl[j], kl[i] < kl[j], fit[i] >= fit[j])
+            by_fit = np.where(fit[i] != fit[j], fit[i] > fit[j],
+                              (i <= j) | (target is None))
+            return np.where(np.where(both, by_kl, by_fit), i, j)
+
+        children = pop[beats(beats(cand[:, 0], cand[:, 1]), cand[:, 2])]
+
+        # one-point crossover of pairs: past the cut the children trade genes
+        if crossover:
+            p1, p2 = children[0:2 * half:2], children[1:2 * half:2]
+            delta = (p2 - p1) * trade
+            p1 += delta
+            p2 -= delta
+
+        children.put(at, genes)  # mutation
+        repair(children)
+        if ga.elitism:
+            children[:ga.elitism] = elites
+        pop = children
 
     chosen = archive.pick
     assignment = _expand(archive.genes[chosen], active, starts, n_intervals, n_nodes)

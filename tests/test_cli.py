@@ -8,7 +8,6 @@ given with an offset, and cloud-grid errors that name the station.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import json
 import math
@@ -851,24 +850,48 @@ def test_main_ga_population_too_large_for_memory_exits_2(tmp_path, capsys):
     assert not any((tmp_path / "out").iterdir())
 
 
-def test_main_ga_out_of_memory_on_the_draws_thread_exits_2(tmp_path, capsys,
-                                                           monkeypatch):
-    class Exhausted(concurrent.futures.ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            def fail():
-                raise MemoryError("Unable to allocate")
-            return super().submit(fail)
+def test_main_ga_out_of_memory_mid_run_exits_2(tmp_path, capsys, monkeypatch):
+    # the third generation's KL runs out of memory, after the first
+    # population and two generations' draws were made
+    calls = []
+    real = sched_module._node_totals
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Exhausted)
-    monkeypatch.setattr(sched_module, "_PREFETCH_GENES", 0)
+    def exhausted(group, cells):
+        calls.append(1)
+        if len(calls) == 3:
+            raise MemoryError("Unable to allocate")
+        return real(group, cells)
+
+    monkeypatch.setattr(sched_module, "_node_totals", exhausted)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"span": NIGHT, "strategy": {
         "ga": {"population": 20, "generations": 5}}}), encoding="utf-8")
     rc = main(["schedule", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 2
+    assert len(calls) == 3
     assert re.fullmatch(r"strategy\.ga\.population: 20 schedules of \d+ active "
                         r"intervals do not fit in memory",
                         json.loads(capsys.readouterr().err)["error"])
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_main_ga_generations_caps_std_without_sizing_it(tmp_path):
+    # S-TD stops long before any of these caps, so each writes the schedules
+    # of the run at the default 500
+    written = {}
+    for generations in (500, 10**12, 10**30):
+        cfg_path = tmp_path / f"cfg_{generations}.json"
+        cfg_path.write_text(json.dumps({
+            "span": ["2016-09-19T08:00:00Z", "2016-09-19T20:00:00Z"],
+            "strategy": {"ga": {"population": 20, "generations": generations}}}),
+            encoding="utf-8")
+        out = tmp_path / f"out_{generations}"
+        assert main(["schedule", "--config", str(cfg_path), "--out", str(out)]) == 0
+        written[generations] = {path.name: path.read_bytes()
+                                for path in sorted(out.glob("schedule_*.csv"))}
+    assert len(written[500]) == 3
+    assert written[10**12] == written[500]
+    assert written[10**30] == written[500]
 
 
 ZERO_WEIGHT_STATIONS = [{"name": "A", "lat_deg": 30, "lon_deg": 100, "weight": 0},

@@ -7,9 +7,7 @@ node-major table).  The RNG draws and every tie rule were meant to stay, so
 the new solver must return the same assignment and the same objective, to
 the bit, on every case of a derandomized grid of strategies, tolerances,
 population shapes, tiny active sets, restarts, infeasible warm starts and a
-gene index too large for int16, given the matrix dense or as a KeyMatrix,
-with the next generation's draws made on the main thread and drawn ahead
-on a second one.
+gene index too large for int16, given the matrix dense or as a KeyMatrix.
 S-TD stops once its pick has stood for a whole restart period, which the
 grid's shortest periods reach: there the solver must return what the oracle
 returns run for as many generations as the solver reports it ran.  The
@@ -22,10 +20,7 @@ ValueError naming the seed.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import sys
-import threading
 from dataclasses import replace
 from datetime import datetime, timezone
 from typing import Sequence
@@ -405,12 +400,12 @@ GRID = {
     "more-seeds-than-population": (sparse_matrix(15, 30, 3), ALL_KINDS,
                                    (0.5, 0.3, 0.2), 0.05,
                                    {"population": 3, "elitism": 1}, 6),
-    # 100 x 500 genes per generation, above _PREFETCH_GENES, restarting
-    # every third generation from an S-GD warm start
-    "restarts-prefetch": (sparse_matrix(18, 500, 4, row_p=0.0, cell_p=0.3),
-                          ALL_KINDS, (0.4, 0.3, 0.2, 0.1), 0.05,
-                          {"population": 100, "generations": 12,
-                           "restart_after": 3}, 1),
+    # 100 x 500 genes per generation, restarting every third generation
+    # from an S-GD warm start
+    "restarts-wide": (sparse_matrix(18, 500, 4, row_p=0.0, cell_p=0.3),
+                      ALL_KINDS, (0.4, 0.3, 0.2, 0.1), 0.05,
+                      {"population": 100, "generations": 12,
+                       "restart_after": 3}, 1),
     # (n_nodes + 1) * n_active = 36,000 > 32,767: a gene index computed in
     # int16 would overflow; 10 rows of 9,000 genes also span two gathers
     "int16-overflow": (sparse_matrix(16, 9000, 3, row_p=0.0, cell_p=0.2),
@@ -421,7 +416,7 @@ GRID = {
 
 # the cases whose restart period (1 to 3 generations) is short enough for
 # S-TD's pick to stand through one before the generation cap
-STOPPING = {"restarts", "restarts-2", "restarts-prefetch"}
+STOPPING = {"restarts", "restarts-2", "restarts-wide"}
 
 
 def oracle_run(values, cfg: StrategyConfig, seeds, generations: int) -> Schedule:
@@ -431,7 +426,7 @@ def oracle_run(values, cfg: StrategyConfig, seeds, generations: int) -> Schedule
 
 
 @pytest.mark.parametrize("name", sorted(GRID))
-def test_ga_matches_frozen_oracle(name, monkeypatch):
+def test_ga_matches_frozen_oracle(name):
     values, kinds, weights, tolerance, fields, n_seeds = GRID[name]
     n_intervals, n_nodes = values.shape
     base = {"population": 20, "generations": 40} | fields
@@ -443,24 +438,20 @@ def test_ga_matches_frozen_oracle(name, monkeypatch):
             seeds = warm_starts(values, n_seeds, ga_seed) if n_seeds else ()
             stops = kind == "S-TD" and name in STOPPING
             wants = {}  # the oracle run for as many generations as solve_ga ran
-            # every generation drawn ahead on the second thread, or none
-            for prefetch_genes in (0, sys.maxsize):
-                monkeypatch.setattr(sched, "_PREFETCH_GENES", prefetch_genes)
-                # a dense array and the same matrix held as its nonzero rows
-                for matrix in (values, KeyMatrix(DAY0, 10.0, NAMES[:n_nodes], values)):
-                    got = solve_ga(matrix, cfg, seed_schedules=seeds)
-                    where = (name, kind, ga_seed, prefetch_genes, type(matrix).__name__,
-                             got.generations)
-                    # S-TD stops early only here; everything else runs in full
-                    assert (got.generations < cfg.ga.generations) == stops, where
-                    if got.generations not in wants:
-                        wants[got.generations] = oracle_run(values, cfg, seeds,
-                                                            got.generations)
-                    want = wants[got.generations]
-                    assert np.array_equal(got.assignment, want.assignment), where
-                    assert got.objective.hex() == want.objective.hex(), where
-                    assert got.node_totals == want.node_totals, where
-                    assert is_feasible(got, n_intervals, n_nodes), where
+            # a dense array and the same matrix held as its nonzero rows
+            for matrix in (values, KeyMatrix(DAY0, 10.0, NAMES[:n_nodes], values)):
+                got = solve_ga(matrix, cfg, seed_schedules=seeds)
+                where = (name, kind, ga_seed, type(matrix).__name__, got.generations)
+                # S-TD stops early only here; everything else runs in full
+                assert (got.generations < cfg.ga.generations) == stops, where
+                if got.generations not in wants:
+                    wants[got.generations] = oracle_run(values, cfg, seeds,
+                                                        got.generations)
+                want = wants[got.generations]
+                assert np.array_equal(got.assignment, want.assignment), where
+                assert got.objective.hex() == want.objective.hex(), where
+                assert got.node_totals == want.node_totals, where
+                assert is_feasible(got, n_intervals, n_nodes), where
 
 
 def test_grid_covers_its_edge_cases():
@@ -474,8 +465,7 @@ def test_grid_covers_its_edge_cases():
     assert (values.shape[1] + 1) * n_active(values) > np.iinfo(np.int16).max
     infeasible = warm_starts(GRID["infeasible-seeds"][0], 5, 0)[1:]
     assert not any(is_feasible(s, 60, 4) for s in infeasible)
-    values, *_, fields, _ = GRID["restarts-prefetch"]
-    assert fields["population"] * n_active(values) >= sched._PREFETCH_GENES
+    fields = GRID["restarts-wide"][4]
     assert fields["generations"] > 3 * fields["restart_after"]
 
 
@@ -487,6 +477,22 @@ def final_pick(fits: np.ndarray, kls: np.ndarray, tolerance: float) -> int:
     """The archive entry the final rule takes, ranked from scratch."""
     eligible = np.flatnonzero(fits >= (1.0 - tolerance) * fits.max())
     return int(eligible[np.lexsort((eligible, -fits[eligible], kls[eligible]))[0]])
+
+
+def test_archive_keeps_every_entry_as_its_columns_grow():
+    # 300 entries with tied fitnesses and KLs, several doublings past the
+    # first columns; the pick is checked against a rescan after each
+    rng = np.random.default_rng(64)
+    fits = rng.integers(0, 40, 300).astype(float)
+    kls = rng.choice([0.1, 0.2, math.inf], 300)
+    archive = sched._Archive(0.05)
+    for i, (fit, kl) in enumerate(zip(fits, kls)):
+        archive.add(fit, kl, np.full(3, i, dtype=np.int16), i // 2)
+        assert archive.pick == final_pick(fits[:i + 1], kls[:i + 1], 0.05), i
+    assert archive.fits[:300].tolist() == fits.tolist()
+    assert archive.kls[:300].tolist() == kls.tolist()
+    assert archive.born[:300].tolist() == [i // 2 for i in range(300)]
+    assert [int(genes[0]) for genes in archive.genes] == list(range(300))
 
 
 @pytest.fixture
@@ -517,7 +523,7 @@ def same_schedule(a: Schedule, b: Schedule) -> bool:
             and a.objective.hex() == b.objective.hex() and a.node_totals == b.node_totals)
 
 
-def test_stopped_std_is_the_oracle_run_to_its_stop(archives, monkeypatch):
+def test_stopped_std_is_the_oracle_run_to_its_stop(archives):
     # seeded random sparse matrices, targets and GA shapes, each warm-started
     # from the exact S-GD optimum as the schedule subcommand does; every
     # draw is kept, whether or not the stopped result differs from the full run
@@ -535,21 +541,15 @@ def test_stopped_std_is_the_oracle_run_to_its_stop(archives, monkeypatch):
         cfg = StrategyConfig(kind="S-TD", weights=tuple(rng.dirichlet(np.ones(n))),
                              kl_tolerance=float(rng.choice([0.0, 0.02, 0.05, 0.2])), ga=ga)
         seeds = [solve_exact(values)]
-        results = []
-        for prefetch_genes in (0, sys.maxsize):
-            monkeypatch.setattr(sched, "_PREFETCH_GENES", prefetch_genes)
-            archives.clear()
-            got = solve_ga(values, cfg, seeds)
-            (archive,) = archives
-            at = archive.picked_at
-            # the first generation whose pick was recorded a whole restart
-            # period before it, or the cap
-            ends = [g for g in sorted(at) if at[g] <= g - ga.restart_after]
-            assert got.generations == (ends[0] if ends else ga.generations), trial
-            assert max(at) == got.generations, trial
-            results.append(got)
-        assert same_schedule(*results), trial
-        got = results[0]
+        archives.clear()
+        got = solve_ga(values, cfg, seeds)
+        (archive,) = archives
+        at = archive.picked_at
+        # the first generation whose pick was recorded a whole restart
+        # period before it, or the cap
+        ends = [g for g in sorted(at) if at[g] <= g - ga.restart_after]
+        assert got.generations == (ends[0] if ends else ga.generations), trial
+        assert max(at) == got.generations, trial
         assert same_schedule(got, oracle_run(values, cfg, seeds, got.generations)), trial
         if got.generations < ga.generations:
             stopped += 1
@@ -597,64 +597,6 @@ def test_only_std_stops_and_only_past_its_restart_period(archives):
                 would_stop += any(g - born >= period
                                   for g, born in archives[0].picked_at.items())
     assert would_stop >= 30
-
-
-# ---------------------------------------------------------------------------
-# the draws thread ends with the solve
-# ---------------------------------------------------------------------------
-
-PREFETCH_VALUES = GRID["restarts-prefetch"][0]
-PREFETCH_CFG = StrategyConfig(kind="S-TD", weights=(0.4, 0.3, 0.2, 0.1),
-                              ga=GaConfig(population=100, generations=12))
-
-
-def test_draws_thread_ends_when_the_ga_returns():
-    before = threading.enumerate()
-    solve_ga(PREFETCH_VALUES, PREFETCH_CFG)
-    assert threading.enumerate() == before
-
-
-def test_draws_thread_ends_when_the_ga_stops():
-    # 100 x 500 genes restarting every third generation: S-TD stops while the
-    # next generation's draws are pending on the second thread
-    values, _, weights, _, fields, _ = GRID["restarts-prefetch"]
-    cfg = StrategyConfig(kind="S-TD", weights=weights, ga=GaConfig(**fields))
-    before = threading.enumerate()
-    got = solve_ga(values, cfg, [solve_exact(values)])
-    assert got.generations < cfg.ga.generations
-    assert threading.enumerate() == before
-
-
-def test_draws_thread_ends_when_it_raises(monkeypatch):
-    class Exhausted(concurrent.futures.ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            def fail():
-                raise MemoryError("Unable to allocate")
-            return super().submit(fail)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Exhausted)
-    before = threading.enumerate()
-    with pytest.raises(MemoryError, match="Unable to allocate"):
-        solve_ga(PREFETCH_VALUES, PREFETCH_CFG)
-    assert threading.enumerate() == before
-
-
-def test_draws_thread_ends_when_the_main_thread_raises(monkeypatch):
-    # the third KL raises while the draws of a later generation are pending
-    calls = []
-    real = sched._node_totals
-
-    def failing(group, cells):
-        calls.append(1)
-        if len(calls) == 3:
-            raise RuntimeError("scoring failed")
-        return real(group, cells)
-
-    monkeypatch.setattr(sched, "_node_totals", failing)
-    before = threading.enumerate()
-    with pytest.raises(RuntimeError, match="scoring failed"):
-        solve_ga(PREFETCH_VALUES, PREFETCH_CFG)
-    assert threading.enumerate() == before
 
 
 # ---------------------------------------------------------------------------
