@@ -24,7 +24,7 @@ from . import __version__
 # total_loss is not called here; the benchmark's tracer patches it under this name
 from .channel import total_loss  # noqa: F401
 from .orbit import AccessInterval, _from_us, _to_us
-from .output import csv_rows, fixed_point, iso_utc, spelled, write_csv, write_json
+from .output import csv_rows, fixed_point, iso_utc, round_trip, spelled, write_csv, write_json
 from .qkd import (
     KeyMatrix,
     add_key_bits,
@@ -46,6 +46,7 @@ from .sched import (
 from .scenario import (
     ConfigError,
     ScenarioConfig,
+    check_loss_mask,
     compute_accesses,
     config_digest,
     elements_for_altitude,
@@ -140,6 +141,7 @@ def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -
     The eta column keeps full float precision (repr round trip) so that a key
     matrix built from this file is bit-identical to the direct pipeline.
     """
+    check_loss_mask(config)
     out.mkdir(parents=True, exist_ok=True)
     accesses = compute_accesses(config)
     counts = {"n_samples": 0, "n_blocked": 0}
@@ -154,7 +156,7 @@ def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -
                     geo, atm, cld)),
                 np.broadcast_to(fixed, (len(etas), fixed.shape[1])),
                 fixed_point(total, 4),
-                spelled(list(map(repr, etas.tolist())))]
+                round_trip(etas)]
         counts["n_blocked"] += int(np.count_nonzero(etas == 0.0))
         counts["n_samples"] += len(etas)
         return text
@@ -281,6 +283,7 @@ def daily_key_bits(matrix: KeyMatrix):
 def run_keymatrix(config: ScenarioConfig, out: Path, seed: int | None = None,
                   from_linkbudget=None) -> KeyMatrix:
     """Key matrix CSV + metadata sidecar + per-day per-station key totals."""
+    check_loss_mask(config)
     out.mkdir(parents=True, exist_ok=True)
     if from_linkbudget is not None:
         matrix = key_matrix_from_linkbudget(config, from_linkbudget)
@@ -300,6 +303,18 @@ def run_keymatrix(config: ScenarioConfig, out: Path, seed: int | None = None,
 # schedule
 # ---------------------------------------------------------------------------
 
+def _delivered_sum(schedule: Schedule, matrix: KeyMatrix) -> float:
+    """The correctly rounded sum of the cells schedule delivers: it does not
+    depend on their order or on the zero rows a node holds, so two
+    schedules that deliver the same keys have the same sum."""
+    owner = schedule.assignment[matrix.rows]
+    held = np.flatnonzero(owner >= 0)
+    try:
+        return math.fsum(matrix.cells[held, owner[held]].tolist())
+    except OverflowError:  # the exact sum is past the largest float
+        return math.inf
+
+
 def run_schedule(config: ScenarioConfig, out: Path, seed: int | None = None,
                  matrix: KeyMatrix | None = None) -> dict[str, Schedule]:
     """Solve all three strategies and export schedules plus a comparison.
@@ -312,6 +327,7 @@ def run_schedule(config: ScenarioConfig, out: Path, seed: int | None = None,
     """
     ga_seed = seed if seed is not None else config.strategy.ga.seed
     std_cfg = config.strategy_for("S-TD", seed=ga_seed)  # checks the weights first
+    check_loss_mask(config)
     out.mkdir(parents=True, exist_ok=True)
     if matrix is None:
         matrix = key_matrix_for(config)
@@ -326,12 +342,13 @@ def run_schedule(config: ScenarioConfig, out: Path, seed: int | None = None,
             f"intervals do not fit in memory")) from None
     schedules = {"S-GD": sgd, "S-PD": spd, "S-TD": std}
 
+    delivered = {kind: _delivered_sum(sched, matrix) for kind, sched in schedules.items()}
     for kind, sched in schedules.items():
         if not is_feasible(sched, matrix.n_intervals, matrix.n_nodes):
             raise RuntimeError(f"{kind} produced an infeasible schedule")
-        if sgd.total < sched.total - 1e-9:
-            raise RuntimeError(f"S-GD total {sgd.total} below {kind} total "
-                               f"{sched.total}; objective dominance violated")
+        if delivered["S-GD"] < delivered[kind] - 1e-9:
+            raise RuntimeError(f"S-GD total {delivered['S-GD']} below {kind} total "
+                               f"{delivered[kind]}; objective dominance violated")
 
     summaries = {}
     for kind, sched in schedules.items():
@@ -389,6 +406,7 @@ def run_sweep(config: ScenarioConfig, variable: str, out: Path,
     """
     if variable not in ("altitude", "divergence"):
         raise ConfigError("variable", "must be 'altitude' or 'divergence'")
+    check_loss_mask(config)
     out.mkdir(parents=True, exist_ok=True)
     from dataclasses import replace
 
@@ -406,12 +424,18 @@ def run_sweep(config: ScenarioConfig, variable: str, out: Path,
         if config.tle is None:
             raise ConfigError("tle", "an altitude sweep needs a TLE; "
                                      "the config gives only an ephemeris")
-        for entry in config.sweep_altitudes:
+        for i, entry in enumerate(config.sweep_altitudes):
             altitude = float(entry["altitude_km"])
             elements = elements_for_altitude(config.tle, altitude,
                                              raan_deg=entry.get("raan_deg"))
             sub = replace(config, tle=elements, ephemeris=None)
-            rows.append(measure(sub, altitude, compute_accesses(sub)))
+            try:
+                accesses = compute_accesses(sub)
+            except ConfigError:
+                raise
+            except ValueError as exc:  # the orbit at this altitude cannot be propagated
+                raise ConfigError(f"sweep.altitudes_km[{i}]", str(exc)) from None
+            rows.append(measure(sub, altitude, accesses))
     else:
         # access geometry does not depend on the optics
         accesses = compute_accesses(config)

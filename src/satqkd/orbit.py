@@ -945,8 +945,14 @@ def _passes(stations: Sequence[GroundStation], found: list[list[tuple[np.ndarray
     intervals = []
     for p in np.argsort(start_us, kind="stable").tolist():
         k0, k1, us = spans[p]
+        try:
+            end = _from_unix(ends[p])
+        except (ValueError, OverflowError):
+            raise OverflowError(f"a pass of {stations[who[p]].name} ends "
+                                f"{step_seconds} s after {_from_unix(unix[k1 - 1]).isoformat()}, "
+                                f"past the last time a datetime holds") from None
         intervals.append(AccessInterval(
-            station=stations[who[p]], start=_from_us(us), end=_from_unix(ends[p]),
+            station=stations[who[p]], start=_from_us(us), end=end,
             step_seconds=step_seconds,
             time_us=time_us[k0:k1], elevation_deg=elev[k0:k1],
             azimuth_deg=azim[k0:k1], slant_range_km=rng[k0:k1]))

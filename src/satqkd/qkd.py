@@ -50,7 +50,7 @@ from .channel import (  # noqa: F401
 )
 from .cloud import CloudGrid, query_column
 from .orbit import AccessInterval, GroundStation, _as_utc, _from_us, _to_us, _unix_to_us
-from .output import integers, iso_utc, row_chunks, spelled, write_csv, write_json
+from .output import integers, iso_utc, round_trip, row_chunks, spelled, write_csv, write_json
 
 
 # Samples per kernel call: pass_blocks closes a block of passes at this many,
@@ -441,7 +441,7 @@ def export_key_matrix(matrix: KeyMatrix, params: QkdParams,
     names = spelled([name.encode() for name in matrix.node_names])
     write_csv(csv_path, "interval_index,node_name,start_utc,key_bits\n", (
         [integers(rows[part]), names[cols[part]], iso_utc(matrix.row_us(rows[part])),
-         spelled(list(map(repr, bits[part].tolist())))] for part in row_chunks(len(rows))))
+         round_trip(bits[part])] for part in row_chunks(len(rows))))
     write_json(meta_path, {
         "grid_start_utc": matrix.start.isoformat(),
         "interval_seconds": matrix.interval_seconds,

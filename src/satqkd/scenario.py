@@ -430,12 +430,23 @@ def micius_week_config(**overrides) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 def compute_accesses(config: ScenarioConfig) -> list[AccessInterval]:
-    return compute_access_windows(
-        config.orbit_source, config.stations, config.span,
-        step_seconds=config.step_seconds,
-        elevation_mask_deg=config.elevation_mask_deg,
-        night_threshold_deg=config.night_threshold_deg,
-        require_umbra=config.require_umbra)
+    try:
+        return compute_access_windows(
+            config.orbit_source, config.stations, config.span,
+            step_seconds=config.step_seconds,
+            elevation_mask_deg=config.elevation_mask_deg,
+            night_threshold_deg=config.night_threshold_deg,
+            require_umbra=config.require_umbra)
+    except OverflowError as exc:  # a pass that ends after datetime.max
+        raise ConfigError("span", str(exc)) from None
+
+
+def check_loss_mask(config: ScenarioConfig) -> None:
+    """The loss model holds above the horizon only, and a negative mask
+    lets samples at or below it through."""
+    if config.elevation_mask_deg < 0.0:
+        raise ConfigError("elevation_mask_deg", "the loss model needs a mask >= 0, "
+                          f"got {config.elevation_mask_deg}")
 
 
 def union_duration_seconds(intervals: list[AccessInterval],
@@ -448,6 +459,7 @@ def union_duration_seconds(intervals: list[AccessInterval],
 
 def key_matrix_for(config: ScenarioConfig,
                    accesses: list[AccessInterval] | None = None) -> KeyMatrix:
+    check_loss_mask(config)
     if accesses is None:
         accesses = compute_accesses(config)
     return build_key_matrix(

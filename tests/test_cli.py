@@ -1035,3 +1035,58 @@ def test_main_invalid_config_exits_nonzero(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "span" in json.loads(err)["error"]
+
+
+HALF_DAY = ["2016-09-19T12:00:00Z", "2016-09-20T00:00:00Z"]
+
+
+def run_main(tmp_path, command, payload):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload), encoding="utf-8")
+    return main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
+
+def test_main_schedule_equal_keys_pass_the_dominance_check(tmp_path):
+    # S-TD returns the S-GD seed's keys, held over other zero rows: the
+    # node totals summed with those zeros differ from S-GD's in the last bit
+    rc = run_main(tmp_path, ["schedule"], {"span": HALF_DAY, "strategy": {"kl_tolerance": 0}})
+    assert rc == 0
+    assert (tmp_path / "out" / "strategy_comparison.csv").exists()
+
+
+def test_delivered_sum_ignores_zero_rows_and_order():
+    matrix = synthetic_matrix([[0.1, 0.0], [0.0, 0.0], [0.2, 0.3], [0.7, 0.0]], ("A", "B"))
+    a = sched_module.Schedule(np.array([0, 0, 0, 0]), (1.0, 0.0), 1.0)
+    b = sched_module.Schedule(np.array([0, -1, 0, 0]), (1.0, 0.0), 1.0)
+    assert cli_module._delivered_sum(a, matrix) == cli_module._delivered_sum(b, matrix) == 1.0
+
+
+@pytest.mark.parametrize("command", [["linkbudget"], ["keymatrix"], ["schedule"],
+                                     ["sweep", "--variable", "altitude"],
+                                     ["sweep", "--variable", "divergence"]])
+def test_main_negative_elevation_mask_exits_2_naming_it(tmp_path, capsys, command):
+    rc = run_main(tmp_path, command, {"span": HALF_DAY, "elevation_mask_deg": -1})
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "elevation_mask_deg: the loss model needs a mask >= 0, got -1.0")
+    assert not (tmp_path / "out").exists()
+
+
+def test_access_keeps_a_negative_elevation_mask(tmp_path):
+    assert run_main(tmp_path, ["access"], {"span": HALF_DAY, "elevation_mask_deg": -1}) == 0
+    assert (tmp_path / "out" / "access_intervals.csv").exists()
+
+
+def test_main_sweep_altitude_that_cannot_propagate_names_its_entry(tmp_path, capsys):
+    rc = run_main(tmp_path, ["sweep"], {"span": HALF_DAY,
+                                        "sweep": {"altitudes_km": [500, 1e-9]}})
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith(
+        "sweep.altitudes_km[1]: propagation failed over ")
+
+
+def test_main_sweep_pass_past_the_last_datetime_names_the_span(tmp_path, capsys):
+    rc = run_main(tmp_path, ["sweep"], {"span": ["9999-12-31T00:00:00Z",
+                                                  "9999-12-31T23:59:59Z"]})
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith("span: a pass of ")

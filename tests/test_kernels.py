@@ -142,15 +142,19 @@ def test_elevation_whose_sine_underflows_gives_infinite_loss():
 def test_negative_mask_elevation_fails_linkbudget_and_keymatrix(tmp_path, capsys):
     payload = {"span": ["2016-09-19T14:00:00+00:00", "2016-09-19T20:00:00+00:00"],
                "elevation_mask_deg": -5.0}
-    # the first sample on or below the horizon, in pass order
-    first = next(e for iv in compute_accesses(scenario_from_dict(payload))
-                 for e in iv.elevation_deg.tolist() if e <= 0.0)
+    # the loss kernel meets the first sample on or below the horizon, in pass order
+    config = scenario_from_dict(payload)
+    accesses = compute_accesses(config)
+    first = next(e for iv in accesses for e in iv.elevation_deg.tolist() if e <= 0.0)
     want = oracle_error(oracle_atmospheric_loss, first, 2.0)
+    assert oracle_error(qkd.link_budget, accesses, config.optics) == want
+    # the CLI refuses the mask before any sample reaches it
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     for command in ("linkbudget", "keymatrix"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
-        assert json.loads(capsys.readouterr().err) == {"error": want}
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "elevation_mask_deg: the loss model needs a mask >= 0, got -5.0"}
 
 
 # ---------------------------------------------------------------------------
