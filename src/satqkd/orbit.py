@@ -11,14 +11,19 @@ rate, so the mean anomaly advances at exactly that rate.  A spherical Earth
 low-precision analytic ephemeris (good to well under 0.5 degrees).
 
 Access windows are computed once per span, not once per station.  A coarse
-screen first samples the span every _SCREEN_SECONDS and keeps, per station,
-the gaps between coarse samples where the satellite may rise above the mask
-at night.  The vertical component changes no faster than a bound on the
-satellite's Earth-fixed speed, and elevation > mask >= 0 needs it above
-sin(mask) times the smallest slant range; the sine of the Sun's elevation
-changes no faster than _SUN_SINE_RATE, and night needs it below the sine of
-the threshold.  So a skipped sample provably has elevation <= mask or the
-Sun at or above the threshold.  The union of the kept samples is then
+screen first samples the span every _SCREEN_SECONDS (for an ephemeris
+_EPHEMERIS_SCREEN_SECONDS) and keeps, per station, the gaps between coarse
+samples where the satellite may rise above the mask at night.  For mean
+elements the vertical component bends no faster than a bound on the
+satellite's Earth-fixed acceleration (a two-body orbit in a frame turned by
+the J2 rates and the Earth's rotation), so over a gap it exceeds the larger
+of its ends by at most that bound times the gap squared over 8; for an
+ephemeris, which bends at its nodes, it changes no faster than a bound on
+the Earth-fixed speed.  Elevation > mask >= 0 needs it above sin(mask)
+times the smallest slant range; the sine of the Sun's elevation changes no
+faster than _SUN_SINE_RATE, and night needs it below the sine of the
+threshold.  So a skipped sample provably has elevation <= mask or the Sun
+at or above the threshold.  The union of the kept samples is then
 walked in fixed-size blocks; per block the propagation, GMST and the
 Earth-fixed satellite position are shared by every station.  In a block,
 each station's own candidates are (station, sample) pairs, taken station
@@ -58,11 +63,16 @@ _BLOCK_SAMPLES = 16384
 # float constants: repeating them over this many (station, sample) pairs
 # costs more than the numpy calls a run of stations shares.
 _ALONE_SAMPLES = 2048
-# Coarse grid step (s) of the pass screen in compute_access_windows.
-_SCREEN_SECONDS = 60.0
+# Coarse grid step (s) of the pass screen in compute_access_windows, for
+# mean elements and for an ephemeris, whose bound on up grows with the step
+# rather than with its square.
+_SCREEN_SECONDS = 180.0
+_EPHEMERIS_SCREEN_SECONDS = 60.0
 # Slack (km) in the screen's bound on the vertical component, for rounding
-# in positions, sample times and rates.
+# in positions, sample times and rates, and the relative slack on its
+# curvature bound, for the GMST polynomial's higher-order terms.
 _SCREEN_MARGIN_KM = 1.0
+_CURVATURE_SLACK = 1.01
 # Bound (per second) on |d/dt| of the sine of the Sun's elevation at any
 # station, |dh/dt| + 2 |d dec/dt| < 362 deg/day, and the night test's slack
 # on that sine for rounding.
@@ -611,6 +621,24 @@ def load_ephemeris(path) -> Ephemeris:
 # Access windows
 # ---------------------------------------------------------------------------
 
+def _frame_rates(el: TleElements) -> tuple[float, float, float]:
+    """The perigee speed (km/s) of mean elements, a bound (rad/s) on how
+    fast their perifocal frame turns relative to the Earth, and one
+    (rad/s^2) on how fast that angular velocity turns.
+
+    The frame is the Earth's rotation undone, then the node, the
+    inclination and the argument of perigee: its angular velocity is
+    (node rate - Earth's rate) about the pole plus the perigee rate about
+    the orbit normal, which itself turns about the pole at the first rate.
+    """
+    a, ecc = el.semi_major_axis_km, el.eccentricity
+    n = 2.0 * math.pi / el.period_seconds
+    raan_rate, argp_rate = _j2_rates(el)
+    perigee_speed = n * a * math.sqrt((1.0 + ecc) / (1.0 - ecc))
+    return (perigee_speed, abs(raan_rate) + abs(argp_rate) + _EARTH_RATE_RAD_S,
+            abs(argp_rate) * (abs(raan_rate) + _EARTH_RATE_RAD_S))
+
+
 def _speed_bound(source: TleElements | Ephemeris) -> tuple[float, float]:
     """A bound on the satellite's Earth-fixed speed (km/s), and on its radius (km).
 
@@ -624,13 +652,25 @@ def _speed_bound(source: TleElements | Ephemeris) -> tuple[float, float]:
         r_max = float(np.linalg.norm(pos, axis=1).max())
         segment = np.linalg.norm(np.diff(pos, axis=0), axis=1) / np.diff(source.unix)
         return float(segment.max()) + _EARTH_RATE_RAD_S * r_max, r_max
-    a, ecc = source.semi_major_axis_km, source.eccentricity
-    n = 2.0 * math.pi / source.period_seconds
-    raan_rate, argp_rate = _j2_rates(source)
-    r_max = a * (1.0 + ecc)
-    perigee_speed = n * a * math.sqrt((1.0 + ecc) / (1.0 - ecc))
-    return (perigee_speed
-            + (abs(raan_rate) + abs(argp_rate) + _EARTH_RATE_RAD_S) * r_max), r_max
+    perigee_speed, turn, _ = _frame_rates(source)
+    r_max = source.semi_major_axis_km * (1.0 + source.eccentricity)
+    return perigee_speed + turn * r_max, r_max
+
+
+def _curvature_bound(el: TleElements) -> float:
+    """A bound (km/s^2) on the satellite's Earth-fixed acceleration for mean
+    elements, and so on |up''| at any station.
+
+    The position is r = M p: p a two-body perifocal orbit, whose acceleration
+    is mu / |p|^2 <= mu / r_p^2 (semi_major_axis_km sets n^2 a^3 = mu), and M
+    the frame of _frame_rates, turning at most W with an angular velocity
+    that turns at most W'.  So r'' = M (p'' + 2 w x p' + w' x p + w x (w x p))
+    has |r''| <= mu / r_p^2 + 2 W v_p + (W^2 + W') r_a.
+    """
+    a, ecc = el.semi_major_axis_km, el.eccentricity
+    perigee_speed, turn, turn_rate = _frame_rates(el)
+    return (EARTH_MU_KM3_S2 / (a * (1.0 - ecc)) ** 2 + 2.0 * turn * perigee_speed
+            + (turn * turn + turn_rate) * a * (1.0 + ecc))
 
 
 def _radius_floor(source: TleElements | Ephemeris) -> float:
@@ -691,12 +731,18 @@ def _drop_daylight(kept: np.ndarray, stations, t: np.ndarray, gmst: np.ndarray,
     kept[who, gap] = low < math.sin(math.radians(max(night_threshold_deg, -90.0)))
 
 
-def _gap_runs(coarse: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First sample and length of each run of kept gaps between coarse
-    samples; gap j spans samples coarse[j]..coarse[j + 1], ends included."""
-    edges = np.flatnonzero(np.diff(kept.view(np.int8), prepend=0, append=0))
+def _gap_runs(coarse: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The row (station), first sample and length of each run of kept gaps
+    between coarse samples, in row-major order; gap j of a row spans samples
+    coarse[j]..coarse[j + 1], ends included."""
+    # the rows end to end, each after a False, so that no run crosses rows:
+    # a run starts and ends where a value differs from the one before it
+    width = kept.shape[1] + 1
+    flat = np.zeros(len(kept) * width + 1, dtype=bool)
+    flat[1:].reshape(len(kept), width)[:, :-1] = kept
+    row, edges = np.divmod(np.flatnonzero(flat[1:] != flat[:-1]), width)
     starts = coarse[edges[::2]]
-    return starts, coarse[edges[1::2]] + 1 - starts
+    return row[::2], starts, coarse[edges[1::2]] + 1 - starts
 
 
 def _expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -712,23 +758,32 @@ def _screen(source, stations, u0: float, step_seconds: float, count: int,
     at night, and for each station the positions of its own candidates
     among them.
 
-    The vertical component `up` changes at most as fast as the Earth-fixed
-    speed bound V, so between coarse samples j and j + 1, dt apart, it is at
-    most (up_j + up_j+1 + V dt) / 2.  A gap is kept when that bound (plus
-    _SCREEN_MARGIN_KM) exceeds the station's floor (_up_floors): for a mask
-    >= 0, sin(mask) times the radius floor less the station's radius, else
-    sin(mask) times the largest slant range.  With a night threshold below
-    90 degrees, a kept gap is then dropped where the Sun stays at or above
-    it (_drop_daylight).  A skipped sample therefore has elevation <= mask
-    or the Sun at or above the threshold.  A span of few coarse steps, a
-    step coarser than half the screen, or an orbit whose perigee comes
-    within _SCREEN_MARGIN_KM of the surface (so that propagation fails at
-    the same first sample as on the full grid) makes every sample a
-    candidate.
+    The coarse samples are _SCREEN_SECONDS apart for mean elements and
+    _EPHEMERIS_SCREEN_SECONDS for an ephemeris.  Between samples j and
+    j + 1, h apart, the vertical component `up` is bounded from its values
+    there.  For mean elements |up''| is at most the curvature bound A
+    (_curvature_bound), so up stays within A h^2 / 8 of the chord between
+    its ends (the error bound of linear interpolation) and is at most
+    max(up_j, up_j+1) + A h^2 / 8; A is taken _CURVATURE_SLACK times, for
+    the GMST polynomial's higher-order terms.  An ephemeris is interpolated
+    linearly, with kinks at its nodes, so there up changes at most as fast
+    as the Earth-fixed speed bound V and is at most (up_j + up_j+1 + V h) / 2.
+    A gap is kept when that bound (plus _SCREEN_MARGIN_KM) exceeds the
+    station's floor (_up_floors): for a mask >= 0, sin(mask) times the
+    radius floor less the station's radius, else sin(mask) times the
+    largest slant range.  With a night threshold below 90 degrees, a kept
+    gap is then dropped where the Sun stays at or above it
+    (_drop_daylight).  A skipped sample therefore has elevation <= mask or
+    the Sun at or above the threshold.  A span of few coarse steps, a step
+    coarser than half the coarse step (90 s for mean elements, 30 s for an
+    ephemeris), or an orbit whose perigee comes within
+    _SCREEN_MARGIN_KM of the surface (so that propagation fails at the same
+    first sample as on the full grid) makes every sample a candidate.
     """
-    stride = int(_SCREEN_SECONDS // step_seconds)
+    bends = isinstance(source, TleElements)
+    stride = int((_SCREEN_SECONDS if bends else _EPHEMERIS_SCREEN_SECONDS) // step_seconds)
     if (stride < 2 or count < 4 * stride or not stations
-            or (isinstance(source, TleElements) and source.semi_major_axis_km
+            or (bends and source.semi_major_axis_km
                 * (1.0 - source.eccentricity) <= EARTH_RADIUS_KM + _SCREEN_MARGIN_KM)):
         every = np.arange(count)
         return every, [every] * len(stations)
@@ -737,24 +792,29 @@ def _screen(source, stations, u0: float, step_seconds: float, count: int,
     gmst = _gmst_deg(t)
     ecef = _earth_fixed(locate(t), gmst)
     seconds = step_seconds * np.diff(coarse)
-    reach = 0.5 * _speed_bound(source)[0] * seconds + _SCREEN_MARGIN_KM
+    if bends:
+        reach = (0.125 * _CURVATURE_SLACK * _curvature_bound(source) * seconds * seconds
+                 + _SCREEN_MARGIN_KM)
+    else:
+        reach = 0.5 * _speed_bound(source)[0] * seconds + _SCREEN_MARGIN_KM
     kept = np.empty((len(stations), len(seconds)), dtype=bool)
     for row, station, floor in zip(kept, stations, floors):
         site = _site(station)
         up = _up_km(_offsets(ecef, site), site)
-        np.greater(0.5 * (up[:-1] + up[1:]) + reach, floor, out=row)
+        top = np.maximum(up[:-1], up[1:]) if bends else 0.5 * (up[:-1] + up[1:])
+        np.greater(top + reach, floor, out=row)
     if night_threshold_deg < 90.0:
         _drop_daylight(kept, stations, t, gmst, seconds, night_threshold_deg)
-    candidates = _expand_runs(*_gap_runs(coarse, kept.any(axis=0)))
-    # a station's run lies inside one run of the union, where positions
-    # advance with the sample index; int32 halves them (2**31 candidates
-    # would take 16 GiB before these)
-    mine = []
-    for own in kept:
-        starts, lengths = _gap_runs(coarse, own)
-        mine.append(_expand_runs(np.searchsorted(candidates, starts),
-                                 lengths).astype(np.int32))
-    return candidates, mine
+    candidates = _expand_runs(*_gap_runs(coarse, kept.any(axis=0, keepdims=True))[1:])
+    # every station's runs at once, row after row; a station's run lies
+    # inside one run of the union, where positions advance with the sample
+    # index; int32 halves them (2**31 candidates would take 16 GiB before
+    # these)
+    owner, starts, lengths = _gap_runs(coarse, kept)
+    ends = np.append(0, np.cumsum(lengths))[
+        np.searchsorted(owner, np.arange(len(stations) - 1), side="right")]
+    return candidates, np.split(_expand_runs(np.searchsorted(candidates, starts),
+                                             lengths).astype(np.int32), ends)
 
 
 def _station_runs(counts: list[int]):

@@ -769,14 +769,17 @@ def up_km_on(source, station, unix):
     return orbit._up_km(d, site), np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
 
 
+MEAN_ELEMENT_SOURCES = {
+    "micius": parse_tle(MICIUS_TLE),
+    "e0.7-retrograde": eccentric_elements(0.7, 300.0, 116.6, 40.0, 270.0, 350.0),
+    "e0.3": eccentric_elements(0.3, 500.0, 63.4, 200.0, 90.0, 10.0),
+    "geostationary": eccentric_elements(0.0, 35786.0, 0.0),
+}
 BOUND_SOURCES = pytest.mark.parametrize("source", [
-    parse_tle(MICIUS_TLE),
-    eccentric_elements(0.7, 300.0, 116.6, 40.0, 270.0, 350.0),
-    eccentric_elements(0.3, 500.0, 63.4, 200.0, 90.0, 10.0),
-    eccentric_elements(0.0, 35786.0, 0.0),
+    *MEAN_ELEMENT_SOURCES.values(),
     uneven_ephemeris(parse_tle(MICIUS_TLE), EPOCH.timestamp(),
                      EPOCH.timestamp() + 6 * 3600.0, 3),
-], ids=["micius", "e0.7-retrograde", "e0.3", "geostationary", "uneven-ephemeris"])
+], ids=[*MEAN_ELEMENT_SOURCES, "uneven-ephemeris"])
 
 
 @BOUND_SOURCES
@@ -787,6 +790,24 @@ def test_up_changes_no_faster_than_the_speed_bound(source):
         up, rng = up_km_on(source, station, unix)
         assert np.all(np.abs(np.diff(up)) <= speed * np.diff(unix))
         assert rng.max() <= r_max + np.linalg.norm(orbit._station_ecef_km(station))
+
+
+@pytest.mark.parametrize("name", MEAN_ELEMENT_SOURCES)
+def test_up_bends_no_faster_than_the_curvature_bound(name):
+    # second differences at h = 0.5 s over 12 h; on the low orbits the bound
+    # is also reached to within a quarter, so a loose bound fails too (the
+    # geostationary satellite barely moves over the ground)
+    source = MEAN_ELEMENT_SOURCES[name]
+    bound, h = orbit._curvature_bound(source), 0.5
+    unix = EPOCH.timestamp() + np.arange(0.0, 12 * 3600.0, h)
+    fastest = 0.0
+    for station in seeded_stations(6):
+        up, _ = up_km_on(source, station, unix)
+        bend = np.abs(up[2:] - 2.0 * up[1:-1] + up[:-2])
+        assert np.all(bend <= bound * h * h)
+        fastest = max(fastest, float(bend.max()))
+    if name != "geostationary":
+        assert fastest >= 0.75 * bound * h * h
 
 
 @BOUND_SOURCES
@@ -881,6 +902,27 @@ def test_night_test_drops_most_of_the_screened_day():
     assert np.isin(at_night, any_time).all()
 
 
+@pytest.mark.parametrize("mask", [0.0, 10.0, 60.0])
+@pytest.mark.parametrize("kind", ["tle", "ephemeris"])
+def test_screen_keeps_every_sample_above_the_up_floor(kind, mask):
+    # two days at 1 s for 100 seeded stations: many grazing passes peak
+    # between coarse samples, which the full-grid oracles seldom meet
+    span = (EPOCH, EPOCH + timedelta(days=2))
+    source = tle_or_ephemeris(kind, span)
+    stations = seeded_stations(0, 100)
+    floors = orbit._up_floors(source, stations, mask)
+    u0, count = EPOCH.timestamp(), 2 * 86400
+    unix = u0 + np.arange(count, dtype=float)
+    locate = (source.positions_at if kind == "ephemeris"
+              else lambda t: orbit._propagate_arrays(source, t)[0])
+    candidates, mine = orbit._screen(source, stations, u0, 1.0, count, floors, 91.0, locate)
+    ecef = orbit._earth_fixed(locate(unix), orbit._gmst_deg(unix))
+    for station, floor, own in zip(stations, floors, mine):
+        site = orbit._site(station)
+        up = orbit._up_km(orbit._offsets(ecef, site), site)
+        assert np.isin(np.flatnonzero(up > floor), candidates[own]).all(), station.name
+
+
 def screened_outcome(source, stations, span, step, mask, night, umbra, screen_seconds):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(orbit, "_kepler_solve", kepler_12_steps)
@@ -888,6 +930,7 @@ def screened_outcome(source, stations, span, step, mask, night, umbra, screen_se
     with pytest.MonkeyPatch.context() as patch:
         if screen_seconds is not None:
             patch.setattr(orbit, "_SCREEN_SECONDS", screen_seconds)
+            patch.setattr(orbit, "_EPHEMERIS_SCREEN_SECONDS", screen_seconds)
         got = compute_access_windows(source, stations, span, step_seconds=step,
                                      elevation_mask_deg=mask, night_threshold_deg=night,
                                      require_umbra=umbra)
@@ -907,7 +950,7 @@ def screened_outcome(source, stations, span, step, mask, night, umbra, screen_se
        mask=st.sampled_from([-5.0, 0.0, 10.0, 60.0]),
        night=st.sampled_from([91.0, 91.0, -6.0, -18.0, 0.0, 45.0]),
        umbra=st.booleans(),
-       screen=st.sampled_from([None, "two-steps", 600.0]),
+       screen=st.sampled_from([None, 60.0, "two-steps", 600.0]),
        overhead_at=st.floats(0.0, 1.0),
        polar=st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(66.6, 90.0),
                        st.floats(-180.0, 180.0)),
