@@ -29,10 +29,10 @@ from .qkd import (
     KeyMatrix,
     add_key_bits,
     assemble_key_matrix,
-    each_pass_block,
     export_key_matrix,
     joined,
     link_budget,
+    pass_blocks,
     per_sample,
 )
 from .sched import (
@@ -162,7 +162,7 @@ def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -
         return text
 
     write_csv(out / "linkbudget.csv", "time_utc,station,elevation_deg,range_km,geo_db,"
-              "atm_db,cloud_db,fixed_db,total_db,eta\n", each_pass_block(accesses, columns))
+              "atm_db,cloud_db,fixed_db,total_db,eta\n", map(columns, pass_blocks(accesses)))
     _write_manifest(out, "linkbudget", config, seed)
     return counts
 
@@ -377,22 +377,17 @@ def run_schedule(config: ScenarioConfig, out: Path, seed: int | None = None,
 # ---------------------------------------------------------------------------
 
 def _loss_extremes(config: ScenarioConfig, accesses: list[AccessInterval]):
-    """Min/max total loss per station over its visible samples (no cloud)."""
-    lo: dict[str, float] = {}
-    hi: dict[str, float] = {}
-
-    def totals(block: list[AccessInterval]):
-        return block, link_budget(block, config.optics).total_db.tolist()
-
-    for block, total in each_pass_block(accesses, totals):
-        end = 0
-        for iv in block:
-            begin, end = end, end + len(iv.time_us)
-            # Python's min and max, not numpy's: they keep the old rule for NaN
-            name = iv.station.name
-            lo[name] = min(lo.get(name, math.inf), *total[begin:end])
-            hi[name] = max(hi.get(name, -math.inf), *total[begin:end])
-    return lo, hi
+    """Min/max total loss per station over its visible samples (no cloud).
+    fmin and fmax, folded from +-inf, skip NaN as Python's min and max do."""
+    names = list(dict.fromkeys(iv.station.name for iv in accesses))
+    index = {name: i for i, name in enumerate(names)}
+    lo, hi = np.full(len(names), math.inf), np.full(len(names), -math.inf)
+    for block in pass_blocks(accesses):
+        owner = per_sample(block, [index[iv.station.name] for iv in block])
+        total = link_budget(block, config.optics).total_db
+        np.fmin.at(lo, owner, total)
+        np.fmax.at(hi, owner, total)
+    return dict(zip(names, lo.tolist())), dict(zip(names, hi.tolist()))
 
 
 def run_sweep(config: ScenarioConfig, variable: str, out: Path,

@@ -639,22 +639,13 @@ def _frame_rates(el: TleElements) -> tuple[float, float, float]:
             abs(argp_rate) * (abs(raan_rate) + _EARTH_RATE_RAD_S))
 
 
-def _speed_bound(source: TleElements | Ephemeris) -> tuple[float, float]:
-    """A bound on the satellite's Earth-fixed speed (km/s), and on its radius (km).
-
-    For mean elements: the perigee speed plus the J2 turning of the orbit and
-    the Earth's rotation at apogee radius.  For an ephemeris: its fastest
-    linearly interpolated segment plus the Earth's rotation at its largest
-    radius (an interpolated position is never farther out than its ends).
-    """
-    if isinstance(source, Ephemeris):
-        pos = source.positions_km
-        r_max = float(np.linalg.norm(pos, axis=1).max())
-        segment = np.linalg.norm(np.diff(pos, axis=0), axis=1) / np.diff(source.unix)
-        return float(segment.max()) + _EARTH_RATE_RAD_S * r_max, r_max
-    perigee_speed, turn, _ = _frame_rates(source)
-    r_max = source.semi_major_axis_km * (1.0 + source.eccentricity)
-    return perigee_speed + turn * r_max, r_max
+def _speed_bound(ephemeris: Ephemeris) -> float:
+    """A bound on the satellite's Earth-fixed speed (km/s) along an
+    ephemeris: its fastest linearly interpolated segment plus the Earth's
+    rotation at the radius ceiling."""
+    pos = ephemeris.positions_km
+    segment = np.linalg.norm(np.diff(pos, axis=0), axis=1) / np.diff(ephemeris.unix)
+    return float(segment.max()) + _EARTH_RATE_RAD_S * _radius_ceiling(ephemeris)
 
 
 def _curvature_bound(el: TleElements) -> float:
@@ -688,6 +679,15 @@ def _radius_floor(source: TleElements | Ephemeris) -> float:
     return float(np.linalg.norm(nearest, axis=1).min()) - _SCREEN_MARGIN_KM
 
 
+def _radius_ceiling(source: TleElements | Ephemeris) -> float:
+    """A bound (km) above the satellite's distance from the Earth's centre:
+    the apogee radius for mean elements, the largest node radius for an
+    ephemeris (an interpolated position is never farther out than its ends)."""
+    if isinstance(source, TleElements):
+        return source.semi_major_axis_km * (1.0 + source.eccentricity)
+    return float(np.linalg.norm(source.positions_km, axis=1).max())
+
+
 def _up_floors(source, stations, elevation_mask_deg: float) -> list[float]:
     """Per station, a floor (km) that the vertical component exceeds wherever
     the elevation exceeds the mask: elevation > mask needs up > sin(mask)
@@ -699,7 +699,7 @@ def _up_floors(source, stations, elevation_mask_deg: float) -> list[float]:
     if elevation_mask_deg >= 0.0:
         r_min = _radius_floor(source)
         return [sin_mask * max(r_min - r, 0.0) for r in radii]
-    r_max = _speed_bound(source)[1]
+    r_max = _radius_ceiling(source)
     return [sin_mask * (r_max + r) for r in radii]
 
 
@@ -796,7 +796,7 @@ def _screen(source, stations, u0: float, step_seconds: float, count: int,
         reach = (0.125 * _CURVATURE_SLACK * _curvature_bound(source) * seconds * seconds
                  + _SCREEN_MARGIN_KM)
     else:
-        reach = 0.5 * _speed_bound(source)[0] * seconds + _SCREEN_MARGIN_KM
+        reach = 0.5 * _speed_bound(source) * seconds + _SCREEN_MARGIN_KM
     kept = np.empty((len(stations), len(seconds)), dtype=bool)
     for row, station, floor in zip(kept, stations, floors):
         site = _site(station)

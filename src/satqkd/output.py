@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from functools import cache
 from typing import Iterator
 
@@ -23,8 +24,10 @@ _CHUNK = 4096  # CSV rows spelled at a time: no column of text outlives its rows
 _US_RANGE = (-62_135_596_800_000_000, 253_402_300_799_999_999)
 
 
+@contextmanager
 def open_new(path):
-    """A new UTF-8 text file at path, open for writing.
+    """A new UTF-8 text file at path, open for writing in a with block; if
+    the block raises, the file is unlinked and the error goes on.
 
     What is at path is unlinked, not truncated: a symlink or hard link there
     is replaced rather than written through, and ext4 (delayed allocation)
@@ -34,7 +37,13 @@ def open_new(path):
         os.unlink(path)
     except FileNotFoundError:
         pass
-    return open(path, "x", encoding="utf-8")
+    fh = open(path, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.unlink(path)
+        raise
 
 
 def _tokens(obj):

@@ -20,8 +20,9 @@ gain (y0 = 0 and eta * mu underflowing to 0) has QBER 0 and rate 0.  The
 scalar functions are one-element calls that return Python floats.
 
 Passes are walked in blocks of about _RATE_CHUNK samples that span many
-short passes (`pass_blocks`, `each_pass_block`): one kernel call per pass
-costs more than the old float loops on passes of a few dozen samples.
+short passes (`pass_blocks`): one kernel call per pass costs more than the
+old float loops on passes of a few dozen samples.  A block raises the error
+of the first bad sample its kernels meet.
 
 The key matrix holds only the intervals with a nonzero cell (`rows`) and
 those rows' cells, never an intervals x nodes array: add_key_bits turns
@@ -309,23 +310,6 @@ def pass_blocks(accesses: Sequence[AccessInterval]) -> Iterator[list[AccessInter
         yield block
 
 
-def each_pass_block(accesses: Sequence[AccessInterval], step) -> Iterator:
-    """step(block) of each run of pass_blocks, yielded as it is stepped.  A
-    block that raises is stepped again one pass at a time, so the error
-    raised is the one a walk pass by pass meets first; step must change
-    nothing before it can raise."""
-    for block in pass_blocks(accesses):
-        try:
-            result = step(block)
-        except (ValueError, ArithmeticError):
-            if len(block) == 1:
-                raise
-            for access in block:
-                yield step([access])
-        else:
-            yield result
-
-
 def link_budget(accesses: Sequence[AccessInterval], optics: OpticalParams,
                 cloud: CloudGrid | None = None) -> LossColumns:
     """Loss columns of the samples of the given passes, in order."""
@@ -406,8 +390,7 @@ def build_key_matrix(accesses: Sequence[AccessInterval],
     """
     column = {st.name: i for i, st in enumerate(stations)}
     parts: list = []
-
-    def add(block: list[AccessInterval]) -> None:
+    for block in pass_blocks(accesses):
         nodes = []
         for access in block:
             if (n := column.get(access.station.name)) is None:
@@ -421,9 +404,6 @@ def build_key_matrix(accesses: Sequence[AccessInterval],
                      per_sample(block, [access.step_seconds for access in block]),
                      lambda i: f"grid misalignment: sample at "
                      f"{_from_us(int(time_us[i])).isoformat()}")
-
-    for _ in each_pass_block(accesses, add):
-        pass
     return assemble_key_matrix(parts, start, interval_seconds, n_intervals,
                                tuple(st.name for st in stations))
 

@@ -33,6 +33,8 @@ from .orbit import (
     Ephemeris,
     GroundStation,
     TleElements,
+    _from_unix,
+    _to_unix,
     compute_access_windows,
     load_ephemeris,
     parse_tle,
@@ -123,6 +125,13 @@ class ScenarioConfig:
             sample_count((self.span[1] - self.span[0]).total_seconds(), self.step_seconds)
         except ValueError as exc:
             raise ConfigError("step_seconds", str(exc)) from None
+        if self.ephemeris is not None:  # its ends hold the first and last samples
+            u0, u1 = _to_unix(self.span[0]), _to_unix(self.span[1])
+            last = u0 + self.step_seconds * (sample_count(u1 - u0, self.step_seconds) - 1)
+            ends = self.ephemeris.unix[[0, -1]].tolist()
+            if u0 < ends[0] or last > ends[1]:
+                raise ConfigError("ephemeris", "covers {}..{}, but the samples run {}..{}".format(
+                    *(_from_unix(u).isoformat() for u in (*ends, u0, last))))
         for i, urad in enumerate(self.sweep_divergences_urad):
             if not urad * 1e-6 > 0:  # the divergence_rad the sweep sets
                 raise ConfigError(f"sweep.divergences_urad[{i}]", f"must be positive, got {urad}")

@@ -7,10 +7,11 @@ formatted and wrote one pass at a time, `_loss_extremes` folded each pass
 into its station's min and max, and `key_matrix_from_linkbudget` parsed
 every row on its own.  The kernels themselves are held to the scalar
 oracles in test_kernels.py; here the walks must give the same output bytes
-(the same partial file and error text where a sample is bad) on one-sample
-passes, passes longer than a block, overcast samples, no passes at all and
-a bad sample in a later pass of a block.  The column reader must keep the
-row reader's result or error text on rows the writer never writes.
+on one-sample passes, passes longer than a block, overcast samples and no
+passes at all.  A bad sample in one pass of a block gives the oracle's
+error text; bad samples in two passes give the oracle's error for one of
+them alone, and a failing write leaves no file.  The column reader must
+keep the row reader's result or error text on rows the writer never writes.
 """
 from __future__ import annotations
 
@@ -217,33 +218,46 @@ def walk_cases(config, accesses):
 
 
 def bad_cases(config, accesses):
-    """(name, config, accesses) with a bad sample in a later pass of a block,
-    sometimes after another bad sample of a different kind."""
+    """(name, config, accesses, bad) with a bad sample in a later pass of a
+    block, sometimes beside another bad sample of a different kind; bad
+    indexes the passes that hold one."""
     a, b, c = accesses[:3]
     n = len(b.time_us) // 2
     grid = overcast_grid(config)
-    short_grid = replace(grid, frames=grid.frames[:10])  # ends before pass c
+    short_grid = replace(grid, frames=grid.frames[:10])  # ends before pass a
     late = cut(c, 0, len(c.time_us),
                time_us=c.time_us + 10**6 * 86400)  # past the grid and the cloud span
+    # passes a and b end by 16:27; c, 10 minutes later, crosses 16:30
+    grid_to_1630 = replace(grid, frames=grid.frames[:15])
+    later = cut(c, 0, len(c.time_us), time_us=c.time_us + 10**6 * 600)
     return [
-        ("elevation in pass 2", config, [a, with_sample(b, n, elevation_deg=-1.0), c]),
-        ("range in pass 2", config, [a, with_sample(b, n, slant_range_km=0.0), c]),
+        ("elevation in pass 2", config, [a, with_sample(b, n, elevation_deg=-1.0), c], [1]),
+        ("range in pass 2", config, [a, with_sample(b, n, slant_range_km=0.0), c], [1]),
         ("elevation in pass 2, range in pass 3", config,
-         [a, with_sample(b, n, elevation_deg=0.0), with_sample(c, 1, slant_range_km=-3.0)]),
+         [a, with_sample(b, n, elevation_deg=0.0), with_sample(c, 1, slant_range_km=-3.0)],
+         [1, 2]),
         ("range in pass 2, elevation earlier in pass 2", config,
-         [a, with_sample(with_sample(b, n, slant_range_km=-1.0), 1, elevation_deg=-2.0)]),
-        ("NaN elevation in pass 2", config, [a, with_sample(b, n, elevation_deg=math.nan), c]),
+         [a, with_sample(with_sample(b, n, slant_range_km=-1.0), 1, elevation_deg=-2.0)],
+         [1]),
+        ("NaN elevation in pass 2", config,
+         [a, with_sample(b, n, elevation_deg=math.nan), c], [1]),
         ("infinite elevation in pass 2", config,
-         [a, with_sample(b, n, elevation_deg=math.inf), with_sample(c, 1, elevation_deg=-1.0)]),
+         [a, with_sample(b, n, elevation_deg=math.inf), with_sample(c, 1, elevation_deg=-1.0)],
+         [1, 2]),
         ("subnormal elevation in pass 2", config,
-         [a, with_sample(b, n, elevation_deg=5e-324), c]),
+         [a, with_sample(b, n, elevation_deg=5e-324), c], [1]),
         ("outside the grid in pass 2, bad range in pass 3", config,
-         [a, late, with_sample(c, 1, slant_range_km=-3.0)]),
+         [a, late, with_sample(c, 1, slant_range_km=-3.0)], [1, 2]),
         ("unknown station in pass 2", config,
-         [a, replace(b, station=GroundStation("Atlantis", 30.0, 100.0)), c]),
-        ("cloud span ends in pass 3, bad range in pass 2", replace(config, cloud=short_grid),
-         [a, with_sample(b, n, slant_range_km=-1.0), c]),
-        ("cloud span ends in pass 3", replace(config, cloud=short_grid), [a, b, c]),
+         [a, replace(b, station=GroundStation("Atlantis", 30.0, 100.0)), c], [1]),
+        ("cloud span ends before pass 1, bad range in pass 2",
+         replace(config, cloud=short_grid), [a, with_sample(b, n, slant_range_km=-1.0), c],
+         [0, 1, 2]),
+        ("cloud span ends before pass 1", replace(config, cloud=short_grid), [a, b, c],
+         [0, 1, 2]),
+        ("cloud span ends in pass 3, bad range in pass 2", replace(config, cloud=grid_to_1630),
+         [a, with_sample(b, n, slant_range_km=-1.0), later], [1, 2]),
+        ("cloud span ends in pass 3", replace(config, cloud=grid_to_1630), [a, b, later], [2]),
     ]
 
 
@@ -251,7 +265,21 @@ ALL_CASES = ("walk", "bad")
 
 
 def cases_of(kind, config, accesses):
-    return walk_cases(config, accesses) if kind == "walk" else bad_cases(config, accesses)
+    """(name, config, accesses, bad) of the walk or the bad cases; a walk
+    case has no bad pass."""
+    if kind == "walk":
+        return [(*case, []) for case in walk_cases(config, accesses)]
+    return bad_cases(config, accesses)
+
+
+def errors_allowed(want, oracle, accesses, bad) -> list:
+    """The outcomes a block walk may give where the per-pass oracle walk
+    gives want: want itself where at most one pass is bad, else the error
+    of each bad pass walked alone by the oracle."""
+    if len(bad) <= 1:
+        return [want]
+    alone = [oracle([accesses[p]]) for p in bad]
+    return [outcome for outcome in alone if outcome[0] == "error"]
 
 
 # blocks of one pass, of a few passes, and longer than any pass here
@@ -262,15 +290,20 @@ CHUNKS = [1, 20, 100, qkd._RATE_CHUNK]
 @pytest.mark.parametrize("kind", ALL_CASES)
 def test_key_matrix_over_blocks_equals_per_pass(night, monkeypatch, kind, chunk):
     monkeypatch.setattr(qkd, "_RATE_CHUNK", chunk)
-    for name, config, accesses in cases_of(kind, *night):
-        args = (accesses, config.stations, config.optics, config.qkd, config.span[0],
-                config.n_grid_intervals, config.grid_interval_seconds, config.cloud)
-        want, got = outcome(oracle_build_key_matrix, *args), outcome(build_key_matrix, *args)
+    for name, config, accesses, bad in cases_of(kind, *night):
+        def walk(fn, passes):
+            return outcome(fn, passes, config.stations, config.optics, config.qkd,
+                           config.span[0], config.n_grid_intervals,
+                           config.grid_interval_seconds, config.cloud)
+
+        want, got = walk(oracle_build_key_matrix, accesses), walk(build_key_matrix, accesses)
         if want[0] == "ok":
             assert got[0] == "ok", (name, got)
             assert matrix_bytes(got[1]) == matrix_bytes(want[1]), name
         else:
-            assert got == want, name
+            allowed = errors_allowed(
+                want, lambda passes: walk(oracle_build_key_matrix, passes), accesses, bad)
+            assert got in allowed, (name, got, allowed)
         assert kind == "bad" or want[0] == "ok", (name, want)
 
 
@@ -278,16 +311,28 @@ def test_key_matrix_over_blocks_equals_per_pass(night, monkeypatch, kind, chunk)
 @pytest.mark.parametrize("kind", ALL_CASES)
 def test_linkbudget_over_blocks_equals_per_pass(night, tmp_path, monkeypatch, kind, chunk):
     monkeypatch.setattr(qkd, "_RATE_CHUNK", chunk)
-    for k, (name, config, accesses) in enumerate(cases_of(kind, *night)):
+    serial = iter(range(10**6))
+
+    def oracle(config, passes):
+        path = tmp_path / f"oracle{next(serial)}.csv"
+        return outcome(oracle_write_linkbudget, config, passes, path)
+
+    for k, (name, config, accesses, bad) in enumerate(cases_of(kind, *night)):
         monkeypatch.setattr(cli, "compute_accesses", lambda _config, a=accesses: a)
         (tmp_path / f"want{k}").mkdir()
         want = outcome(oracle_write_linkbudget, config, accesses,
                        tmp_path / f"want{k}" / "linkbudget.csv")
         got = outcome(cli.run_linkbudget, config, tmp_path / f"got{k}")
-        assert got == want, name
-        # a bad sample leaves the rows of the passes before it, as before
-        assert (tmp_path / f"got{k}" / "linkbudget.csv").read_bytes() == \
-            (tmp_path / f"want{k}" / "linkbudget.csv").read_bytes(), name
+        if want[0] == "ok":
+            assert got == want, name
+            assert (tmp_path / f"got{k}" / "linkbudget.csv").read_bytes() == \
+                (tmp_path / f"want{k}" / "linkbudget.csv").read_bytes(), name
+        else:
+            allowed = errors_allowed(want, lambda passes, c=config: oracle(c, passes),
+                                     accesses, bad)
+            assert got in allowed, (name, got, allowed)
+            # a failing run leaves neither the rows before the bad sample nor a manifest
+            assert sorted(path.name for path in (tmp_path / f"got{k}").iterdir()) == [], name
     if kind == "walk":
         text = (tmp_path / "want4" / "linkbudget.csv").read_text(encoding="utf-8")
         assert ",Inf,8.0000,Inf,0.0\n" in text  # the overcast case wrote Inf tokens
@@ -316,13 +361,16 @@ def test_non_ascii_station_names_written_and_read_back(tmp_path):
 @pytest.mark.parametrize("kind", ALL_CASES)
 def test_loss_extremes_over_blocks_equal_per_pass(night, monkeypatch, kind, chunk):
     monkeypatch.setattr(qkd, "_RATE_CHUNK", chunk)
-    for name, config, accesses in cases_of(kind, *night):
+    for name, config, accesses, bad in cases_of(kind, *night):
         want = outcome(oracle_loss_extremes, config, accesses)
         got = outcome(cli._loss_extremes, config, accesses)
         if want[0] == "ok":
             assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), name
         else:
-            assert got == want, name
+            allowed = errors_allowed(
+                want, lambda passes, c=config: outcome(oracle_loss_extremes, c, passes),
+                accesses, bad)
+            assert got in allowed, (name, got, allowed)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from satqkd.cli import (
     run_schedule,
     run_sweep,
 )
-from satqkd.orbit import GroundStation
+from satqkd.orbit import Ephemeris, GroundStation
 from satqkd.qkd import KeyMatrix
 from satqkd.scenario import (
     ConfigError,
@@ -958,6 +958,35 @@ def test_main_station_outside_cloud_grid_exits_2(tmp_path, capsys, command, head
     assert json.loads(capsys.readouterr().err)["error"] == needle
 
 
+def test_failed_linkbudget_leaves_no_file_for_keymatrix(tmp_path, capsys):
+    # 432 ten-minute frames cover the first 3 of the default week's 7 days
+    (tmp_path / "clouds.txt").write_text(
+        "20 48 80 130 2 5 2016-09-19T00:00:00Z 432 15 11\n"
+        + " ".join(["0"] * (432 * 15 * 11)) + "\n", encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"cloud": {"file": "clouds.txt"}}), encoding="utf-8")
+    short_path = tmp_path / "short.json"
+    short_path.write_text(json.dumps({"span": ["2016-09-19T14:00:00Z",
+                                               "2016-09-19T20:00:00Z"]}), encoding="utf-8")
+    # a fresh out, and one that holds an earlier run's linkbudget.csv
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    earlier = tmp_path / "earlier"
+    assert main(["linkbudget", "--config", str(short_path), "--out", str(earlier)]) == 0
+    reused.mkdir()
+    (earlier / "linkbudget.csv").rename(reused / "linkbudget.csv")
+    capsys.readouterr()
+    for out in (fresh, reused):
+        assert main(["linkbudget", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            "cloud: Shenyang: time 2016-09-22T15:15:40+00:00 outside grid span of 432 "
+            "frames from 2016-09-19T00:00:00+00:00")
+        assert not (out / "linkbudget.csv").exists() and not (out / "manifest.json").exists()
+        # so no three-day key matrix is built from the rows before the error
+        assert main(["keymatrix", "--config", str(cfg_path), "--out", str(out / "km"),
+                     "--from-linkbudget", str(out / "linkbudget.csv")]) == 2
+        assert "linkbudget.csv" in json.loads(capsys.readouterr().err)["error"]
+
+
 EPHEMERIS_HEADER = "time_utc,x_km,y_km,z_km\n"
 EPHEMERIS_ROW_1 = "2016-09-19T00:00:00+00:00,7000,0,0\n"
 EPHEMERIS_ROW_2 = "2016-09-19T00:01:00+00:00,7000,100,0\n"
@@ -993,11 +1022,47 @@ def test_altitude_sweep_without_tle_exits_2(tmp_path, capsys):
     (tmp_path / "eph.csv").write_text(EPHEMERIS_HEADER + EPHEMERIS_ROW_1 + EPHEMERIS_ROW_2,
                                       encoding="utf-8")
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"ephemeris": {"file": "eph.csv"}}), encoding="utf-8")
+    # a span the minute of ephemeris covers
+    cfg_path.write_text(json.dumps({"ephemeris": {"file": "eph.csv"},
+                                    "span": ["2016-09-19T00:00:00Z", "2016-09-19T00:01:00Z"]}),
+                        encoding="utf-8")
     rc = main(["sweep", "--variable", "altitude", "--config", str(cfg_path),
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"].startswith("tle: ")
+
+
+@pytest.mark.parametrize("command", ["access", "linkbudget"])
+def test_ephemeris_short_of_the_span_exits_2_naming_it(tmp_path, capsys, command):
+    # two days of a 30 s ephemeris under the default week
+    from satqkd.orbit import _propagate_arrays
+    unix = DAY0.timestamp() + np.arange(0.0, 2 * 86400.0 + 1.0, 30.0)
+    pos = _propagate_arrays(micius_week_config().tle, unix)[0]
+    rows = [f"{datetime.fromtimestamp(u, UTC).isoformat()},{x!r},{y!r},{z!r}\n"
+            for u, (x, y, z) in zip(unix.tolist(), pos.tolist())]
+    (tmp_path / "eph.csv").write_text(EPHEMERIS_HEADER + "".join(rows), encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"ephemeris": {"file": "eph.csv"}}), encoding="utf-8")
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "ephemeris: covers 2016-09-19T00:00:00+00:00..2016-09-21T00:00:00+00:00, but the "
+        "samples run 2016-09-19T00:00:00+00:00..2016-09-25T23:59:50+00:00")
+    assert not (tmp_path / "out").exists()
+
+
+def test_ephemeris_must_hold_the_first_and_last_samples():
+    # a minute at 10 s: samples at 0, 10, ..., 50 s
+    span = (DAY0, DAY0 + timedelta(minutes=1))
+
+    def ephemeris(first, last):
+        unix = DAY0.timestamp() + np.array([first, last])
+        return Ephemeris(unix, np.array([[7000.0, 0.0, 0.0], [7000.0, 100.0, 0.0]]))
+
+    ScenarioConfig(ephemeris=ephemeris(0.0, 50.0), span=span)
+    for first, last in ((0.0, 49.9), (0.1, 60.0)):
+        with pytest.raises(ConfigError, match="^ephemeris: covers "):
+            ScenarioConfig(ephemeris=ephemeris(first, last), span=span)
 
 
 # config_digest values recorded before scenario_from_dict stopped repeating

@@ -28,7 +28,7 @@ import satqkd
 from satqkd import output
 from satqkd.cli import main
 from satqkd.orbit import _from_us, _to_us
-from satqkd.output import iso_utc, open_new, row_chunks, write_csv
+from satqkd.output import iso_utc, open_new, row_chunks, spelled, write_csv
 
 # ---------------------------------------------------------------------------
 # time labels
@@ -184,6 +184,24 @@ def test_open_new_replaces_a_dangling_symlink(tmp_path):
         fh.write("new\n")
     assert not target.exists()
     assert not path.is_symlink() and path.read_text(encoding="utf-8") == "new\n"
+
+
+def test_a_failed_write_leaves_no_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("an earlier run\n", encoding="utf-8")
+
+    def chunks():
+        yield [spelled(["a"])]
+        raise ValueError("bad sample")
+
+    with pytest.raises(ValueError, match="^bad sample$"):
+        write_csv(path, "name\n", chunks())
+    assert not path.exists()
+    with pytest.raises(KeyboardInterrupt):
+        with open_new(path) as fh:
+            fh.write("partial\n")
+            raise KeyboardInterrupt
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
