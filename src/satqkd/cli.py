@@ -307,10 +307,9 @@ def _delivered_sum(schedule: Schedule, matrix: KeyMatrix) -> float:
     """The correctly rounded sum of the cells schedule delivers: it does not
     depend on their order or on the zero rows a node holds, so two
     schedules that deliver the same keys have the same sum."""
-    owner = schedule.assignment[matrix.rows]
-    held = np.flatnonzero(owner >= 0)
+    interval, node, bits = matrix.nonzero()
     try:
-        return math.fsum(matrix.cells[held, owner[held]].tolist())
+        return math.fsum(bits[schedule.assignment[interval] == node].tolist())
     except OverflowError:  # the exact sum is past the largest float
         return math.inf
 
@@ -350,13 +349,14 @@ def run_schedule(config: ScenarioConfig, out: Path, seed: int | None = None,
             raise RuntimeError(f"S-GD total {delivered['S-GD']} below {kind} total "
                                f"{delivered[kind]}; objective dominance violated")
 
+    tags = {kind: kind.replace("-", "_").lower() for kind in schedules}
+    write_schedule_csv(list(schedules.values()), matrix,
+                       [out / f"schedule_{tag}.csv" for tag in tags.values()])
     summaries = {}
     for kind, sched in schedules.items():
-        tag = kind.replace("-", "_").lower()
-        write_schedule_csv(sched, matrix, out / f"schedule_{tag}.csv")
         summaries[kind] = schedule_summary(sched, matrix,
                                            config.strategy_for(kind, ga_seed), ga_seed)
-        write_json(out / f"summary_{tag}.json", summaries[kind])
+        write_json(out / f"summary_{tags[kind]}.json", summaries[kind])
     kls = {kind: summary["kl_divergence_vs_weights"] for kind, summary in summaries.items()}
     per_row = [(kind, name, bits) for kind, sched in schedules.items()
                for name, bits in zip(matrix.node_names, sched.node_totals)]

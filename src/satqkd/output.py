@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from functools import cache
 from typing import Iterator
 
@@ -66,11 +66,21 @@ def write_json(path, obj) -> None:
 def write_csv(path, header: str, chunks) -> None:
     """A CSV file at path: the header line, then the rows of each list of
     column matrices in chunks, as csv_rows joins them."""
-    with open_new(path) as fh:
-        fh.write(header)
-        fh.flush()
-        for columns in chunks:
-            fh.buffer.write(csv_rows(columns))
+    write_csvs([path], header, ([columns] for columns in chunks))
+
+
+def write_csvs(paths, header: str, chunks) -> None:
+    """write_csv of several files with one header, side by side: each chunk
+    holds a list of column matrices per path.  If one write fails, none of
+    the files is left."""
+    with ExitStack() as stack:
+        files = [stack.enter_context(open_new(path)) for path in paths]
+        for fh in files:
+            fh.write(header)
+            fh.flush()
+        for tables in chunks:
+            for fh, columns in zip(files, tables, strict=True):
+                fh.buffer.write(csv_rows(columns))
 
 
 def row_chunks(n_rows: int) -> Iterator[slice]:

@@ -24,10 +24,10 @@ short passes (`pass_blocks`): one kernel call per pass costs more than the
 old float loops on passes of a few dozen samples.  A block raises the error
 of the first bad sample its kernels meet.
 
-The key matrix holds only the intervals with a nonzero cell (`rows`) and
-those rows' cells, never an intervals x nodes array: add_key_bits turns
-samples into (row, node, bits) columns and assemble_key_matrix sums them
-into the cells of their distinct rows.
+The key matrix holds only its nonzero cells, as row-major (interval, node,
+bits) columns, never an intervals x nodes or a rows x nodes array:
+add_key_bits turns samples into such columns and assemble_key_matrix sums
+the samples of each cell.
 """
 from __future__ import annotations
 
@@ -181,35 +181,33 @@ def gllp_rate(eta: float, params: QkdParams) -> RateResult:
     return RateResult(*terms, per_pulse, per_pulse * params.rep_rate_hz)
 
 
-def nonzero_rows(values) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n_intervals, rows, cells) of a dense (n_intervals, n_nodes) key matrix:
-    the rows with a nonzero cell and their cells, or ValueError naming the
-    first negative, NaN or infinite entry."""
+def nonzero_cells(values) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """(n_intervals, n_nodes, interval, node, bits) of a dense (n_intervals,
+    n_nodes) key matrix: its nonzero cells in row-major order, or ValueError
+    naming the first negative, NaN or infinite entry."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"a key matrix is 2-D (intervals, nodes), got shape {values.shape}")
-    rows = np.flatnonzero(values.any(axis=1))  # NaN and negative cells count
-    cells = values[rows]
-    _check_cells(rows, cells)
-    return len(values), rows, cells
+    interval, node = np.nonzero(values)  # NaN and negative cells count
+    bits = values[interval, node]
+    _check_cells(interval, node, bits)
+    return *values.shape, interval, node, bits
 
 
-def _check_cells(rows: np.ndarray, cells: np.ndarray) -> None:
-    # min and max see every cell (a NaN makes both NaN) without the full-size
+def _check_cells(interval: np.ndarray, node: np.ndarray, bits: np.ndarray) -> None:
+    # min and max see every cell (a NaN makes both NaN) without the
     # temporaries that finding the first bad cell needs
-    if not cells.size or (cells.min() >= 0.0 and cells.max() < np.inf):
+    if not bits.size or (bits.min() >= 0.0 and bits.max() < np.inf):
         return
-    bad = np.flatnonzero(~((cells >= 0.0) & (cells < np.inf)))
-    if bad.size:
-        k, n = divmod(int(bad[0]), cells.shape[1])
-        raise ValueError(f"key matrix entry [{rows[k]}][{n}] = {float(cells[k, n])!r} "
-                         f"is not finite and >= 0")
+    i = int(np.flatnonzero(~((bits >= 0.0) & (bits < np.inf)))[0])
+    raise ValueError(f"key matrix entry [{interval[i]}][{node[i]}] = {float(bits[i])!r} "
+                     f"is not finite and >= 0")
 
 
-def _sparse_rows(rows: np.ndarray, cells: np.ndarray, n_intervals: int,
-                 n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """rows and cells checked for shape, row order and cell values, with the
-    rows left all zero dropped."""
+def _block_cells(rows: np.ndarray, cells: np.ndarray, n_intervals: int,
+                 n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero cells of the (len(rows), n_nodes) block `cells` of the
+    given rows, checked for shape, row order and cell values."""
     if cells.shape != (len(rows), n_nodes):
         raise ValueError(f"cells shape {cells.shape} does not match "
                          f"{len(rows)} rows and {n_nodes} nodes")
@@ -217,27 +215,35 @@ def _sparse_rows(rows: np.ndarray, cells: np.ndarray, n_intervals: int,
                       or (np.diff(rows) <= 0).any()):
         raise ValueError(f"rows must increase strictly within "
                          f"0..{n_intervals - 1}")
-    _check_cells(rows, cells)
-    if not (keep := cells.any(axis=1)).all():
-        rows, cells = rows[keep], cells[keep]
-    return rows, cells
+    k, node = np.nonzero(cells)
+    interval, bits = rows[k], cells[k, node]
+    _check_cells(interval, node, bits)
+    return interval, node, bits
+
+
+def row_heads(interval: np.ndarray) -> np.ndarray:
+    """The index of each row's first cell in a row-major interval column."""
+    return np.flatnonzero(np.diff(interval, prepend=-1))
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class KeyMatrix:
     """K[m][n]: secure-key bits obtainable in interval m by node n.
 
-    Held as its nonzero rows: `rows` are the sorted intervals with a nonzero
-    cell and `cells` their (len(rows), n_nodes) bits; every other interval is
-    all zero.  Give either the dense `values` or rows, cells and n_intervals;
-    rows left all zero are dropped.
+    Held as its nonzero cells, in three row-major columns: `cell_intervals`,
+    `cell_nodes` and `cell_bits` (each finite and > 0); `rows` are the
+    sorted intervals with a nonzero cell.  Every other cell is zero.  Give
+    either the dense `values`, or `rows`, their (len(rows), n_nodes) `cells`
+    and n_intervals; either is read once into the columns.
     """
     start: datetime
     interval_seconds: float
     node_names: tuple[str, ...]
     n_intervals: int
-    rows: np.ndarray = field(repr=False)   # (R,) int64, strictly increasing
-    cells: np.ndarray = field(repr=False)  # (R, n_nodes) float
+    rows: np.ndarray = field(repr=False)            # (R,) int64, strictly increasing
+    cell_intervals: np.ndarray = field(repr=False)  # (C,) int64, nondecreasing
+    cell_nodes: np.ndarray = field(repr=False)      # (C,) int64, increasing in a row
+    cell_bits: np.ndarray = field(repr=False)       # (C,) float
 
     def __init__(self, start: datetime, interval_seconds: float,
                  node_names: Sequence[str], values=None, *, rows=None, cells=None,
@@ -245,35 +251,38 @@ class KeyMatrix:
         if values is not None:
             if any(arg is not None for arg in (rows, cells, n_intervals)):
                 raise TypeError("give values, or rows, cells and n_intervals, not both")
-            n_intervals, rows, cells = nonzero_rows(values)
-            if cells.shape[1] != len(node_names):
-                raise ValueError(f"values shape {(n_intervals, cells.shape[1])} "
+            n_intervals, n_nodes, *columns = nonzero_cells(values)
+            if n_nodes != len(node_names):
+                raise ValueError(f"values shape {(n_intervals, n_nodes)} "
                                  f"inconsistent with {len(node_names)} nodes")
         elif rows is None or cells is None or n_intervals is None:
             raise TypeError("give values, or rows, cells and n_intervals")
         else:
-            # copies, so the caller's arrays stay theirs
             n_intervals = int(n_intervals)
-            rows, cells = _sparse_rows(np.array(rows, dtype=np.int64).reshape(-1),
-                                       np.array(cells, dtype=float), n_intervals,
-                                       len(node_names))
-        self._set(start, interval_seconds, node_names, n_intervals, rows, cells)
+            columns = _block_cells(np.array(rows, dtype=np.int64).reshape(-1),
+                                   np.asarray(cells, dtype=float), n_intervals,
+                                   len(node_names))
+        self._set(start, interval_seconds, node_names, n_intervals, *columns)
 
     @classmethod
     def _adopt(cls, start: datetime, interval_seconds: float, node_names: Sequence[str],
-               rows: np.ndarray, cells: np.ndarray, n_intervals: int) -> "KeyMatrix":
-        """The matrix of freshly built int64 rows and float cells, checked as
-        the constructor checks them but held without a copy."""
+               n_intervals: int, interval: np.ndarray, node: np.ndarray,
+               bits: np.ndarray) -> "KeyMatrix":
+        """The matrix of freshly built and checked row-major cell columns,
+        held without a copy."""
         matrix = cls.__new__(cls)
-        matrix._set(start, interval_seconds, node_names, n_intervals,
-                    *_sparse_rows(rows, cells, n_intervals, len(node_names)))
+        matrix._set(start, interval_seconds, node_names, n_intervals, interval, node, bits)
         return matrix
 
-    def _set(self, start, interval_seconds, node_names, n_intervals, rows, cells) -> None:
-        rows.flags.writeable = cells.flags.writeable = False
+    def _set(self, start, interval_seconds, node_names, n_intervals, interval, node,
+             bits) -> None:
+        rows = interval[row_heads(interval)]
+        for column in (rows, interval, node, bits):
+            column.flags.writeable = False
         for name, value in (("start", _as_utc(start)), ("interval_seconds", interval_seconds),
                             ("node_names", tuple(node_names)), ("n_intervals", n_intervals),
-                            ("rows", rows), ("cells", cells)):
+                            ("rows", rows), ("cell_intervals", interval),
+                            ("cell_nodes", node), ("cell_bits", bits)):
             object.__setattr__(self, name, value)
 
     @property
@@ -282,8 +291,7 @@ class KeyMatrix:
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Interval, node and bits of every nonzero cell, in row-major order."""
-        k, n = np.nonzero(self.cells)
-        return self.rows[k], n, self.cells[k, n]
+        return self.cell_intervals, self.cell_nodes, self.cell_bits
 
     def interval_start(self, m: int) -> datetime:
         return self.start + timedelta(seconds=m * self.interval_seconds)
@@ -364,14 +372,21 @@ def assemble_key_matrix(parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray
                         start: datetime, interval_seconds: float, n_intervals: int,
                         node_names: Sequence[str]) -> KeyMatrix:
     """The key matrix of the samples add_key_bits appended to parts: each
-    cell sums its samples' bits one at a time, in sample order."""
+    cell sums its samples' bits one at a time, in sample order, and the
+    cells that sum to zero are left out."""
     rows, nodes, bits = ((np.concatenate(column) for column in zip(*parts)) if parts
                          else (np.empty(0, np.int64),) * 3)
-    grid_rows, owner = np.unique(rows, return_inverse=True)
-    cells = np.zeros((len(grid_rows), len(node_names)))
-    np.add.at(cells, (owner, nodes), bits)  # repeated cells add in sample order
-    return KeyMatrix._adopt(start, interval_seconds, node_names, grid_rows, cells,
-                            n_intervals)
+    n_nodes = len(node_names)
+    # one key per cell, ordered as the cells are in row-major order
+    keys, owner = np.unique(rows * n_nodes + nodes, return_inverse=True)
+    sums = np.zeros(len(keys))
+    np.add.at(sums, owner, bits)  # repeated cells add in sample order
+    keep = np.flatnonzero(sums)  # NaN and negative sums stay, to be named
+    interval, node = np.divmod(keys[keep], n_nodes)
+    bits = sums[keep]
+    _check_cells(interval, node, bits)
+    return KeyMatrix._adopt(start, interval_seconds, node_names, n_intervals,
+                            interval, node, bits)
 
 
 def build_key_matrix(accesses: Sequence[AccessInterval],

@@ -5,18 +5,19 @@ activity: a node index, IDLE, or SWITCH.  A handoff needs a switch: interval
 m+1 may be assigned to node n only when interval m is the same node or a
 SWITCH (the first interval of the horizon is unconstrained).
 
-The key matrix is a qkd.KeyMatrix, held as the rows with a nonzero cell, or
-a dense (intervals, nodes) array, which is first reduced to those rows and
+The key matrix is a qkd.KeyMatrix, held as its nonzero cells, or a dense
+(intervals, nodes) array, which is first reduced to those cells and
 rejected (ValueError naming the entry) if any entry is negative, NaN or
-infinite.  No solver builds an intervals x nodes array: their work follows
-the nonzero rows, and only the returned assignment, and evaluate's stable
-sort of it, is as long as the horizon.
+infinite.  No solver builds an intervals x nodes or a rows x nodes array:
+their work follows the nonzero cells, and only the returned assignment, and
+evaluate's stable sort of it, is as long as the horizon (the GA's fitness
+table is (nodes + 2) x active rows).
 
 Solvers:
   * solve_exact  - dynamic program over (interval, last activity); provably
     optimal for any linear objective sum_n w_n * E_n.  It steps through the
-    rows with a nonzero weighted gain; each all-zero run between them is
-    taken in closed form.
+    rows with a nonzero weighted gain at the cost of their cells; each
+    all-zero run between them is taken in closed form.
   * solve_ga     - generational genetic algorithm on the activity string of
     the nonzero rows, with one-point crossover, per-gene mutation,
     switch-insertion repair and a restart of all but the elites every
@@ -43,8 +44,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .output import integers, iso_utc, row_chunks, spelled, write_csv
-from .qkd import KeyMatrix, nonzero_rows
+from .output import integers, iso_utc, row_chunks, spelled, write_csvs
+from .qkd import KeyMatrix, nonzero_cells, row_heads
 
 IDLE = -1
 SWITCH = -2
@@ -160,13 +161,13 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return total
 
 
-def _cells_of(matrix) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n_intervals, rows, cells) of a KeyMatrix or a dense (intervals, nodes)
-    array: the sorted rows with a nonzero cell and their cells.  A dense
+def _cells_of(matrix) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """(n_intervals, n_nodes, interval, node, bits) of a KeyMatrix or a dense
+    (intervals, nodes) array: its nonzero cells in row-major order.  A dense
     array with a negative, NaN or infinite entry raises ValueError naming it."""
     if isinstance(matrix, KeyMatrix):
-        return matrix.n_intervals, matrix.rows, matrix.cells
-    return nonzero_rows(matrix)
+        return matrix.n_intervals, matrix.n_nodes, *matrix.nonzero()
+    return nonzero_cells(matrix)
 
 
 def _assignment_of(schedule: Schedule | Sequence[int], where="assignment") -> np.ndarray:
@@ -212,28 +213,29 @@ def evaluate(schedule: Schedule | Sequence[int], matrix) -> np.ndarray:
     return _delivered(schedule, *_cells_of(matrix))
 
 
-def _delivered(schedule: Schedule | Sequence[int], n_intervals: int,
-               rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """evaluate of a matrix given as (n_intervals, rows, cells).
+def _delivered(schedule: Schedule | Sequence[int], n_intervals: int, n_nodes: int,
+               interval: np.ndarray, node: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """evaluate of a matrix given as its cells (_cells_of).
 
-    Each node sums the column of all its assigned rows, zeros included and
-    in row order: numpy's pairwise sum groups by position, so the totals
-    are bit for bit those of the dense masked sum.  O(n_intervals) memory.
+    Each node with a delivered cell sums the column of all its assigned
+    rows, zeros included and in row order: numpy's pairwise sum groups by
+    position, so the totals are bit for bit those of the dense masked sum.
+    Every other node delivers 0.0.  O(n_intervals) memory.
     """
-    n_nodes = cells.shape[1]
     arr = _codes_of(schedule, n_nodes)
     if len(arr) != n_intervals:
         raise ValueError(f"assignment length {len(arr)} does not match {n_intervals} intervals")
     # one stable sort lists each node's assigned rows in row order
     order = np.argsort(arr, kind="stable")
     bounds = np.searchsorted(arr, np.arange(n_nodes + 1), sorter=order)
-    owner = arr[rows]
+    held = np.flatnonzero(arr[interval] == node)
+    held = held[np.argsort(node[held], kind="stable")]  # by node, then row
+    nodes, firsts = np.unique(node[held], return_index=True)
     totals = np.zeros(n_nodes)
-    for n in range(n_nodes):
+    for n, these in zip(nodes.tolist(), np.split(held, firsts[1:])):
         mine = order[bounds[n]:bounds[n + 1]]
-        hit = np.flatnonzero(owner == n)
         column = np.zeros(len(mine))
-        column[np.searchsorted(mine, rows[hit])] = cells[hit, n]
+        column[np.searchsorted(mine, interval[these])] = bits[these]
         totals[n] = column.sum()
     return totals
 
@@ -266,67 +268,110 @@ def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
     a node state keeps its node parent on parent ties (fewest switches).
     Weights must be finite and >= 0, one per node, else ValueError.
 
-    The DP steps O(N) through exactly the rows with a nonzero weighted gain.
-    A run of zero rows is taken in closed form: its first row lifts each node
-    to max(node, rest) and rest to the best value `top`, and every later row
-    holds `top` in all states, so the row after the run adds its gains to
-    `top` whatever the run's length; adding the zero gains changes no bit.
-    In the traceback a node holds through the run before its row, or
-    re-enters through a SWITCH on the run's first row; IDLE and SWITCH leave
-    the run IDLE, which is what the full walk assigns.
+    The DP steps through the rows with a nonzero weighted gain, and each row
+    costs its own cells.  A node without a cell in a row only rises to the
+    rest state (adding its zero gain changes no bit), and the rest state
+    never falls, so every node's state is max(its value at its last cell,
+    `floor`), where `floor` is the rest state of the row before, or the best
+    value after a run of zero rows: the run's first row lifts each node to
+    max(node, rest) and rest to the best value `top`, and every later row
+    holds `top` in all states.  No state without a cell in the row before
+    beats the rest state, so the best state is the rest or one of those
+    cells.  The traceback reads the same values: a node holds through the
+    run before its row or re-enters through a SWITCH on the run's first row;
+    IDLE and SWITCH leave the run IDLE, which is what the full walk assigns.
     """
-    key = n_intervals, cell_rows, cells = _cells_of(matrix)
-    n_nodes = cells.shape[1]
+    key = n_intervals, n_nodes, interval, node, bits = _cells_of(matrix)
     w = np.ones(n_nodes) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (n_nodes,):
         raise ValueError(f"expected {n_nodes} weights, got {w.shape}")
     if (bad := np.flatnonzero(~((w >= 0.0) & (w < np.inf)))).size:
         raise ValueError(f"weights[{bad[0]}] = {float(w[bad[0]])!r} is not finite and >= 0")
-    weighted = ((cells != 0) & (w != 0)).any(axis=1)
-    rows = cell_rows[weighted]
-    gains = cells[weighted]  # (R, N), weighted in place: one full-size temporary
-    gains *= w
-    gap = np.diff(rows, prepend=-1) > 1  # a zero row lies before row k
-    n_rows = len(rows)
+    weighted = np.flatnonzero(w[node] != 0.0)
+    interval, node = interval[weighted], node[weighted]
+    heads = row_heads(interval)
+    rows = interval[heads].tolist()
+    gaps = (np.diff(interval[heads], prepend=-1) > 1).tolist()  # a zero row lies before
+    bounds = [*heads.tolist(), len(node)]
+    nodes, gains = node.tolist(), (bits[weighted] * w[node]).tolist()
 
-    # states are activity codes; `ordered` holds the value of IDLE and SWITCH
-    # alike first (it wins argmax ties), then node n at n + 1, so argmax - 1
-    # is the best activity
-    ordered = np.zeros(n_nodes + 1)
-    f_nodes = ordered[1:]
-    best = np.empty(n_rows, dtype=np.int64)  # best activity of the state before row k
-    stays = np.empty((n_rows, n_nodes), dtype=bool)  # a node keeps its node parent
-    through = np.ones((n_rows, n_nodes), dtype=bool)  # a node holds across the gap
+    # per cell: its node's value after the row, and whether the node kept
+    # its node parent and held across the gap before the row; cell -1 (no
+    # cell) reads as the rest state IDLE, and a node without a cell so far
+    # as value 0.0
+    nodes.append(IDLE)
+    value = [0.0] * len(nodes)
+    stays = [True] * len(nodes)
+    through = [True] * len(nodes)
+    last = [0.0] * n_nodes  # each node's value at its last cell
+    rests, floors = [], []  # before each row
+    best = []  # the cell of the best state before each row
+    rest = floor = 0.0
+    lead, lead_cell = -math.inf, -1  # the best cell of the row before
+    for k, after_gap in enumerate(gaps):
+        top, cell = (lead, lead_cell) if lead > rest else (rest, -1)
+        best.append(cell)
+        rests.append(rest)
+        floors.append(floor)
+        lead = -math.inf
+        for i in range(bounds[k], bounds[k + 1]):
+            n = nodes[i]
+            x = last[n]
+            if x < floor:
+                x = floor
+            if x < rest:
+                stays[i] = False
+                x = rest
+            if after_gap:
+                if x < top:
+                    through[i] = False
+                x = top
+            last[n] = value[i] = x = x + gains[i]
+            if x > lead:
+                lead, lead_cell = x, i
+        floor = top if after_gap else rest
+        rest = top
+    objective, cell = (lead, lead_cell) if lead > rest else (rest, -1)
+    rests.append(rest)
 
-    for k, after_gap in enumerate(gap.tolist()):
-        parent = int(ordered.argmax())
-        best[k] = parent - 1
-        top = ordered[parent]
-        stays[k] = f_nodes >= ordered[0]
-        np.maximum(f_nodes, ordered[0], out=f_nodes)
-        if after_gap:
-            through[k] = f_nodes >= top
-            f_nodes.fill(top)
-        f_nodes += gains[k]
-        ordered[0] = top
+    # the cell of each cell's node in its previous row, -1 for none
+    by_node = np.argsort(node, kind="stable")
+    previous = np.full(len(nodes), -1)
+    same = node[by_node[1:]] == node[by_node[:-1]]
+    previous[by_node[1:][same]] = by_node[:-1][same]
+    previous = previous.tolist()
 
-    state = int(ordered.argmax()) - 1
-    objective = float(ordered[state + 1])
-
-    assignment = np.full(n_intervals, IDLE, dtype=np.int64)  # every gap IDLE
-    for k in range(n_rows - 1, -1, -1):
+    # the assignment is IDLE but for runs [first, stop) of one code, marked
+    # as steps of code - IDLE at first and back at stop
+    marks, steps = [], []
+    state = nodes[cell]
+    for k in range(len(rows) - 1, -1, -1):
         row = rows[k]
         if state < 0:  # IDLE or SWITCH: entered from the best of the row before
-            assignment[row] = state
-            state = int(best[k])
+            if state == SWITCH:
+                marks += (row, row + 1)
+                steps += (SWITCH - IDLE, IDLE - SWITCH)
+            state = nodes[cell := best[k]]
             continue
+        if cell >= bounds[k]:  # the node's last cell up to row k is in row k
+            stay, hold = stays[cell], through[cell]
+            cell = previous[cell]
+        else:
+            x = max(value[cell], floors[k])
+            stay = x >= rests[k]
+            hold = not gaps[k] or max(x, rests[k]) >= rests[k + 1]
         first = rows[k - 1] + 1 if k else 0  # the gap before row k
-        assignment[first:row + 1] = state
-        if not through[k, state]:
-            assignment[first] = SWITCH
-            state = int(best[k])
-        elif not stays[k, state]:
+        marks += (first, row + 1)
+        steps += (state - IDLE, IDLE - state)
+        if not hold:
+            marks += (first, first + 1)
+            steps += (SWITCH - state, state - SWITCH)
+            state = nodes[cell := best[k]]
+        elif not stay:
             state = SWITCH
+    delta = np.zeros(n_intervals + 1, dtype=np.int64)
+    np.add.at(delta, np.array(marks, dtype=np.int64), np.array(steps, dtype=np.int64))
+    assignment = np.cumsum(delta[:-1]) + IDLE
     return _finish(assignment, key, objective)
 
 
@@ -349,12 +394,14 @@ def _expand(genes: np.ndarray, active: np.ndarray, starts: np.ndarray,
     return full
 
 
-def _node_cells(k: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per node (column of k), the rows of its nonzero cells and their values."""
-    node, row = np.nonzero(k.T)  # sorted by node, then by row
-    bounds = np.searchsorted(node, np.arange(k.shape[1] + 1))
-    return [(row[a:b], k[row[a:b], n])
-            for n, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
+def _node_cells(n_nodes: int, genes: np.ndarray, node: np.ndarray,
+                bits: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per node, the genes (active rows) of its nonzero cells, in row order,
+    and their bits, from row-major cells."""
+    by_node = np.argsort(node, kind="stable")
+    bounds = np.searchsorted(node[by_node], np.arange(n_nodes + 1))
+    genes, bits = genes[by_node], bits[by_node]
+    return [(genes[a:b], bits[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _node_totals(group: np.ndarray, cells) -> np.ndarray:
@@ -447,9 +494,11 @@ def solve_ga(matrix, cfg: StrategyConfig,
     whole restart period, the GA's only escape move.  The returned
     Schedule's `generations` is g, or cfg.ga.generations without a stop.
     """
-    # the rows with a nonzero cell are the active rows, and cells their keys
-    key = n_intervals, active, k_active = _cells_of(matrix)  # k_active: (A, N)
-    n_nodes = k_active.shape[1]
+    # the rows with a nonzero cell are the active rows; each cell's gene is
+    # its row's index among them
+    key = n_intervals, n_nodes, interval, node, bits = _cells_of(matrix)
+    active = interval[row_heads(interval)]
+    cell_gene = np.searchsorted(active, interval)
     ga = cfg.ga
     # the switch rule does not couple across a zero row (a SWITCH fits there),
     # so a block of the chromosome starts after each gap
@@ -466,10 +515,9 @@ def solve_ga(matrix, cfg: StrategyConfig,
     else:
         fit_w = np.ones(n_nodes)
     # node-major fitness table: gene g at active interval a scores
-    # k_flat[g * A + a]; the IDLE and SWITCH rows are zero
+    # k_flat[g * A + a]; the IDLE and SWITCH rows and the zero cells are zero
     k_flat = np.zeros((n_nodes + 2) * n_active)
-    np.multiply(k_active.T, fit_w[:, None],
-                out=k_flat[:n_nodes * n_active].reshape(n_nodes, n_active))
+    k_flat[node * n_active + cell_gene] = bits * fit_w[node]
     gather_rows = max(1, _GATHER_GENES // n_active)
     target = (np.asarray(cfg.normalized_weights(n_nodes))
               if cfg.kind == "S-TD" else None)
@@ -502,7 +550,7 @@ def solve_ga(matrix, cfg: StrategyConfig,
             fit[lo:lo + gather_rows] = k_flat.take(flat).sum(axis=1)
         return fit
 
-    cells = _node_cells(k_active)
+    cells = _node_cells(n_nodes, cell_gene, node, bits)
 
     def kl_of(group: np.ndarray, band: np.ndarray) -> np.ndarray:
         out = np.full(len(group), np.inf)
@@ -636,17 +684,24 @@ def solve_ga(matrix, cfg: StrategyConfig,
 # Export helpers
 # ---------------------------------------------------------------------------
 
-def write_schedule_csv(schedule: Schedule, matrix, path) -> None:
-    """Full interval listing: interval_index,start_utc,activity."""
+def write_schedule_csv(schedules: Sequence[Schedule], matrix, paths: Sequence) -> None:
+    """Full interval listings, interval_index,start_utc,activity, of each
+    schedule at its path.  The files are written side by side, so the
+    columns they share are spelled once."""
     n_intervals = matrix.n_intervals
-    if len(schedule.assignment) != n_intervals:
-        raise ValueError(f"{len(schedule.assignment)} activities for {n_intervals} intervals")
+    for schedule in schedules:
+        if len(schedule.assignment) != n_intervals:
+            raise ValueError(f"{len(schedule.assignment)} activities for "
+                             f"{n_intervals} intervals")
     # shifted by -SWITCH, the codes SWITCH and IDLE index the first two names
     names = spelled([name.encode() for name in ("SWITCH", "IDLE", *matrix.node_names)])
     intervals = np.arange(n_intervals)
-    write_csv(path, "interval_index,start_utc,activity\n", (
-        [integers(intervals[part]), iso_utc(matrix.row_us(intervals[part])),
-         names[schedule.assignment[part] - SWITCH]] for part in row_chunks(n_intervals)))
+
+    def tables(part: slice) -> list[list[np.ndarray]]:
+        shared = [integers(intervals[part]), iso_utc(matrix.row_us(intervals[part]))]
+        return [[*shared, names[schedule.assignment[part] - SWITCH]] for schedule in schedules]
+
+    write_csvs(paths, "interval_index,start_utc,activity\n", map(tables, row_chunks(n_intervals)))
 
 
 def schedule_summary(schedule: Schedule, matrix, strategy: StrategyConfig,

@@ -57,7 +57,8 @@ def enumeration_oracle(values: np.ndarray, weights=None) -> float:
 def dense(matrix) -> np.ndarray:
     """The (n_intervals, n_nodes) array of a qkd.KeyMatrix, zeros included."""
     values = np.zeros((matrix.n_intervals, matrix.n_nodes))
-    values[matrix.rows] = matrix.cells
+    interval, node, bits = matrix.nonzero()
+    values[interval, node] = bits
     return values
 
 

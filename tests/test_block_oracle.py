@@ -162,7 +162,7 @@ def outcome(fn, *args):
 
 def matrix_bytes(matrix) -> tuple:
     return (matrix.n_intervals, matrix.node_names, matrix.rows.tobytes(),
-            matrix.cells.tobytes())
+            *(column.tobytes() for column in matrix.nonzero()))
 
 
 def cut(iv, lo: int, hi: int, **columns):

@@ -387,7 +387,7 @@ def test_keymatrix_all_blocked_grid_is_all_zero(tmp_path):
                      time_start=cfg.span[0], frames=frames)
     matrix = run_keymatrix(micius_week_config(span=cfg.span, cloud=grid),
                            tmp_path)
-    assert not matrix.cells.any()
+    assert not matrix.nonzero()[2].any()
 
 
 def test_ephemeris_file_through_config(tmp_path):
@@ -431,7 +431,7 @@ def test_keymatrix_daily_totals_cover_nonzero_days(tmp_path):
     daily = (tmp_path / "keys_daily.csv").read_text().strip().splitlines()
     assert daily[0] == "date,station,key_bits"
     total = sum(float(line.split(",")[2]) for line in daily[1:])
-    assert total == pytest.approx(matrix.cells.sum(), rel=1e-6)
+    assert total == pytest.approx(matrix.nonzero()[2].sum(), rel=1e-6)
 
 
 def dict_daily_key_bits(matrix):
@@ -481,7 +481,7 @@ def test_keymatrix_fine_sampling_converges(tmp_path):
     coarse = run_keymatrix(short_config(), tmp_path / "coarse")
     fine = run_keymatrix(short_config(step_seconds=1.0), tmp_path / "fine")
     assert (fine.n_intervals, fine.n_nodes) == (coarse.n_intervals, coarse.n_nodes)
-    assert fine.cells.sum() == pytest.approx(coarse.cells.sum(), rel=0.05)
+    assert fine.nonzero()[2].sum() == pytest.approx(coarse.nonzero()[2].sum(), rel=0.05)
 
 
 # ---------------------------------------------------------------------------

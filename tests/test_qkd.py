@@ -221,7 +221,7 @@ def test_assembly_keeps_only_rows_with_a_nonzero_cell():
                  [weak, 0.0, good, good], 1.0, str)
     km = assemble_key_matrix(parts, T0, 10.0, 4, ("A", "B"))
     assert (km.n_intervals, km.rows.tolist()) == (4, [2])
-    assert km.cells.tolist() == [[rate, rate]]
+    assert [column.tolist() for column in km.nonzero()] == [[2, 2], [0, 1], [rate, rate]]
     assert dense(km).tolist() == [[0.0, 0.0], [0.0, 0.0], [rate, rate], [0.0, 0.0]]
     assert assemble_key_matrix([], T0, 10.0, 4, ("A", "B")).rows.tolist() == []
 
@@ -251,7 +251,7 @@ def zenith_access(station, first_interval, n_intervals, grid_start=T0,
 def test_key_matrix_no_accesses_all_zero():
     km = build_key_matrix([], STATIONS, OPTICS, TABLE1, T0, 12)
     assert (km.n_intervals, km.n_nodes) == (12, 3)
-    assert not km.cells.any()
+    assert not km.nonzero()[2].any()
 
 
 def test_key_matrix_support_and_constant_rate():

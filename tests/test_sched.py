@@ -481,7 +481,8 @@ def test_sparse_node_totals_match_masked_product():
     k = rng.uniform(0.0, 1e4, size=(700, 7))
     k[rng.random(k.shape) < 0.8] = 0.0
     k[:, 5] = 0.0  # a node without a single nonzero cell
-    cells = _node_cells(k)
+    row, node = np.nonzero(k)
+    cells = _node_cells(7, row, node, k[row, node])
     for _ in range(20):
         group = rng.integers(0, 9, size=(30, 700), dtype=np.int16)
         masked = np.stack([((group == n) * k[:, n][None, :]).sum(axis=1)
@@ -612,15 +613,19 @@ def test_schedule_csv_matches_the_row_loop(tmp_path, monkeypatch, chunk):
                            node_names=tuple(f"station-{n}" for n in range(n_nodes)),
                            values=rng.uniform(0.0, 5.0, size=(n_intervals, n_nodes)))
         codes = rng.integers(SWITCH, n_nodes, size=n_intervals)
-        for schedule in (solve_exact(matrix),
-                         Schedule(assignment=codes, node_totals=(), objective=0.0)):
-            write_schedule_csv(schedule, matrix, tmp_path / "got.csv")
+        schedules = (solve_exact(matrix),
+                     Schedule(assignment=codes, node_totals=(), objective=0.0))
+        # both files are written side by side, as run_schedule writes three
+        write_schedule_csv(schedules, matrix, [tmp_path / "got0.csv", tmp_path / "got1.csv"])
+        for k, schedule in enumerate(schedules):
             loop_write_schedule_csv(schedule, matrix, tmp_path / "want.csv")
-            assert ((tmp_path / "got.csv").read_bytes()
+            assert ((tmp_path / f"got{k}.csv").read_bytes()
                     == (tmp_path / "want.csv").read_bytes()), n_intervals
     short = Schedule(assignment=codes[:-1], node_totals=(), objective=0.0)
     with pytest.raises(ValueError):
-        write_schedule_csv(short, matrix, tmp_path / "short.csv")
+        write_schedule_csv([schedules[0], short], matrix,
+                           [tmp_path / "long.csv", tmp_path / "short.csv"])
+    assert not (tmp_path / "long.csv").exists() and not (tmp_path / "short.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -656,13 +661,16 @@ def test_key_matrix_rows_and_cells_agree_with_the_dense_form():
     dense = KeyMatrix(DAY0, 10.0, ("A", "B", "C"), values)
     nonzero = values.any(axis=1)
     assert dense.rows.tolist() == np.flatnonzero(nonzero).tolist()
-    assert np.array_equal(dense.cells, values[nonzero])
+    interval, node = np.nonzero(values)
+    want = (interval, node, values[interval, node])
+    assert all(np.array_equal(got, column) for got, column in zip(dense.nonzero(), want))
     assert (dense.n_intervals, dense.n_nodes) == values.shape
     # rows left all zero are dropped; both forms schedule alike
     padded_rows = np.arange(40)
     held = KeyMatrix(DAY0, 10.0, ("A", "B", "C"), rows=padded_rows, cells=values,
                      n_intervals=40)
-    assert np.array_equal(held.rows, dense.rows) and np.array_equal(held.cells, dense.cells)
+    assert np.array_equal(held.rows, dense.rows)
+    assert all(np.array_equal(got, column) for got, column in zip(held.nonzero(), want))
     for solve in (solve_exact, lambda m: solve_ga(m, StrategyConfig(
             kind="S-TD", ga=GaConfig(population=8, generations=10)))):
         a, b = solve(values), solve(held)

@@ -188,7 +188,7 @@ def test_keymatrix_files_match_the_row_loops(tmp_path, monkeypatch, name, matrix
 def test_schedule_csv_matches_the_row_loop(tmp_path, name, matrix):
     codes = np.random.default_rng(len(name)).integers(SWITCH, len(NAMES), matrix.n_intervals)
     schedule = Schedule(assignment=codes, node_totals=(), objective=0.0)
-    write_schedule_csv(schedule, matrix, tmp_path / "schedule.csv")
+    write_schedule_csv([schedule], matrix, [tmp_path / "schedule.csv"])
     assert (tmp_path / "schedule.csv").read_bytes() == oracle_schedule_csv(schedule,
                                                                           matrix).encode()
 
