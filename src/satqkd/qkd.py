@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from math import exp, expm1, log2
@@ -181,44 +182,13 @@ def gllp_rate(eta: float, params: QkdParams) -> RateResult:
     return RateResult(*terms, per_pulse, per_pulse * params.rep_rate_hz)
 
 
-def nonzero_cells(values) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-    """(n_intervals, n_nodes, interval, node, bits) of a dense (n_intervals,
-    n_nodes) key matrix: its nonzero cells in row-major order, or ValueError
-    naming the first negative, NaN or infinite entry."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ValueError(f"a key matrix is 2-D (intervals, nodes), got shape {values.shape}")
-    interval, node = np.nonzero(values)  # NaN and negative cells count
-    bits = values[interval, node]
-    _check_cells(interval, node, bits)
-    return *values.shape, interval, node, bits
-
-
-def _check_cells(interval: np.ndarray, node: np.ndarray, bits: np.ndarray) -> None:
-    # min and max see every cell (a NaN makes both NaN) without the
-    # temporaries that finding the first bad cell needs
-    if not bits.size or (bits.min() >= 0.0 and bits.max() < np.inf):
-        return
-    i = int(np.flatnonzero(~((bits >= 0.0) & (bits < np.inf)))[0])
-    raise ValueError(f"key matrix entry [{interval[i]}][{node[i]}] = {float(bits[i])!r} "
-                     f"is not finite and >= 0")
-
-
-def _block_cells(rows: np.ndarray, cells: np.ndarray, n_intervals: int,
-                 n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero cells of the (len(rows), n_nodes) block `cells` of the
-    given rows, checked for shape, row order and cell values."""
-    if cells.shape != (len(rows), n_nodes):
-        raise ValueError(f"cells shape {cells.shape} does not match "
-                         f"{len(rows)} rows and {n_nodes} nodes")
-    if len(rows) and (rows[0] < 0 or rows[-1] >= n_intervals
-                      or (np.diff(rows) <= 0).any()):
-        raise ValueError(f"rows must increase strictly within "
-                         f"0..{n_intervals - 1}")
-    k, node = np.nonzero(cells)
-    interval, bits = rows[k], cells[k, node]
-    _check_cells(interval, node, bits)
-    return interval, node, bits
+def _indices(name: str, values) -> np.ndarray:
+    """A copy of an integer column as int64, or ValueError; a float column
+    is refused rather than truncated."""
+    column = np.asarray(values)
+    if column.size and column.dtype.kind not in "iu":
+        raise ValueError(f"{name} holds {column.dtype} values, not integers")
+    return np.array(column, dtype=np.int64)
 
 
 def row_heads(interval: np.ndarray) -> np.ndarray:
@@ -226,63 +196,60 @@ def row_heads(interval: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(interval, prepend=-1))
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class KeyMatrix:
     """K[m][n]: secure-key bits obtainable in interval m by node n.
 
     Held as its nonzero cells, in three row-major columns: `cell_intervals`,
-    `cell_nodes` and `cell_bits` (each finite and > 0); `rows` are the
-    sorted intervals with a nonzero cell.  Every other cell is zero.  Give
-    either the dense `values`, or `rows`, their (len(rows), n_nodes) `cells`
-    and n_intervals; either is read once into the columns.
+    `cell_nodes` and `cell_bits`; every other cell is zero.  The constructor
+    checks that the grid has n_intervals >= 0, that the columns are 1-D and
+    of one length, that each cell is an integer (interval, node) inside the
+    grid, once and in row-major order, and that its bits are finite and > 0;
+    it keeps read-only copies.
+    `rows` are the sorted intervals with a nonzero cell.
     """
     start: datetime
     interval_seconds: float
     node_names: tuple[str, ...]
     n_intervals: int
-    rows: np.ndarray = field(repr=False)            # (R,) int64, strictly increasing
     cell_intervals: np.ndarray = field(repr=False)  # (C,) int64, nondecreasing
     cell_nodes: np.ndarray = field(repr=False)      # (C,) int64, increasing in a row
     cell_bits: np.ndarray = field(repr=False)       # (C,) float
+    rows: np.ndarray = field(init=False, repr=False)  # (R,) int64, strictly increasing
 
-    def __init__(self, start: datetime, interval_seconds: float,
-                 node_names: Sequence[str], values=None, *, rows=None, cells=None,
-                 n_intervals: int | None = None):
-        if values is not None:
-            if any(arg is not None for arg in (rows, cells, n_intervals)):
-                raise TypeError("give values, or rows, cells and n_intervals, not both")
-            n_intervals, n_nodes, *columns = nonzero_cells(values)
-            if n_nodes != len(node_names):
-                raise ValueError(f"values shape {(n_intervals, n_nodes)} "
-                                 f"inconsistent with {len(node_names)} nodes")
-        elif rows is None or cells is None or n_intervals is None:
-            raise TypeError("give values, or rows, cells and n_intervals")
-        else:
-            n_intervals = int(n_intervals)
-            columns = _block_cells(np.array(rows, dtype=np.int64).reshape(-1),
-                                   np.asarray(cells, dtype=float), n_intervals,
-                                   len(node_names))
-        self._set(start, interval_seconds, node_names, n_intervals, *columns)
-
-    @classmethod
-    def _adopt(cls, start: datetime, interval_seconds: float, node_names: Sequence[str],
-               n_intervals: int, interval: np.ndarray, node: np.ndarray,
-               bits: np.ndarray) -> "KeyMatrix":
-        """The matrix of freshly built and checked row-major cell columns,
-        held without a copy."""
-        matrix = cls.__new__(cls)
-        matrix._set(start, interval_seconds, node_names, n_intervals, interval, node, bits)
-        return matrix
-
-    def _set(self, start, interval_seconds, node_names, n_intervals, interval, node,
-             bits) -> None:
+    def __post_init__(self):
+        n_intervals, n_nodes = operator.index(self.n_intervals), len(self.node_names)
+        if n_intervals < 0:
+            raise ValueError(f"n_intervals must be >= 0, got {n_intervals}")
+        interval = _indices("cell_intervals", self.cell_intervals)
+        node = _indices("cell_nodes", self.cell_nodes)
+        bits = np.array(self.cell_bits, dtype=float)
+        if not interval.ndim == node.ndim == bits.ndim == 1 or not (
+                len(interval) == len(node) == len(bits)):
+            raise ValueError(f"cell columns must be 1-D and of one length, got shapes "
+                             f"{interval.shape}, {node.shape} and {bits.shape}")
+        for name, column, size in (("cell_intervals", interval, n_intervals),
+                                   ("cell_nodes", node, n_nodes)):
+            if len(column) and (column.min() < 0 or column.max() >= size):
+                raise ValueError(f"{name} must lie in 0..{size - 1}")
+        if (np.diff(interval * n_nodes + node) <= 0).any():
+            raise ValueError("cells must be in row-major order, each once")
+        # min and max see every cell (a NaN makes both NaN) without the
+        # temporaries that finding the first bad cell needs
+        if bits.size and not (bits.min() > 0.0 and bits.max() < np.inf):
+            i = int(np.flatnonzero(~((bits > 0.0) & (bits < np.inf)))[0])
+            fault = "zero: only nonzero cells are held" if bits[i] == 0.0 else (
+                "not finite and >= 0")
+            raise ValueError(f"key matrix entry [{interval[i]}][{node[i]}] = "
+                             f"{float(bits[i])!r} is {fault}")
         rows = interval[row_heads(interval)]
         for column in (rows, interval, node, bits):
             column.flags.writeable = False
-        for name, value in (("start", _as_utc(start)), ("interval_seconds", interval_seconds),
-                            ("node_names", tuple(node_names)), ("n_intervals", n_intervals),
-                            ("rows", rows), ("cell_intervals", interval),
-                            ("cell_nodes", node), ("cell_bits", bits)):
+        for name, value in (("start", _as_utc(self.start)),
+                            ("node_names", tuple(self.node_names)),
+                            ("n_intervals", n_intervals), ("rows", rows),
+                            ("cell_intervals", interval), ("cell_nodes", node),
+                            ("cell_bits", bits)):
             object.__setattr__(self, name, value)
 
     @property
@@ -383,10 +350,8 @@ def assemble_key_matrix(parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray
     np.add.at(sums, owner, bits)  # repeated cells add in sample order
     keep = np.flatnonzero(sums)  # NaN and negative sums stay, to be named
     interval, node = np.divmod(keys[keep], n_nodes)
-    bits = sums[keep]
-    _check_cells(interval, node, bits)
-    return KeyMatrix._adopt(start, interval_seconds, node_names, n_intervals,
-                            interval, node, bits)
+    return KeyMatrix(start, interval_seconds, node_names, n_intervals, interval, node,
+                     sums[keep])
 
 
 def build_key_matrix(accesses: Sequence[AccessInterval],

@@ -5,13 +5,11 @@ activity: a node index, IDLE, or SWITCH.  A handoff needs a switch: interval
 m+1 may be assigned to node n only when interval m is the same node or a
 SWITCH (the first interval of the horizon is unconstrained).
 
-The key matrix is a qkd.KeyMatrix, held as its nonzero cells, or a dense
-(intervals, nodes) array, which is first reduced to those cells and
-rejected (ValueError naming the entry) if any entry is negative, NaN or
-infinite.  No solver builds an intervals x nodes or a rows x nodes array:
-their work follows the nonzero cells, and only the returned assignment, and
-evaluate's stable sort of it, is as long as the horizon (the GA's fitness
-table is (nodes + 2) x active rows).
+The key matrix is a qkd.KeyMatrix, held as its nonzero cells; anything
+else raises TypeError.  No solver builds an intervals x nodes or a rows x
+nodes array: their work follows the nonzero cells, and only the returned
+assignment, and evaluate's stable sort of it, is as long as the horizon (the
+GA's fitness table is (nodes + 2) x active rows).
 
 Solvers:
   * solve_exact  - dynamic program over (interval, last activity); provably
@@ -45,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .output import integers, iso_utc, row_chunks, spelled, write_csvs
-from .qkd import KeyMatrix, nonzero_cells, row_heads
+from .qkd import KeyMatrix, row_heads
 
 IDLE = -1
 SWITCH = -2
@@ -161,13 +159,12 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return total
 
 
-def _cells_of(matrix) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-    """(n_intervals, n_nodes, interval, node, bits) of a KeyMatrix or a dense
-    (intervals, nodes) array: its nonzero cells in row-major order.  A dense
-    array with a negative, NaN or infinite entry raises ValueError naming it."""
-    if isinstance(matrix, KeyMatrix):
-        return matrix.n_intervals, matrix.n_nodes, *matrix.nonzero()
-    return nonzero_cells(matrix)
+def _cells_of(matrix: KeyMatrix) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """(n_intervals, n_nodes, interval, node, bits) of a KeyMatrix: its
+    nonzero cells in row-major order.  Anything else raises TypeError."""
+    if not isinstance(matrix, KeyMatrix):
+        raise TypeError(f"expected a qkd.KeyMatrix, got {type(matrix).__name__}")
+    return matrix.n_intervals, matrix.n_nodes, *matrix.nonzero()
 
 
 def _assignment_of(schedule: Schedule | Sequence[int], where="assignment") -> np.ndarray:
@@ -207,7 +204,7 @@ def is_feasible(schedule: Schedule | Sequence[int], n_intervals: int, n_nodes: i
         (a[1:] >= 0) & (a[1:] != a[:-1]) & (a[:-1] != SWITCH)).any()
 
 
-def evaluate(schedule: Schedule | Sequence[int], matrix) -> np.ndarray:
+def evaluate(schedule: Schedule | Sequence[int], matrix: KeyMatrix) -> np.ndarray:
     """Per-node delivered totals E_n = sum_m K[m][n] [assignment m == n], or
     ValueError for a code that is not IDLE, SWITCH or a node."""
     return _delivered(schedule, *_cells_of(matrix))
@@ -240,7 +237,8 @@ def _delivered(schedule: Schedule | Sequence[int], n_intervals: int, n_nodes: in
     return totals
 
 
-def delivered_distribution(schedule: Schedule | Sequence[int], matrix) -> Distribution:
+def delivered_distribution(schedule: Schedule | Sequence[int],
+                           matrix: KeyMatrix) -> Distribution:
     """Share of delivered keys per node; undefined (error) for zero delivery."""
     totals = evaluate(schedule, matrix)
     total = totals.sum()
@@ -259,7 +257,7 @@ def _finish(assignment: np.ndarray, key: tuple, objective: float,
 # Exact dynamic program
 # ---------------------------------------------------------------------------
 
-def solve_exact(matrix, weights: Sequence[float] | None = None) -> Schedule:
+def solve_exact(matrix: KeyMatrix, weights: Sequence[float] | None = None) -> Schedule:
     """Optimal schedule for the linear objective sum_n w_n * E_n.
 
     Dynamic program over states (interval, last activity); last activity is
@@ -394,24 +392,27 @@ def _expand(genes: np.ndarray, active: np.ndarray, starts: np.ndarray,
     return full
 
 
-def _node_cells(n_nodes: int, genes: np.ndarray, node: np.ndarray,
-                bits: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per node, the genes (active rows) of its nonzero cells, in row order,
-    and their bits, from row-major cells."""
+def _node_cells(genes: np.ndarray, node: np.ndarray,
+                bits: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Per node with a nonzero cell, the node, the genes (active rows) of its
+    cells, in row order, and their bits, from row-major cells."""
     by_node = np.argsort(node, kind="stable")
-    bounds = np.searchsorted(node[by_node], np.arange(n_nodes + 1))
+    nodes, firsts = np.unique(node[by_node], return_index=True)
+    bounds = [*firsts.tolist(), len(node)]
     genes, bits = genes[by_node], bits[by_node]
-    return [(genes[a:b], bits[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return [(n, genes[a:b], bits[a:b])
+            for n, a, b in zip(nodes.tolist(), bounds[:-1], bounds[1:])]
 
 
-def _node_totals(group: np.ndarray, cells) -> np.ndarray:
+def _node_totals(group: np.ndarray, cells, n_nodes: int) -> np.ndarray:
     """(P, N) per-node totals of P gene strings, from the nodes' nonzero cells.
 
-    Costs P x nnz_n per node rather than P x A; equal to the masked product
-    sum((group == n) * k[:, n]) up to summation order.
+    Costs P x nnz_n per node with a cell rather than P x A; equal to the
+    masked product sum((group == n) * k[:, n]) up to summation order.  A node
+    without a cell totals 0.0, as its masked product does.
     """
-    totals = np.zeros((len(group), len(cells)))
-    for n, (rows, vals) in enumerate(cells):
+    totals = np.zeros((len(group), n_nodes))
+    for n, rows, vals in cells:
         totals[:, n] = ((group[:, rows] == n) * vals).sum(axis=1)
     return totals
 
@@ -470,7 +471,7 @@ class _Archive:
         self.pick = int(rows[np.lexsort((rows, -self.fits[rows], self.kls[rows]))[0]])
 
 
-def solve_ga(matrix, cfg: StrategyConfig,
+def solve_ga(matrix: KeyMatrix, cfg: StrategyConfig,
              seed_schedules: Sequence[Schedule | Sequence[int]] = ()) -> Schedule:
     """Best feasible schedule found by the strategy's genetic algorithm.
 
@@ -550,12 +551,12 @@ def solve_ga(matrix, cfg: StrategyConfig,
             fit[lo:lo + gather_rows] = k_flat.take(flat).sum(axis=1)
         return fit
 
-    cells = _node_cells(n_nodes, cell_gene, node, bits)
+    cells = _node_cells(cell_gene, node, bits)
 
     def kl_of(group: np.ndarray, band: np.ndarray) -> np.ndarray:
         out = np.full(len(group), np.inf)
         rows = np.flatnonzero(band)
-        totals = _node_totals(group[rows], cells)
+        totals = _node_totals(group[rows], cells, n_nodes)
         sums = totals.sum(axis=1)
         ok = sums > 0
         if ok.any():
@@ -595,35 +596,6 @@ def solve_ga(matrix, cfg: StrategyConfig,
     half = ga.population // 2
     crossover = n_active >= 2 and half > 0
 
-    def restarts(gen: int) -> bool:
-        return (gen + 1) % ga.restart_after == 0
-
-    def draws(gen: int):
-        """Generation gen's random numbers, drawn in stream order: a
-        restart's fresh population, or the form breeding applies (the
-        tournament candidates, the genes each crossover pair trades, and the
-        flat indices and values of the mutated genes).  None of it depends
-        on the population, so the stream is a function of gen alone."""
-        if restarts(gen):
-            return rng.integers(0, n_nodes + 2, size=shape, dtype=np.int16)
-        cand = rng.integers(0, ga.population, size=(ga.population, 3))
-        trade = None
-        if crossover:
-            do_cx = rng.random(half) < ga.crossover_rate
-            cuts = rng.integers(1, n_active, size=half)
-            trade = (gene_cols >= cuts[:, None]) & do_cx[:, None]
-        # each double is one 64-bit draw, so the mask drawn in row chunks is
-        # the mask drawn whole, without a population-sized float array
-        mut = np.empty(shape, dtype=bool)
-        for lo in range(0, ga.population, gather_rows):
-            chunk = mut[lo:lo + gather_rows]
-            np.less(rng.random(chunk.shape), ga.mutation_rate, out=chunk)
-        # int16 draws are buffered within one call: splitting it would
-        # change the genes drawn
-        fresh = rng.integers(0, n_nodes + 2, size=shape, dtype=np.int16)
-        at = np.flatnonzero(mut)
-        return cand, trade, at, fresh.reshape(-1).take(at)
-
     # allocate and free, untouched, one block the size of the whole float
     # mask.  glibc's dynamic mmap threshold rises to the largest block freed,
     # and its heap is trimmed only past twice that; the chunked mask no longer
@@ -641,15 +613,35 @@ def solve_ga(matrix, cfg: StrategyConfig,
         # stable: with an empty band, the fittest first, ties by index
         elites = pop[np.lexsort((-fit, kl, ~band))[:ga.elitism]]
 
-        drawn = draws(gen)
-        if restarts(gen):
+        if (gen + 1) % ga.restart_after == 0:
             # cataclysmic restart: keep the elites, refresh everyone else
-            pop = drawn
+            pop = rng.integers(0, n_nodes + 2, size=shape, dtype=np.int16)
             repair(pop)
             if ga.elitism:
                 pop[:ga.elitism] = elites
             continue
-        cand, trade, at, genes = drawn
+
+        # breeding's draws, in stream order: the tournament candidates, each
+        # crossover pair's flag and cut, the mutation mask and the fresh
+        # genes.  All come before the children are made, so the mask and the
+        # fresh genes are freed before the children exist
+        cand = rng.integers(0, ga.population, size=(ga.population, 3))
+        if crossover:
+            do_cx = rng.random(half) < ga.crossover_rate
+            cuts = rng.integers(1, n_active, size=half)
+            trade = (gene_cols >= cuts[:, None]) & do_cx[:, None]
+        # each double is one 64-bit draw, so the mask drawn in row chunks is
+        # the mask drawn whole, without a population-sized float array
+        mut = np.empty(shape, dtype=bool)
+        for lo in range(0, ga.population, gather_rows):
+            np.less(rng.random(mut[lo:lo + gather_rows].shape), ga.mutation_rate,
+                    out=mut[lo:lo + gather_rows])
+        # int16 draws are buffered within one call: splitting it would
+        # change the genes drawn
+        fresh = rng.integers(0, n_nodes + 2, size=shape, dtype=np.int16)
+        at = np.flatnonzero(mut)
+        genes = fresh.reshape(-1).take(at)
+        del mut, fresh
 
         # tournament selection, size 3; a fitness tie goes to the lower
         # population index for S-TD, to the earlier candidate otherwise

@@ -1,20 +1,21 @@
-"""Shared test helpers: the exhaustive scheduling oracle, the dense form of
-a key matrix, the scalar loss and key-rate code that the column kernels
-replaced, the per-value fixed-point formatter that output.fixed_point
-replaced, and the cloud-grid loader and writer that handled every cell
-through int()."""
+"""Shared test helpers: the exhaustive scheduling oracle, a key matrix made
+from a dense array and the dense form of one, the scalar loss and key-rate
+code that the column kernels replaced, the per-value fixed-point formatter
+that output.fixed_point replaced, and the cloud-grid loader and writer that
+handled every cell through int()."""
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import replace
-from datetime import datetime
+from datetime import datetime, timezone
 from stat import S_ISREG
 
 import numpy as np
 
 from satqkd import cloud
 from satqkd.cloud import cloud_loss
+from satqkd.qkd import KeyMatrix
 
 _STRING_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -52,6 +53,19 @@ def enumeration_oracle(values: np.ndarray, weights=None) -> float:
     padded = np.hstack([values * w, np.zeros((n_intervals, 2))])
     objective = padded[np.arange(n_intervals)[None, :], strings].sum(axis=1)
     return float(objective[feasible].max())
+
+
+def key_matrix(values, *, start=datetime(2016, 9, 19, tzinfo=timezone.utc),
+               interval_seconds=10.0, node_names=None) -> KeyMatrix:
+    """The qkd.KeyMatrix of a dense (n_intervals, n_nodes) array: its nonzero
+    cells, NaN and negative ones included, in row-major order.  The nodes
+    are named N0, N1, ... unless node_names are given."""
+    values = np.asarray(values, dtype=float)
+    interval, node = np.nonzero(values)
+    if node_names is None:
+        node_names = tuple(f"N{n}" for n in range(values.shape[1]))
+    return KeyMatrix(start, interval_seconds, node_names, values.shape[0], interval, node,
+                     values[interval, node])
 
 
 def dense(matrix) -> np.ndarray:

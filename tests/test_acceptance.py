@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dense, enumeration_oracle
+from conftest import dense, enumeration_oracle, key_matrix
 
 from satqkd.channel import (
     OpticalParams,
@@ -253,7 +253,7 @@ def test_criterion_4_scheduler_oracles():
         n = int(rng.integers(1, 4))
         values = rng.integers(0, 64, size=(m, n)).astype(float) * 0.25
         values[rng.random(size=values.shape) < 0.25] = 0.0
-        got = solve_exact(values)
+        got = solve_exact(key_matrix(values))
         assert got.objective == enumeration_oracle(values)
         assert is_feasible(got, m, n)
 
@@ -263,8 +263,9 @@ def test_criterion_4_scheduler_oracles():
         m = int(rng.integers(2, 21))
         n = int(rng.integers(1, 5))
         values = rng.uniform(0.0, 10.0, size=(m, n))
-        exact = solve_exact(values).objective
-        ga = solve_ga(values, StrategyConfig(kind="S-GD", ga=GaConfig(seed=trial)))
+        matrix = key_matrix(values)
+        exact = solve_exact(matrix).objective
+        ga = solve_ga(matrix, StrategyConfig(kind="S-GD", ga=GaConfig(seed=trial)))
         assert ga.objective <= exact + 1e-9
         assert is_feasible(ga, m, n)
         if ga.objective >= 0.98 * exact:
@@ -300,8 +301,7 @@ def _two_week_matrix() -> tuple[KeyMatrix, tuple[float, ...]]:
                     jitter = 1.0 + 0.04 * float(rng.standard_normal())
                     values[offset + k, node] = max(0.0, base * shape * jitter)
     weights = (0.40, 0.25, 0.18, 0.12, 0.05)
-    matrix = KeyMatrix(start=start, interval_seconds=10.0,
-                       node_names=("N1", "N2", "N3", "N4", "N5"), values=values)
+    matrix = key_matrix(values, start=start, node_names=("N1", "N2", "N3", "N4", "N5"))
     return matrix, weights
 
 

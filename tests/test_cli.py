@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense
+from conftest import dense, key_matrix
 from satqkd import cli as cli_module
 from satqkd import scenario as scenario_module
 from satqkd import sched as sched_module
@@ -465,14 +465,15 @@ def test_daily_key_bits_match_the_dict_sums(start, interval_seconds):
                                      near[(near >= 0) & (near < n_intervals)]]))
     cells = np.where(rng.random((len(rows), len(names))) < 0.3,
                      rng.uniform(0.0, 1e6, (len(rows), len(names))) ** 2, 0.0)
-    matrix = KeyMatrix(start, interval_seconds, names, rows=rows, cells=cells,
-                       n_intervals=n_intervals)
+    k, node = np.nonzero(cells)
+    matrix = KeyMatrix(start, interval_seconds, names, n_intervals, rows[k], node,
+                       cells[k, node])
     got = list(zip(*cli_module.daily_key_bits(matrix)))
     want = dict_daily_key_bits(matrix)
     assert len(want) > 3 * len(names)
     assert [(day, name) for day, name, _ in got] == [(day, name) for day, name, _ in want]
     assert [bits.hex() for _, _, bits in got] == [bits.hex() for _, _, bits in want]
-    empty = KeyMatrix(start, interval_seconds, names, values=np.zeros((4, len(names))))
+    empty = KeyMatrix(start, interval_seconds, names, 4, [], [], [])
     assert list(zip(*cli_module.daily_key_bits(empty))) == []
 
 
@@ -493,8 +494,7 @@ def tiny_strategy(seed=0):
 
 
 def synthetic_matrix(values, names, start=DAY0):
-    return KeyMatrix(start=start, interval_seconds=10.0, node_names=names,
-                     values=np.asarray(values, dtype=float))
+    return key_matrix(values, start=start, node_names=names)
 
 
 def test_schedule_single_node_strategies_coincide(tmp_path):
@@ -856,11 +856,11 @@ def test_main_ga_out_of_memory_mid_run_exits_2(tmp_path, capsys, monkeypatch):
     calls = []
     real = sched_module._node_totals
 
-    def exhausted(group, cells):
+    def exhausted(*args):
         calls.append(1)
         if len(calls) == 3:
             raise MemoryError("Unable to allocate")
-        return real(group, cells)
+        return real(*args)
 
     monkeypatch.setattr(sched_module, "_node_totals", exhausted)
     cfg_path = tmp_path / "cfg.json"

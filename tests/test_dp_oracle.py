@@ -10,17 +10,16 @@ must return the same assignment and an objective equal by float.hex on:
 the 640 sparse matrices of the full-walk check in test_sched.py,
 criterion 4's enumeration and GA instances, random weights with zeros and
 all-zero columns, integer-valued ties, blocks that open at interval 0, and
-the default Micius week, given dense or as a KeyMatrix.  The oracle carries
-its own copy of the dense-matrix reduction it called.
+the default Micius week.  The solver is given a KeyMatrix, the oracle the
+dense array or the KeyMatrix; the oracle carries its own copy of the
+dense-matrix reduction it called.
 """
 from __future__ import annotations
-
-from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
-from conftest import dense
+from conftest import dense, key_matrix
 from satqkd.qkd import KeyMatrix
 from satqkd.scenario import key_matrix_for, micius_week_config
 from satqkd.sched import IDLE, SWITCH, evaluate, is_feasible, solve_exact
@@ -175,11 +174,12 @@ def blocky(rng, n_intervals: int, n_nodes: int, integer: bool) -> np.ndarray:
 
 
 def check(values, weights=None, where=None) -> None:
+    matrix = values if isinstance(values, KeyMatrix) else key_matrix(values)
     want_assignment, want_objective = oracle_solve_exact(values, weights)
-    got = solve_exact(values, weights)
+    got = solve_exact(matrix, weights)
     assert np.array_equal(got.assignment, want_assignment), where
     assert got.objective.hex() == want_objective.hex(), where
-    assert got.node_totals == tuple(evaluate(got, values).tolist()), where
+    assert got.node_totals == tuple(evaluate(got, matrix).tolist()), where
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +251,11 @@ def test_dp_matches_oracle_on_the_micius_week():
 def test_a_key_matrix_and_its_dense_values_solve_alike():
     rng = np.random.default_rng(12)
     values = blocky(rng, 500, 7, integer=False)
-    matrix = KeyMatrix(datetime(2016, 9, 19, tzinfo=timezone.utc), 10.0,
-                       tuple("ABCDEFG"), values)
+    matrix = key_matrix(values, node_names=tuple("ABCDEFG"))
     for weights in (None, rng.uniform(0.0, 1.0, 7)):
-        a, b = solve_exact(values, weights), solve_exact(matrix, weights)
-        assert np.array_equal(a.assignment, b.assignment)
-        assert (a.objective.hex(), a.node_totals) == (b.objective.hex(), b.node_totals)
+        # the oracle reads the dense values, the solver their nonzero cells
+        want_assignment, want_objective = oracle_solve_exact(values, weights)
+        got = solve_exact(matrix, weights)
+        assert np.array_equal(got.assignment, want_assignment)
+        assert got.objective.hex() == want_objective.hex()
         check(matrix, weights)

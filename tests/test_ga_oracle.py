@@ -6,8 +6,8 @@ crossover and mutation by integer arithmetic, fitness gathered from one
 node-major table).  The RNG draws and every tie rule were meant to stay, so
 the new solver must return the same assignment and the same objective, to
 the bit, on every case of a derandomized grid of strategies, tolerances,
-population shapes, tiny active sets, restarts, infeasible warm starts and a
-gene index too large for int16, given the matrix dense or as a KeyMatrix.
+population shapes, tiny active sets, restarts, infeasible warm starts, a
+gene index too large for int16 and 200 nodes of which 5 hold cells.
 S-TD stops once its pick has stood for a whole restart period, which the
 grid's shortest periods reach: there the solver must return what the oracle
 returns run for as many generations as the solver reports it ran.  The
@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from datetime import datetime, timezone
 from typing import Sequence
 
 import numpy as np
 import pytest
 
-from conftest import dense
+from conftest import dense, key_matrix
 from satqkd import sched
 from satqkd.qkd import KeyMatrix
 from satqkd.sched import (
@@ -340,6 +339,14 @@ def sparse_matrix(seed: int, m: int, n: int, row_p: float = 0.4,
     return values
 
 
+def few_live_nodes(seed: int, m: int, n: int, live: Sequence[int]) -> np.ndarray:
+    """sparse_matrix(seed, m, len(live)) in the columns `live` of n nodes;
+    every other node has no cell."""
+    values = np.zeros((m, n))
+    values[:, list(live)] = sparse_matrix(seed, m, len(live))
+    return values
+
+
 def one_row(m: int, n: int, *rows: int) -> np.ndarray:
     """Only the given rows carry keys, so the GA has len(rows) active genes."""
     values = np.zeros((m, n))
@@ -352,13 +359,11 @@ def warm_starts(values: np.ndarray, count: int, seed: int) -> list:
     """The exact S-GD optimum plus random, mostly infeasible, code strings."""
     rng = np.random.default_rng(seed)
     m, n = values.shape
-    return [solve_exact(values)] + [rng.integers(SWITCH, n, size=m)
-                                    for _ in range(count)]
+    return [solve_exact(key_matrix(values))] + [rng.integers(SWITCH, n, size=m)
+                                                for _ in range(count)]
 
 
 ALL_KINDS = ("S-GD", "S-PD", "S-TD")
-DAY0 = datetime(2016, 9, 19, tzinfo=timezone.utc)
-NAMES = tuple("ABCDEFGH")
 
 # name -> (values, kinds, weights, kl_tolerance, GaConfig fields, seeds?)
 GRID = {
@@ -411,6 +416,9 @@ GRID = {
     "int16-overflow": (sparse_matrix(16, 9000, 3, row_p=0.0, cell_p=0.2),
                        ALL_KINDS, (0.5, 0.3, 0.2), 0.05,
                        {"population": 10, "generations": 3}, 1),
+    # the KL totals loop only over the 5 of 200 nodes with a cell
+    "many-dead-nodes": (few_live_nodes(19, 60, 200, (3, 47, 100, 151, 199)),
+                        ALL_KINDS, tuple(1.0 + n % 3 for n in range(200)), 0.05, {}, 0),
 }
 
 
@@ -437,21 +445,16 @@ def test_ga_matches_frozen_oracle(name):
                                  ga=GaConfig(seed=ga_seed, **base))
             seeds = warm_starts(values, n_seeds, ga_seed) if n_seeds else ()
             stops = kind == "S-TD" and name in STOPPING
-            wants = {}  # the oracle run for as many generations as solve_ga ran
-            # a dense array and the same matrix held as its nonzero rows
-            for matrix in (values, KeyMatrix(DAY0, 10.0, NAMES[:n_nodes], values)):
-                got = solve_ga(matrix, cfg, seed_schedules=seeds)
-                where = (name, kind, ga_seed, type(matrix).__name__, got.generations)
-                # S-TD stops early only here; everything else runs in full
-                assert (got.generations < cfg.ga.generations) == stops, where
-                if got.generations not in wants:
-                    wants[got.generations] = oracle_run(values, cfg, seeds,
-                                                        got.generations)
-                want = wants[got.generations]
-                assert np.array_equal(got.assignment, want.assignment), where
-                assert got.objective.hex() == want.objective.hex(), where
-                assert got.node_totals == want.node_totals, where
-                assert is_feasible(got, n_intervals, n_nodes), where
+            got = solve_ga(key_matrix(values), cfg, seed_schedules=seeds)
+            where = (name, kind, ga_seed, got.generations)
+            # S-TD stops early only here; everything else runs in full
+            assert (got.generations < cfg.ga.generations) == stops, where
+            # the oracle run for as many generations as solve_ga ran
+            want = oracle_run(values, cfg, seeds, got.generations)
+            assert np.array_equal(got.assignment, want.assignment), where
+            assert got.objective.hex() == want.objective.hex(), where
+            assert got.node_totals == want.node_totals, where
+            assert is_feasible(got, n_intervals, n_nodes), where
 
 
 def test_grid_covers_its_edge_cases():
@@ -467,6 +470,8 @@ def test_grid_covers_its_edge_cases():
     assert not any(is_feasible(s, 60, 4) for s in infeasible)
     fields = GRID["restarts-wide"][4]
     assert fields["generations"] > 3 * fields["restart_after"]
+    values = GRID["many-dead-nodes"][0]
+    assert values.shape[1] == 200 and values.any(axis=0).sum() == 5
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +545,10 @@ def test_stopped_std_is_the_oracle_run_to_its_stop(archives):
                       restart_after=int(rng.integers(1, 8)), seed=trial)
         cfg = StrategyConfig(kind="S-TD", weights=tuple(rng.dirichlet(np.ones(n))),
                              kl_tolerance=float(rng.choice([0.0, 0.02, 0.05, 0.2])), ga=ga)
-        seeds = [solve_exact(values)]
+        matrix = key_matrix(values)
+        seeds = [solve_exact(matrix)]
         archives.clear()
-        got = solve_ga(values, cfg, seeds)
+        got = solve_ga(matrix, cfg, seeds)
         (archive,) = archives
         at = archive.picked_at
         # the first generation whose pick was recorded a whole restart
@@ -563,8 +569,9 @@ def test_a_pick_that_changes_after_a_restart_keeps_the_loop_running(archives):
     values = sparse_matrix(103, 40, 3)
     ga = GaConfig(population=12, generations=40, restart_after=4, seed=3)
     cfg = StrategyConfig(kind="S-TD", weights=(0.5, 0.3, 0.2), ga=ga)
-    seeds = [solve_exact(values)]
-    got = solve_ga(values, cfg, seeds)
+    matrix = key_matrix(values)
+    seeds = [solve_exact(matrix)]
+    got = solve_ga(matrix, cfg, seeds)
     at = archives[0].picked_at
     # at generations 5 and 11, both after a restart, the pick was one
     # generation short of a whole period, and a row of that generation
@@ -582,7 +589,8 @@ def test_only_std_stops_and_only_past_its_restart_period(archives):
     for trial in range(20):
         n = int(rng.integers(2, 5))
         values = sparse_matrix(int(rng.integers(2**31)), int(rng.integers(10, 60)), n)
-        seeds = [solve_exact(values)]
+        matrix = key_matrix(values)
+        seeds = [solve_exact(matrix)]
         period = int(rng.integers(1, 6))
         weights = tuple(rng.dirichlet(np.ones(n)))
         for kind, generations in (("S-GD", 4 * period + 3), ("S-PD", 4 * period + 3),
@@ -590,7 +598,7 @@ def test_only_std_stops_and_only_past_its_restart_period(archives):
             ga = GaConfig(population=10, generations=generations, restart_after=period,
                           seed=trial)
             archives.clear()
-            got = solve_ga(values, StrategyConfig(kind=kind, weights=weights, ga=ga), seeds)
+            got = solve_ga(matrix, StrategyConfig(kind=kind, weights=weights, ga=ga), seeds)
             assert got.generations == generations, (trial, kind)
             if kind != "S-TD":
                 # S-TD's rule would have stopped this run
@@ -621,14 +629,15 @@ def test_evaluate_matches_mask_sums_bit_for_bit():
         # codes up to a random node, so some nodes are never assigned
         top = int(rng.integers(0, n + 1))
         assignment = rng.integers(SWITCH, top, size=m)
-        got = evaluate(assignment, values)
+        got = evaluate(assignment, key_matrix(values))
         want = mask_evaluate(assignment, values)
         assert [v.hex() for v in got] == [v.hex() for v in want], trial
         assert got.shape == (n,) and not got[top:].any(), trial
-    sched = solve_exact(values)
-    assert evaluate(sched, values).tolist() == mask_evaluate(
+    matrix = key_matrix(values)
+    sched = solve_exact(matrix)
+    assert evaluate(sched, matrix).tolist() == mask_evaluate(
         sched.assignment, values).tolist()
-    assert evaluate(list(sched.assignment), values).tolist() == list(
+    assert evaluate(list(sched.assignment), matrix).tolist() == list(
         sched.node_totals)
 
 
@@ -636,18 +645,18 @@ def test_evaluate_matches_mask_sums_bit_for_bit():
 # warm-start validation
 # ---------------------------------------------------------------------------
 
-SEED_VALUES = sparse_matrix(17, 12, 3, row_p=0.2)
+SEED_MATRIX = key_matrix(sparse_matrix(17, 12, 3, row_p=0.2))
 
 
 def test_warm_start_codes_are_accepted_as_ints_or_integral_floats():
     cfg = StrategyConfig(kind="S-TD", weights=(0.5, 0.3, 0.2),
                          ga=GaConfig(population=6, generations=5))
-    exact = solve_exact(SEED_VALUES)
-    as_ints = solve_ga(SEED_VALUES, cfg, [exact])
+    exact = solve_exact(SEED_MATRIX)
+    as_ints = solve_ga(SEED_MATRIX, cfg, [exact])
     for seed in (list(exact.assignment),
                  np.asarray(exact.assignment, dtype=np.int16),
                  np.asarray(exact.assignment, dtype=float)):
-        got = solve_ga(SEED_VALUES, cfg, [seed])
+        got = solve_ga(SEED_MATRIX, cfg, [seed])
         assert np.array_equal(got.assignment, as_ints.assignment)
         assert (got.node_totals, got.objective) == (as_ints.node_totals, as_ints.objective)
 
@@ -667,11 +676,11 @@ def test_warm_start_codes_are_accepted_as_ints_or_integral_floats():
 ])
 def test_malformed_warm_start_raises_naming_the_seed(bad, message):
     cfg = StrategyConfig(kind="S-GD", ga=GaConfig(population=4, generations=2))
-    good = solve_exact(SEED_VALUES)
+    good = solve_exact(SEED_MATRIX)
     with pytest.raises(ValueError, match=r"seed_schedules\[1\]" + message):
-        solve_ga(SEED_VALUES, cfg, [good, bad])
+        solve_ga(SEED_MATRIX, cfg, [good, bad])
     # seeds past the population are checked too, as is an all-zero matrix
     with pytest.raises(ValueError, match=r"seed_schedules\[4\]"):
-        solve_ga(SEED_VALUES, cfg, [good] * 4 + [bad])
+        solve_ga(SEED_MATRIX, cfg, [good] * 4 + [bad])
     with pytest.raises(ValueError, match=r"seed_schedules\[0\]"):
-        solve_ga(np.zeros_like(SEED_VALUES), cfg, [bad])
+        solve_ga(key_matrix(np.zeros((12, 3))), cfg, [bad])

@@ -14,7 +14,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from conftest import dense
+from conftest import dense, key_matrix
 from satqkd.channel import OpticalParams, total_loss
 from satqkd.cloud import synthetic_cloud_grid
 from satqkd.orbit import AccessInterval, GroundStation, LookAngles
@@ -295,11 +295,13 @@ def test_key_matrix_cloud_blockage_zeroes_entries():
 
 def test_key_matrix_validation():
     with pytest.raises(ValueError, match="finite"):
-        KeyMatrix(start=T0, interval_seconds=10.0, node_names=("A",),
-                  values=np.array([[math.inf]]))
+        key_matrix([[math.inf]], start=T0, node_names=("A",))
     with pytest.raises(ValueError, match=">= 0"):
-        KeyMatrix(start=T0, interval_seconds=10.0, node_names=("A",),
-                  values=np.array([[-1.0]]))
+        key_matrix([[-1.0]], start=T0, node_names=("A",))
+    with pytest.raises(ValueError, match="n_intervals must be >= 0, got -1"):
+        KeyMatrix(T0, 10.0, ("A",), -1, [], [], [])
+    with pytest.raises(TypeError):
+        KeyMatrix(T0, 10.0, ("A",), 4.0, [], [], [])
 
 
 def test_key_matrix_export_round_trip(tmp_path):
@@ -326,8 +328,8 @@ def test_interval_labels_and_export_match_interval_start(tmp_path, start,
     values = np.zeros((5000, 2))
     values[::7, 0] = 1.5
     values[::3, 1] = 0.1
-    km = KeyMatrix(start=start, interval_seconds=interval_seconds,
-                   node_names=("A", "B"), values=values)
+    km = key_matrix(values, start=start, interval_seconds=interval_seconds,
+                    node_names=("A", "B"))
     expected = [km.interval_start(m).isoformat() for m in range(km.n_intervals)]
     csv_path = tmp_path / "km.csv"
     export_key_matrix(km, TABLE1, csv_path, tmp_path / "km.json")

@@ -1,20 +1,22 @@
 """Scenario JSON reader: the README examples and a typed property test.
 
 The README's configuration block shows every default, so its sections must
-read back to the built-in profile, and its Python API example must run.
+read back to the built-in profile, its Python API example must run, and
+every `module.name` it cites must name something in satqkd.
 The property test draws values of every JSON type for every field of every
 section and requires the reader to return a config whose fields have their
 declared types, or to raise ConfigError: never another exception.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import importlib
+import io
 import json
 import math
-import os
+import pkgutil
 import re
-import subprocess
-import sys
 import typing
 from pathlib import Path
 
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import satqkd
 from satqkd.cloud import save_cloud_grid, synthetic_cloud_grid
 from satqkd.scenario import (
     MICIUS_TLE_LINES,
@@ -52,13 +55,43 @@ def test_readme_python_api_example_runs():
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Python API"):]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    peak, total = run.stdout.splitlines()
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+    peak, total = printed.getvalue().splitlines()
     assert peak.endswith(" deg peak elevation of the first pass")
     assert total.endswith(" key bits") and float(total.split()[0]) > 0
+
+
+def test_readme_cites_only_names_that_resolve():
+    # `module.name` and `Class.attribute`, for a satqkd module or a name the
+    # package exports; numpy, file names and config keys are not satqkd's
+    modules = {module.name for module in pkgutil.iter_modules(satqkd.__path__)}
+    cited = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)",
+                           README.read_text(encoding="utf-8")))
+    missing, resolved = [], 0
+    for dotted in sorted(cited):
+        head, *path = dotted.split(".")
+        if head in modules:
+            obj = importlib.import_module(f"satqkd.{head}")
+        elif head in vars(satqkd) and not head.startswith("_"):
+            obj = getattr(satqkd, head)
+        else:
+            continue
+        for name in path:
+            fields = ({field.name for field in dataclasses.fields(obj)}
+                      if isinstance(obj, type) and dataclasses.is_dataclass(obj) else ())
+            if name in fields and not hasattr(obj, name):
+                obj = None  # a dataclass field without a default
+            elif hasattr(obj, name):
+                obj = getattr(obj, name)
+            else:
+                missing.append(dotted)
+                break
+        else:
+            resolved += 1
+    assert missing == []
+    assert resolved >= 15, resolved
 
 
 # ---------------------------------------------------------------------------

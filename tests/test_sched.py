@@ -40,6 +40,7 @@ from satqkd.sched import (
     _node_totals,
 )
 
+from conftest import dense, key_matrix
 from conftest import enumeration_oracle as enumerate_best
 
 TOY = np.array([[5.0, 0.0], [0.0, 4.0], [0.0, 6.0]])  # best feasible: 11
@@ -81,7 +82,7 @@ def test_non_integer_codes_are_rejected():
     assert not is_feasible([math.nan, IDLE], 2, 2)
     assert is_feasible([0.0, 0.0, float(SWITCH)], 3, 2)  # integral floats are codes
     with pytest.raises(ValueError, match=r"assignment\[0\] = 0.5 is not an integer"):
-        evaluate([0.5, IDLE], [[3, 4], [1, 1]])
+        evaluate([0.5, IDLE], key_matrix([[3, 4], [1, 1]]))
 
 
 @pytest.mark.parametrize("codes, message", [
@@ -94,7 +95,7 @@ def test_non_integer_codes_are_rejected():
 def test_evaluate_refuses_stray_activity_codes(codes, message):
     assert not is_feasible(codes, 2, 2)
     with pytest.raises(ValueError, match=message):
-        evaluate(codes, [[3, 4], [1, 1]])
+        evaluate(codes, key_matrix([[3, 4], [1, 1]]))
 
 
 def test_schedule_holds_a_read_only_int64_array():
@@ -103,7 +104,7 @@ def test_schedule_holds_a_read_only_int64_array():
     assert sched.assignment.tolist() == [0, SWITCH, 1]
     with pytest.raises(ValueError, match="read-only"):
         sched.assignment[0] = 1
-    solved = solve_exact(TOY)
+    solved = solve_exact(key_matrix(TOY))
     assert solved.assignment.dtype == np.int64
     assert not solved.assignment.flags.writeable
 
@@ -149,13 +150,13 @@ def test_is_feasible_matches_the_loop_it_replaced():
 
 
 def test_evaluate_all_idle_and_one_hot():
-    assert evaluate([IDLE] * 3, TOY).tolist() == [0.0, 0.0]
-    assert evaluate([IDLE, 1, IDLE], TOY).tolist() == [0.0, 4.0]
+    assert evaluate([IDLE] * 3, key_matrix(TOY)).tolist() == [0.0, 0.0]
+    assert evaluate([IDLE, 1, IDLE], key_matrix(TOY)).tolist() == [0.0, 4.0]
 
 
 def test_evaluate_dimension_mismatch():
     with pytest.raises(ValueError, match="length"):
-        evaluate([0, 1], TOY)
+        evaluate([0, 1], key_matrix(TOY))
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +201,13 @@ def test_distribution_validation():
 
 def test_delivered_distribution_cases():
     km = np.array([[5.0, 5.0], [5.0, 5.0]])
-    assert delivered_distribution([0, 1], km).probabilities == (0.5, 0.5)
-    assert delivered_distribution([0, 0], km).probabilities == (1.0, 0.0)
+    assert delivered_distribution([0, 1], key_matrix(km)).probabilities == (0.5, 0.5)
+    assert delivered_distribution([0, 0], key_matrix(km)).probabilities == (1.0, 0.0)
     km3 = np.diag([3.0, 1.0, 0.0])
-    got = delivered_distribution([0, 1, IDLE], km3).probabilities
+    got = delivered_distribution([0, 1, IDLE], key_matrix(km3)).probabilities
     assert got == (0.75, 0.25, 0.0)
     with pytest.raises(ValueError, match="undefined"):
-        delivered_distribution([IDLE, IDLE], km)
+        delivered_distribution([IDLE, IDLE], key_matrix(km))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,7 @@ def test_delivered_distribution_cases():
 # ---------------------------------------------------------------------------
 
 def test_exact_toy_instance_matches_enumeration():
-    sched = solve_exact(TOY)
+    sched = solve_exact(key_matrix(TOY))
     assert sched.objective == 11.0
     assert sched.objective == enumerate_best(TOY)
     assert sched.assignment.tolist() == [0, SWITCH, 1]
@@ -225,20 +226,20 @@ def test_exact_on_handoff_trap():
     # the best first interval (node 0, 10 bits) would cost a SWITCH before
     # node 1's run; staying on node 1 throughout gives 27
     trap = np.array([[10.0, 9.0], [0.0, 9.0], [0.0, 9.0]])
-    sched = solve_exact(trap)
+    sched = solve_exact(key_matrix(trap))
     assert sched.objective == 27.0 == enumerate_best(trap)
     assert sched.assignment.tolist() == [1, 1, 1]
     assert is_feasible(sched, 3, 2)
 
 
 def test_exact_all_zero_returns_idle():
-    sched = solve_exact(np.zeros((4, 3)))
+    sched = solve_exact(key_matrix(np.zeros((4, 3))))
     assert sched.assignment.tolist() == [IDLE] * 4
     assert sched.objective == 0.0
 
 
 def test_exact_weighted_instance():
-    sched = solve_exact(TOY, weights=[1.0, 1000.0])
+    sched = solve_exact(key_matrix(TOY), weights=[1.0, 1000.0])
     assert sched.objective == enumerate_best(TOY, [1.0, 1000.0]) == 10000.0
     assert sched.assignment[1] == 1 and sched.assignment[2] == 1
     assert sched.node_totals == (0.0, 10.0)
@@ -251,7 +252,7 @@ def test_exact_matches_enumeration_randomised():
         n = int(rng.integers(1, 4))
         values = rng.uniform(0.0, 10.0, size=(m, n))
         values[rng.random(size=values.shape) < 0.3] = 0.0
-        sched = solve_exact(values)
+        sched = solve_exact(key_matrix(values))
         assert sched.objective == pytest.approx(enumerate_best(values), rel=1e-12)
         assert is_feasible(sched, m, n)
 
@@ -259,15 +260,15 @@ def test_exact_matches_enumeration_randomised():
 def test_exact_scale_invariance_power_of_two():
     rng = np.random.default_rng(5)
     values = rng.uniform(0.0, 8.0, size=(7, 3))
-    base = solve_exact(values)
-    scaled = solve_exact(values * 4.0)
+    base = solve_exact(key_matrix(values))
+    scaled = solve_exact(key_matrix(values * 4.0))
     assert np.array_equal(scaled.assignment, base.assignment)
     assert scaled.objective == pytest.approx(4.0 * base.objective, rel=1e-15)
 
 
 def test_exact_empty_and_degenerate_shapes():
-    assert solve_exact(np.zeros((0, 3))).assignment.tolist() == []
-    assert solve_exact(np.zeros((3, 0))).assignment.tolist() == [IDLE] * 3
+    assert solve_exact(key_matrix(np.zeros((0, 3)))).assignment.tolist() == []
+    assert solve_exact(key_matrix(np.zeros((3, 0)))).assignment.tolist() == [IDLE] * 3
 
 
 @pytest.mark.parametrize("weights,needle", [
@@ -280,7 +281,7 @@ def test_exact_empty_and_degenerate_shapes():
 ])
 def test_exact_rejects_bad_weights(weights, needle):
     with pytest.raises(ValueError, match=re.escape(needle)):
-        solve_exact([[1.0, 2.0], [3.0, 0.0]], weights=weights)
+        solve_exact(key_matrix([[1.0, 2.0], [3.0, 0.0]]), weights=weights)
 
 
 def full_walk_exact(values: np.ndarray, weights=None) -> Schedule:
@@ -319,8 +320,9 @@ def full_walk_exact(values: np.ndarray, weights=None) -> Schedule:
             assignment[m] = node
             nxt = state if same_parent[m, node] else switch_id
         state = int(nxt)
+    totals = evaluate(assignment, key_matrix(values))
     return Schedule(assignment=tuple(int(a) for a in assignment),
-                    node_totals=tuple(float(v) for v in evaluate(assignment, values)),
+                    node_totals=tuple(float(v) for v in totals),
                     objective=objective)
 
 
@@ -355,7 +357,7 @@ def test_exact_matches_full_walk_on_sparse_matrices():
                           "hold_after_switch", "reenter"), 0)
 
     def check(trial, values, weights):
-        got = solve_exact(values, weights)
+        got = solve_exact(key_matrix(values), weights)
         want = full_walk_exact(values, weights)
         assert np.array_equal(got.assignment, want.assignment), trial
         assert got.node_totals == want.node_totals, trial
@@ -413,7 +415,7 @@ def test_exact_matches_full_walk_on_sparse_matrices():
 
 def test_ga_all_zero_matrix():
     cfg = StrategyConfig(kind="S-GD", ga=quick_ga())
-    sched = solve_ga(np.zeros((5, 2)), cfg)
+    sched = solve_ga(key_matrix(np.zeros((5, 2))), cfg)
     assert sched.objective == 0.0
     assert is_feasible(sched, 5, 2)
 
@@ -421,7 +423,7 @@ def test_ga_all_zero_matrix():
 def test_ga_finds_toy_optimum():
     cfg = StrategyConfig(kind="S-GD", ga=GaConfig(population=200,
                                                   generations=200, seed=3))
-    sched = solve_ga(TOY, cfg)
+    sched = solve_ga(key_matrix(TOY), cfg)
     assert sched.objective == pytest.approx(11.0, rel=1e-12)
     assert is_feasible(sched, 3, 2)
 
@@ -431,8 +433,8 @@ def test_ga_never_beats_exact_and_usually_matches():
     hits = 0
     for trial in range(10):
         values = rng.uniform(0.0, 10.0, size=(10, 3))
-        exact = solve_exact(values).objective
-        got = solve_ga(values, StrategyConfig(kind="S-GD",
+        exact = solve_exact(key_matrix(values)).objective
+        got = solve_ga(key_matrix(values), StrategyConfig(kind="S-GD",
                                               ga=GaConfig(seed=trial))).objective
         assert got <= exact + 1e-9
         if got >= 0.98 * exact:
@@ -443,8 +445,8 @@ def test_ga_never_beats_exact_and_usually_matches():
 def test_ga_deterministic_given_seed():
     values = np.random.default_rng(1).uniform(0.0, 10.0, size=(12, 3))
     cfg = StrategyConfig(kind="S-TD", weights=(0.2, 0.3, 0.5), ga=quick_ga(seed=9))
-    a = solve_ga(values, cfg)
-    b = solve_ga(values, cfg)
+    a = solve_ga(key_matrix(values), cfg)
+    b = solve_ga(key_matrix(values), cfg)
     assert np.array_equal(a.assignment, b.assignment)
     assert a.objective == b.objective
 
@@ -460,7 +462,7 @@ def test_ga_feasible_over_random_instances_and_seeds():
             cfg = StrategyConfig(kind=kind, weights=tuple(rng.uniform(0.1, 1.0, n)),
                                  ga=quick_ga(seed=trial, population=30,
                                              generations=30))
-            sched = solve_ga(values, cfg)
+            sched = solve_ga(key_matrix(values), cfg)
             assert is_feasible(sched, m, n)
 
 
@@ -470,7 +472,7 @@ def test_ga_sparse_compression_agrees_with_enumeration():
     values = np.array([[10.0, 9.9], [0.0, 0.0], [0.0, 0.0], [10.0, 9.9]])
     cfg = StrategyConfig(kind="S-GD", ga=GaConfig(population=100,
                                                   generations=150, seed=2))
-    sched = solve_ga(values, cfg)
+    sched = solve_ga(key_matrix(values), cfg)
     assert len(sched.assignment) == 4
     assert is_feasible(sched, 4, 2)
     assert sched.objective == pytest.approx(enumerate_best(values), rel=1e-12)
@@ -482,12 +484,13 @@ def test_sparse_node_totals_match_masked_product():
     k[rng.random(k.shape) < 0.8] = 0.0
     k[:, 5] = 0.0  # a node without a single nonzero cell
     row, node = np.nonzero(k)
-    cells = _node_cells(7, row, node, k[row, node])
+    cells = _node_cells(row, node, k[row, node])
+    assert [n for n, _, _ in cells] == [0, 1, 2, 3, 4, 6]
     for _ in range(20):
         group = rng.integers(0, 9, size=(30, 700), dtype=np.int16)
         masked = np.stack([((group == n) * k[:, n][None, :]).sum(axis=1)
                            for n in range(7)], axis=1)
-        got = _node_totals(group, cells)
+        got = _node_totals(group, cells, 7)
         np.testing.assert_allclose(got, masked, rtol=1e-12, atol=0.0)
         assert np.all(got[:, 5] == 0.0)
 
@@ -501,7 +504,8 @@ def test_ga_std_fixed_seed_result_is_pinned():
     values[rng.random(values.shape) < 0.3] = 0.0
     cfg = StrategyConfig(kind="S-TD", weights=(0.3, 0.25, 0.2, 0.1, 0.1, 0.05),
                          ga=GaConfig(population=40, generations=80, seed=5))
-    sched = solve_ga(values, cfg, seed_schedules=[solve_exact(values)])
+    matrix = key_matrix(values)
+    sched = solve_ga(matrix, cfg, seed_schedules=[solve_exact(matrix)])
     digest = hashlib.sha256(
         np.asarray(sched.assignment, dtype=np.int64).tobytes()).hexdigest()
     assert digest == ("97dbe112dc1d1a09b46ab85df6bd079d"
@@ -512,8 +516,8 @@ def test_ga_std_fixed_seed_result_is_pinned():
 def test_ga_spd_equal_weights_matches_sgd_objective():
     values = np.random.default_rng(4).uniform(0.0, 10.0, size=(14, 3))
     ga = quick_ga(seed=21)
-    sgd = solve_ga(values, StrategyConfig(kind="S-GD", ga=ga))
-    spd = solve_ga(values, StrategyConfig(kind="S-PD",
+    sgd = solve_ga(key_matrix(values), StrategyConfig(kind="S-GD", ga=ga))
+    spd = solve_ga(key_matrix(values), StrategyConfig(kind="S-PD",
                                           weights=(2.0, 2.0, 2.0), ga=ga))
     assert spd.objective == pytest.approx(sgd.objective, rel=1e-12)
     assert np.array_equal(spd.assignment, sgd.assignment)
@@ -523,7 +527,7 @@ def test_ga_spd_prefers_weighted_node():
     values = np.array([[5.0, 4.9]])
     heavy = StrategyConfig(kind="S-PD", weights=(0.05, 0.95),
                            ga=quick_ga(seed=8, population=30, generations=40))
-    sched = solve_ga(values, heavy)
+    sched = solve_ga(key_matrix(values), heavy)
     assert sched.assignment.tolist() == [1]
 
 
@@ -538,7 +542,7 @@ def test_ga_std_reduces_kl_within_band():
         for b in (0, 1, IDLE):
             sched = [a, IDLE if (a == IDLE or b == IDLE or a == b) else SWITCH, b]
             sched[1] = SWITCH if (a != b and a != IDLE and b != IDLE) else sched[1]
-            totals = evaluate(sched, values)
+            totals = evaluate(sched, key_matrix(values))
             options.append((float(totals.sum()), tuple(totals)))
     best_total = max(t for t, _ in options)
     eligible = [(t, tot) for t, tot in options if t >= 0.95 * best_total]
@@ -547,9 +551,9 @@ def test_ga_std_reduces_kl_within_band():
         Distribution(weights)) if sum(tot) else math.inf
     least_kl = min(kl_of(tot) for _, tot in eligible)
 
-    sgd = solve_ga(values, StrategyConfig(
+    sgd = solve_ga(key_matrix(values), StrategyConfig(
         kind="S-GD", ga=GaConfig(population=120, generations=150, seed=6)))
-    std = solve_ga(values, StrategyConfig(
+    std = solve_ga(key_matrix(values), StrategyConfig(
         kind="S-TD", weights=weights,
         ga=GaConfig(population=120, generations=150, seed=6)))
     kl_sgd = kl_of(sgd.node_totals)
@@ -562,10 +566,10 @@ def test_ga_std_reduces_kl_within_band():
 
 def test_ga_warm_start_is_respected():
     values = np.random.default_rng(17).uniform(0.0, 10.0, size=(16, 4))
-    exact = solve_exact(values)
+    exact = solve_exact(key_matrix(values))
     cfg = StrategyConfig(kind="S-GD",
                          ga=GaConfig(population=20, generations=5, seed=0))
-    warm = solve_ga(values, cfg, seed_schedules=[exact])
+    warm = solve_ga(key_matrix(values), cfg, seed_schedules=[exact])
     assert warm.objective >= exact.objective - 1e-9  # elitism keeps the seed
     assert warm.objective <= exact.objective + 1e-9
 
@@ -609,9 +613,8 @@ def test_schedule_csv_matches_the_row_loop(tmp_path, monkeypatch, chunk):
     start = datetime(2016, 9, 19, 13, 0, 0, 250_000, tzinfo=timezone.utc)
     for n_intervals in (0, 1, 2, 3, 6, 7, 4096, 4097):
         n_nodes = int(rng.integers(1, 5))
-        matrix = KeyMatrix(start=start, interval_seconds=10.0,
-                           node_names=tuple(f"station-{n}" for n in range(n_nodes)),
-                           values=rng.uniform(0.0, 5.0, size=(n_intervals, n_nodes)))
+        matrix = key_matrix(rng.uniform(0.0, 5.0, size=(n_intervals, n_nodes)), start=start,
+                            node_names=tuple(f"station-{n}" for n in range(n_nodes)))
         codes = rng.integers(SWITCH, n_nodes, size=n_intervals)
         schedules = (solve_exact(matrix),
                      Schedule(assignment=codes, node_totals=(), objective=0.0))
@@ -629,7 +632,7 @@ def test_schedule_csv_matches_the_row_loop(tmp_path, monkeypatch, chunk):
 
 
 # ---------------------------------------------------------------------------
-# raw matrices and the key matrix held as its nonzero rows
+# the key matrix: one constructor of checked cell columns
 # ---------------------------------------------------------------------------
 
 DAY0 = datetime(2016, 9, 19, tzinfo=timezone.utc)
@@ -648,9 +651,12 @@ def test_raw_matrix_with_a_bad_entry_is_rejected(values, cell, shown, call):
            "solve_ga": lambda v: solve_ga(v, StrategyConfig(
                ga=GaConfig(population=4, generations=2))),
            "evaluate": lambda v: evaluate([IDLE] * len(v), v)}[call]
+    # a solver takes only a KeyMatrix, and the matrix refuses the entry
+    with pytest.raises(TypeError, match="expected a qkd.KeyMatrix, got ndarray"):
+        run(np.array(values))
     with pytest.raises(ValueError, match=re.escape(
             f"key matrix entry {cell} = {shown} is not finite and >= 0")):
-        run(np.array(values))
+        key_matrix(values)
 
 
 def test_key_matrix_rows_and_cells_agree_with_the_dense_form():
@@ -658,38 +664,59 @@ def test_key_matrix_rows_and_cells_agree_with_the_dense_form():
     values = rng.uniform(0.0, 9.0, size=(40, 3))
     values[rng.random(40) < 0.5] = 0.0
     values[rng.random(values.shape) < 0.3] = 0.0
-    dense = KeyMatrix(DAY0, 10.0, ("A", "B", "C"), values)
-    nonzero = values.any(axis=1)
-    assert dense.rows.tolist() == np.flatnonzero(nonzero).tolist()
     interval, node = np.nonzero(values)
     want = (interval, node, values[interval, node])
-    assert all(np.array_equal(got, column) for got, column in zip(dense.nonzero(), want))
-    assert (dense.n_intervals, dense.n_nodes) == values.shape
-    # rows left all zero are dropped; both forms schedule alike
-    padded_rows = np.arange(40)
-    held = KeyMatrix(DAY0, 10.0, ("A", "B", "C"), rows=padded_rows, cells=values,
-                     n_intervals=40)
-    assert np.array_equal(held.rows, dense.rows)
-    assert all(np.array_equal(got, column) for got, column in zip(held.nonzero(), want))
+    # the columns are copied, held read-only, and read back as given
+    given = [column.astype(np.int32) for column in want[:2]] + [want[2].tolist()]
+    matrix = KeyMatrix(DAY0, 10.0, ("A", "B", "C"), 40, *given)
+    assert matrix.rows.tolist() == np.flatnonzero(values.any(axis=1)).tolist()
+    for got, column in zip(matrix.nonzero(), want):
+        assert got.dtype == column.dtype and np.array_equal(got, column)
+        assert not got.flags.writeable
+    assert not matrix.rows.flags.writeable
+    given[0][0] = 39
+    assert matrix.cell_intervals[0] == want[0][0]
+    assert (matrix.n_intervals, matrix.n_nodes) == values.shape
+    assert np.array_equal(dense(matrix), values)
+    # the solvers take nothing else
     for solve in (solve_exact, lambda m: solve_ga(m, StrategyConfig(
             kind="S-TD", ga=GaConfig(population=8, generations=10)))):
-        a, b = solve(values), solve(held)
-        assert np.array_equal(a.assignment, b.assignment)
-        assert (a.node_totals, a.objective) == (b.node_totals, b.objective)
+        with pytest.raises(TypeError, match="expected a qkd.KeyMatrix, got ndarray"):
+            solve(values)
+        with pytest.raises(TypeError, match="expected a qkd.KeyMatrix, got list"):
+            solve(values.tolist())
+        assert is_feasible(solve(matrix), 40, 3)
+    with pytest.raises(TypeError, match="expected a qkd.KeyMatrix, got ndarray"):
+        delivered_distribution([IDLE] * 40, values)
 
 
-@pytest.mark.parametrize("rows,cells,n_intervals,needle", [
-    ([3, 1], [[1.0], [1.0]], 5, "rows must increase strictly"),
-    ([1, 1], [[1.0], [1.0]], 5, "rows must increase strictly"),
-    ([-1], [[1.0]], 5, "rows must increase strictly"),
-    ([5], [[1.0]], 5, "rows must increase strictly"),
-    ([1, 2], [[1.0]], 5, "cells shape (1, 1) does not match 2 rows and 1 nodes"),
-    ([1], [[1.0, 2.0]], 5, "cells shape (1, 2) does not match 1 rows and 1 nodes"),
-    ([0, 4], [[1.0], [math.nan]], 5, "key matrix entry [4][0] = nan"),
-])
-def test_key_matrix_rejects_malformed_rows_and_cells(rows, cells, n_intervals, needle):
+@pytest.mark.parametrize("intervals,nodes,bits,needle", [
+    ([1.7], [0], [1.0], "cell_intervals holds float64 values, not integers"),
+    ([1], [0.0], [1.0], "cell_nodes holds float64 values, not integers"),
+    ([True], [0], [1.0], "cell_intervals holds bool values, not integers"),
+    ([3, 1], [0, 0], [1.0, 1.0], "cells must be in row-major order, each once"),
+    ([1, 1], [1, 0], [1.0, 1.0], "cells must be in row-major order, each once"),
+    ([1, 1], [0, 0], [1.0, 1.0], "cells must be in row-major order, each once"),
+    ([-1], [0], [1.0], "cell_intervals must lie in 0..4"),
+    ([5], [0], [1.0], "cell_intervals must lie in 0..4"),
+    ([1], [-1], [1.0], "cell_nodes must lie in 0..1"),
+    ([1], [2], [1.0], "cell_nodes must lie in 0..1"),
+    ([1, 2], [0], [1.0, 1.0], "cell columns must be 1-D and of one length, got shapes "
+                              "(2,), (1,) and (2,)"),
+    ([1], [0], [1.0, 2.0], "of one length, got shapes (1,), (1,) and (2,)"),
+    ([[1]], [[0]], [[1.0]], "must be 1-D and of one length, got shapes (1, 1)"),
+    ([0, 4], [0, 1], [1.0, math.nan], "key matrix entry [4][1] = nan is not finite and >= 0"),
+    ([2], [1], [math.inf], "key matrix entry [2][1] = inf is not finite and >= 0"),
+    ([2], [1], [-0.5], "key matrix entry [2][1] = -0.5 is not finite and >= 0"),
+    ([0, 2], [1, 0], [1.0, 0.0], "key matrix entry [2][0] = 0.0 is zero"),
+    ([2], [1], [-0.0], "key matrix entry [2][1] = -0.0 is zero"),
+], ids=["non-integer-interval", "non-integer-node", "bool-interval", "unsorted",
+        "unsorted-in-a-row", "repeated", "interval-below-grid", "interval-past-grid",
+        "node-below-grid", "node-past-grid", "unequal-lengths", "unequal-bits", "2-d",
+        "nan-bits", "infinite-bits", "negative-bits", "zero-bits", "minus-zero-bits"])
+def test_key_matrix_rejects_malformed_rows_and_cells(intervals, nodes, bits, needle):
     with pytest.raises(ValueError, match=re.escape(needle)):
-        KeyMatrix(DAY0, 10.0, ("A",), rows=rows, cells=cells, n_intervals=n_intervals)
+        KeyMatrix(DAY0, 10.0, ("A", "B"), 5, intervals, nodes, bits)
 
 
 def test_a_sparse_key_matrix_is_never_made_dense(tmp_path):
@@ -701,8 +728,9 @@ def test_a_sparse_key_matrix_is_never_made_dense(tmp_path):
     cells = rng.uniform(0.0, 80.0, size=(n_rows, n_nodes))
     cells[rng.random(cells.shape) < 0.8] = 0.0
     cells[np.arange(n_rows), rng.integers(0, n_nodes, size=n_rows)] = 7.0
-    matrix = KeyMatrix(DAY0, 10.0, tuple(f"N{n}" for n in range(n_nodes)),
-                       rows=rows, cells=cells, n_intervals=n_intervals)
+    k, node = np.nonzero(cells)
+    matrix = KeyMatrix(DAY0, 10.0, tuple(f"N{n}" for n in range(n_nodes)), n_intervals,
+                       rows[k], node, cells[k, node])
     cfg = StrategyConfig(kind="S-TD", ga=GaConfig(population=10, generations=5))
 
     tracemalloc.start()

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from conftest import oracle_fmt
+from conftest import key_matrix, oracle_fmt
 from satqkd import cli
 from satqkd.orbit import AccessInterval, GroundStation, _from_us, _to_us
 from satqkd.output import _US_RANGE
@@ -62,7 +62,7 @@ def matrix_at(start: datetime, step: float, n_intervals: int, seed: int) -> KeyM
     values = np.where(rng.random((n_intervals, len(NAMES))) < 0.2,
                       rng.uniform(0.0, 4e6, (n_intervals, len(NAMES))), 0.0)
     values.flat[rng.choice(values.size, len(SPECIAL_BITS), replace=False)] = SPECIAL_BITS
-    return KeyMatrix(start=start, interval_seconds=step, node_names=NAMES, values=values)
+    return key_matrix(values, start=start, interval_seconds=step, node_names=NAMES)
 
 
 def matrices():
@@ -195,8 +195,8 @@ def test_schedule_csv_matches_the_row_loop(tmp_path, name, matrix):
 
 def test_key_matrix_at_the_first_and_last_microsecond(tmp_path):
     for start in (datetime.min.replace(tzinfo=UTC), near_max(2, 1.0)):
-        matrix = KeyMatrix(start=start, interval_seconds=1.0, node_names=NAMES,
-                           values=np.full((3, len(NAMES)), 0.25))
+        matrix = key_matrix(np.full((3, len(NAMES)), 0.25), start=start,
+                            interval_seconds=1.0, node_names=NAMES)
         export_key_matrix(matrix, micius_week_config().qkd, tmp_path / "km.csv",
                           tmp_path / "km.json")
         assert (tmp_path / "km.csv").read_bytes() == oracle_export_key_matrix(matrix).encode()
