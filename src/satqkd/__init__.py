@@ -3,10 +3,10 @@
 __version__ = "0.1.0"
 
 from .orbit import (  # noqa: F401
-    AccessInterval,
     Ephemeris,
     GroundStation,
     LookAngles,
+    Passes,
     SatelliteState,
     TleElements,
     TleError,

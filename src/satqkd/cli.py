@@ -10,6 +10,7 @@ file, is written as the literal token `Inf`.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -23,17 +24,16 @@ import numpy as np
 from . import __version__
 # total_loss is not called here; the benchmark's tracer patches it under this name
 from .channel import total_loss  # noqa: F401
-from .orbit import AccessInterval, _from_us, _to_us
+from . import qkd
+from .orbit import Passes, _from_us, _to_us
 from .output import csv_rows, fixed_point, iso_utc, round_trip, spelled, write_csv, write_json
 from .qkd import (
+    KeyBitsOverflow,
     KeyMatrix,
     add_key_bits,
     assemble_key_matrix,
     export_key_matrix,
-    joined,
     link_budget,
-    pass_blocks,
-    per_sample,
 )
 from .sched import (
     Schedule,
@@ -74,61 +74,36 @@ def _write_manifest(out: Path, command: str, config: ScenarioConfig,
 def run_access(config: ScenarioConfig, out: Path, seed: int | None = None) -> dict:
     """Access-interval report: per-pass CSV plus a per-day duration summary."""
     out.mkdir(parents=True, exist_ok=True)
-    accesses = compute_accesses(config)
+    passes = compute_accesses(config)
     step = config.step_seconds
-    # every pass's samples, pass after pass; pass p starts at first[p]
-    times = [iv.time_us for iv in accesses] or [np.zeros(0, np.int64)]
-    sizes = np.array([len(iv.time_us) for iv in accesses], dtype=np.int64)
-    first = np.cumsum(sizes) - sizes
-    start_us = np.concatenate(times)[first]
-    end_us = np.array([_to_us(iv.end) for iv in accesses], dtype=np.int64)
-    # (end - start).total_seconds(): the microseconds, divided exactly rounded
-    durations = ((end_us - start_us) / 1e6).tolist()
+    first = passes.bounds[:-1]  # each pass's first sample
+    start_us = passes.time_us[first]
+    durations = passes.duration_seconds()
     # one chunk: a pass's samples outweigh its row of text
     write_csv(out / "access_intervals.csv",
               "station,start_utc,end_utc,duration_s,max_elevation_deg,min_range_km\n", [[
-                  spelled([iv.station.name.encode() for iv in accesses]),
-                  iso_utc(start_us), iso_utc(end_us), fixed_point(durations, 1),
-                  fixed_point(np.maximum.reduceat(
-                      np.concatenate([iv.elevation_deg for iv in accesses] or [[]]), first), 3),
-                  fixed_point(np.minimum.reduceat(
-                      np.concatenate([iv.slant_range_km for iv in accesses] or [[]]), first), 3)]])
+                  spelled([station.name.encode() for station in passes.stations])[passes.station],
+                  iso_utc(start_us), iso_utc(passes.end_us), fixed_point(durations, 1),
+                  fixed_point(np.maximum.reduceat(passes.elevation_deg, first), 3),
+                  fixed_point(np.minimum.reduceat(passes.slant_range_km, first), 3)]])
 
-    # a pass counts on the UTC day it starts; sums run in pass order
-    days, day_of = np.unique(start_us // 86_400_000_000, return_inverse=True)
+    # a pass counts on the UTC day it starts, so each day's passes are a run
+    # of the table; sums run in pass order
+    days, heads = np.unique(start_us // 86_400_000_000, return_index=True)
     dates = np.datetime_as_string(days.astype("datetime64[D]")).tolist()
-    daily_sums = [0] * len(dates)
-    for day, duration in zip(day_of.tolist(), durations):
-        daily_sums[day] += duration
-    by_day = np.argsort(day_of, kind="stable")
-    union, per_day = _distinct_samples(np.concatenate([times[p] for p in by_day.tolist()] or times),
-                                       np.repeat(day_of[by_day], sizes[by_day]), len(dates))
-    daily_union = {date: count * step for date, count in zip(dates, per_day)}
+    runs = list(itertools.pairwise([*heads.tolist(), len(passes)]))
+    daily_sums = [sum(durations[p:q]) for p, q in runs]
+    daily_union = {date: union_duration_seconds(passes[p:q], step)
+                   for date, (p, q) in zip(dates, runs)}
     write_csv(out / "access_daily.csv", "date,station_sum_s,union_s\n", [[
         spelled(dates), fixed_point(daily_sums, 1), fixed_point(list(daily_union.values()), 1)]])
     _write_manifest(out, "access", config, seed)
     return {
-        "n_intervals": len(accesses),
+        "n_intervals": len(passes),
         "total_station_seconds": sum(durations),
-        "union_seconds": union * step,
+        "union_seconds": union_duration_seconds(passes, step),
         "daily_union_seconds": daily_union,
     }
-
-
-def _distinct_samples(time_us: np.ndarray, group: np.ndarray,
-                      n_groups: int) -> tuple[int, list[int]]:
-    """The number of distinct sample times, and of distinct times within
-    each group, where group (0 .. n_groups - 1) never decreases along
-    time_us.  A stable sort keeps the samples of one time in group order,
-    so each (time, group) pair is a run of the sorted order."""
-    order = np.argsort(time_us, kind="stable")
-    t, g = time_us[order], group[order]
-    new_time = np.ones(len(t), dtype=bool)
-    new_time[1:] = t[1:] != t[:-1]
-    new_pair = new_time.copy()
-    new_pair[1:] |= g[1:] != g[:-1]
-    return (int(np.count_nonzero(new_time)),
-            np.bincount(g[new_pair], minlength=n_groups).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +118,16 @@ def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -
     """
     check_loss_mask(config)
     out.mkdir(parents=True, exist_ok=True)
-    accesses = compute_accesses(config)
+    passes = compute_accesses(config)
+    names = spelled([station.name.encode() for station in passes.stations])
     counts = {"n_samples": 0, "n_blocked": 0}
     fixed = fixed_point([config.optics.fixed_loss_db], 4)
 
-    def columns(block: list[AccessInterval]) -> list[np.ndarray]:
+    def columns(block: Passes) -> list[np.ndarray]:
         geo, atm, cld, total, etas = link_budget(block, config.optics, config.cloud)
-        names = [iv.station.name.encode() for iv in block]
-        text = [iso_utc(joined(block, "time_us")), spelled(per_sample(block, names)),
+        text = [iso_utc(block.time_us), names[block.sample_station()],
                 *(fixed_point(c, 4) for c in (
-                    joined(block, "elevation_deg"), joined(block, "slant_range_km"),
-                    geo, atm, cld)),
+                    block.elevation_deg, block.slant_range_km, geo, atm, cld)),
                 np.broadcast_to(fixed, (len(etas), fixed.shape[1])),
                 fixed_point(total, 4),
                 round_trip(etas)]
@@ -162,7 +136,8 @@ def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -
         return text
 
     write_csv(out / "linkbudget.csv", "time_utc,station,elevation_deg,range_km,geo_db,"
-              "atm_db,cloud_db,fixed_db,total_db,eta\n", map(columns, pass_blocks(accesses)))
+              "atm_db,cloud_db,fixed_db,total_db,eta\n",
+              map(columns, passes.blocks(qkd._RATE_CHUNK)))
     _write_manifest(out, "linkbudget", config, seed)
     return counts
 
@@ -256,9 +231,12 @@ def key_matrix_from_linkbudget(config: ScenarioConfig, csv_path) -> KeyMatrix:
                  config.qkd, nodes, time_us, etas, config.step_seconds,
                  lambda i: f"{csv_path}:{i + 2}: "
                  f"time_utc: {_from_us(int(time_us[i])).isoformat()}")
-    return assemble_key_matrix(parts, start, config.grid_interval_seconds,
-                               config.n_grid_intervals,
-                               tuple(st.name for st in config.stations))
+    try:
+        return assemble_key_matrix(parts, start, config.grid_interval_seconds,
+                                   config.n_grid_intervals,
+                                   tuple(st.name for st in config.stations))
+    except KeyBitsOverflow as exc:  # every cell's bits scale with the rate
+        raise ConfigError("qkd.rep_rate_mhz", f"too large: {exc}") from None
 
 
 def daily_key_bits(matrix: KeyMatrix):
@@ -376,18 +354,18 @@ def run_schedule(config: ScenarioConfig, out: Path, seed: int | None = None,
 # sweep
 # ---------------------------------------------------------------------------
 
-def _loss_extremes(config: ScenarioConfig, accesses: list[AccessInterval]):
+def _loss_extremes(config: ScenarioConfig, passes: Passes):
     """Min/max total loss per station over its visible samples (no cloud).
     fmin and fmax, folded from +-inf, skip NaN as Python's min and max do."""
-    names = list(dict.fromkeys(iv.station.name for iv in accesses))
-    index = {name: i for i, name in enumerate(names)}
-    lo, hi = np.full(len(names), math.inf), np.full(len(names), -math.inf)
-    for block in pass_blocks(accesses):
-        owner = per_sample(block, [index[iv.station.name] for iv in block])
+    lo, hi = np.full(len(passes.stations), math.inf), np.full(len(passes.stations), -math.inf)
+    for block in passes.blocks(qkd._RATE_CHUNK):
+        owner = block.sample_station()
         total = link_budget(block, config.optics).total_db
         np.fmin.at(lo, owner, total)
         np.fmax.at(hi, owner, total)
-    return dict(zip(names, lo.tolist())), dict(zip(names, hi.tolist()))
+    seen = np.unique(passes.station)
+    names = [passes.stations[s].name for s in seen.tolist()]
+    return dict(zip(names, lo[seen].tolist())), dict(zip(names, hi[seen].tolist()))
 
 
 def run_sweep(config: ScenarioConfig, variable: str, out: Path,
@@ -405,12 +383,12 @@ def run_sweep(config: ScenarioConfig, variable: str, out: Path,
     out.mkdir(parents=True, exist_ok=True)
     from dataclasses import replace
 
-    def measure(sub, value, accesses):
-        lo, hi = _loss_extremes(sub, accesses)
+    def measure(sub, value, passes):
+        lo, hi = _loss_extremes(sub, passes)
         return {
             "value": value,
-            "duration_s": union_duration_seconds(accesses, sub.step_seconds),
-            "station_sum_s": sum(iv.duration_seconds for iv in accesses),
+            "duration_s": union_duration_seconds(passes, sub.step_seconds),
+            "station_sum_s": sum(passes.duration_seconds()),
             "lo": lo, "hi": hi,
         }
 
@@ -425,19 +403,19 @@ def run_sweep(config: ScenarioConfig, variable: str, out: Path,
                                              raan_deg=entry.get("raan_deg"))
             sub = replace(config, tle=elements, ephemeris=None)
             try:
-                accesses = compute_accesses(sub)
+                passes = compute_accesses(sub)
             except ConfigError:
                 raise
             except ValueError as exc:  # the orbit at this altitude cannot be propagated
                 raise ConfigError(f"sweep.altitudes_km[{i}]", str(exc)) from None
-            rows.append(measure(sub, altitude, accesses))
+            rows.append(measure(sub, altitude, passes))
     else:
         # access geometry does not depend on the optics
-        accesses = compute_accesses(config)
+        passes = compute_accesses(config)
         for urad in config.sweep_divergences_urad:
             sub = replace(config, optics=replace(config.optics,
                                                  divergence_rad=urad * 1e-6))
-            rows.append(measure(sub, urad, accesses))
+            rows.append(measure(sub, urad, passes))
 
     unit = "altitude_km" if variable == "altitude" else "divergence_urad"
     per_row = [(row, st.name) for row in rows for st in config.stations]

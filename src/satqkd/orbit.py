@@ -2,7 +2,8 @@
 
 Turns a two-line element set (or a precomputed ephemeris) plus ground-station
 coordinates into time series of elevation, slant range and night-time
-visibility, discretised into access intervals.
+visibility, discretised into passes: maximal runs of usable samples, held
+for every station at once as one table of columns (Passes).
 
 Propagation is Keplerian two-body plus J2 secular rates on the node and the
 argument of perigee; the TLE mean motion is taken as the observed anomalistic
@@ -36,7 +37,8 @@ the pairs above the up floor, solar elevation the pairs above the mask,
 and azimuth the usable ones; the Sun's RA/Dec is computed once per block,
 where some pair is above the mask.  Each value is the same elementwise
 formula at the same time as on the full grid, so the results are
-bit-identical to it.
+bit-identical to it.  The usable samples are cut into passes and sorted by
+start by numpy calls over all stations at once (_pass_table).
 """
 from __future__ import annotations
 
@@ -44,9 +46,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+
+from .output import _US_RANGE
 
 EARTH_RADIUS_KM = 6378.137
 EARTH_MU_KM3_S2 = 398600.4418
@@ -200,25 +204,57 @@ class LookAngles:
 
 
 @dataclass(frozen=True, eq=False)
-class AccessInterval:
-    """A maximal run of usable samples for one station, held as columns.
+class Passes:
+    """Maximal runs of usable samples (passes) of many stations, as one table
+    of columns, sorted by start.
 
-    `end` is exclusive: it sits one sample step past the last usable sample,
-    so end - start equals the usable duration.  Samples are `step_seconds`
-    apart; sample k is at `time_us[k]` (int64 microseconds from the Unix epoch).
+    Pass p is stations[station[p]]'s; its samples, at least one, are
+    bounds[p] .. bounds[p + 1] - 1 of the sample columns, `step_seconds`
+    apart, sample k at time_us[k] (int64 microseconds from the Unix epoch).
+    end_us[p] is exclusive: one step past the pass's last sample, so end -
+    start is the usable duration.
     """
-    station: GroundStation
-    start: datetime
-    end: datetime
+    stations: tuple[GroundStation, ...]
     step_seconds: float
-    time_us: np.ndarray = field(repr=False)
-    elevation_deg: np.ndarray = field(repr=False)
-    azimuth_deg: np.ndarray = field(repr=False)
-    slant_range_km: np.ndarray = field(repr=False)
+    station: np.ndarray = field(repr=False)         # (P,) int64
+    bounds: np.ndarray = field(repr=False)          # (P + 1,) int64, from 0, increasing
+    end_us: np.ndarray = field(repr=False)          # (P,) int64
+    time_us: np.ndarray = field(repr=False)         # (S,) int64
+    elevation_deg: np.ndarray = field(repr=False)   # (S,) float
+    azimuth_deg: np.ndarray = field(repr=False)     # (S,) float
+    slant_range_km: np.ndarray = field(repr=False)  # (S,) float
 
-    @property
-    def duration_seconds(self) -> float:
-        return (self.end - self.start).total_seconds()
+    def __len__(self) -> int:
+        return len(self.station)
+
+    def __getitem__(self, passes: slice) -> Passes:
+        """The table of the passes in a slice (its step is taken as 1)."""
+        p, q, _ = passes.indices(len(self))
+        q = max(p, q)
+        lo, hi = self.bounds[p], self.bounds[q]
+        return Passes(self.stations, self.step_seconds, self.station[p:q],
+                      self.bounds[p:q + 1] - lo, self.end_us[p:q], self.time_us[lo:hi],
+                      self.elevation_deg[lo:hi], self.azimuth_deg[lo:hi],
+                      self.slant_range_km[lo:hi])
+
+    def sample_station(self) -> np.ndarray:
+        """station[p] of pass p, once per sample of the pass."""
+        return np.repeat(self.station, np.diff(self.bounds))
+
+    def duration_seconds(self) -> list[float]:
+        """end - start of each pass in seconds, as timedelta.total_seconds()
+        gives it: the microseconds, divided exactly rounded."""
+        return [us / 1_000_000 for us in (self.end_us - self.time_us[self.bounds[:-1]]).tolist()]
+
+    def blocks(self, samples: int) -> Iterator[Passes]:
+        """Runs of consecutive passes, each closed once it holds `samples`
+        samples, so that a kernel call covers many short passes or one long
+        one."""
+        p = 0
+        while p < len(self):
+            q = int(np.searchsorted(self.bounds, self.bounds[p] + samples))
+            yield self[p:q]
+            p = q
 
 
 # ---------------------------------------------------------------------------
@@ -864,14 +900,14 @@ def compute_access_windows(source: TleElements | Ephemeris,
                            step_seconds: float = 10.0,
                            elevation_mask_deg: float = 10.0,
                            night_threshold_deg: float = -6.0,
-                           require_umbra: bool = False) -> list[AccessInterval]:
+                           require_umbra: bool = False) -> Passes:
     """Compute night-time visibility intervals over a time span.
 
     A sample is usable when the elevation strictly exceeds the mask and the
     station's solar elevation is below the night threshold (plus, optionally,
-    the satellite sits inside the cylindrical Earth shadow).  One
-    AccessInterval is emitted per maximal run of usable samples; intervals
-    touching the span boundary are truncated, not discarded.  The result is
+    the satellite sits inside the cylindrical Earth shadow).  Each maximal
+    run of usable samples is one pass of the returned Passes table; passes
+    touching the span boundary are truncated, not discarded.  Passes are
     sorted by start time (ties by station order).
 
     The span is screened on a coarse grid, then the candidate samples are
@@ -886,6 +922,9 @@ def compute_access_windows(source: TleElements | Ephemeris,
             start + k*step for k with start + k*step < end.
         step_seconds: sampling step, > 0 and coarse enough that the sample
             count fits int64.
+
+    Raises:
+        OverflowError: a pass ends past the last time a datetime holds.
     """
     start, end = (_as_utc(span[0]), _as_utc(span[1]))
     if step_seconds <= 0:
@@ -920,8 +959,9 @@ def compute_access_windows(source: TleElements | Ephemeris,
     # where each station's candidates enter each block
     bounds = np.arange(0, len(candidates) + _BLOCK_SAMPLES, _BLOCK_SAMPLES)
     edges = [np.searchsorted(own, bounds).tolist() for own in mine]
-    # per station: (sample index, elevation, azimuth, range) of usable samples
-    found: list[list[tuple[np.ndarray, ...]]] = [[] for _ in stations]
+    # per run of stations in a block: (station, sample index, elevation,
+    # azimuth, range) of its usable pairs, station by station
+    found: list[tuple[np.ndarray, ...]] = []
 
     # a function, so that one block's arrays are gone before the next's
     def usable_in_block(k: int, lo: int) -> None:
@@ -970,50 +1010,41 @@ def compute_access_windows(source: TleElements | Ephemeris,
             site = spread(run, counts)
             near = near[use]
             azim = _azimuth(_offsets(np.take(ecef, near, axis=1), site), site)
-            ends = np.cumsum(counts).tolist()
-            for s, k0, k1 in zip(run, [0, *ends], ends):
-                if k1 > k0:
-                    found[s].append((index[near[k0:k1]], elev[use[k0:k1]],
-                                     azim[k0:k1], rng[use[k0:k1]]))
+            found.append((np.repeat(run, counts), index[near], elev[use], azim, rng[use]))
 
     for k, lo in enumerate(bounds[:-1].tolist()):
         usable_in_block(k, lo)
-    return _passes(stations, found, u0, step_seconds)
+    return _pass_table(stations, found, u0, step_seconds)
 
 
-def _passes(stations: Sequence[GroundStation], found: list[list[tuple[np.ndarray, ...]]],
-            u0: float, step_seconds: float) -> list[AccessInterval]:
-    """One AccessInterval per run of consecutive sample indices of one
-    station in `found` (per station, its (sample index, elevation, azimuth,
-    range) columns in index order), stably sorted by start, so that ties
-    keep station order.  Sample i is at u0 + step_seconds * i."""
-    chunks = [(station, chunk) for station, own in enumerate(found) for chunk in own]
-    if not chunks:
-        return []
-    owner = np.repeat([station for station, _ in chunks], [len(c[0]) for _, c in chunks])
-    index, elev, azim, rng = (np.concatenate(col) for col in zip(*(c for _, c in chunks)))
+def _pass_table(stations: Sequence[GroundStation], found: list[tuple[np.ndarray, ...]],
+                u0: float, step_seconds: float) -> Passes:
+    """The Passes of the runs of consecutive sample indices of one station in
+    `found`, chunks of (station, sample index, elevation, azimuth, range)
+    columns that hold each station's samples in index order, stably sorted
+    by start, so that ties keep station order.  Sample i is at
+    u0 + step_seconds * i."""
+    owner, index, elev, azim, rng = (np.concatenate(column) for column in zip(
+        (np.empty(0, np.int64),) * 2 + (np.empty(0),) * 3, *found))
+    # station after station, each station's samples still in index order
+    sample = np.argsort(owner, kind="stable")
+    owner, index = owner[sample], index[sample]
     unix = u0 + step_seconds * index
     time_us = _unix_to_us(unix)
     cut = np.ones(len(index), dtype=bool)
     cut[1:] = (np.diff(index) != 1) | (np.diff(owner) != 0)
     first = np.flatnonzero(cut)
-    stop = np.append(first[1:], len(index))
-    start_us = time_us[first]
-    ends = (unix[stop - 1] + step_seconds).tolist()
-    who = owner[first].tolist()
-    spans = list(zip(first.tolist(), stop.tolist(), start_us.tolist()))
-    intervals = []
-    for p in np.argsort(start_us, kind="stable").tolist():
-        k0, k1, us = spans[p]
-        try:
-            end = _from_unix(ends[p])
-        except (ValueError, OverflowError):
-            raise OverflowError(f"a pass of {stations[who[p]].name} ends "
-                                f"{step_seconds} s after {_from_unix(unix[k1 - 1]).isoformat()}, "
-                                f"past the last time a datetime holds") from None
-        intervals.append(AccessInterval(
-            station=stations[who[p]], start=_from_us(us), end=end,
-            step_seconds=step_seconds,
-            time_us=time_us[k0:k1], elevation_deg=elev[k0:k1],
-            azimuth_deg=azim[k0:k1], slant_range_km=rng[k0:k1]))
-    return intervals
+    order = np.argsort(time_us[first], kind="stable")
+    first, last = first[order], np.append(first[1:], len(index))[order] - 1
+    lengths = last + 1 - first
+    # capped at 1e12 s, past the last time a datetime holds, so that the
+    # microseconds fit int64
+    end_us = _unix_to_us(np.minimum(unix[last] + step_seconds, 1e12))
+    if (late := end_us > _US_RANGE[1]).any():
+        p = int(np.argmax(late))
+        raise OverflowError(f"a pass of {stations[owner[first[p]]].name} ends "
+                            f"{step_seconds} s after {_from_unix(unix[last[p]]).isoformat()}, "
+                            f"past the last time a datetime holds")
+    take = _expand_runs(first, lengths)
+    return Passes(tuple(stations), step_seconds, owner[first], np.append(0, np.cumsum(lengths)),
+                  end_us, time_us[take], *(column[sample[take]] for column in (elev, azim, rng)))

@@ -56,10 +56,10 @@ def _tokens(obj):
 
 
 def write_json(path, obj) -> None:
-    """obj as indented JSON with sorted keys and a final newline; an
-    infinite float is written as INF, which JSON can hold."""
+    """obj as indented JSON with sorted keys and a final newline: INF for an
+    infinite float, which JSON can hold, and ValueError for a NaN."""
     with open_new(path) as fh:
-        json.dump(_tokens(obj), fh, indent=2, sort_keys=True)
+        json.dump(_tokens(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

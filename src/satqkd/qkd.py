@@ -19,10 +19,10 @@ bits are those of the scalar code, whichever SIMD loops numpy picks.  A zero
 gain (y0 = 0 and eta * mu underflowing to 0) has QBER 0 and rate 0.  The
 scalar functions are one-element calls that return Python floats.
 
-Passes are walked in blocks of about _RATE_CHUNK samples that span many
-short passes (`pass_blocks`): one kernel call per pass costs more than the
-old float loops on passes of a few dozen samples.  A block raises the error
-of the first bad sample its kernels meet.
+A Passes table is walked in blocks of about _RATE_CHUNK samples that span
+many short passes (`Passes.blocks`): one kernel call per pass costs more
+than the old float loops on passes of a few dozen samples.  A block raises
+the error of the first bad sample its kernels meet.
 
 The key matrix holds only its nonzero cells, as row-major (interval, node,
 bits) columns, never an intervals x nodes or a rows x nodes array:
@@ -37,7 +37,7 @@ import operator
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from math import exp, expm1, log2
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,12 +51,12 @@ from .channel import (  # noqa: F401
     total_loss,
 )
 from .cloud import CloudGrid, query_column
-from .orbit import AccessInterval, GroundStation, _as_utc, _from_us, _to_us, _unix_to_us
+from .orbit import GroundStation, Passes, _as_utc, _from_us, _to_us, _unix_to_us
 from .output import integers, iso_utc, round_trip, row_chunks, spelled, write_csv, write_json
 
 
-# Samples per kernel call: pass_blocks closes a block of passes at this many,
-# and add_key_bits rates at most this many at a time (a week at 1 s is ~10 MB
+# Samples per kernel call: a block of passes closes at this many, and
+# add_key_bits rates at most this many at a time (a week at 1 s is ~10 MB
 # of floats)
 _RATE_CHUNK = 4096
 
@@ -102,6 +102,10 @@ class RateResult:
     e1_upper: float
     rate_per_pulse: float
     rate_per_second: float
+
+
+class KeyBitsOverflow(ValueError):
+    """A key-matrix cell whose bits are past the largest float."""
 
 
 def _clamped(values: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -204,8 +208,8 @@ class KeyMatrix:
     `cell_nodes` and `cell_bits`; every other cell is zero.  The constructor
     checks that the grid has n_intervals >= 0, that the columns are 1-D and
     of one length, that each cell is an integer (interval, node) inside the
-    grid, once and in row-major order, and that its bits are finite and > 0;
-    it keeps read-only copies.
+    grid, once and in row-major order, and that its bits are finite and > 0
+    (KeyBitsOverflow for the first bad cell at +inf); it keeps read-only copies.
     `rows` are the sorted intervals with a nonzero cell.
     """
     start: datetime
@@ -240,8 +244,8 @@ class KeyMatrix:
             i = int(np.flatnonzero(~((bits > 0.0) & (bits < np.inf)))[0])
             fault = "zero: only nonzero cells are held" if bits[i] == 0.0 else (
                 "not finite and >= 0")
-            raise ValueError(f"key matrix entry [{interval[i]}][{node[i]}] = "
-                             f"{float(bits[i])!r} is {fault}")
+            raise (KeyBitsOverflow if bits[i] == np.inf else ValueError)(
+                f"key matrix entry [{interval[i]}][{node[i]}] = {float(bits[i])!r} is {fault}")
         rows = interval[row_heads(interval)]
         for column in (rows, interval, node, bits):
             column.flags.writeable = False
@@ -271,67 +275,42 @@ class KeyMatrix:
         return _to_us(self.start) + offsets
 
 
-def pass_blocks(accesses: Sequence[AccessInterval]) -> Iterator[list[AccessInterval]]:
-    """Runs of consecutive passes, each closed once it holds _RATE_CHUNK
-    samples, so a kernel call covers many short passes or one long one."""
-    block, size = [], 0
-    for access in accesses:
-        block.append(access)
-        size += len(access.time_us)
-        if size >= _RATE_CHUNK:
-            yield block
-            block, size = [], 0
-    if block:
-        yield block
-
-
-def link_budget(accesses: Sequence[AccessInterval], optics: OpticalParams,
+def link_budget(passes: Passes, optics: OpticalParams,
                 cloud: CloudGrid | None = None) -> LossColumns:
     """Loss columns of the samples of the given passes, in order."""
-    alphas = []
-    for access in accesses:
-        station = access.station
-        try:
-            alphas.append(np.zeros(len(access.time_us), np.int16) if cloud is None else
-                          query_column(cloud, station.latitude_deg,
-                                       station.longitude_deg, access.time_us))
-        except ValueError as exc:
-            raise ValueError(f"cloud: {station.name}: {exc}") from None
-    return loss_columns(joined(accesses, "elevation_deg"),
-                        joined(accesses, "slant_range_km"), np.concatenate(alphas), optics)
-
-
-def joined(accesses: Sequence[AccessInterval], name: str) -> np.ndarray:
-    """One column (time_us, elevation_deg, ...) of the passes, end to end."""
-    return np.concatenate([getattr(access, name) for access in accesses])
-
-
-def per_sample(accesses: Sequence[AccessInterval], values) -> np.ndarray:
-    """values[i] of pass i, once per sample of the pass."""
-    return np.repeat(values, [len(access.time_us) for access in accesses])
+    alphas = np.zeros(len(passes.time_us), np.int64)
+    bounds = passes.bounds.tolist()
+    if cloud is not None:
+        for s, lo, hi in zip(passes.station.tolist(), bounds, bounds[1:]):
+            station = passes.stations[s]
+            try:
+                alphas[lo:hi] = query_column(cloud, station.latitude_deg,
+                                             station.longitude_deg, passes.time_us[lo:hi])
+            except ValueError as exc:
+                raise ValueError(f"cloud: {station.name}: {exc}") from None
+    return loss_columns(passes.elevation_deg, passes.slant_range_km, alphas, optics)
 
 
 def add_key_bits(parts: list, start: datetime, interval_seconds: float,
                  n_intervals: int, params: QkdParams, nodes, time_us: np.ndarray,
-                 etas, step_seconds, where) -> None:
+                 etas, step_seconds: float, where) -> None:
     """Append the grid row, node and bits rate_per_second(eta) * step of each
-    sample with eta > 0 to parts, in order; nodes and step_seconds are one
-    value or one per sample, where(i) names sample i.  assemble_key_matrix
-    sums them."""
+    sample with eta > 0 to parts, in order; nodes are one value or one per
+    sample, where(i) names sample i.  assemble_key_matrix sums them."""
     rows = np.floor((time_us - _to_us(start)) / 1e6 / interval_seconds)
     outside = (rows < 0) | (rows >= n_intervals)
     if outside.any():
         raise ValueError(f"{where(int(np.argmax(outside)))} is outside the "
                          f"{n_intervals}-interval grid from {_as_utc(start).isoformat()}")
     rows, nodes = rows.astype(np.int64), np.broadcast_to(nodes, rows.shape)
-    steps = np.broadcast_to(step_seconds, rows.shape)
     etas = np.asarray(etas, dtype=float)
     keep = np.flatnonzero(etas > 0.0)
     bits = np.empty(len(keep))
     for lo in range(0, len(keep), _RATE_CHUNK):
         part = keep[lo:lo + _RATE_CHUNK]
         per_pulse = _rate_terms(etas[part], params)[-1]
-        bits[lo:lo + len(part)] = per_pulse * params.rep_rate_hz * steps[part]
+        with np.errstate(over="ignore"):  # KeyMatrix names an infinite cell
+            bits[lo:lo + len(part)] = per_pulse * params.rep_rate_hz * step_seconds
     parts.append((rows[keep], nodes[keep], bits))
 
 
@@ -347,14 +326,15 @@ def assemble_key_matrix(parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray
     # one key per cell, ordered as the cells are in row-major order
     keys, owner = np.unique(rows * n_nodes + nodes, return_inverse=True)
     sums = np.zeros(len(keys))
-    np.add.at(sums, owner, bits)  # repeated cells add in sample order
-    keep = np.flatnonzero(sums)  # NaN and negative sums stay, to be named
+    with np.errstate(over="ignore"):
+        np.add.at(sums, owner, bits)  # repeated cells add in sample order
+    keep = np.flatnonzero(sums)  # NaN, infinite and negative sums stay, to be named
     interval, node = np.divmod(keys[keep], n_nodes)
     return KeyMatrix(start, interval_seconds, node_names, n_intervals, interval, node,
                      sums[keep])
 
 
-def build_key_matrix(accesses: Sequence[AccessInterval],
+def build_key_matrix(passes: Passes,
                      stations: Sequence[GroundStation],
                      optics: OpticalParams,
                      params: QkdParams,
@@ -369,21 +349,18 @@ def build_key_matrix(accesses: Sequence[AccessInterval],
     Samples falling outside the grid raise (grid misalignment).
     """
     column = {st.name: i for i, st in enumerate(stations)}
+    # the matrix column of each of the passes' stations, -1 for none
+    nodes = np.array([column.get(st.name, -1) for st in passes.stations], dtype=np.int64)
     parts: list = []
-    for block in pass_blocks(accesses):
-        nodes = []
-        for access in block:
-            if (n := column.get(access.station.name)) is None:
-                raise ValueError(f"access interval for unknown station "
-                                 f"{access.station.name!r}")
-            nodes.append(n)
+    for block in passes.blocks(_RATE_CHUNK):
+        if ((node := nodes[block.sample_station()]) < 0).any():
+            name = block.stations[block.sample_station()[np.argmax(node < 0)]].name
+            raise ValueError(f"access interval for unknown station {name!r}")
         etas = link_budget(block, optics, cloud).transmittance
-        time_us = joined(block, "time_us")
-        add_key_bits(parts, start, interval_seconds, n_intervals, params,
-                     per_sample(block, nodes), time_us, etas,
-                     per_sample(block, [access.step_seconds for access in block]),
+        add_key_bits(parts, start, interval_seconds, n_intervals, params, node,
+                     block.time_us, etas, passes.step_seconds,
                      lambda i: f"grid misalignment: sample at "
-                     f"{_from_us(int(time_us[i])).isoformat()}")
+                     f"{_from_us(int(block.time_us[i])).isoformat()}")
     return assemble_key_matrix(parts, start, interval_seconds, n_intervals,
                                tuple(st.name for st in stations))
 

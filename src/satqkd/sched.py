@@ -239,11 +239,19 @@ def _delivered(schedule: Schedule | Sequence[int], n_intervals: int, n_nodes: in
 
 def delivered_distribution(schedule: Schedule | Sequence[int],
                            matrix: KeyMatrix) -> Distribution:
-    """Share of delivered keys per node; undefined (error) for zero delivery."""
+    """Share of delivered keys per node; undefined (error) for zero delivery
+    or a node total past the largest float."""
     totals = evaluate(schedule, matrix)
-    total = totals.sum()
+    with np.errstate(over="ignore"):
+        total = totals.sum()
     if total <= 0:
         raise ValueError("delivered distribution undefined: no keys delivered")
+    if totals.max() == np.inf:
+        raise ValueError("delivered distribution undefined: a node total is past the "
+                         "largest float")
+    if total == np.inf:  # only the sum overflows: divide by the largest total first
+        totals = totals / totals.max()
+        total = totals.sum()
     return Distribution(tuple(float(v / total) for v in totals))
 
 

@@ -1,13 +1,14 @@
 """Shared test helpers: the exhaustive scheduling oracle, a key matrix made
-from a dense array and the dense form of one, the scalar loss and key-rate
-code that the column kernels replaced, the per-value fixed-point formatter
-that output.fixed_point replaced, and the cloud-grid loader and writer that
+from a dense array and the dense form of one, passes one at a time and the
+orbit.Passes table of such passes, the scalar loss and key-rate code that
+the column kernels replaced, the per-value fixed-point formatter that
+output.fixed_point replaced, and the cloud-grid loader and writer that
 handled every cell through int()."""
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from stat import S_ISREG
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from satqkd import cloud
 from satqkd.cloud import cloud_loss
+from satqkd.orbit import GroundStation, Passes, _from_us, _to_us
 from satqkd.qkd import KeyMatrix
 
 _STRING_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -74,6 +76,66 @@ def dense(matrix) -> np.ndarray:
     interval, node, bits = matrix.nonzero()
     values[interval, node] = bits
     return values
+
+
+# ---------------------------------------------------------------------------
+# passes one at a time, as the oracles read them
+# ---------------------------------------------------------------------------
+
+_SAMPLE_COLUMNS = ("time_us", "elevation_deg", "azimuth_deg", "slant_range_km")
+
+
+@dataclass(frozen=True, eq=False)
+class Pass:
+    """One pass of an orbit.Passes table with its own sample columns, as the
+    per-pass objects that the table replaced held it; `end` is exclusive."""
+    station: GroundStation
+    start: datetime
+    end: datetime
+    step_seconds: float
+    time_us: np.ndarray
+    elevation_deg: np.ndarray
+    azimuth_deg: np.ndarray
+    slant_range_km: np.ndarray
+
+    @property
+    def duration_seconds(self) -> float:
+        return (self.end - self.start).total_seconds()
+
+
+def pass_list(passes: Passes) -> list[Pass]:
+    """The passes of a table, one Pass each, in table order."""
+    bounds = passes.bounds.tolist()
+    return [Pass(passes.stations[s], _from_us(int(passes.time_us[lo])), _from_us(end),
+                 passes.step_seconds,
+                 *(getattr(passes, name)[lo:hi] for name in _SAMPLE_COLUMNS))
+            for s, lo, hi, end in zip(passes.station.tolist(), bounds[:-1], bounds[1:],
+                                      passes.end_us.tolist())]
+
+
+def union_duration_seconds(passes, step_seconds: float) -> float:
+    """The distinct sample times of a list of Passes, each worth one step,
+    as scenario.union_duration_seconds summed them over such lists."""
+    times = [p.time_us for p in passes]
+    return (np.unique(np.concatenate(times)).size if times else 0) * step_seconds
+
+
+def pass_table(passes, step_seconds=None, stations=None) -> Passes:
+    """The orbit.Passes table of Passes in the order given (sorted by start),
+    over the given stations or else theirs in order of first appearance; the
+    step is the first pass's unless given.  A pass's start is its first
+    sample's time."""
+    if any(a.time_us[0] > b.time_us[0] for a, b in zip(passes, passes[1:])):
+        raise ValueError("a Passes table holds its passes sorted by start")
+    stations = list(stations or dict.fromkeys(p.station for p in passes))
+    if step_seconds is None:
+        step_seconds = passes[0].step_seconds if passes else 10.0
+    return Passes(tuple(stations), step_seconds,
+                  np.array([stations.index(p.station) for p in passes], dtype=np.int64),
+                  np.cumsum([0] + [len(p.time_us) for p in passes], dtype=np.int64),
+                  np.array([_to_us(p.end) for p in passes], dtype=np.int64),
+                  *(np.concatenate([getattr(p, name) for p in passes] or [[]]).astype(kind)
+                    for name, kind in zip(_SAMPLE_COLUMNS, (np.int64, float, float, float))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """The access report against the per-pass loops it replaced.
 
 `oracle_run_access` is the table building of `cli.run_access` as it was
-before the report was built from columns, kept verbatim: per-pass datetime
-conversions, a per-pass max and min, and one np.unique per day plus one for
-the whole span.  The column build must write the same bytes and return the
-same summary on seeded station sets, on a pass that runs over midnight UTC
-(its samples after midnight count on its start day), on a 0.3 s step and on
-a config without passes.
+before the report was built from columns, kept as it was but for reading
+its passes through conftest.Pass: per-pass datetime conversions, a per-pass
+max and min, and one np.unique per day plus one for the whole span.  The
+column build must write the same bytes and return the same summary on
+seeded station sets, on a pass that runs over midnight UTC (its samples
+after midnight count on its start day), on a 0.3 s step and on a config
+without passes.
 """
 from __future__ import annotations
 
@@ -17,10 +18,11 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from conftest import Pass, pass_list, pass_table, union_duration_seconds
 from satqkd import cli
-from satqkd.orbit import AccessInterval, GroundStation, _from_us, _to_us
+from satqkd.orbit import GroundStation, _from_us, _to_us
 from satqkd.output import fixed_point, iso_utc, spelled, write_csv
-from satqkd.scenario import compute_accesses, micius_week_config, union_duration_seconds
+from satqkd.scenario import compute_accesses, micius_week_config
 
 UTC = timezone.utc
 NIGHT = (datetime(2016, 9, 20, 18, tzinfo=UTC), datetime(2016, 9, 21, 6, tzinfo=UTC))
@@ -64,7 +66,7 @@ def seeded_sites(seed: int, count: int) -> tuple[GroundStation, ...]:
 
 
 def assert_report_matches_oracle(tmp_path, config):
-    accesses = compute_accesses(config)
+    accesses = pass_list(compute_accesses(config))
     expected = oracle_run_access(config, tmp_path / "oracle", accesses)
     got = cli.run_access(config, tmp_path / "columns")
     for name in ("access_intervals.csv", "access_daily.csv"):
@@ -74,8 +76,8 @@ def assert_report_matches_oracle(tmp_path, config):
     return accesses
 
 
-def crafted_passes(rng, stations, step: float) -> list[AccessInterval]:
-    """Passes starting within an hour of three midnights, in random order, so
+def crafted_passes(rng, stations, step: float) -> list[Pass]:
+    """Passes starting within an hour of three midnights, sorted by start, so
     that a pass begun before midnight shares sample times with passes begun
     after it."""
     step_us = round(step * 1e6)
@@ -86,13 +88,14 @@ def crafted_passes(rng, stations, step: float) -> list[AccessInterval]:
             n = int(rng.integers(1, 60))
             t0 = midnight + step_us * int(rng.integers(-360 // step, 360 // step))
             time_us = t0 + step_us * np.arange(n)
-            accesses.append(AccessInterval(
+            accesses.append(Pass(
                 station=station, start=_from_us(int(time_us[0])),
                 end=_from_us(int(time_us[-1]) + step_us), step_seconds=step,
                 time_us=time_us, elevation_deg=rng.uniform(10.0, 90.0, n),
                 azimuth_deg=rng.uniform(0.0, 360.0, n),
                 slant_range_km=rng.uniform(500.0, 1500.0, n)))
-    return [accesses[k] for k in rng.permutation(len(accesses))]
+    return sorted((accesses[k] for k in rng.permutation(len(accesses))),
+                  key=lambda iv: iv.start)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -100,7 +103,7 @@ def test_report_matches_oracle_on_crafted_passes_around_midnight(tmp_path, monke
     rng = np.random.default_rng(seed)
     config = micius_week_config(stations=seeded_sites(seed, 6))
     accesses = crafted_passes(rng, config.stations, config.step_seconds)
-    monkeypatch.setattr(cli, "compute_accesses", lambda _config: accesses)
+    monkeypatch.setattr(cli, "compute_accesses", lambda _config: pass_table(accesses))
     expected = oracle_run_access(config, tmp_path / "oracle", accesses)
     assert cli.run_access(config, tmp_path / "columns") == expected
     for name in ("access_intervals.csv", "access_daily.csv"):

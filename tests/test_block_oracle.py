@@ -5,7 +5,9 @@ and rate kernels ran over blocks of passes: `pass_link_budget` and
 `build_key_matrix` called the kernels once per pass, the linkbudget writer
 formatted and wrote one pass at a time, `_loss_extremes` folded each pass
 into its station's min and max, and `key_matrix_from_linkbudget` parsed
-every row on its own.  The kernels themselves are held to the scalar
+every row on its own; they read passes one at a time as conftest.Pass,
+and the walks under test take the conftest.pass_table of the same passes,
+sorted by start.  The kernels themselves are held to the scalar
 oracles in test_kernels.py; here the walks must give the same output bytes
 on one-sample passes, passes longer than a block, overcast samples and no
 passes at all.  A bad sample in one pass of a block gives the oracle's
@@ -27,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_fmt
+from conftest import oracle_fmt, pass_list, pass_table
 from satqkd import cli, qkd
 from satqkd.cloud import CloudGrid, query_column
 from satqkd.orbit import GroundStation, _from_us, _to_us
@@ -186,7 +188,7 @@ def with_sample(iv, k: int, **values):
 @pytest.fixture(scope="module")
 def night():
     config = micius_week_config(span=SPAN)
-    accesses = compute_accesses(config)
+    accesses = pass_list(compute_accesses(config))
     assert len(accesses) >= 6 and min(len(iv.time_us) for iv in accesses) > 16
     return config, accesses
 
@@ -265,11 +267,15 @@ ALL_CASES = ("walk", "bad")
 
 
 def cases_of(kind, config, accesses):
-    """(name, config, accesses, bad) of the walk or the bad cases; a walk
-    case has no bad pass."""
-    if kind == "walk":
-        return [(*case, []) for case in walk_cases(config, accesses)]
-    return bad_cases(config, accesses)
+    """(name, config, accesses, bad) of the walk or the bad cases, their
+    passes sorted by start as a table holds them; a walk case has no bad
+    pass."""
+    cases = ([(*case, []) for case in walk_cases(config, accesses)] if kind == "walk"
+             else bad_cases(config, accesses))
+    for name, config, passes, bad in cases:
+        order = sorted(range(len(passes)), key=lambda p: passes[p].time_us[0])
+        yield (name, config, [passes[p] for p in order],
+               sorted(order.index(p) for p in bad))
 
 
 def errors_allowed(want, oracle, accesses, bad) -> list:
@@ -296,7 +302,8 @@ def test_key_matrix_over_blocks_equals_per_pass(night, monkeypatch, kind, chunk)
                            config.span[0], config.n_grid_intervals,
                            config.grid_interval_seconds, config.cloud)
 
-        want, got = walk(oracle_build_key_matrix, accesses), walk(build_key_matrix, accesses)
+        want = walk(oracle_build_key_matrix, accesses)
+        got = walk(build_key_matrix, pass_table(accesses))
         if want[0] == "ok":
             assert got[0] == "ok", (name, got)
             assert matrix_bytes(got[1]) == matrix_bytes(want[1]), name
@@ -318,7 +325,7 @@ def test_linkbudget_over_blocks_equals_per_pass(night, tmp_path, monkeypatch, ki
         return outcome(oracle_write_linkbudget, config, passes, path)
 
     for k, (name, config, accesses, bad) in enumerate(cases_of(kind, *night)):
-        monkeypatch.setattr(cli, "compute_accesses", lambda _config, a=accesses: a)
+        monkeypatch.setattr(cli, "compute_accesses", lambda _config, a=accesses: pass_table(a))
         (tmp_path / f"want{k}").mkdir()
         want = outcome(oracle_write_linkbudget, config, accesses,
                        tmp_path / f"want{k}" / "linkbudget.csv")
@@ -344,7 +351,7 @@ def test_non_ascii_station_names_written_and_read_back(tmp_path):
     config = micius_week_config(span=SPAN)
     config = replace(config, stations=tuple(replace(st, name=names.get(st.name, st.name))
                                             for st in config.stations))
-    oracle_write_linkbudget(config, compute_accesses(config), tmp_path / "want.csv")
+    oracle_write_linkbudget(config, pass_list(compute_accesses(config)), tmp_path / "want.csv")
     cli.run_linkbudget(config, tmp_path / "lb")
     text = (tmp_path / "lb" / "linkbudget.csv").read_bytes()
     assert text == (tmp_path / "want.csv").read_bytes()
@@ -363,7 +370,7 @@ def test_loss_extremes_over_blocks_equal_per_pass(night, monkeypatch, kind, chun
     monkeypatch.setattr(qkd, "_RATE_CHUNK", chunk)
     for name, config, accesses, bad in cases_of(kind, *night):
         want = outcome(oracle_loss_extremes, config, accesses)
-        got = outcome(cli._loss_extremes, config, accesses)
+        got = outcome(cli._loss_extremes, config, pass_table(accesses))
         if want[0] == "ok":
             assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), name
         else:

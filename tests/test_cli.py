@@ -12,6 +12,8 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from satqkd.cli import (
     run_schedule,
     run_sweep,
 )
+from satqkd.cloud import synthetic_cloud_grid
 from satqkd.orbit import Ephemeris, GroundStation
 from satqkd.qkd import KeyMatrix
 from satqkd.scenario import (
@@ -1090,6 +1093,26 @@ def test_ephemeris_must_hold_the_first_and_last_samples():
 ], ids=["empty", "top-level", "sections", "sweep"])
 def test_valid_configs_keep_their_digest(payload, digest):
     assert config_digest(scenario_from_dict(payload)) == digest
+
+
+def test_a_cloud_grid_keeps_its_digest_and_is_hashed_in_place():
+    # the digest recorded when arrays were hashed through a copy of their
+    # C-order bytes; a Fortran-order copy of the frames hashes the same
+    grid = synthetic_cloud_grid(20.0, 48.0, 78.0, 127.0, 0.5, 0.5, DAY0, n_frames=100,
+                                blobs=[(30.0, 100.0, 2.0, 140.0)],
+                                drift_deg_per_frame=(0.01, 0.02))
+    config = micius_week_config(cloud=grid)
+    digest = "7a134bda7ec12a94390da0e9baa4096c05b9bc704a14c8b5fab2d5b6370372c9"
+    assert config_digest(config) == digest
+    fortran = replace(grid, frames=np.asfortranarray(grid.frames))
+    assert config_digest(replace(config, cloud=fortran)) == digest
+    tracemalloc.start()
+    try:
+        config_digest(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.frames.nbytes // 10
 
 
 def test_main_invalid_config_exits_nonzero(tmp_path, capsys):

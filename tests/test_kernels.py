@@ -145,7 +145,7 @@ def test_negative_mask_elevation_fails_linkbudget_and_keymatrix(tmp_path, capsys
     # the loss kernel meets the first sample on or below the horizon, in pass order
     config = scenario_from_dict(payload)
     accesses = compute_accesses(config)
-    first = next(e for iv in accesses for e in iv.elevation_deg.tolist() if e <= 0.0)
+    first = next(e for e in accesses.elevation_deg.tolist() if e <= 0.0)
     want = oracle_error(oracle_atmospheric_loss, first, 2.0)
     assert oracle_error(qkd.link_budget, accesses, config.optics) == want
     # the CLI refuses the mask before any sample reaches it

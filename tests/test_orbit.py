@@ -32,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import Pass, pass_list
 from satqkd import orbit
 from satqkd.orbit import (
     EARTH_MU_KM3_S2,
@@ -326,7 +327,7 @@ def test_polar_station_equatorial_orbit_invisible():
     pole = GroundStation("pole", 89.9, 0.0)
     out = compute_access_windows(el, [pole],
                                  (el.epoch, el.epoch + timedelta(days=1)))
-    assert out == []
+    assert len(out) == 0 and out.time_us.size == 0
 
 
 def test_mask_90_excludes_everything():
@@ -335,7 +336,7 @@ def test_mask_90_excludes_everything():
     out = compute_access_windows(el, [st],
                                  (el.epoch, el.epoch + timedelta(days=2)),
                                  elevation_mask_deg=90.0)
-    assert out == []
+    assert len(out) == 0
 
 
 def _week_windows(night_threshold=-6.0, require_umbra=False):
@@ -343,10 +344,10 @@ def _week_windows(night_threshold=-6.0, require_umbra=False):
     stations = [GroundStation("Xian", 34.27, 108.93, 400.0),
                 GroundStation("Beijing", 39.90, 116.40, 44.0),
                 GroundStation("Urumqi", 43.83, 87.62, 800.0)]
-    return compute_access_windows(
+    return pass_list(compute_access_windows(
         el, stations, (el.epoch, el.epoch + timedelta(days=7)),
         step_seconds=10.0, night_threshold_deg=night_threshold,
-        require_umbra=require_umbra), el, stations
+        require_umbra=require_umbra)), el, stations
 
 
 def test_access_predicates_hold_exhaustively():
@@ -391,7 +392,8 @@ def test_span_boundary_truncates_pass():
     iv = max(intervals, key=lambda v: len(v.time_us))
     # cut the span in the middle of this pass: the pass must be truncated
     mid = orbit._from_us(int(iv.time_us[len(iv.time_us) // 2]))
-    cut = compute_access_windows(el, [iv.station], (el.epoch, mid), step_seconds=10.0)
+    cut = pass_list(compute_access_windows(el, [iv.station], (el.epoch, mid),
+                                           step_seconds=10.0))
     ends = [v.end for v in cut]
     assert ends and max(ends) <= mid
     partial = [v for v in cut if v.start == iv.start]
@@ -437,8 +439,8 @@ def test_ephemeris_round_trip(tmp_path):
     eph = load_ephemeris(path)
     station = GroundStation("site", 34.0, 109.0)
     span = (t0, t0 + timedelta(seconds=3000))
-    from_tle = compute_access_windows(el, [station], span, night_threshold_deg=91.0)
-    from_eph = compute_access_windows(eph, [station], span, night_threshold_deg=91.0)
+    from_tle = pass_list(compute_access_windows(el, [station], span, night_threshold_deg=91.0))
+    from_eph = pass_list(compute_access_windows(eph, [station], span, night_threshold_deg=91.0))
     assert len(from_tle) == len(from_eph)
     for a, b in zip(from_tle, from_eph):
         assert a.start == b.start and a.end == b.end
@@ -558,7 +560,7 @@ def reference_access_windows(source, stations, span, step_seconds,
         for i0, i1 in zip(edges[::2].tolist(), edges[1::2].tolist()):
             # sample times through datetime.fromtimestamp, one at a time
             times = [orbit._from_unix(float(unix[i])) for i in range(i0, i1)]
-            out.append(orbit.AccessInterval(
+            out.append(Pass(
                 station=station,
                 start=times[0],
                 end=orbit._from_unix(float(unix[i1 - 1]) + step_seconds),
@@ -611,9 +613,9 @@ def assert_matches_reference(monkeypatch, source, stations, span, step, mask,
         ref = reference_access_windows(source, stations, span, step, mask, night, umbra)
     if block is not None:
         monkeypatch.setattr(orbit, "_BLOCK_SAMPLES", block)
-    got = compute_access_windows(source, stations, span, step_seconds=step,
-                                 elevation_mask_deg=mask, night_threshold_deg=night,
-                                 require_umbra=umbra)
+    got = pass_list(compute_access_windows(source, stations, span, step_seconds=step,
+                                           elevation_mask_deg=mask, night_threshold_deg=night,
+                                           require_umbra=umbra))
     assert ref, "the case must produce passes to compare"
     assert exact_form(got) == exact_form(ref)
     return ref
@@ -710,9 +712,9 @@ def test_stations_at_one_site_keep_config_order(step):
     site = dict(latitude_deg=39.90, longitude_deg=116.40, altitude_m=44.0)
     stations = [GroundStation("B", **site), GroundStation("Urumqi", 43.8, 87.6),
                 GroundStation("A", **site)]
-    got = compute_access_windows(parse_tle(MICIUS_TLE), stations,
-                                 (EPOCH + timedelta(hours=14), EPOCH + timedelta(hours=46)),
-                                 step_seconds=step)
+    got = pass_list(compute_access_windows(
+        parse_tle(MICIUS_TLE), stations,
+        (EPOCH + timedelta(hours=14), EPOCH + timedelta(hours=46)), step_seconds=step))
     shared = [iv for iv in got if iv.station.name != "Urumqi"]
     assert len(shared) >= 4
     assert [iv.station.name for iv in shared] == ["B", "A"] * (len(shared) // 2)
@@ -724,11 +726,12 @@ def test_passes_are_cut_where_the_station_changes():
     # station a's samples 5..7 run straight into station b's 8..9
     stations = [GroundStation("a", 0.0, 0.0), GroundStation("b", 1.0, 1.0)]
 
-    def chunk(*index):
-        return (np.array(index),) + (np.array(index, dtype=float),) * 3
+    def chunk(station, *index):
+        return (np.full(len(index), station), np.array(index)) + (np.array(index, float),) * 3
 
-    got = orbit._passes(stations, [[chunk(5, 6, 7)], [chunk(8, 9), chunk(11)]],
-                        EPOCH.timestamp(), 10.0)
+    # b's chunks before and after a's, as two blocks would give them
+    got = pass_list(orbit._pass_table(stations, [chunk(1, 8, 9), chunk(0, 5, 6, 7), chunk(1, 11)],
+                                      EPOCH.timestamp(), 10.0))
     assert [(iv.station.name, iv.elevation_deg.tolist(), iv.end - iv.start)
             for iv in got] == [("a", [5.0, 6.0, 7.0], timedelta(seconds=30)),
                                ("b", [8.0, 9.0], timedelta(seconds=20)),
@@ -939,9 +942,9 @@ def screened_outcome(source, stations, span, step, mask, night, umbra, screen_se
         if screen_seconds is not None:
             patch.setattr(orbit, "_SCREEN_SECONDS", screen_seconds)
             patch.setattr(orbit, "_EPHEMERIS_SCREEN_SECONDS", screen_seconds)
-        got = compute_access_windows(source, stations, span, step_seconds=step,
-                                     elevation_mask_deg=mask, night_threshold_deg=night,
-                                     require_umbra=umbra)
+        got = pass_list(compute_access_windows(
+            source, stations, span, step_seconds=step, elevation_mask_deg=mask,
+            night_threshold_deg=night, require_umbra=umbra))
     return exact_form(got), exact_form(ref)
 
 

@@ -249,6 +249,14 @@ def write_calls(source: str, filename: str = "<source>") -> list[int]:
     return lines
 
 
+def test_write_json_refuses_nan_and_leaves_no_file(tmp_path):
+    output.write_json(tmp_path / "inf.json", {"kl": float("inf")})
+    assert json.loads((tmp_path / "inf.json").read_text()) == {"kl": "Inf"}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        output.write_json(tmp_path / "nan.json", {"kl": [1.0, float("nan")]})
+    assert not (tmp_path / "nan.json").exists()
+
+
 def test_write_calls_finds_every_form():
     source = "\n".join([
         'open(p, "w", encoding="utf-8")',

@@ -20,7 +20,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from conftest import dense, oracle_fmt, oracle_gllp_rate, oracle_total_loss
+from conftest import dense, oracle_fmt, oracle_gllp_rate, oracle_total_loss, pass_list
 from satqkd import cloud, orbit
 from satqkd.cli import key_matrix_from_linkbudget, run_access, run_linkbudget
 from satqkd.cloud import query, query_column, synthetic_cloud_grid
@@ -82,7 +82,8 @@ def test_time_us_matches_fromtimestamp():
 # ---------------------------------------------------------------------------
 
 def per_sample(access):
-    """(datetime, LookAngles) per sample, as AccessInterval.samples held them."""
+    """(datetime, LookAngles) per sample of a conftest.Pass, as passes held
+    them before they became columns."""
     return [(UNIX_EPOCH + timedelta(microseconds=us), LookAngles(e, a, r))
             for us, e, a, r in zip(access.time_us.tolist(), access.elevation_deg.tolist(),
                                    access.azimuth_deg.tolist(),
@@ -238,14 +239,14 @@ SCENARIOS = {
 @pytest.fixture(scope="module", params=list(SCENARIOS), ids=list(SCENARIOS))
 def scenario(request):
     config = seeded_scenario(*SCENARIOS[request.param])
-    accesses = compute_accesses(config)
-    assert accesses, "the scenario must produce passes to compare"
-    return config, accesses
+    passes = compute_accesses(config)
+    assert len(passes), "the scenario must produce passes to compare"
+    return config, passes, pass_list(passes)
 
 
 def test_key_matrix_matches_per_sample_oracle(scenario):
-    config, accesses = scenario
-    got = build_key_matrix(accesses, config.stations, config.optics, config.qkd,
+    config, passes, accesses = scenario
+    got = build_key_matrix(passes, config.stations, config.optics, config.qkd,
                            start=config.span[0], n_intervals=config.n_grid_intervals,
                            interval_seconds=config.grid_interval_seconds,
                            cloud=config.cloud)
@@ -255,7 +256,7 @@ def test_key_matrix_matches_per_sample_oracle(scenario):
 
 
 def test_linkbudget_and_rebuild_match_per_sample_oracle(scenario, tmp_path):
-    config, accesses = scenario
+    config, _, accesses = scenario
     info = run_linkbudget(config, tmp_path)
     csv_path = tmp_path / "linkbudget.csv"
     assert_same_text(csv_path, reference_linkbudget_csv(config, accesses))
@@ -267,15 +268,15 @@ def test_linkbudget_and_rebuild_match_per_sample_oracle(scenario, tmp_path):
 
 
 def test_access_csvs_and_union_match_per_sample_oracle(scenario, tmp_path):
-    config, accesses = scenario
+    config, passes, accesses = scenario
     info = run_access(config, tmp_path)
     intervals, daily = reference_access_csvs(config, accesses)
     assert_same_text(tmp_path / "access_intervals.csv", intervals)
     assert_same_text(tmp_path / "access_daily.csv", daily)
     marks = {t for iv in accesses for t, _ in per_sample(iv)}
     assert info["union_seconds"] == len(marks) * config.step_seconds
-    assert union_duration_seconds(accesses, config.step_seconds) == info["union_seconds"]
-    assert union_duration_seconds([], config.step_seconds) == 0.0
+    assert union_duration_seconds(passes, config.step_seconds) == info["union_seconds"]
+    assert union_duration_seconds(passes[:0], config.step_seconds) == 0.0
 
 
 def test_cloud_column_matches_scalar_query():

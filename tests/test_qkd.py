@@ -14,10 +14,10 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from conftest import dense, key_matrix
+from conftest import Pass, dense, key_matrix, pass_table
 from satqkd.channel import OpticalParams, total_loss
 from satqkd.cloud import synthetic_cloud_grid
-from satqkd.orbit import AccessInterval, GroundStation, LookAngles
+from satqkd.orbit import GroundStation, LookAngles
 from satqkd.qkd import (
     KeyMatrix,
     QkdParams,
@@ -239,24 +239,24 @@ def zenith_access(station, first_interval, n_intervals, grid_start=T0,
                   step=10.0):
     start = grid_start + timedelta(seconds=first_interval * 10.0)
     first_us = (start - datetime(1970, 1, 1, tzinfo=UTC)) // timedelta(microseconds=1)
-    return AccessInterval(station=station, start=start,
-                          end=start + timedelta(seconds=step * n_intervals),
-                          step_seconds=step,
-                          time_us=first_us + round(step * 1e6) * np.arange(n_intervals),
-                          elevation_deg=np.full(n_intervals, ZENITH.elevation_deg),
-                          azimuth_deg=np.full(n_intervals, ZENITH.azimuth_deg),
-                          slant_range_km=np.full(n_intervals, ZENITH.slant_range_km))
+    return Pass(station=station, start=start,
+                end=start + timedelta(seconds=step * n_intervals),
+                step_seconds=step,
+                time_us=first_us + round(step * 1e6) * np.arange(n_intervals),
+                elevation_deg=np.full(n_intervals, ZENITH.elevation_deg),
+                azimuth_deg=np.full(n_intervals, ZENITH.azimuth_deg),
+                slant_range_km=np.full(n_intervals, ZENITH.slant_range_km))
 
 
 def test_key_matrix_no_accesses_all_zero():
-    km = build_key_matrix([], STATIONS, OPTICS, TABLE1, T0, 12)
+    km = build_key_matrix(pass_table([]), STATIONS, OPTICS, TABLE1, T0, 12)
     assert (km.n_intervals, km.n_nodes) == (12, 3)
     assert not km.nonzero()[2].any()
 
 
 def test_key_matrix_support_and_constant_rate():
     access = zenith_access(STATIONS[2], first_interval=3, n_intervals=3)
-    km = build_key_matrix([access], STATIONS, OPTICS, TABLE1, T0, 12)
+    km = build_key_matrix(pass_table([access]), STATIONS, OPTICS, TABLE1, T0, 12)
     nonzero = {(int(m), int(n)) for m, n in zip(*np.nonzero(dense(km)))}
     assert nonzero == {(3, 2), (4, 2), (5, 2)}
     eta = total_loss(ZENITH, 0, OPTICS).transmittance
@@ -269,15 +269,18 @@ def test_key_matrix_invariant_under_access_order():
     a1 = zenith_access(STATIONS[0], 0, 4)
     a2 = zenith_access(STATIONS[1], 5, 4)
     a3 = zenith_access(STATIONS[2], 2, 6)
-    km1 = build_key_matrix([a1, a2, a3], STATIONS, OPTICS, TABLE1, T0, 12)
-    km2 = build_key_matrix([a3, a1, a2], STATIONS, OPTICS, TABLE1, T0, 12)
+    # the table's own station order does not matter
+    passes = [a1, a3, a2]
+    km1 = build_key_matrix(pass_table(passes), STATIONS, OPTICS, TABLE1, T0, 12)
+    km2 = build_key_matrix(pass_table(passes, stations=STATIONS[::-1]), STATIONS, OPTICS,
+                           TABLE1, T0, 12)
     assert np.array_equal(dense(km1), dense(km2))
 
 
 def test_key_matrix_grid_misalignment_error():
     access = zenith_access(STATIONS[0], 10, 4)
     with pytest.raises(ValueError, match="misalignment"):
-        build_key_matrix([access], STATIONS, OPTICS, TABLE1, T0, 12)
+        build_key_matrix(pass_table([access]), STATIONS, OPTICS, TABLE1, T0, 12)
 
 
 def test_key_matrix_cloud_blockage_zeroes_entries():
@@ -287,7 +290,7 @@ def test_key_matrix_cloud_blockage_zeroes_entries():
         blobs=[(30.0, 100.0, 0.4, 400.0)])  # saturated blob over station A
     a1 = zenith_access(STATIONS[0], 0, 3)
     a2 = zenith_access(STATIONS[1], 0, 3)
-    km = build_key_matrix([a1, a2], STATIONS, OPTICS, TABLE1, T0, 12, cloud=grid)
+    km = build_key_matrix(pass_table([a1, a2]), STATIONS, OPTICS, TABLE1, T0, 12, cloud=grid)
     values = dense(km)
     assert not values[:, 0].any()
     assert values[:, 1].all() or values[:3, 1].all()
@@ -306,7 +309,7 @@ def test_key_matrix_validation():
 
 def test_key_matrix_export_round_trip(tmp_path):
     access = zenith_access(STATIONS[1], 2, 2)
-    km = build_key_matrix([access], STATIONS, OPTICS, TABLE1, T0, 6)
+    km = build_key_matrix(pass_table([access]), STATIONS, OPTICS, TABLE1, T0, 6)
     csv_path = tmp_path / "km.csv"
     meta_path = tmp_path / "km.json"
     export_key_matrix(km, TABLE1, csv_path, meta_path)

@@ -210,6 +210,19 @@ def test_delivered_distribution_cases():
         delivered_distribution([IDLE, IDLE], key_matrix(km))
 
 
+def test_delivered_distribution_of_totals_whose_sum_overflows():
+    # each node total is finite and their sum is not: the shares are those
+    # of the totals divided by the largest, never inf / inf
+    km = key_matrix([[1.5e308, 0.0], [0.0, 1e308], [0.0, 5e307]])
+    assert delivered_distribution([0, 1, 1], km).probabilities == (0.5, 0.5)
+    assert delivered_distribution([0, 1, IDLE], km).probabilities == pytest.approx((0.6, 0.4))
+    # a node total past the largest float (which evaluate's sum overflows
+    # to) leaves the shares undefined
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="a node total is past the largest float"):
+        delivered_distribution([0, 0, 0], key_matrix([[1.5e308], [1.5e308], [1.0]]))
+
+
 # ---------------------------------------------------------------------------
 # exact solver
 # ---------------------------------------------------------------------------

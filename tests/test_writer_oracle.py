@@ -16,17 +16,19 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import defaultdict
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
-from conftest import key_matrix, oracle_fmt
+from conftest import Pass, key_matrix, oracle_fmt, pass_table, union_duration_seconds
 from satqkd import cli
-from satqkd.orbit import AccessInterval, GroundStation, _from_us, _to_us
+from satqkd.orbit import GroundStation, _from_us, _to_us
 from satqkd.output import _US_RANGE
 from satqkd.qkd import KeyMatrix, export_key_matrix
+from satqkd.cli import main
 from satqkd.scenario import load_scenario, micius_week_config
 from satqkd.sched import IDLE, SWITCH, GaConfig, Schedule, StrategyConfig, write_schedule_csv
 
@@ -86,7 +88,7 @@ def oracle_access(config, accesses) -> tuple[str, str]:
         by_day[iv.start.date().isoformat()].append(iv)
     daily = "date,station_sum_s,union_s\n"
     for day, ivs in sorted(by_day.items()):
-        union = cli.union_duration_seconds(ivs, config.step_seconds)
+        union = union_duration_seconds(ivs, config.step_seconds)
         daily += f"{day},{sum(iv.duration_seconds for iv in ivs):.1f},{union:.1f}\n"
     return intervals, daily
 
@@ -142,9 +144,9 @@ def oracle_sweep(config, variable, rows) -> str:
 # the writers against them
 # ---------------------------------------------------------------------------
 
-def crafted_accesses(rng) -> list[AccessInterval]:
-    """Passes of every station from each adversarial start, the last one
-    ending at the last microsecond datetime holds."""
+def crafted_accesses(rng) -> list[Pass]:
+    """Passes of every station from each adversarial start, sorted by start,
+    the last one ending at the last microsecond datetime holds."""
     accesses = []
     for k, (step, start) in enumerate([(step, start) for start in STARTS.values()
                                        for step in STEPS] + [(7.3, None)]):
@@ -156,20 +158,21 @@ def crafted_accesses(rng) -> list[AccessInterval]:
             time_us = t0 + step_us * np.arange(n)
             elevation = rng.uniform(-2.0, 90.0, n)
             elevation[rng.integers(0, n)] = 45.0005 + k
-            accesses.append(AccessInterval(
+            accesses.append(Pass(
                 station=station, start=_from_us(int(time_us[0])),
                 end=_from_us(int(time_us[-1]) + step_us), step_seconds=step,
                 time_us=time_us, elevation_deg=elevation,
                 azimuth_deg=rng.uniform(0.0, 360.0, n),
                 slant_range_km=rng.uniform(300.0, 6000.0, n)))
-    return accesses
+    return sorted(accesses, key=lambda iv: iv.start)
 
 
 def test_access_matches_the_row_loops(tmp_path, monkeypatch):
     accesses = crafted_accesses(np.random.default_rng(7))
     assert accesses[-1].end == datetime.max.replace(tzinfo=UTC)
     config = micius_week_config(stations=STATIONS)
-    monkeypatch.setattr(cli, "compute_accesses", lambda _config: accesses)
+    monkeypatch.setattr(cli, "compute_accesses",
+                        lambda _config: pass_table(accesses, config.step_seconds))
     cli.run_access(config, tmp_path)
     intervals, daily = oracle_access(config, accesses)
     assert (tmp_path / "access_intervals.csv").read_bytes() == intervals.encode()
@@ -267,3 +270,43 @@ def test_overflowing_totals_are_written_as_inf_tokens(tmp_path):
         for kind in schedules}, [st.name for st in config.stations])
     assert ",inf," in want
     assert text == want.replace(",inf,", ",Inf,")
+
+
+def overflow_config(tmp_path, rep_rate_mhz: float):
+    path = tmp_path / f"overflow-{rep_rate_mhz:g}.json"
+    path.write_text(json.dumps({**OVERFLOW, "qkd": {"rep_rate_mhz": rep_rate_mhz}}),
+                    encoding="utf-8")
+    return path
+
+
+def test_key_bits_past_the_largest_float_name_the_rate(tmp_path, capsys):
+    # one interval's bits overflow at 1e302 MHz (at 1e303 the reader refuses
+    # the rate); the linkbudget does not depend on it
+    config = str(overflow_config(tmp_path, 1e302))
+    assert main(["linkbudget", "--config", config, "--out", str(tmp_path / "lb")]) == 0
+    for k, command in enumerate([
+            ["keymatrix"], ["schedule"],
+            ["keymatrix", "--from-linkbudget", str(tmp_path / "lb" / "linkbudget.csv")]]):
+        assert main([*command, "--config", config, "--out", str(tmp_path / f"{k}")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            "qkd.rep_rate_mhz: too large: key matrix entry [979][4] = inf is not "
+            "finite and >= 0")
+        assert not any((tmp_path / f"{k}").iterdir())
+
+
+def test_an_overflowing_sum_of_node_totals_writes_no_nan(tmp_path):
+    # at 1e301 MHz S-GD and S-TD deliver every key to one node, whose total
+    # is past the largest float, and S-PD spreads them so that only the sum
+    # of its node totals overflows
+    config = str(overflow_config(tmp_path, 1e301))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["schedule", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    kls = {}
+    for kind in ("s_gd", "s_pd", "s_td"):
+        text = (tmp_path / "out" / f"summary_{kind}.json").read_text(encoding="utf-8")
+        kls[kind] = strict(text)["kl_divergence_vs_weights"]
+    assert kls["s_gd"] is kls["s_td"] is None
+    assert math.isfinite(kls["s_pd"])
+    text = (tmp_path / "out" / "strategy_comparison.csv").read_text(encoding="utf-8")
+    assert not re.search(r"\bnan\b", text, re.IGNORECASE)
+    assert {row.split(",")[2] for row in text.splitlines() if row.startswith("S-GD,")} == {"Inf"}
