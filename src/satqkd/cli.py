@@ -201,42 +201,35 @@ def _parsed_rows(lines: list[str], first_lineno: int, column: dict[str, int], cs
         nodes.append(n)
         times.append(us)
         etas.append(eta)
-    # int64 also for no rows, whose empty lists would read as float
-    return (np.array(nodes, dtype=np.int64), np.array(times, dtype=np.int64),
-            np.array(etas, dtype=float))
+    return np.array(nodes), np.array(times), np.array(etas)  # one row or more: ints stay int64
 
 
 def key_matrix_from_linkbudget(config: ScenarioConfig, csv_path) -> KeyMatrix:
     """Rebuild the key matrix from a linkbudget.csv intermediate.
 
     Each chunk of rows is read as columns where it holds exactly what
-    run_linkbudget writes; any other chunk is parsed row by row, which
-    accepts the same rows and names the first bad one."""
+    run_linkbudget writes, else parsed row by row, which accepts the same
+    rows and names the first bad one; its key bits are added before the
+    next chunk is read, so the first chunk with a fault names it."""
     start = config.span[0]
     column = {st.name: i for i, st in enumerate(config.stations)}
-    chunks = []
+    parts: list = []
     with open(csv_path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("time_utc,station,"):
             raise ValueError(f"not a linkbudget CSV: {header!r}")
         lineno = 2
         while lines := fh.readlines(_LINKBUDGET_CHUNK):
-            chunks.append(_written_rows(lines, column)
-                          or _parsed_rows(lines, lineno, column, csv_path))
+            nodes, time_us, etas = (_written_rows(lines, column)
+                                    or _parsed_rows(lines, lineno, column, csv_path))
+            add_key_bits(parts, start, config.grid_interval_seconds, config.n_grid_intervals,
+                         config.qkd, nodes, time_us, etas, config.step_seconds,
+                         lambda i: f"{csv_path}:{lineno + i}: "
+                         f"time_utc: {_from_us(int(time_us[i])).isoformat()}")
             lineno += len(lines)
-    nodes, time_us, etas = (np.concatenate(c) for c in zip(*chunks)) if chunks else (
-        np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-    parts: list = []
-    add_key_bits(parts, start, config.grid_interval_seconds, config.n_grid_intervals,
-                 config.qkd, nodes, time_us, etas, config.step_seconds,
-                 lambda i: f"{csv_path}:{i + 2}: "
-                 f"time_utc: {_from_us(int(time_us[i])).isoformat()}")
-    try:
-        return assemble_key_matrix(parts, start, config.grid_interval_seconds,
-                                   config.n_grid_intervals,
-                                   tuple(st.name for st in config.stations))
-    except KeyBitsOverflow as exc:  # every cell's bits scale with the rate
-        raise ConfigError("qkd.rep_rate_mhz", f"too large: {exc}") from None
+    return assemble_key_matrix(parts, start, config.grid_interval_seconds,
+                               config.n_grid_intervals,
+                               tuple(st.name for st in config.stations))
 
 
 def daily_key_bits(matrix: KeyMatrix):
@@ -252,7 +245,8 @@ def daily_key_bits(matrix: KeyMatrix):
     # one key per (day, name), ordered as the pair is
     groups, owner = np.unique(days * matrix.n_nodes + rank[cols], return_inverse=True)
     totals = np.zeros(len(groups))
-    np.add.at(totals, owner, cell_bits)  # repeated keys add in row-major order
+    with np.errstate(over="ignore"):  # a total past the largest float is written as Inf
+        np.add.at(totals, owner, cell_bits)  # repeated keys add in row-major order
     dates = np.datetime_as_string((groups // matrix.n_nodes).astype("datetime64[D]"))
     names = [matrix.node_names[by_name[r]] for r in (groups % matrix.n_nodes).tolist()]
     return dates, names, totals
@@ -484,20 +478,22 @@ def main(argv=None) -> int:
             run_schedule(config, args.out, args.seed)
         elif args.command == "sweep":
             run_sweep(config, args.variable, args.out, args.seed)
+    except KeyBitsOverflow as exc:  # every cell's bits scale with the rate
+        error = f"qkd.rep_rate_mhz: too large: {exc}"
     except (ConfigError, ValueError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
+        error = str(exc)
     except MemoryError:  # numpy's _ArrayMemoryError included
         if config is None:
             raise
         start, end = config.span
-        print(json.dumps({"error": (
-            f"out of memory: step_seconds {config.step_seconds!r} and "
-            f"grid_interval_seconds {config.grid_interval_seconds!r} over the span "
-            f"{start.isoformat()} to {end.isoformat()} give more samples or "
-            f"intervals than fit in memory")}), file=sys.stderr)
-        return 2
-    return 0
+        error = (f"out of memory: step_seconds {config.step_seconds!r} and "
+                 f"grid_interval_seconds {config.grid_interval_seconds!r} over the span "
+                 f"{start.isoformat()} to {end.isoformat()} give more samples or "
+                 f"intervals than fit in memory")
+    else:
+        return 0
+    print(json.dumps({"error": error}), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

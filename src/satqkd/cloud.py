@@ -7,14 +7,15 @@ File format (plain text, whitespace separated):
 
 Values are integers 0..150 (0 cloudless, 150 overcast).  Spatial queries use
 the nearest cell with ties going to the smaller index; temporal queries floor
-to the containing 10-minute frame.
+to the containing 10-minute frame.  Every grid, loaded or made in code, is
+built by the CloudGrid constructor, which checks its axes and its cells.
 """
 from __future__ import annotations
 
 import math
 import os
 from stat import S_ISREG
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
@@ -58,23 +59,6 @@ class CloudGrid:
     frames: np.ndarray = field(repr=False)  # (n_frames, n_lat, n_lon) ints
 
     def __post_init__(self):
-        self._check_header()
-        error = _out_of_range(self.frames.ravel(), 0, self.frames.shape)
-        if error is not None:
-            raise error
-
-    @classmethod
-    def _adopt(cls, *values) -> "CloudGrid":
-        """The grid of these field values, checked as the constructor checks
-        them but for the cell range, which the loader checked chunk by chunk."""
-        grid = cls.__new__(cls)
-        for name, value in zip((f.name for f in fields(cls)), values, strict=True):
-            object.__setattr__(grid, name, value)
-        grid._check_header()
-        return grid
-
-    def _check_header(self) -> None:
-        """time_start made UTC; the frames' shape checked against the axes."""
         object.__setattr__(self, "time_start", _as_utc(self.time_start))
         f = self.frames
         if f.ndim != 3 or f.shape[0] < 1:
@@ -90,6 +74,10 @@ class CloudGrid:
                 name = ("lat", "lon")[axis]
                 raise ValueError(
                     f"{name} header mismatch: {lo} + {count - 1}*{step} != {hi}")
+        # min and max see every cell without _out_of_range's temporaries
+        if not (f.min() >= 0 and f.max() <= MAX_INDEX) and (
+                error := _out_of_range(f.ravel(), 0, f.shape)) is not None:
+            raise error
 
     @property
     def n_frames(self) -> int:
@@ -99,13 +87,14 @@ class CloudGrid:
 def load_cloud_grid(path) -> CloudGrid:
     """Parse and fully validate a cloud grid file.
 
-    The body is read _CHUNK_BYTES characters at a time, each chunk cut after
-    its last newline; its cells are parsed, range-checked and stored
-    straight into the int16 grid, so the whole file is never held as one
-    Python string or one int64 per cell.  A chunk of ASCII digits and
-    whitespace is parsed from its bytes; any other chunk goes token by token
-    through int().  A wrong cell count is reported first, then the first
-    token int() rejects, then the first value outside [0, MAX_INDEX].
+    The body is read _CHUNK_BYTES characters at a time, each read finished
+    to the end of its line by readline(); its cells are parsed, range-checked
+    (before they are narrowed) and stored straight into the int16 grid, so
+    the whole file is never held as one Python string or one int64 per
+    cell.  A chunk of ASCII digits and whitespace is parsed from its bytes;
+    any other chunk goes token by token through int().  A wrong cell count
+    is reported first, then the first token int() rejects, then the first
+    value outside [0, MAX_INDEX].
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -125,7 +114,7 @@ def load_cloud_grid(path) -> CloudGrid:
         fits = 0 <= expected and (expected <= st.st_size or not S_ISREG(st.st_mode))
         flat = np.empty(expected if fits else 0, dtype=np.int16)
         found, error, outside = 0, None, None
-        for text in _lines_in_chunks(fh):
+        while text := fh.read(_CHUNK_BYTES) + fh.readline():
             cells = _digit_cells(text)
             tokens = text.split() if cells is None else cells
             if error is None and found + len(tokens) <= flat.size:
@@ -142,24 +131,8 @@ def load_cloud_grid(path) -> CloudGrid:
                          f"({n_frames}x{n_lat}x{n_lon}), found {found}")
     if error is not None or outside is not None:
         raise error or outside
-    return CloudGrid._adopt(lat_min, lat_max, lon_min, lon_max, lat_step, lon_step,
-                            time_start, flat.reshape(shape))
-
-
-def _lines_in_chunks(fh):
-    """The rest of text file fh in whole lines, about _CHUNK_BYTES characters
-    at a time: each read is cut after its last newline and the tail carried
-    into the next (a line longer than a read is read on until it ends)."""
-    head = ""
-    while chunk := fh.read(_CHUNK_BYTES):
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            yield head + chunk[:cut]
-            head = chunk[cut:]
-        else:
-            head += chunk
-    if head:
-        yield head
+    return CloudGrid(lat_min, lat_max, lon_min, lon_max, lat_step, lon_step, time_start,
+                     flat.reshape(shape))
 
 
 def _digit_cells(text: str) -> np.ndarray | None:

@@ -56,8 +56,8 @@ from .output import integers, iso_utc, round_trip, row_chunks, spelled, write_cs
 
 
 # Samples per kernel call: a block of passes closes at this many, and
-# add_key_bits rates at most this many at a time (a week at 1 s is ~10 MB
-# of floats)
+# add_key_bits rates each block in one call (a week at 1 s is ~10 MB of
+# floats)
 _RATE_CHUNK = 4096
 
 
@@ -295,8 +295,9 @@ def add_key_bits(parts: list, start: datetime, interval_seconds: float,
                  n_intervals: int, params: QkdParams, nodes, time_us: np.ndarray,
                  etas, step_seconds: float, where) -> None:
     """Append the grid row, node and bits rate_per_second(eta) * step of each
-    sample with eta > 0 to parts, in order; nodes are one value or one per
-    sample, where(i) names sample i.  assemble_key_matrix sums them."""
+    sample with eta > 0 to parts, in order, rated in one kernel call; nodes
+    are one value or one per sample, where(i) names sample i.
+    assemble_key_matrix sums them."""
     rows = np.floor((time_us - _to_us(start)) / 1e6 / interval_seconds)
     outside = (rows < 0) | (rows >= n_intervals)
     if outside.any():
@@ -305,13 +306,9 @@ def add_key_bits(parts: list, start: datetime, interval_seconds: float,
     rows, nodes = rows.astype(np.int64), np.broadcast_to(nodes, rows.shape)
     etas = np.asarray(etas, dtype=float)
     keep = np.flatnonzero(etas > 0.0)
-    bits = np.empty(len(keep))
-    for lo in range(0, len(keep), _RATE_CHUNK):
-        part = keep[lo:lo + _RATE_CHUNK]
-        per_pulse = _rate_terms(etas[part], params)[-1]
-        with np.errstate(over="ignore"):  # KeyMatrix names an infinite cell
-            bits[lo:lo + len(part)] = per_pulse * params.rep_rate_hz * step_seconds
-    parts.append((rows[keep], nodes[keep], bits))
+    per_pulse = _rate_terms(etas[keep], params)[-1]
+    with np.errstate(over="ignore"):  # KeyMatrix names an infinite cell
+        parts.append((rows[keep], nodes[keep], per_pulse * params.rep_rate_hz * step_seconds))
 
 
 def assemble_key_matrix(parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],

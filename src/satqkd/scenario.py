@@ -40,7 +40,7 @@ from .orbit import (
     parse_tle,
     sample_count,
 )
-from .qkd import KeyBitsOverflow, KeyMatrix, QkdParams, build_key_matrix
+from .qkd import KeyMatrix, QkdParams, build_key_matrix
 from .sched import GaConfig, StrategyConfig
 
 UTC = timezone.utc
@@ -471,13 +471,10 @@ def key_matrix_for(config: ScenarioConfig, passes: Passes | None = None) -> KeyM
     check_loss_mask(config)
     if passes is None:
         passes = compute_accesses(config)
-    try:
-        return build_key_matrix(
-            passes, config.stations, config.optics, config.qkd,
-            start=config.span[0], n_intervals=config.n_grid_intervals,
-            interval_seconds=config.grid_interval_seconds, cloud=config.cloud)
-    except KeyBitsOverflow as exc:  # every cell's bits scale with the rate
-        raise ConfigError("qkd.rep_rate_mhz", f"too large: {exc}") from None
+    return build_key_matrix(
+        passes, config.stations, config.optics, config.qkd,
+        start=config.span[0], n_intervals=config.n_grid_intervals,
+        interval_seconds=config.grid_interval_seconds, cloud=config.cloud)
 
 
 def elements_for_altitude(base: TleElements, altitude_km: float,

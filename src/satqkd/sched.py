@@ -233,7 +233,8 @@ def _delivered(schedule: Schedule | Sequence[int], n_intervals: int, n_nodes: in
         mine = order[bounds[n]:bounds[n + 1]]
         column = np.zeros(len(mine))
         column[np.searchsorted(mine, interval[these])] = bits[these]
-        totals[n] = column.sum()
+        with np.errstate(over="ignore"):  # a total past the largest float is inf
+            totals[n] = column.sum()
     return totals
 
 
@@ -299,7 +300,8 @@ def solve_exact(matrix: KeyMatrix, weights: Sequence[float] | None = None) -> Sc
     rows = interval[heads].tolist()
     gaps = (np.diff(interval[heads], prepend=-1) > 1).tolist()  # a zero row lies before
     bounds = [*heads.tolist(), len(node)]
-    nodes, gains = node.tolist(), (bits[weighted] * w[node]).tolist()
+    with np.errstate(over="ignore"):  # a gain past the largest float is inf
+        nodes, gains = node.tolist(), (bits[weighted] * w[node]).tolist()
 
     # per cell: its node's value after the row, and whether the node kept
     # its node parent and held across the gap before the row; cell -1 (no
@@ -420,8 +422,9 @@ def _node_totals(group: np.ndarray, cells, n_nodes: int) -> np.ndarray:
     without a cell totals 0.0, as its masked product does.
     """
     totals = np.zeros((len(group), n_nodes))
-    for n, rows, vals in cells:
-        totals[:, n] = ((group[:, rows] == n) * vals).sum(axis=1)
+    with np.errstate(over="ignore"):  # a total past the largest float is inf
+        for n, rows, vals in cells:
+            totals[:, n] = ((group[:, rows] == n) * vals).sum(axis=1)
     return totals
 
 
@@ -556,7 +559,8 @@ def solve_ga(matrix: KeyMatrix, cfg: StrategyConfig,
         for lo in range(0, len(group), gather_rows):
             flat = np.multiply(group[lo:lo + gather_rows], n_active, dtype=np.intp)
             flat += gene_cols
-            fit[lo:lo + gather_rows] = k_flat.take(flat).sum(axis=1)
+            with np.errstate(over="ignore"):  # a fitness past the largest float is inf
+                fit[lo:lo + gather_rows] = k_flat.take(flat).sum(axis=1)
         return fit
 
     cells = _node_cells(cell_gene, node, bits)
@@ -565,7 +569,8 @@ def solve_ga(matrix: KeyMatrix, cfg: StrategyConfig,
         out = np.full(len(group), np.inf)
         rows = np.flatnonzero(band)
         totals = _node_totals(group[rows], cells, n_nodes)
-        sums = totals.sum(axis=1)
+        with np.errstate(over="ignore"):  # a sum past the largest float is inf
+            sums = totals.sum(axis=1)
         ok = sums > 0
         if ok.any():
             p = totals[ok] / sums[ok, None]

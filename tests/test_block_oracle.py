@@ -7,13 +7,18 @@ formatted and wrote one pass at a time, `_loss_extremes` folded each pass
 into its station's min and max, and `key_matrix_from_linkbudget` parsed
 every row on its own; they read passes one at a time as conftest.Pass,
 and the walks under test take the conftest.pass_table of the same passes,
-sorted by start.  The kernels themselves are held to the scalar
-oracles in test_kernels.py; here the walks must give the same output bytes
+sorted by start.  The oracles take each sample's loss from conftest's
+scalar oracles and add key bits through frozen copies of add_key_bits and
+assemble_key_matrix, so that an edit to those functions cannot move the
+oracle with the code; the rate kernel itself is held to the scalar
+oracles in test_kernels.py.  Here the walks must give the same output bytes
 on one-sample passes, passes longer than a block, overcast samples and no
 passes at all.  A bad sample in one pass of a block gives the oracle's
 error text; bad samples in two passes give the oracle's error for one of
 them alone, and a failing write leaves no file.  The column reader must
 keep the row reader's result or error text on rows the writer never writes.
+The one difference from the row reader: the file is read and added chunk
+by chunk, so with faults in two chunks the earlier chunk's fault is named.
 """
 from __future__ import annotations
 
@@ -29,12 +34,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_fmt, pass_list, pass_table
+from conftest import (
+    oracle_atmospheric_loss,
+    oracle_beam_width,
+    oracle_fmt,
+    oracle_total_loss,
+    pass_list,
+    pass_table,
+)
 from satqkd import cli, qkd
 from satqkd.cloud import CloudGrid, query_column
-from satqkd.orbit import GroundStation, _from_us, _to_us
+from satqkd.orbit import GroundStation, _as_utc, _from_us, _to_us
 from satqkd.output import open_new
-from satqkd.qkd import add_key_bits, assemble_key_matrix, build_key_matrix, loss_columns
+from satqkd.qkd import KeyMatrix, build_key_matrix
 from satqkd.scenario import compute_accesses, micius_week_config
 
 UTC = timezone.utc
@@ -48,6 +60,9 @@ HEADER = ("time_utc,station,elevation_deg,range_km,geo_db,atm_db,"
 # ---------------------------------------------------------------------------
 
 def oracle_pass_link_budget(access, optics, cloud=None):
+    """The geometric, atmospheric, cloud and total dB and the eta of each
+    sample, from the scalar oracles; the first bad range, else the first
+    bad elevation, raises, as the column kernels check them."""
     station = access.station
     try:
         alphas = ([0] * len(access.time_us) if cloud is None else
@@ -55,8 +70,53 @@ def oracle_pass_link_budget(access, optics, cloud=None):
                                access.time_us).tolist())
     except ValueError as exc:
         raise ValueError(f"cloud: {station.name}: {exc}") from None
-    return [column.tolist() for column in loss_columns(
-        access.elevation_deg.tolist(), access.slant_range_km.tolist(), alphas, optics)]
+    elev, ranges = access.elevation_deg.tolist(), access.slant_range_km.tolist()
+    for slant_range_km in ranges:
+        oracle_beam_width(slant_range_km, optics)
+    for elevation_deg in elev:
+        oracle_atmospheric_loss(elevation_deg, optics.zenith_atm_loss_db)
+    samples = [oracle_total_loss(*sample, optics) for sample in zip(elev, ranges, alphas)]
+    geo, atm, cld, _, total, etas = map(list, zip(*samples)) if samples else ([],) * 6
+    return [geo, atm, cld, total, etas]
+
+
+# qkd.add_key_bits and qkd.assemble_key_matrix as they were when the walks
+# moved onto blocks: the rate kernel is called at most ORACLE_RATE_CHUNK
+# samples at a time, and the cells sum with np.add.at
+ORACLE_RATE_CHUNK = 4096
+
+
+def oracle_add_key_bits(parts, start, interval_seconds, n_intervals, params, nodes,
+                        time_us, etas, step_seconds, where):
+    rows = np.floor((time_us - _to_us(start)) / 1e6 / interval_seconds)
+    outside = (rows < 0) | (rows >= n_intervals)
+    if outside.any():
+        raise ValueError(f"{where(int(np.argmax(outside)))} is outside the "
+                         f"{n_intervals}-interval grid from {_as_utc(start).isoformat()}")
+    rows, nodes = rows.astype(np.int64), np.broadcast_to(nodes, rows.shape)
+    etas = np.asarray(etas, dtype=float)
+    keep = np.flatnonzero(etas > 0.0)
+    bits = np.empty(len(keep))
+    for lo in range(0, len(keep), ORACLE_RATE_CHUNK):
+        part = keep[lo:lo + ORACLE_RATE_CHUNK]
+        per_pulse = qkd._rate_terms(etas[part], params)[-1]
+        with np.errstate(over="ignore"):
+            bits[lo:lo + len(part)] = per_pulse * params.rep_rate_hz * step_seconds
+    parts.append((rows[keep], nodes[keep], bits))
+
+
+def oracle_assemble_key_matrix(parts, start, interval_seconds, n_intervals, node_names):
+    rows, nodes, bits = ((np.concatenate(column) for column in zip(*parts)) if parts
+                         else (np.empty(0, np.int64),) * 3)
+    n_nodes = len(node_names)
+    keys, owner = np.unique(rows * n_nodes + nodes, return_inverse=True)
+    sums = np.zeros(len(keys))
+    with np.errstate(over="ignore"):
+        np.add.at(sums, owner, bits)
+    keep = np.flatnonzero(sums)
+    interval, node = np.divmod(keys[keep], n_nodes)
+    return KeyMatrix(start, interval_seconds, node_names, n_intervals, interval, node,
+                     sums[keep])
 
 
 def oracle_build_key_matrix(accesses, stations, optics, params, start, n_intervals,
@@ -69,11 +129,12 @@ def oracle_build_key_matrix(accesses, stations, optics, params, start, n_interva
             raise ValueError(f"access interval for unknown station "
                              f"{access.station.name!r}")
         etas = oracle_pass_link_budget(access, optics, cloud)[-1]
-        add_key_bits(parts, start, interval_seconds, n_intervals, params, n,
-                     access.time_us, etas, access.step_seconds, lambda i, t=access.time_us:
-                     f"grid misalignment: sample at {_from_us(int(t[i])).isoformat()}")
-    return assemble_key_matrix(parts, start, interval_seconds, n_intervals,
-                               tuple(st.name for st in stations))
+        oracle_add_key_bits(parts, start, interval_seconds, n_intervals, params, n,
+                            access.time_us, etas, access.step_seconds,
+                            lambda i, t=access.time_us: f"grid misalignment: sample at "
+                            f"{_from_us(int(t[i])).isoformat()}")
+    return oracle_assemble_key_matrix(parts, start, interval_seconds, n_intervals,
+                                      tuple(st.name for st in stations))
 
 
 def oracle_write_linkbudget(config, accesses, path) -> dict:
@@ -141,13 +202,13 @@ def oracle_key_matrix_from_linkbudget(config, csv_path):
             etas.append(eta)
     time_us, nodes = np.array(times, dtype=np.int64), np.array(nodes, dtype=np.int64)
     parts = []
-    add_key_bits(parts, start, config.grid_interval_seconds, config.n_grid_intervals,
-                 config.qkd, nodes, time_us, etas, config.step_seconds,
-                 lambda i: f"{csv_path}:{i + 2}: "
-                 f"time_utc: {_from_us(int(time_us[i])).isoformat()}")
-    return assemble_key_matrix(parts, start, config.grid_interval_seconds,
-                               config.n_grid_intervals,
-                               tuple(st.name for st in config.stations))
+    oracle_add_key_bits(parts, start, config.grid_interval_seconds, config.n_grid_intervals,
+                        config.qkd, nodes, time_us, etas, config.step_seconds,
+                        lambda i: f"{csv_path}:{i + 2}: "
+                        f"time_utc: {_from_us(int(time_us[i])).isoformat()}")
+    return oracle_assemble_key_matrix(parts, start, config.grid_interval_seconds,
+                                      config.n_grid_intervals,
+                                      tuple(st.name for st in config.stations))
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +529,26 @@ def test_column_reader_keeps_the_row_reader_result(written, tmp_path, monkeypatc
             warnings.simplefilter("error")  # and no warning on the way
             assert read_outcome(cli.key_matrix_from_linkbudget, config, path) == want, name
         assert want[0] == "error" or name not in ("naive time", "eta nan", "blank line")
+
+
+def test_first_chunk_with_a_fault_names_it(written, tmp_path, monkeypatch):
+    # a row before the grid in the first chunk, an eta of nan in the last
+    # chunk: the chunks are read and added in order, so the grid fault is
+    # named, where a reader of the whole file would parse every row first
+    config, rows = written
+    monkeypatch.setattr(cli, "_LINKBUDGET_CHUNK", 700)
+    early = _from_us(_to_us(datetime.fromisoformat(rows[0].split(",")[0])) - 86400 * 10**6)
+    grid_fault = edited(rows, 0, 0, early.isoformat())
+    paths = {}
+    for name, lines in (("grid", grid_fault), ("both", edited(grid_fault, -1, 9, "nan"))):
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(HEADER + "\n".join(lines) + "\n", encoding="utf-8")
+    want = read_outcome(oracle_key_matrix_from_linkbudget, config, paths["grid"])
+    assert want[0] == "error" and ".csv:2: time_utc: " in want[1][1]
+    got = read_outcome(cli.key_matrix_from_linkbudget, config, paths["both"])
+    assert got == ("error", (want[1][0], want[1][1].replace("grid.csv", "both.csv")))
+    whole_file = read_outcome(oracle_key_matrix_from_linkbudget, config, paths["both"])
+    assert whole_file[1][1].endswith(f"both.csv:{len(rows) + 1}: eta: nan is not in [0, 1]")
 
 
 def test_column_reader_reads_the_writer_rows_as_columns(written, tmp_path, monkeypatch):

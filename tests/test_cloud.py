@@ -116,6 +116,25 @@ def test_header_extent_mismatch_detected():
                   frames=np.zeros((1, 2, 3), dtype=np.int16))
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("value", [-1, 151])
+def test_constructor_names_the_first_cell_out_of_range(dtype, value):
+    frames = np.zeros((3, 2, 3), dtype=dtype)
+    frames[1, 1, 2] = value
+    frames[2, 0, 0] = 150 - value  # a later bad cell, on the other side
+
+    def build():
+        return CloudGrid(lat_min=30.0, lat_max=31.0, lon_min=100.0, lon_max=102.0,
+                         lat_step=1.0, lon_step=1.0, time_start=T0, frames=frames)
+
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == (f"cloud value {value} outside [0, 150] "
+                               f"at frame 1, lat row 1, lon col 2")
+    frames[1, 1, 2] = frames[2, 0, 0] = 150
+    assert build().frames.dtype == dtype
+
+
 @pytest.mark.parametrize("header,needle", [
     ("30 32 100 102 1 1 2016-09-23T00:00:00+00:00 1 2 3", "lat header mismatch"),
     ("30 31 100 102 1 0.5 2016-09-23T00:00:00+00:00 1 2 3", "lon header mismatch"),
@@ -341,9 +360,10 @@ def test_byte_parser_agrees_with_int_parser(tmp_path, chunk_bytes):
     check()
 
 
-# the body is read in chunks of _CHUNK_BYTES characters cut after their last
-# newline: lines longer than a chunk, other line ends, no final newline and a
-# chunk that ends on a newline load as the line-by-line oracle loads them
+# the body is read _CHUNK_BYTES characters at a time, each read finished to
+# the end of its line: lines longer than a read, other line ends, no final
+# newline and a read that ends on a newline load as the line-by-line oracle
+# loads them
 
 def assert_loads_as_oracle(path, shape) -> None:
     outcome = load_outcome(load_cloud_grid, path)

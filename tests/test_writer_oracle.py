@@ -310,3 +310,21 @@ def test_an_overflowing_sum_of_node_totals_writes_no_nan(tmp_path):
     text = (tmp_path / "out" / "strategy_comparison.csv").read_text(encoding="utf-8")
     assert not re.search(r"\bnan\b", text, re.IGNORECASE)
     assert {row.split(",")[2] for row in text.splitlines() if row.startswith("S-GD,")} == {"Inf"}
+
+
+@pytest.mark.parametrize("command,rep_rate_mhz", [("keymatrix", 1e301), ("schedule", 1e300)])
+def test_key_bit_sums_past_the_largest_float_raise_no_warning(tmp_path, command,
+                                                              rep_rate_mhz):
+    # no errstate here: a sum that overflows to inf must not warn on its way
+    # to the Inf it writes (Tier-1 turns a RuntimeWarning into an error)
+    config = str(overflow_config(tmp_path, rep_rate_mhz))
+    assert main([command, "--config", config, "--out", str(tmp_path / "strict")]) == 0
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", config, "--out", str(tmp_path / "quiet")]) == 0
+    names = sorted(path.name for path in (tmp_path / "strict").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "quiet").iterdir())
+    for name in names:
+        assert (tmp_path / "strict" / name).read_bytes() == \
+            (tmp_path / "quiet" / name).read_bytes(), name
+    totals = "keys_daily.csv" if command == "keymatrix" else "strategy_comparison.csv"
+    assert ",Inf" in (tmp_path / "strict" / totals).read_text(encoding="utf-8")
