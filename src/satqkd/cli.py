@@ -33,6 +33,7 @@ from .qkd import (
     add_key_bits,
     assemble_key_matrix,
     export_key_matrix,
+    keyed_sums,
     link_budget,
 )
 from .sched import (
@@ -75,14 +76,13 @@ def run_access(config: ScenarioConfig, out: Path, seed: int | None = None) -> di
     """Access-interval report: per-pass CSV plus a per-day duration summary."""
     out.mkdir(parents=True, exist_ok=True)
     passes = compute_accesses(config)
-    step = config.step_seconds
     first = passes.bounds[:-1]  # each pass's first sample
     start_us = passes.time_us[first]
     durations = passes.duration_seconds()
     # one chunk: a pass's samples outweigh its row of text
     write_csv(out / "access_intervals.csv",
               "station,start_utc,end_utc,duration_s,max_elevation_deg,min_range_km\n", [[
-                  spelled([station.name.encode() for station in passes.stations])[passes.station],
+                  spelled([station.name for station in passes.stations])[passes.station],
                   iso_utc(start_us), iso_utc(passes.end_us), fixed_point(durations, 1),
                   fixed_point(np.maximum.reduceat(passes.elevation_deg, first), 3),
                   fixed_point(np.minimum.reduceat(passes.slant_range_km, first), 3)]])
@@ -93,7 +93,7 @@ def run_access(config: ScenarioConfig, out: Path, seed: int | None = None) -> di
     dates = np.datetime_as_string(days.astype("datetime64[D]")).tolist()
     runs = list(itertools.pairwise([*heads.tolist(), len(passes)]))
     daily_sums = [sum(durations[p:q]) for p, q in runs]
-    daily_union = {date: union_duration_seconds(passes[p:q], step)
+    daily_union = {date: union_duration_seconds(passes[p:q])
                    for date, (p, q) in zip(dates, runs)}
     write_csv(out / "access_daily.csv", "date,station_sum_s,union_s\n", [[
         spelled(dates), fixed_point(daily_sums, 1), fixed_point(list(daily_union.values()), 1)]])
@@ -101,7 +101,7 @@ def run_access(config: ScenarioConfig, out: Path, seed: int | None = None) -> di
     return {
         "n_intervals": len(passes),
         "total_station_seconds": sum(durations),
-        "union_seconds": union_duration_seconds(passes, step),
+        "union_seconds": union_duration_seconds(passes),
         "daily_union_seconds": daily_union,
     }
 
@@ -119,7 +119,7 @@ def run_linkbudget(config: ScenarioConfig, out: Path, seed: int | None = None) -
     check_loss_mask(config)
     out.mkdir(parents=True, exist_ok=True)
     passes = compute_accesses(config)
-    names = spelled([station.name.encode() for station in passes.stations])
+    names = spelled([station.name for station in passes.stations])
     counts = {"n_samples": 0, "n_blocked": 0}
     fixed = fixed_point([config.optics.fixed_loss_db], 4)
 
@@ -242,11 +242,9 @@ def daily_key_bits(matrix: KeyMatrix):
     by_name = sorted(range(matrix.n_nodes), key=matrix.node_names.__getitem__)
     rank = np.empty(matrix.n_nodes, dtype=np.int64)
     rank[by_name] = np.arange(matrix.n_nodes)
-    # one key per (day, name), ordered as the pair is
-    groups, owner = np.unique(days * matrix.n_nodes + rank[cols], return_inverse=True)
-    totals = np.zeros(len(groups))
-    with np.errstate(over="ignore"):  # a total past the largest float is written as Inf
-        np.add.at(totals, owner, cell_bits)  # repeated keys add in row-major order
+    # one key per (day, name), ordered as the pair is; a total past the
+    # largest float is written as Inf
+    groups, totals = keyed_sums(days * matrix.n_nodes + rank[cols], cell_bits)
     dates = np.datetime_as_string((groups // matrix.n_nodes).astype("datetime64[D]"))
     names = [matrix.node_names[by_name[r]] for r in (groups % matrix.n_nodes).tolist()]
     return dates, names, totals
@@ -266,7 +264,7 @@ def run_keymatrix(config: ScenarioConfig, out: Path, seed: int | None = None,
 
     dates, names, bits = daily_key_bits(matrix)
     write_csv(out / "keys_daily.csv", "date,station,key_bits\n", [[
-        spelled(dates), spelled([name.encode() for name in names]), fixed_point(bits, 3)]])
+        spelled(dates), spelled(names), fixed_point(bits, 3)]])
     _write_manifest(out, "keymatrix", config, seed)
     return matrix
 
@@ -338,7 +336,7 @@ def run_schedule(config: ScenarioConfig, out: Path, seed: int | None = None,
                   fixed_point([schedules[kind].total for kind, _, _ in per_row], 3),
                   fixed_point([math.inf if kls[kind] is None else kls[kind]
                                for kind, _, _ in per_row], 6),
-                  spelled([name.encode() for _, name, _ in per_row]),
+                  spelled([name for _, name, _ in per_row]),
                   fixed_point([bits for _, _, bits in per_row], 3)]])
     _write_manifest(out, "schedule", config, ga_seed)
     return schedules
@@ -381,7 +379,7 @@ def run_sweep(config: ScenarioConfig, variable: str, out: Path,
         lo, hi = _loss_extremes(sub, passes)
         return {
             "value": value,
-            "duration_s": union_duration_seconds(passes, sub.step_seconds),
+            "duration_s": union_duration_seconds(passes),
             "station_sum_s": sum(passes.duration_seconds()),
             "lo": lo, "hi": hi,
         }
@@ -422,7 +420,7 @@ def run_sweep(config: ScenarioConfig, variable: str, out: Path,
                   spelled([format(row["value"], "g") for row, _ in per_row]),
                   fixed_point([row["duration_s"] for row, _ in per_row], 1),
                   fixed_point([row["station_sum_s"] for row, _ in per_row], 1),
-                  spelled([name.encode() for _, name in per_row]),
+                  spelled([name for _, name in per_row]),
                   fixed_point(lo, 4), fixed_point(hi, 4)]])
     _write_manifest(out, f"sweep_{variable}", config, seed)
     return rows

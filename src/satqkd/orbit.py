@@ -29,16 +29,16 @@ walked in fixed-size blocks; per block the propagation, GMST and the
 Earth-fixed satellite position are shared by every station.  In a block,
 each station's own candidates are (station, sample) pairs, taken station
 by station in runs of stations that hold at most _BLOCK_SAMPLES pairs
-between them; a run's pairs go through one set of numpy calls, with its
-stations' constants (_site) repeated over their pairs (a station with
-_ALONE_SAMPLES pairs or more is a run of its own and keeps them as
-floats).  The vertical component covers every pair, range and elevation
-the pairs above the up floor, solar elevation the pairs above the mask,
-and azimuth the usable ones; the Sun's RA/Dec is computed once per block,
-where some pair is above the mask.  Each value is the same elementwise
-formula at the same time as on the full grid, so the results are
-bit-identical to it.  The usable samples are cut into passes and sorted by
-start by numpy calls over all stations at once (_pass_table).
+between them; a run's pairs go through one set of numpy calls, each pair
+taking its station's constants (_site) by the station column it carries
+through the filters (a station with _ALONE_SAMPLES pairs or more is a run
+of its own and keeps them as floats).  The vertical component covers every
+pair, range and elevation the pairs above the up floor, solar elevation
+the pairs above the mask, and azimuth the usable ones; the Sun's RA/Dec is
+computed once per block, where some pair is above the mask.  Each value is
+the same elementwise formula at the same time as on the full grid, so the
+results are bit-identical to it.  The usable samples are cut into passes
+and sorted by start by numpy calls over all stations at once (_pass_table).
 """
 from __future__ import annotations
 
@@ -877,14 +877,6 @@ def _station_runs(counts: list[int]):
         yield run, held
 
 
-def _counts_within(picked: np.ndarray, counts) -> list[int]:
-    """How many of the sorted positions `picked` fall in each of the
-    consecutive spans of the given lengths."""
-    if len(counts) == 1:
-        return [len(picked)]
-    return np.diff(np.searchsorted(picked, np.cumsum(counts)), prepend=0).tolist()
-
-
 def sample_count(seconds: float, step_seconds: float) -> int:
     """Steps that start within `seconds` (at least one), or ValueError when
     the count would not fit int64."""
@@ -949,12 +941,12 @@ def compute_access_windows(source: TleElements | Ephemeris,
     candidates, mine = _screen(source, stations, u0, step_seconds, count, floors,
                                night_threshold_deg, locate)
     # per station its _site, then its up floor: floats for a run of one
-    # station, else repeated over the run's station-major pairs
+    # station, else taken for each pair by its station column
     sites = [(*_site(station), floor) for station, floor in zip(stations, floors)]
     table = np.array(sites).T.copy()
 
-    def spread(run: list[int], counts):
-        return sites[run[0]] if len(run) == 1 else np.repeat(table[:, run], counts, axis=1)
+    def spread(run: list[int], owner: np.ndarray):
+        return sites[run[0]] if len(run) == 1 else table.take(owner, axis=1)
 
     # where each station's candidates enter each block
     bounds = np.arange(0, len(candidates) + _BLOCK_SAMPLES, _BLOCK_SAMPLES)
@@ -980,7 +972,8 @@ def compute_access_windows(source: TleElements | Ephemeris,
         for run, counts in _station_runs([e[k + 1] - e[k] for e in edges]):
             near = np.concatenate([mine[s][edges[s][k]:edges[s][k + 1]]
                                    for s in run]).astype(np.intp) - lo
-            site = spread(run, counts)
+            owner = np.repeat(run, counts)
+            site = spread(run, owner)
             d = _offsets(np.take(ecef, near, axis=1), site)
             up = _up_km(d, site)
             keep = (np.flatnonzero(up > site[-1]) if elevation_mask_deg >= 0.0
@@ -990,27 +983,26 @@ def compute_access_windows(source: TleElements | Ephemeris,
             keep = keep[over]
             near = near[keep]
             seen[near] = True
-            held.append((run, _counts_within(keep, counts), near, elev[over], rng[over]))
+            held.append((run, owner[keep], near, elev[over], rng[over]))
         need = np.flatnonzero(seen)
         rank = np.cumsum(seen) - 1  # of each seen sample in need
         ra, dec = _sun_radec(block[need])
         sin_dec, cos_dec = np.sin(dec), np.cos(dec)
         umbra = _umbra_mask(pos[need], ra, dec) if require_umbra else None
 
-        for run, counts, near, elev, rng in held:
+        for run, owner, near, elev, rng in held:
             at = rank[near]
-            usable = _sun_elevation_arrays(spread(run, counts), gmst[near], ra[at],
+            usable = _sun_elevation_arrays(spread(run, owner), gmst[near], ra[at],
                                            sin_dec[at], cos_dec[at]) < night_threshold_deg
             if umbra is not None:
                 usable &= umbra[at]
             use = np.flatnonzero(usable)
             if not use.size:
                 continue
-            counts = _counts_within(use, counts)
-            site = spread(run, counts)
-            near = near[use]
+            owner, near = owner[use], near[use]
+            site = spread(run, owner)
             azim = _azimuth(_offsets(np.take(ecef, near, axis=1), site), site)
-            found.append((np.repeat(run, counts), index[near], elev[use], azim, rng[use]))
+            found.append((owner, index[near], elev[use], azim, rng[use]))
 
     for k, lo in enumerate(bounds[:-1].tolist()):
         usable_in_block(k, lo)

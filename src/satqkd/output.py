@@ -4,7 +4,8 @@ Every CSV cell is a row of a NUL-padded uint8 matrix, and csv_rows joins a
 list of such columns into the UTF-8 bytes of CSV rows.  Numbers and times
 are spelled by one digit kernel (_figures) through four column makers:
 fixed_point, round_trip (repr of a float), integers and iso_utc.  Names
-are spelled.
+and other words are spelled: spelled takes bytes or strings and encodes
+the strings as UTF-8 itself.
 """
 from __future__ import annotations
 
@@ -280,7 +281,10 @@ def _decimal_text(v, d, point, n_digits, done) -> np.ndarray:
 
 
 def spelled(words) -> np.ndarray:
-    """bytes or ASCII strings as the rows of a NUL-padded uint8 matrix."""
+    """bytes, or strings in UTF-8, as the rows of a NUL-padded uint8 matrix."""
+    column = np.asarray(words)
+    if column.dtype.kind == "U":
+        words = np.strings.encode(column, "utf-8")
     return np.array(words, dtype="S")[:, None].view(np.uint8)
 
 

@@ -27,7 +27,7 @@ the error of the first bad sample its kernels meet.
 The key matrix holds only its nonzero cells, as row-major (interval, node,
 bits) columns, never an intervals x nodes or a rows x nodes array:
 add_key_bits turns samples into such columns and assemble_key_matrix sums
-the samples of each cell.
+the samples of each cell (keyed_sums).
 """
 from __future__ import annotations
 
@@ -79,6 +79,8 @@ class QkdParams:
             raise ValueError(
                 f"intensities must satisfy 0 <= omega < nu < mu, "
                 f"got ({self.omega}, {self.nu}, {self.mu})")
+        if self.omega != 0.0:
+            raise ValueError(f"omega must be 0 (the vacuum gain is taken as y0), got {self.omega}")
         if self.mu * self.nu - self.nu * self.nu <= 0.0:  # rounds to 0 for nu ~ mu
             raise ValueError(f"decoy bound needs nu < mu, got nu={self.nu}, mu={self.mu}")
         if not 0.0 < self.q_factor <= 1.0:
@@ -311,6 +313,16 @@ def add_key_bits(parts: list, start: datetime, interval_seconds: float,
         parts.append((rows[keep], nodes[keep], per_pulse * params.rep_rate_hz * step_seconds))
 
 
+def keyed_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys and the sum of each one's values, added from
+    0.0 in input order; a sum past the largest float is inf, with no warning."""
+    distinct, owner = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(distinct))
+    with np.errstate(over="ignore"):
+        np.add.at(sums, owner, values)
+    return distinct, sums
+
+
 def assemble_key_matrix(parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
                         start: datetime, interval_seconds: float, n_intervals: int,
                         node_names: Sequence[str]) -> KeyMatrix:
@@ -321,10 +333,7 @@ def assemble_key_matrix(parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray
                          else (np.empty(0, np.int64),) * 3)
     n_nodes = len(node_names)
     # one key per cell, ordered as the cells are in row-major order
-    keys, owner = np.unique(rows * n_nodes + nodes, return_inverse=True)
-    sums = np.zeros(len(keys))
-    with np.errstate(over="ignore"):
-        np.add.at(sums, owner, bits)  # repeated cells add in sample order
+    keys, sums = keyed_sums(rows * n_nodes + nodes, bits)
     keep = np.flatnonzero(sums)  # NaN, infinite and negative sums stay, to be named
     interval, node = np.divmod(keys[keep], n_nodes)
     return KeyMatrix(start, interval_seconds, node_names, n_intervals, interval, node,
@@ -372,7 +381,7 @@ def export_key_matrix(matrix: KeyMatrix, params: QkdParams,
                       csv_path, meta_path) -> None:
     """Write nonzero entries as CSV plus a JSON metadata sidecar."""
     rows, cols, bits = matrix.nonzero()
-    names = spelled([name.encode() for name in matrix.node_names])
+    names = spelled(matrix.node_names)
     write_csv(csv_path, "interval_index,node_name,start_utc,key_bits\n", (
         [integers(rows[part]), names[cols[part]], iso_utc(matrix.row_us(rows[part])),
          round_trip(bits[part])] for part in row_chunks(len(rows))))

@@ -458,13 +458,13 @@ def check_loss_mask(config: ScenarioConfig) -> None:
                           f"got {config.elevation_mask_deg}")
 
 
-def union_duration_seconds(passes: Passes, step_seconds: float) -> float:
+def union_duration_seconds(passes: Passes) -> float:
     """Time with at least one station usable (one downlink at a time):
-    the distinct sample times, each worth one step.  They are counted on a
-    sorted copy: np.unique hashes int64 values (numpy 2.4), which took 15
-    times as long on 20,772 sample times."""
+    the distinct sample times, each worth the passes' step.  They are
+    counted on a sorted copy: np.unique hashes int64 values (numpy 2.4),
+    which took 15 times as long on 20,772 sample times."""
     times = np.sort(passes.time_us)
-    return (np.count_nonzero(times[1:] != times[:-1]) + (times.size > 0)) * step_seconds
+    return (np.count_nonzero(times[1:] != times[:-1]) + (times.size > 0)) * passes.step_seconds
 
 
 def key_matrix_for(config: ScenarioConfig, passes: Passes | None = None) -> KeyMatrix:

@@ -204,32 +204,33 @@ def is_feasible(schedule: Schedule | Sequence[int], n_intervals: int, n_nodes: i
         (a[1:] >= 0) & (a[1:] != a[:-1]) & (a[:-1] != SWITCH)).any()
 
 
+def _by_node(node: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Per node in the column `node`, ascending, the node and the positions
+    that hold it, in the column's order."""
+    order = np.argsort(node, kind="stable")
+    nodes, firsts = np.unique(node[order], return_index=True)
+    return list(zip(nodes.tolist(), np.split(order, firsts[1:])))
+
+
 def evaluate(schedule: Schedule | Sequence[int], matrix: KeyMatrix) -> np.ndarray:
     """Per-node delivered totals E_n = sum_m K[m][n] [assignment m == n], or
-    ValueError for a code that is not IDLE, SWITCH or a node."""
-    return _delivered(schedule, *_cells_of(matrix))
-
-
-def _delivered(schedule: Schedule | Sequence[int], n_intervals: int, n_nodes: int,
-               interval: np.ndarray, node: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """evaluate of a matrix given as its cells (_cells_of).
+    ValueError for a code that is not IDLE, SWITCH or a node.
 
     Each node with a delivered cell sums the column of all its assigned
     rows, zeros included and in row order: numpy's pairwise sum groups by
     position, so the totals are bit for bit those of the dense masked sum.
     Every other node delivers 0.0.  O(n_intervals) memory.
     """
+    n_intervals, n_nodes, interval, node, bits = _cells_of(matrix)
     arr = _codes_of(schedule, n_nodes)
     if len(arr) != n_intervals:
         raise ValueError(f"assignment length {len(arr)} does not match {n_intervals} intervals")
     # one stable sort lists each node's assigned rows in row order
     order = np.argsort(arr, kind="stable")
     bounds = np.searchsorted(arr, np.arange(n_nodes + 1), sorter=order)
-    held = np.flatnonzero(arr[interval] == node)
-    held = held[np.argsort(node[held], kind="stable")]  # by node, then row
-    nodes, firsts = np.unique(node[held], return_index=True)
     totals = np.zeros(n_nodes)
-    for n, these in zip(nodes.tolist(), np.split(held, firsts[1:])):
+    for n, at in _by_node(node):
+        these = at[arr[interval[at]] == n]  # its delivered cells, in row order
         mine = order[bounds[n]:bounds[n + 1]]
         column = np.zeros(len(mine))
         column[np.searchsorted(mine, interval[these])] = bits[these]
@@ -256,9 +257,9 @@ def delivered_distribution(schedule: Schedule | Sequence[int],
     return Distribution(tuple(float(v / total) for v in totals))
 
 
-def _finish(assignment: np.ndarray, key: tuple, objective: float,
+def _finish(assignment: np.ndarray, matrix: KeyMatrix, objective: float,
             generations: int = 0) -> Schedule:
-    return Schedule(assignment, tuple(_delivered(assignment, *key).tolist()),
+    return Schedule(assignment, tuple(evaluate(assignment, matrix).tolist()),
                     float(objective), generations)
 
 
@@ -288,7 +289,7 @@ def solve_exact(matrix: KeyMatrix, weights: Sequence[float] | None = None) -> Sc
     run before its row or re-enters through a SWITCH on the run's first row;
     IDLE and SWITCH leave the run IDLE, which is what the full walk assigns.
     """
-    key = n_intervals, n_nodes, interval, node, bits = _cells_of(matrix)
+    n_intervals, n_nodes, interval, node, bits = _cells_of(matrix)
     w = np.ones(n_nodes) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (n_nodes,):
         raise ValueError(f"expected {n_nodes} weights, got {w.shape}")
@@ -343,10 +344,9 @@ def solve_exact(matrix: KeyMatrix, weights: Sequence[float] | None = None) -> Sc
     rests.append(rest)
 
     # the cell of each cell's node in its previous row, -1 for none
-    by_node = np.argsort(node, kind="stable")
     previous = np.full(len(nodes), -1)
-    same = node[by_node[1:]] == node[by_node[:-1]]
-    previous[by_node[1:][same]] = by_node[:-1][same]
+    for _, at in _by_node(node):
+        previous[at[1:]] = at[:-1]
     previous = previous.tolist()
 
     # the assignment is IDLE but for runs [first, stop) of one code, marked
@@ -380,7 +380,7 @@ def solve_exact(matrix: KeyMatrix, weights: Sequence[float] | None = None) -> Sc
     delta = np.zeros(n_intervals + 1, dtype=np.int64)
     np.add.at(delta, np.array(marks, dtype=np.int64), np.array(steps, dtype=np.int64))
     assignment = np.cumsum(delta[:-1]) + IDLE
-    return _finish(assignment, key, objective)
+    return _finish(assignment, matrix, objective)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +406,7 @@ def _node_cells(genes: np.ndarray, node: np.ndarray,
                 bits: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Per node with a nonzero cell, the node, the genes (active rows) of its
     cells, in row order, and their bits, from row-major cells."""
-    by_node = np.argsort(node, kind="stable")
-    nodes, firsts = np.unique(node[by_node], return_index=True)
-    bounds = [*firsts.tolist(), len(node)]
-    genes, bits = genes[by_node], bits[by_node]
-    return [(n, genes[a:b], bits[a:b])
-            for n, a, b in zip(nodes.tolist(), bounds[:-1], bounds[1:])]
+    return [(n, genes[at], bits[at]) for n, at in _by_node(node)]
 
 
 def _node_totals(group: np.ndarray, cells, n_nodes: int) -> np.ndarray:
@@ -508,8 +503,8 @@ def solve_ga(matrix: KeyMatrix, cfg: StrategyConfig,
     """
     # the rows with a nonzero cell are the active rows; each cell's gene is
     # its row's index among them
-    key = n_intervals, n_nodes, interval, node, bits = _cells_of(matrix)
-    active = interval[row_heads(interval)]
+    n_intervals, n_nodes, interval, node, bits = _cells_of(matrix)
+    active = matrix.rows
     cell_gene = np.searchsorted(active, interval)
     ga = cfg.ga
     # the switch rule does not couple across a zero row (a SWITCH fits there),
@@ -519,7 +514,7 @@ def solve_ga(matrix: KeyMatrix, cfg: StrategyConfig,
     seed_genes = [_seed_genes(seed, index, active, n_intervals, n_nodes)
                   for index, seed in enumerate(seed_schedules)]
     if n_active == 0 or n_nodes == 0:
-        return _finish(np.full(n_intervals, IDLE), key, 0.0)
+        return _finish(np.full(n_intervals, IDLE), matrix, 0.0)
 
     switch_code = n_nodes + 1  # the largest gene; n_nodes is IDLE
     if cfg.kind == "S-PD":
@@ -682,7 +677,7 @@ def solve_ga(matrix: KeyMatrix, cfg: StrategyConfig,
 
     chosen = archive.pick
     assignment = _expand(archive.genes[chosen], active, starts, n_intervals, n_nodes)
-    return _finish(assignment, key, archive.fits[chosen], gen)
+    return _finish(assignment, matrix, archive.fits[chosen], gen)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +694,7 @@ def write_schedule_csv(schedules: Sequence[Schedule], matrix, paths: Sequence) -
             raise ValueError(f"{len(schedule.assignment)} activities for "
                              f"{n_intervals} intervals")
     # shifted by -SWITCH, the codes SWITCH and IDLE index the first two names
-    names = spelled([name.encode() for name in ("SWITCH", "IDLE", *matrix.node_names)])
+    names = spelled(["SWITCH", "IDLE", *matrix.node_names])
     intervals = np.arange(n_intervals)
 
     def tables(part: slice) -> list[list[np.ndarray]]:

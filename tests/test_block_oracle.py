@@ -49,6 +49,8 @@ from satqkd.output import open_new
 from satqkd.qkd import KeyMatrix, build_key_matrix
 from satqkd.scenario import compute_accesses, micius_week_config
 
+pytestmark = pytest.mark.bits
+
 UTC = timezone.utc
 SPAN = (datetime(2016, 9, 19, 14, tzinfo=UTC), datetime(2016, 9, 19, 20, tzinfo=UTC))
 HEADER = ("time_utc,station,elevation_deg,range_km,geo_db,atm_db,"

@@ -748,6 +748,9 @@ def test_main_runs_access_with_config(tmp_path):
     *(({"stations": [{"name": "A", "lat_deg": 30, "lon_deg": 100},
                      {"name": name, "lat_deg": 31, "lon_deg": 101}]}, "stations[1].name")
       for name in ("", "Xi,an", 'Xi"an', "Xi\nan", "Xi\ran", "IDLE", "SWITCH", "Xi\0an")),
+    # a vacuum intensity the decoy estimate would not read: it takes the
+    # vacuum gain to be y0
+    ({"qkd": {"omega": 0.01}}, "qkd"),
 ])
 def test_main_malformed_config_shapes_exit_2(tmp_path, capsys, payload, needle):
     cfg_path = tmp_path / "bad.json"

@@ -28,6 +28,8 @@ from satqkd.cloud import (
     synthetic_cloud_grid,
 )
 
+pytestmark = pytest.mark.bits
+
 UTC = timezone.utc
 T0 = datetime(2016, 9, 23, 0, 0, tzinfo=UTC)
 

@@ -24,6 +24,8 @@ from satqkd.qkd import KeyMatrix
 from satqkd.scenario import key_matrix_for, micius_week_config
 from satqkd.sched import IDLE, SWITCH, evaluate, is_feasible, solve_exact
 
+pytestmark = pytest.mark.bits
+
 
 # ---------------------------------------------------------------------------
 # oracle: solve_exact before the per-cell rows, kept verbatim, with the

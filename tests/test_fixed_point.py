@@ -18,6 +18,8 @@ import pytest
 from conftest import oracle_fmt
 from satqkd.output import csv_rows, fixed_point, integers
 
+pytestmark = pytest.mark.bits
+
 N_SEEDED = 1 << 20
 
 

@@ -41,6 +41,8 @@ from satqkd.orbit import LookAngles
 from satqkd.qkd import QkdParams, binary_entropy, decoy_estimate, gain_and_qber, gllp_rate
 from satqkd.scenario import compute_accesses, scenario_from_dict
 
+pytestmark = pytest.mark.bits
+
 
 def hexes(values) -> list[str]:
     return [float(v).hex() for v in values]

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from satqkd.qkd import QkdParams, assemble_key_matrix, export_key_matrix
 from satqkd.sched import evaluate, is_feasible, solve_exact
 
+pytestmark = pytest.mark.bits
+
 T0 = datetime(2016, 9, 19, tzinfo=timezone.utc)
 
 

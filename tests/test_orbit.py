@@ -624,6 +624,7 @@ def assert_matches_reference(monkeypatch, source, stations, span, step, mask,
 EPOCH = datetime(2016, 9, 19, tzinfo=UTC)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("umbra", [False, True], ids=["night", "umbra"])
 @pytest.mark.parametrize("mask", [0.0, 10.0, -5.0])
 @pytest.mark.parametrize("kind", ["tle", "ephemeris"])
@@ -637,6 +638,7 @@ def test_access_matches_full_grid_oracle_10s(monkeypatch, kind, mask, umbra):
                                  umbra, block)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("umbra", [False, True], ids=["night", "umbra"])
 @pytest.mark.parametrize("mask", [0.0, 10.0, -5.0])
 @pytest.mark.parametrize("kind", ["tle", "ephemeris"])
@@ -648,6 +650,7 @@ def test_access_matches_full_grid_oracle_1s(monkeypatch, kind, mask, umbra):
                              91.0 if umbra else -6.0, umbra)
 
 
+@pytest.mark.bits
 def test_access_matches_oracle_on_spans_cutting_passes(monkeypatch):
     el = parse_tle(MICIUS_TLE)
     stations = seeded_stations(3)
@@ -663,6 +666,7 @@ def test_access_matches_oracle_on_spans_cutting_passes(monkeypatch):
     assert max(iv.end for iv in ref) > span[1]
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("step", [0.1, 0.3])
 def test_access_matches_oracle_with_fractional_times(monkeypatch, step):
     # sample times with a fraction that fromtimestamp must round to the microsecond
@@ -674,6 +678,7 @@ def test_access_matches_oracle_with_fractional_times(monkeypatch, step):
                              span, step, 10.0, 91.0, False, block=4099)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("umbra,alone", [(False, None), (True, 40)],
                          ids=["night-runs", "umbra-alone"])
 @pytest.mark.parametrize("mask", [10.0, -5.0])
@@ -896,6 +901,7 @@ def screen_1s_day(night_threshold_deg):
                          lambda unix: orbit._propagate_arrays(el, unix)[0])
 
 
+@pytest.mark.bits
 def test_screen_keeps_few_samples_of_a_1s_day():
     count = 86400
     candidates, mine = screen_1s_day(91.0)
@@ -906,6 +912,7 @@ def test_screen_keeps_few_samples_of_a_1s_day():
         assert np.all(np.diff(own) > 0) and 0 <= own[0] and own[-1] < len(candidates)
 
 
+@pytest.mark.bits
 def test_night_test_drops_most_of_the_screened_day():
     at_night, _ = screen_1s_day(-6.0)
     any_time, _ = screen_1s_day(91.0)
@@ -913,6 +920,7 @@ def test_night_test_drops_most_of_the_screened_day():
     assert np.isin(at_night, any_time).all()
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("mask", [0.0, 10.0, 60.0])
 @pytest.mark.parametrize("kind", ["tle", "ephemeris"])
 def test_screen_keeps_every_sample_above_the_up_floor(kind, mask):
@@ -948,6 +956,7 @@ def screened_outcome(source, stations, span, step, mask, night, umbra, screen_se
     return exact_form(got), exact_form(ref)
 
 
+@pytest.mark.bits
 @settings(max_examples=160, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ecc=st.one_of(st.sampled_from([0.0, 0.7]), st.floats(0.0, 0.7)),
@@ -988,6 +997,7 @@ def test_screen_matches_full_grid_oracle(ecc, perigee_alt_km, angles, kind, step
     assert got == ref
 
 
+@pytest.mark.bits
 def test_screen_with_an_ephemeris_ending_between_coarse_samples(monkeypatch):
     el = parse_tle(MICIUS_TLE)
     stations = seeded_stations(5)
@@ -1006,6 +1016,7 @@ def test_screen_with_an_ephemeris_ending_between_coarse_samples(monkeypatch):
                                f"{late[1].isoformat()}: query time outside ephemeris span")
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("perigee_alt_km", [-50.0, 0.0, 0.5])
 def test_screen_leaves_a_perigee_near_the_surface_to_the_full_grid(monkeypatch,
                                                                     perigee_alt_km):

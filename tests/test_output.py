@@ -30,6 +30,8 @@ from satqkd.cli import main
 from satqkd.orbit import _from_us, _to_us
 from satqkd.output import iso_utc, open_new, row_chunks, spelled, write_csv
 
+pytestmark = pytest.mark.bits
+
 # ---------------------------------------------------------------------------
 # time labels
 # ---------------------------------------------------------------------------
@@ -82,6 +84,14 @@ def test_iso_utc_mixes_whole_and_fractional_across_chunks(tmp_path, monkeypatch,
 def test_iso_utc_rejects_times_outside_datetime(time_us):
     with pytest.raises(OverflowError):
         iso_utc(time_us)
+
+
+def test_spelled_encodes_strings_as_utf8():
+    words = ["Ürümqi", "Xi'an", "Ngari-阿里"]
+    got = spelled(words)
+    assert got.tobytes() == spelled([word.encode() for word in words]).tobytes()
+    assert got[0].tobytes().rstrip(b"\0").decode() == "Ürümqi"
+    assert spelled(np.array(words)).tobytes() == got.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from satqkd import orbit
 from satqkd.orbit import GroundStation, compute_access_windows, parse_tle
 from satqkd.scenario import MICIUS_TLE_LINES
 
+pytestmark = pytest.mark.bits
+
 UTC = timezone.utc
 EPOCH = datetime(2016, 9, 19, tzinfo=UTC)
 MICIUS = parse_tle("\n".join(MICIUS_TLE_LINES))

@@ -28,6 +28,8 @@ from satqkd.orbit import GroundStation, LookAngles
 from satqkd.qkd import build_key_matrix
 from satqkd.scenario import compute_accesses, micius_week_config, union_duration_seconds
 
+pytestmark = pytest.mark.bits
+
 UTC = timezone.utc
 UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
 NIGHT = datetime(2016, 9, 19, 14, tzinfo=UTC)
@@ -275,8 +277,8 @@ def test_access_csvs_and_union_match_per_sample_oracle(scenario, tmp_path):
     assert_same_text(tmp_path / "access_daily.csv", daily)
     marks = {t for iv in accesses for t, _ in per_sample(iv)}
     assert info["union_seconds"] == len(marks) * config.step_seconds
-    assert union_duration_seconds(passes, config.step_seconds) == info["union_seconds"]
-    assert union_duration_seconds(passes[:0], config.step_seconds) == 0.0
+    assert union_duration_seconds(passes) == info["union_seconds"]
+    assert union_duration_seconds(passes[:0]) == 0.0
 
 
 def test_cloud_column_matches_scalar_query():

@@ -9,6 +9,7 @@ and permutation invariance.
 from __future__ import annotations
 
 import math
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -29,6 +30,7 @@ from satqkd.qkd import (
     export_key_matrix,
     gain_and_qber,
     gllp_rate,
+    keyed_sums,
 )
 
 UTC = timezone.utc
@@ -121,6 +123,8 @@ def test_intensity_ordering_enforced():
         QkdParams(mu=0.08, nu=0.5)
     with pytest.raises(ValueError, match="omega < nu < mu"):
         QkdParams(omega=0.09)
+    with pytest.raises(ValueError, match="omega must be 0"):
+        QkdParams(omega=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +228,26 @@ def test_assembly_keeps_only_rows_with_a_nonzero_cell():
     assert [column.tolist() for column in km.nonzero()] == [[2, 2], [0, 1], [rate, rate]]
     assert dense(km).tolist() == [[0.0, 0.0], [0.0, 0.0], [rate, rate], [0.0, 0.0]]
     assert assemble_key_matrix([], T0, 10.0, 4, ("A", "B")).rows.tolist() == []
+
+
+def test_keyed_sums_add_each_keys_values_in_input_order():
+    # 1e16 + 1 rounds back to 1e16, so key 7's sum depends on the order
+    keys = np.array([7, 2, 7, 7, 2])
+    values = np.array([1e16, 0.5, 1.0, 1.0, 0.25])
+    distinct, sums = keyed_sums(keys, values)
+    assert distinct.tolist() == [2, 7]
+    assert sums.tolist() == [0.75, 1e16]
+    assert keyed_sums(keys[::-1], values[::-1])[1].tolist() == [0.75, 1e16 + 2.0]
+    empty = keyed_sums(np.empty(0, np.int64), np.empty(0))
+    assert [column.tolist() for column in empty] == [[], []]
+
+
+def test_keyed_sums_overflow_to_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        distinct, sums = keyed_sums(np.array([1, 0, 1]), np.array([1e308, 1.0, 1e308]))
+    assert distinct.tolist() == [0, 1]
+    assert sums.tolist() == [1.0, math.inf]
 
 
 # ---------------------------------------------------------------------------

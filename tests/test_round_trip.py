@@ -15,6 +15,8 @@ import pytest
 
 from satqkd.output import csv_rows, round_trip, spelled
 
+pytestmark = pytest.mark.bits
+
 
 def spelled_repr(values) -> bytes:
     return csv_rows([spelled(list(map(repr, values.tolist())))]).tobytes()

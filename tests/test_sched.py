@@ -36,6 +36,7 @@ from satqkd.sched import (
     solve_exact,
     solve_ga,
     write_schedule_csv,
+    _by_node,
     _node_cells,
     _node_totals,
 )
@@ -489,6 +490,13 @@ def test_ga_sparse_compression_agrees_with_enumeration():
     assert len(sched.assignment) == 4
     assert is_feasible(sched, 4, 2)
     assert sched.objective == pytest.approx(enumerate_best(values), rel=1e-12)
+
+
+def test_by_node_keeps_each_nodes_positions_in_order():
+    node = np.array([2, 0, 2, 1, 0, 2, 0])
+    assert [(n, at.tolist()) for n, at in _by_node(node)] == [
+        (0, [1, 4, 6]), (1, [3]), (2, [0, 2, 5])]
+    assert _by_node(node[:0]) == []
 
 
 def test_sparse_node_totals_match_masked_product():

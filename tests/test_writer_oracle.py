@@ -32,6 +32,8 @@ from satqkd.cli import main
 from satqkd.scenario import load_scenario, micius_week_config
 from satqkd.sched import IDLE, SWITCH, GaConfig, Schedule, StrategyConfig, write_schedule_csv
 
+pytestmark = pytest.mark.bits
+
 UTC = timezone.utc
 US_MAX = _US_RANGE[1]
 NAMES = ("Ürümqi", "北京", "Xi’an", "Day-side")
